@@ -11,7 +11,7 @@
      (sub-10ms baselines are skipped — pure noise), or
    - any decision/identity field present in both records differs:
      [decision_hashes], [result_checksum], [schedule_checksums],
-     [decisions], [decisions_identical], [results_identical],
+     [decisions], [results_identical],
      [grid_points], [queries], [concurrent_calls],
      [audit_violations].  These capture
      the admit/deny sequences and solver answers, so a mismatch means
@@ -28,7 +28,6 @@ let identity_fields =
     "result_checksum";
     "schedule_checksums";
     "decisions";
-    "decisions_identical";
     "results_identical";
     "grid_points";
     "queries";

@@ -90,7 +90,7 @@ let run_net_experiment ~schedule ~seed ~transit_calls ~local_calls ~rm_drop
       f.Multihop.invariant_failures
 
 let run seed frames cost_ratio capacity_mult load target controller_name
-    admission_name admission_stats rm_drop rm_timeout rm_max_retx topo_spec
+    admission_stats rm_drop rm_timeout rm_max_retx topo_spec
     transit_calls local_calls service_spec =
   (* Ctrl-C mid-run: flush the stats printed so far, then exit with the
      interrupt convention instead of dying with a truncated buffer. *)
@@ -153,11 +153,6 @@ let run seed frames cost_ratio capacity_mult load target controller_name
     | "always" -> Controller.always_admit ()
     | other -> Fmt.failwith "unknown controller %S" other
   in
-  (match admission_name with
-  | "fast" -> ()
-  | "legacy" -> Controller.set_mode controller Controller.Legacy
-  | "check" -> Controller.set_mode controller Controller.Check
-  | other -> Fmt.failwith "unknown admission mode %S" other);
   Format.printf
     "link %.0f kb/s (%.0fx mean), offered load %.2f, target %.1e, controller %s@."
     (capacity /. 1e3) capacity_mult (Mbac.offered_load cfg) target
@@ -184,16 +179,13 @@ let run seed frames cost_ratio capacity_mult load target controller_name
       m.Mbac.signalling_dropped m.Mbac.signalling_retransmits
       m.Mbac.signalling_abandoned;
   let a = m.Mbac.admission in
-  if admission_name = "check" && a.Controller.mismatches > 0 then
-    Format.printf "WARNING: %d fast/legacy decision mismatches@."
-      a.Controller.mismatches;
   if admission_stats then
     Format.printf
       "@[<v>admission decisions: %d (%d admitted), hash %x@,\
-       legacy rebuilds:     %d (mismatches %d)@,\
+       batch hits:          %d@,\
        solver work:         %d log-MGF evals, %d fit probes, %d queries@]@."
       a.Controller.decisions a.Controller.admits a.Controller.decision_hash
-      a.Controller.legacy_evals a.Controller.mismatches
+      a.Controller.batch_hits
       a.Controller.solver.Rcbr_effbw.Chernoff.Solver.mgf_evals
       a.Controller.solver.Rcbr_effbw.Chernoff.Solver.fits_evals
       a.Controller.solver.Rcbr_effbw.Chernoff.Solver.queries
@@ -220,15 +212,6 @@ let controller_arg =
     value & opt string "memoryless"
     & info [ "controller" ] ~docv:"NAME"
         ~doc:"One of: perfect, memoryless, memory, always.")
-
-let admission_arg =
-  Arg.(
-    value & opt string "fast"
-    & info [ "admission" ] ~docv:"MODE"
-        ~doc:
-          "Admission decision path: $(b,fast) (incremental kernel), \
-           $(b,legacy) (per-decision rebuild, as the original code), or \
-           $(b,check) (run both and report disagreements).")
 
 let admission_stats_arg =
   Arg.(
@@ -314,7 +297,7 @@ let () =
   let term =
     Term.(
       const run $ seed_arg $ frames_arg $ cost_ratio_arg $ capacity_arg
-      $ load_arg $ target_arg $ controller_arg $ admission_arg
+      $ load_arg $ target_arg $ controller_arg
       $ admission_stats_arg $ rm_drop_arg $ rm_timeout_arg $ rm_max_retx_arg
       $ topology_arg $ transit_arg $ local_arg $ service_arg)
   in

@@ -25,18 +25,14 @@ module Service_model = Rcbr_policy.Service_model
    O(calls x levels).  Decisions then go through a warm-started
    [Chernoff.Solver] owned by the controller.
 
-   The seed's from-scratch path is kept as [Legacy] (and as the [Check]
-   cross-check): rebuild the [(rate, weight)] list from the per-call
-   records and run the cold [Chernoff.max_calls].  Per-call finalized
-   weights are bit-identical between the two paths (same additions in
-   the same order); the aggregate differs from a rebuild only by
+   The decision sequence is property-tested against a from-scratch
+   oracle that rebuilds the [(rate, weight)] list from per-call records
+   on every decision and runs the cold [Chernoff.max_calls]
+   (test/seed_oracle.ml).  The aggregate differs from a rebuild only by
    float-summation order, which the deviation probe below bounds. *)
-
-type mode = Fast | Legacy | Check
 
 type call_state = {
   mutable level : int;
-  mutable rate : float;
   mutable since : float;
   history : Histogram.t;  (* finalized seconds per level, this call *)
   mutable segments : int;  (* finalized history segments (weight > 0) *)
@@ -52,8 +48,6 @@ type stats = {
   decisions : int;
   admits : int;
   decision_hash : int;
-  legacy_evals : int;
-  mismatches : int;
   batch_hits : int;
   solver : Chernoff.Solver.stats;
 }
@@ -61,7 +55,6 @@ type stats = {
 type t = {
   name : string;
   kind : kind;
-  mutable mode : mode;
   mutable service : Service_model.t;
       (* what [decide] does when the Chernoff gate admits but the
          demanded rate does not fit (DESIGN.md §15) *)
@@ -80,11 +73,10 @@ type t = {
      only be stale *downward* — see [all_fresh]). *)
   mutable since_floor : float;
   solver : Chernoff.Solver.t;
-  (* Batched decisions: while [batching] and nothing has mutated the
-     call population since the last fast-path load at the same [now],
-     the committed solver distribution is still exact, so a decision is
-     the O(1) integer compare against the memoized [max_calls]. *)
-  mutable batching : bool;
+  (* Tick cache: while nothing has mutated the call population since
+     the last load at the same [now], the committed solver distribution
+     is still exact, so a decision is the O(1) integer compare against
+     the memoized [max_calls]. *)
   mutable cache_valid : bool;
   mutable cache_now : float;
   mutable cache_empty : bool;  (* the load saw an empty distribution *)
@@ -92,33 +84,22 @@ type t = {
   mutable decisions : int;
   mutable admits : int;
   mutable decision_hash : int;
-  mutable legacy_evals : int;
-  mutable mismatches : int;
   mutable batch_hits : int;
 }
 
 let name t = t.name
 let n_in_system t = Hashtbl.length t.calls
-let mode t = t.mode
-let set_mode t mode = t.mode <- mode
 let service t = t.service
 
 let set_service t service =
   Service_model.validate service;
   t.service <- service
-let batched t = t.batching
-
-let set_batched t on =
-  t.batching <- on;
-  if not on then t.cache_valid <- false
 
 let stats t =
   {
     decisions = t.decisions;
     admits = t.admits;
     decision_hash = t.decision_hash;
-    legacy_evals = t.legacy_evals;
-    mismatches = t.mismatches;
     batch_hits = t.batch_hits;
     solver = Chernoff.Solver.stats t.solver;
   }
@@ -157,7 +138,6 @@ let on_admit t ~now ~call ~rate =
   let state =
     {
       level;
-      rate;
       since = now;
       history = Histogram.create ~levels:(max 1 t.n_levels);
       segments = 0;
@@ -180,7 +160,6 @@ let on_renegotiate t ~now ~call ~rate =
       (* ...and open one at the new. *)
       let level = level_of t rate in
       st.level <- level;
-      st.rate <- rate;
       Histogram.add t.cur_count level 1.;
       Histogram.add t.since_sum level now
 
@@ -199,7 +178,7 @@ let on_depart t ~now ~call =
       Histogram.iter_support st.history (fun l w -> Histogram.sub t.hist l w);
       t.hist_segments <- t.hist_segments - st.segments
 
-(* --- fast decision path --------------------------------------------- *)
+(* --- decision path ---------------------------------------------------- *)
 
 let load_instantaneous t =
   Chernoff.Solver.reset t.solver;
@@ -227,8 +206,8 @@ let all_fresh t ~now =
   t.hist_segments = 0
   && ((* [since_floor] is a lower bound on every active [since]
          (departures never raise it), so [now <= since_floor] proves
-         every call fresh in O(1) — the common case during a batched
-         ramp tick, where the fold below would be O(calls) per
+         every call fresh in O(1) — the common case during a
+         same-tick ramp, where the fold below would be O(calls) per
          decision.  When the bound is inconclusive the exact fold
          decides, as the seed did. *)
       now <= t.since_floor
@@ -243,15 +222,16 @@ let solver_admit t ~capacity ~target ~n =
     n + 1 <= Chernoff.Solver.max_calls t.solver ~capacity ~target
   end
 
-(* Batched fast path.  A cache hit means no [on_admit]/[on_renegotiate]/
+(* Tick-cached decision.  A cache hit means no [on_admit]/[on_renegotiate]/
    [on_depart] ran since the last load and [now] is bit-equal, so
    reloading would push the identical floats and re-derive the identical
    [max_calls] — the decision below is therefore *exactly* the
-   per-decision one (property-tested in test/test_admission.ml), served
-   by the solver's memo without redoing the load or the search. *)
-let fast_admit t ~now ~capacity ~target =
+   per-decision one (property-tested against the seed oracle in
+   test/test_admission.ml), served by the solver's memo without redoing
+   the load or the search. *)
+let chernoff_admit t ~now ~capacity ~target =
   let n = n_in_system t in
-  if t.batching && t.cache_valid && Float.equal t.cache_now now then begin
+  if t.cache_valid && Float.equal t.cache_now now then begin
     t.batch_hits <- t.batch_hits + 1;
     t.cache_empty || n + 1 <= Chernoff.Solver.max_calls t.solver ~capacity ~target
   end
@@ -260,62 +240,10 @@ let fast_admit t ~now ~capacity ~target =
     | Memory _ when not (all_fresh t ~now) -> load_history t ~now
     | _ -> load_instantaneous t);
     t.cache_now <- now;
-    t.cache_valid <- t.batching;
+    t.cache_valid <- true;
     t.cache_empty <- Chernoff.Solver.n_levels t.solver = 0;
     solver_admit t ~capacity ~target ~n
   end
-
-(* --- legacy (seed) decision path ------------------------------------ *)
-
-let marginal_of_weights weights =
-  (* [(rate, weight)] list with positive total -> normalized marginal. *)
-  let total = List.fold_left (fun acc (_, w) -> acc +. w) 0. weights in
-  assert (total > 0.);
-  let arr = Array.of_list (List.map (fun (r, w) -> (w /. total, r)) weights) in
-  Array.sort (fun (_, a) (_, b) -> Float.compare a b) arr;
-  arr
-
-let instantaneous_weights t =
-  (* lint: allow D002, T001 — seed-exact bucket order; sorting would
-     drift the Legacy baseline's float-summation order.  Reproducible
-     for a fixed stdlib: Hashtbl without ~random is deterministic in
-     the insertion sequence, which the session store fixes *)
-  Hashtbl.fold (fun _ st acc -> (st.rate, 1.) :: acc) t.calls []
-
-let history_weights t ~now =
-  (* lint: allow D002, T001 — seed-exact bucket order, as above *)
-  Hashtbl.fold
-    (fun _ st acc ->
-      let acc = ref acc in
-      Histogram.iter_support st.history (fun l secs ->
-          acc := (t.values.(l), secs) :: !acc);
-      let ongoing = now -. st.since in
-      if ongoing > 0. then (st.rate, ongoing) :: !acc else !acc)
-    t.calls []
-
-let chernoff_admit ~capacity ~target ~n weights =
-  match weights with
-  | [] -> true (* no information: the certainty-equivalent scheme admits *)
-  | _ ->
-      let m = marginal_of_weights weights in
-      n + 1 <= Chernoff.max_calls m ~capacity ~target
-
-let legacy_admit t ~now ~capacity ~target =
-  t.legacy_evals <- t.legacy_evals + 1;
-  let n = n_in_system t in
-  match t.kind with
-  | Always | Perfect _ -> assert false
-  | Memoryless _ -> chernoff_admit ~capacity ~target ~n (instantaneous_weights t)
-  | Memory _ ->
-      let weights = history_weights t ~now in
-      let weights =
-        (* All-fresh calls have no elapsed time yet; fall back to their
-           instantaneous rates. *)
-        if List.for_all (fun (_, w) -> w <= 0.) weights then
-          instantaneous_weights t
-        else weights
-      in
-      chernoff_admit ~capacity ~target ~n weights
 
 (* --- decisions ------------------------------------------------------ *)
 
@@ -332,15 +260,8 @@ let admit t ~now =
   match t.kind with
   | Always -> record t true
   | Perfect { max_calls } -> record t (n_in_system t + 1 <= max_calls)
-  | Memoryless { capacity; target } | Memory { capacity; target } -> (
-      match t.mode with
-      | Fast -> record t (fast_admit t ~now ~capacity ~target)
-      | Legacy -> record t (legacy_admit t ~now ~capacity ~target)
-      | Check ->
-          let fast = fast_admit t ~now ~capacity ~target in
-          let legacy = legacy_admit t ~now ~capacity ~target in
-          if fast <> legacy then t.mismatches <- t.mismatches + 1;
-          record t fast)
+  | Memoryless { capacity; target } | Memory { capacity; target } ->
+      record t (chernoff_admit t ~now ~capacity ~target)
 
 (* --- service-model admission (DESIGN.md §15) ------------------------ *)
 
@@ -407,7 +328,6 @@ let make ~name ~kind () =
   {
     name;
     kind;
-    mode = Fast;
     service = Service_model.Renegotiate;
     calls = Hashtbl.create 64;
     values = Array.make 16 0.;
@@ -419,15 +339,12 @@ let make ~name ~kind () =
     hist_segments = 0;
     since_floor = infinity;
     solver = Chernoff.Solver.create ();
-    batching = false;
     cache_valid = false;
     cache_now = 0.;
     cache_empty = false;
     decisions = 0;
     admits = 0;
     decision_hash = 0;
-    legacy_evals = 0;
-    mismatches = 0;
     batch_hits = 0;
   }
 

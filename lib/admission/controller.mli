@@ -29,34 +29,19 @@
     without allocation and runs it through a warm-started
     {!Rcbr_effbw.Chernoff.Solver} owned by the controller.
 
-    The seed's from-scratch path — rebuild a per-call [(rate, weight)]
-    list and call the cold [Chernoff.max_calls] — is retained behind
-    {!mode} for cross-checking and benchmarking. *)
+    The solver load is cached keyed on the decision's exact [now] and
+    invalidated by any {!on_admit}/{!on_renegotiate}/{!on_depart}, so
+    repeat decisions inside one tick — e.g. an arrival burst being
+    denied against an unchanged population — reduce to an O(1) integer
+    compare against the solver's memoized [max_calls].  A cache hit
+    implies a reload would push bit-identical weights, so the admit/deny
+    sequence is exactly the per-decision one.
+
+    The decision sequence is property-tested against the seed's
+    from-scratch rebuild — a per-call [(rate, weight)] list through the
+    cold [Chernoff.max_calls] — kept as a test-only oracle. *)
 
 type t
-
-type mode =
-  | Fast  (** incremental aggregates + warm-started solver (default) *)
-  | Legacy  (** from-scratch rebuild on every decision, as the seed did *)
-  | Check
-      (** run both, count disagreements in {!stats}, answer with [Fast] *)
-
-val mode : t -> mode
-val set_mode : t -> mode -> unit
-(** Controllers start in [Fast]; switch before feeding events. *)
-
-val batched : t -> bool
-
-val set_batched : t -> bool -> unit
-(** Batched decisions (off by default): while on, the fast path caches
-    the solver load keyed on the decision's exact [now] and invalidates
-    it on any {!on_admit}/{!on_renegotiate}/{!on_depart}, so repeat
-    decisions inside one tick — e.g. an arrival burst being denied
-    against an unchanged population — reduce to an O(1) integer
-    compare against the solver's memoized [max_calls].  The admit/deny
-    sequence is exactly the per-decision one: a cache hit implies a
-    reload would push bit-identical weights (property-tested in
-    test/test_admission.ml). *)
 
 val name : t -> string
 
@@ -102,9 +87,7 @@ type stats = {
   decision_hash : int;
       (** order-sensitive hash of the admit/deny sequence; equal hashes
           across runs mean identical decision sequences *)
-  legacy_evals : int;  (** from-scratch rebuilds ([Legacy]/[Check]) *)
-  mismatches : int;  (** [Check]-mode fast/legacy disagreements *)
-  batch_hits : int;  (** decisions served from the batched-tick cache *)
+  batch_hits : int;  (** decisions served from the tick cache *)
   solver : Rcbr_effbw.Chernoff.Solver.stats;
 }
 

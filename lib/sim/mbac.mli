@@ -92,8 +92,7 @@ type metrics = {
       (** the controller's decision and solver counters at the end of
           the run — in particular [decision_hash], an order-sensitive
           hash of the admit/deny sequence used to check that runs are
-          bit-identical across [-j] and across the fast/legacy admission
-          paths *)
+          bit-identical across [-j] *)
 }
 
 val run : config -> controller:Rcbr_admission.Controller.t -> metrics

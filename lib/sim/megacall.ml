@@ -3,9 +3,9 @@
    Scale comes from four pieces working together: the {!Rcbr_net.Store}
    struct-of-arrays session store (no per-call heap records), the
    {!Rcbr_queue.Wheel} calendar queue driven directly with integer
-   session handles (no per-event closures), batched admission
-   ({!Rcbr_admission.Controller.set_batched}: one solver load per tick
-   mutation, O(1) repeat decisions), and link-sharding across the
+   session handles (no per-event closures), the admission controller's
+   tick cache (one solver load per tick mutation, O(1) repeat
+   decisions), and link-sharding across the
    Domain {!Rcbr_util.Pool}.
 
    Sharding model: each shard owns a disjoint [rows x cols] grid mesh
@@ -149,7 +149,6 @@ let run_shard cfg rng =
         (cfg.admit_margin *. float_of_int cfg.calls_per_shard *. mean_rate)
       ~target:cfg.target
   in
-  Controller.set_batched ctrl true;
   Controller.set_service ctrl cfg.service;
   let wheel : Store.handle Wheel.t = Wheel.create () in
   let arrivals = ref 0

@@ -3,8 +3,8 @@
 
     Combines the {!Rcbr_net.Store} struct-of-arrays session store, the
     {!Rcbr_queue.Wheel} calendar queue driven with integer handles (no
-    per-event closures), batched admission
-    ({!Rcbr_admission.Controller.set_batched}) and link-sharded
+    per-event closures), the tick-cached {!Rcbr_admission.Controller}
+    and link-sharded
     parallel runs over the Domain {!Rcbr_util.Pool}.  Each shard owns
     a disjoint {!Rcbr_net.Topology.grid} mesh and a pre-split RNG; the
     merge is an ordered reduction, so every metric — including

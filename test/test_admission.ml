@@ -150,13 +150,7 @@ let test_departure_bookkeeping () =
   Controller.on_renegotiate ctl ~now:2. ~call:99 ~rate:50.;
   Alcotest.(check int) "still one" 1 (Controller.n_in_system ctl)
 
-(* --- Fast path: modes, stats, and incremental-vs-rebuild identity --- *)
-
-let test_mode_switch () =
-  let ctl = Controller.memory ~capacity:100. ~target:1e-3 in
-  Alcotest.(check bool) "starts fast" true (Controller.mode ctl = Controller.Fast);
-  Controller.set_mode ctl Controller.Legacy;
-  Alcotest.(check bool) "switched" true (Controller.mode ctl = Controller.Legacy)
+(* --- Fast path: stats and controller-vs-oracle identity --------------- *)
 
 let test_stats_counting () =
   let ctl = Controller.memoryless ~capacity:100. ~target:1e-3 in
@@ -168,27 +162,74 @@ let test_stats_counting () =
   Alcotest.(check int) "decisions" 2 st.Controller.decisions;
   Alcotest.(check int) "admits" 2 st.Controller.admits;
   Alcotest.(check bool) "hash moved" true (st.Controller.decision_hash <> h0);
-  Alcotest.(check int) "no legacy evals in fast mode" 0
-    st.Controller.legacy_evals;
   Alcotest.(check bool) "solver worked" true
     (st.Controller.solver.Chernoff.Solver.fits_evals > 0)
 
+(* Same-tick arrival storm: denials repeat at one timestamp, so the
+   controller must serve them from its tick cache while producing the
+   seed oracle's admit/deny sequence. *)
+let test_batched_admission () =
+  let capacity = 100. and target = 1e-6 in
+  let ctl = Controller.memory ~capacity ~target in
+  let oracle = Seed_oracle.memory ~capacity ~target in
+  let now = ref 0. and denied = ref 0 in
+  for call = 1 to 40 do
+    let a = Controller.admit ctl ~now:!now in
+    Alcotest.(check bool) "same decision" (Seed_oracle.admit oracle ~now:!now) a;
+    if a then begin
+      Controller.on_admit ctl ~now:!now ~call ~rate:25.;
+      Seed_oracle.on_admit oracle ~now:!now ~call ~rate:25.
+    end
+    else incr denied;
+    if call mod 10 = 0 then now := !now +. 1.
+  done;
+  let st = Controller.stats ctl in
+  Alcotest.(check int) "decision hash identical"
+    oracle.Seed_oracle.decision_hash st.Controller.decision_hash;
+  Alcotest.(check bool) "storm produced denials" true (!denied > 0);
+  Alcotest.(check bool) "repeat decisions served from the cache" true
+    (st.Controller.batch_hits > 0)
+
 (* A deterministic interpreter for abstract event scripts, so the same
-   script can drive several controllers and qcheck can shrink it.  Each
-   step advances time and either admits a new call, renegotiates or
-   departs a random live call, or just asks for a decision. *)
+   script can drive the controller and the oracle and qcheck can shrink
+   it.  Each step advances time by [advance] and either admits a new
+   call, renegotiates or departs a random live call, or just asks for a
+   decision. *)
+type driver = {
+  admit : now:float -> bool;
+  on_admit : now:float -> call:int -> rate:float -> unit;
+  on_renegotiate : now:float -> call:int -> rate:float -> unit;
+  on_depart : now:float -> call:int -> unit;
+}
+
+let controller c =
+  {
+    admit = Controller.admit c;
+    on_admit = Controller.on_admit c;
+    on_renegotiate = Controller.on_renegotiate c;
+    on_depart = Controller.on_depart c;
+  }
+
+let oracle o =
+  {
+    admit = Seed_oracle.admit o;
+    on_admit = Seed_oracle.on_admit o;
+    on_renegotiate = Seed_oracle.on_renegotiate o;
+    on_depart = Seed_oracle.on_depart o;
+  }
+
 let rates = [| 10.; 20.; 40.; 80. |]
 
-let apply_script ctl script =
+let interpret ~advance d script =
   let next = ref 0 and active = ref [] and now = ref 0. in
   List.iter
     (fun (op, a) ->
-      now := !now +. 0.25 +. (0.5 *. float_of_int (a mod 7));
+      now := advance !now a;
       match op with
       | 0 ->
-          if Controller.admit ctl ~now:!now then begin
+          if d.admit ~now:!now then begin
             incr next;
-            Controller.on_admit ctl ~now:!now ~call:!next ~rate:rates.(a mod 4);
+            d.on_admit ~now:!now ~call:!next ~rate:rates.(a mod 4);
             active := !next :: !active
           end
       | 1 -> (
@@ -196,145 +237,112 @@ let apply_script ctl script =
           | [] -> ()
           | calls ->
               let call = List.nth calls (a mod List.length calls) in
-              Controller.on_renegotiate ctl ~now:!now ~call ~rate:rates.(a mod 4))
+              d.on_renegotiate ~now:!now ~call ~rate:rates.(a mod 4))
       | 2 -> (
           match !active with
           | [] -> ()
           | calls ->
               let call = List.nth calls (a mod List.length calls) in
-              Controller.on_depart ctl ~now:!now ~call;
+              d.on_depart ~now:!now ~call;
               active := List.filter (fun c -> c <> call) !active)
-      | _ -> ignore (Controller.admit ctl ~now:!now))
+      | _ -> ignore (d.admit ~now:!now))
     script;
   !now
+
+(* Distinct times: every step moves the clock. *)
+let apply_script =
+  interpret ~advance:(fun now a -> now +. 0.25 +. (0.5 *. float_of_int (a mod 7)))
+
+(* Time advancing only between ticks: repeated same-now decisions
+   interleave with admissions, renegotiations and departures, hitting
+   both the tick cache and every invalidation path. *)
+let apply_script_ticked =
+  interpret ~advance:(fun now a ->
+      if a mod 3 = 0 then now +. 0.5 +. float_of_int (a mod 5) else now)
 
 let script_gen =
   QCheck.Gen.(
     list_size (int_range 5 80) (pair (int_range 0 3) (int_range 0 1000)))
 
 let prop_incremental_equals_rebuild =
-  (* Property (a): after any event sequence, the incrementally
-     maintained time-weighted aggregate matches a from-scratch rebuild
-     from the per-call records to within float roundoff. *)
+  (* After any event sequence, the incrementally maintained
+     time-weighted aggregate matches a from-scratch rebuild from the
+     per-call records to within float roundoff. *)
   QCheck.Test.make ~name:"incremental aggregate equals rebuild" ~count:200
     (QCheck.make script_gen) (fun script ->
       let ctl = Controller.memory ~capacity:150. ~target:1e-3 in
-      let now = apply_script ctl script in
+      let now = apply_script (controller ctl) script in
       Controller.debug_aggregate_deviation ctl ~now <= 1e-9)
 
+let scheme =
+  QCheck.Gen.(
+    oneofl
+      [
+        (Controller.memory, Seed_oracle.memory);
+        (Controller.memoryless, Seed_oracle.memoryless);
+      ])
+
+(* Run one script through a controller and a seed oracle built by the
+   same scheme, and report whether their admit/deny sequences agree. *)
+let same_sequence apply (make_ctl, make_oracle) script =
+  let ctl = make_ctl ~capacity:150. ~target:1e-3 in
+  let o = make_oracle ~capacity:150. ~target:1e-3 in
+  ignore (apply (controller ctl) script);
+  ignore (apply (oracle o) script);
+  let st = Controller.stats ctl in
+  st.Controller.decisions = o.Seed_oracle.decisions
+  && st.Controller.admits = o.Seed_oracle.admits
+  && st.Controller.decision_hash = o.Seed_oracle.decision_hash
+
 let prop_fast_equals_legacy =
-  (* The fast path must reproduce the seed's decision sequence bit for
-     bit: same script, same admit/deny hash, for both measurement-based
-     schemes. *)
-  let scheme =
-    QCheck.Gen.(oneofl [ Controller.memory; Controller.memoryless ])
-  in
+  (* The controller must reproduce the seed's (legacy, rebuild-per-
+     decision) sequence bit for bit, for both measurement-based schemes,
+     when every decision falls at a distinct time. *)
   QCheck.Test.make ~name:"fast and legacy decisions identical" ~count:150
     (QCheck.make QCheck.Gen.(pair scheme script_gen)) (fun (make, script) ->
-      let fast = make ~capacity:150. ~target:1e-3 in
-      let legacy = make ~capacity:150. ~target:1e-3 in
-      Controller.set_mode legacy Controller.Legacy;
-      ignore (apply_script fast script);
-      ignore (apply_script legacy script);
-      let sf = Controller.stats fast and sl = Controller.stats legacy in
-      sf.Controller.decisions = sl.Controller.decisions
-      && sf.Controller.decision_hash = sl.Controller.decision_hash)
+      same_sequence apply_script make script)
 
 let prop_check_mode_no_mismatch =
+  (* Decision by decision: a driver that asks both the controller and
+     the oracle at every step counts no disagreement, and checks every
+     decision the controller makes. *)
   QCheck.Test.make ~name:"check mode finds no mismatches" ~count:150
     (QCheck.make script_gen) (fun script ->
       let ctl = Controller.memory ~capacity:150. ~target:1e-3 in
-      Controller.set_mode ctl Controller.Check;
-      ignore (apply_script ctl script);
-      let st = Controller.stats ctl in
-      st.Controller.mismatches = 0
-      && st.Controller.legacy_evals = st.Controller.decisions)
-
-(* --- Batched admission: tick cache vs per-decision ------------------- *)
-
-(* Same-tick arrival storm: denials repeat at one timestamp, so the
-   batched controller must serve them from its tick cache while
-   producing the exact per-decision admit/deny sequence. *)
-let test_batched_admission () =
-  let capacity = 100. and target = 1e-6 in
-  let plain = Controller.memory ~capacity ~target in
-  let batched = Controller.memory ~capacity ~target in
-  Alcotest.(check bool) "off by default" false (Controller.batched batched);
-  Controller.set_batched batched true;
-  Alcotest.(check bool) "flag reads back" true (Controller.batched batched);
-  let now = ref 0. and denied = ref 0 in
-  for call = 1 to 40 do
-    let a = Controller.admit plain ~now:!now in
-    let b = Controller.admit batched ~now:!now in
-    Alcotest.(check bool) "same decision" a b;
-    if a then begin
-      Controller.on_admit plain ~now:!now ~call ~rate:25.;
-      Controller.on_admit batched ~now:!now ~call ~rate:25.
-    end
-    else incr denied;
-    if call mod 10 = 0 then now := !now +. 1.
-  done;
-  let sp = Controller.stats plain and sb = Controller.stats batched in
-  Alcotest.(check int) "decision hash identical" sp.Controller.decision_hash
-    sb.Controller.decision_hash;
-  Alcotest.(check bool) "storm produced denials" true (!denied > 0);
-  Alcotest.(check bool) "repeat decisions served from the cache" true
-    (sb.Controller.batch_hits > 0);
-  Alcotest.(check int) "unbatched never hits" 0 sp.Controller.batch_hits;
-  (* Toggling batching off drops the cache; decisions stay identical. *)
-  Controller.set_batched batched false;
-  Alcotest.(check bool) "same decision after toggle"
-    (Controller.admit plain ~now:!now)
-    (Controller.admit batched ~now:!now)
-
-(* apply_script with time advancing only between ticks: repeated
-   same-now decisions interleave with admissions, renegotiations and
-   departures, hitting both the cache and every invalidation path. *)
-let apply_script_ticked ctl script =
-  let next = ref 0 and active = ref [] and now = ref 0. in
-  List.iter
-    (fun (op, a) ->
-      if a mod 3 = 0 then now := !now +. 0.5 +. float_of_int (a mod 5);
-      match op with
-      | 0 ->
-          if Controller.admit ctl ~now:!now then begin
-            incr next;
-            Controller.on_admit ctl ~now:!now ~call:!next ~rate:rates.(a mod 4);
-            active := !next :: !active
-          end
-      | 1 -> (
-          match !active with
-          | [] -> ()
-          | calls ->
-              let call = List.nth calls (a mod List.length calls) in
-              Controller.on_renegotiate ctl ~now:!now ~call ~rate:rates.(a mod 4))
-      | 2 -> (
-          match !active with
-          | [] -> ()
-          | calls ->
-              let call = List.nth calls (a mod List.length calls) in
-              Controller.on_depart ctl ~now:!now ~call;
-              active := List.filter (fun c -> c <> call) !active)
-      | _ -> ignore (Controller.admit ctl ~now:!now))
-    script
+      let o = Seed_oracle.memory ~capacity:150. ~target:1e-3 in
+      let c = controller ctl and r = oracle o in
+      let checks = ref 0 and mismatches = ref 0 in
+      let checked =
+        {
+          admit =
+            (fun ~now ->
+              let a = c.admit ~now in
+              incr checks;
+              if a <> r.admit ~now then incr mismatches;
+              a);
+          on_admit =
+            (fun ~now ~call ~rate ->
+              c.on_admit ~now ~call ~rate;
+              r.on_admit ~now ~call ~rate);
+          on_renegotiate =
+            (fun ~now ~call ~rate ->
+              c.on_renegotiate ~now ~call ~rate;
+              r.on_renegotiate ~now ~call ~rate);
+          on_depart =
+            (fun ~now ~call ->
+              c.on_depart ~now ~call;
+              r.on_depart ~now ~call);
+        }
+      in
+      ignore (apply_script checked script);
+      !mismatches = 0 && !checks = (Controller.stats ctl).Controller.decisions)
 
 let prop_batched_equals_per_decision =
-  (* The batching contract: for any event sequence, the batched
-     controller's admit/deny sequence is bitwise the per-decision one. *)
-  let scheme =
-    QCheck.Gen.(oneofl [ Controller.memory; Controller.memoryless ])
-  in
+  (* The tick-cache contract: with same-tick repeats, the controller's
+     admit/deny sequence is bitwise the per-decision rebuild's. *)
   QCheck.Test.make ~name:"batched decisions = per-decision sequence" ~count:200
     (QCheck.make QCheck.Gen.(pair scheme script_gen)) (fun (make, script) ->
-      let plain = make ~capacity:150. ~target:1e-3 in
-      let batched = make ~capacity:150. ~target:1e-3 in
-      Controller.set_batched batched true;
-      apply_script_ticked plain script;
-      apply_script_ticked batched script;
-      let sp = Controller.stats plain and sb = Controller.stats batched in
-      sp.Controller.decisions = sb.Controller.decisions
-      && sp.Controller.admits = sb.Controller.admits
-      && sp.Controller.decision_hash = sb.Controller.decision_hash)
+      same_sequence apply_script_ticked make script)
 
 let () =
   Alcotest.run "rcbr_admission"
@@ -364,7 +372,6 @@ let () =
         ] );
       ( "fast path",
         [
-          Alcotest.test_case "mode switch" `Quick test_mode_switch;
           Alcotest.test_case "stats counting" `Quick test_stats_counting;
           Alcotest.test_case "batched tick cache" `Quick test_batched_admission;
         ] );

@@ -273,7 +273,7 @@ type admission = Blocked | Admit of { granted : float; tier : int; downgraded : 
    [decision_hash]) is the seed's [admit] verbatim.  Under [Downgrade]
    an admitted call whose demanded rate does not [fits] walks the
    ladder; a call that fits at no tier is Blocked (new calls hold no
-   floor right — only established calls settle, see [Session.decide])
+   floor right — only established calls settle, see [Store.decide])
    and the capacity rejection is recorded as an extra deny so the hash
    covers it.  [Mts_profile] polices established traffic only, so
    arrivals behave as [Renegotiate]. *)

@@ -1,8 +1,5 @@
 module Events = Rcbr_queue.Events
 module Rng = Rcbr_util.Rng
-module Invariant = Rcbr_fault.Invariant
-module Service_model = Rcbr_policy.Service_model
-module Mts = Rcbr_policy.Mts
 
 type faults = {
   rm_drop : float;
@@ -38,11 +35,14 @@ type counters = {
   mutable invariant_failures : int;
 }
 
+type pending = { tok : Events.token; at : float; bound : float }
+
 type plane = {
   faults : faults;
   frng : Rng.t;
   drop : drop_model;
   counters : counters;
+  mutable armed : pending option array;
 }
 
 let plane ~drop faults =
@@ -59,165 +59,69 @@ let plane ~drop faults =
         crash_denials = 0;
         invariant_failures = 0;
       };
+    armed = [||];
   }
 
-type pending = {
-  tok : Events.token;
-  at : float;
-  bound : float;
-  owner : counters;
-}
-
-type t = {
-  id : int;
-  route : int array;
-  transit : bool;
-  mutable applied : float;
-  mutable gen : int;
-  mutable pending : pending option;
-  (* Service-model state (DESIGN.md §15).  [demanded] is the rate the
-     source currently wants (it can exceed [applied] under a
-     downgrading model); [buckets]/[policed_at] are the per-call MTS
-     ladder, attached lazily on the first policed change.  The
-     Renegotiate model never touches any of these. *)
-  mutable demanded : float;
-  mutable buckets : Rcbr_traffic.Token_bucket.t array;
-  mutable policed_at : float;
-}
-
-let make ~id ~route ~transit =
-  assert (Array.length route > 0);
-  {
-    id;
-    route;
-    transit;
-    applied = 0.;
-    gen = 0;
-    pending = None;
-    demanded = 0.;
-    buckets = [||];
-    policed_at = 0.;
-  }
-
-(* Cancelling an armed retransmission counts it as superseded exactly
-   when the timer would have popped under the seed engine: always for
-   run-to-exhaustion drivers ([bound = infinity]), and only for timers
-   at or before the horizon under [Hold_until] (a bounded [Events.run]
-   never pops later timers, so the seed never counted them). *)
-let cancel_pending t =
-  t.gen <- t.gen + 1;
-  match t.pending with
-  | None -> ()
-  | Some p ->
-      Events.cancel p.tok;
-      t.pending <- None;
-      if p.at <= p.bound then p.owner.superseded <- p.owner.superseded + 1
-
-let fits ~(links : Link.t array) t ~rate ~now =
-  let delta = rate -. t.applied in
-  Array.for_all
-    (fun id ->
-      let l = links.(id) in
-      (not (Link.down l ~now)) && l.Link.demand +. delta <= l.Link.capacity +. 1e-9)
-    t.route
-
-let blocked ~(links : Link.t array) t ~now =
-  Array.exists (fun id -> Link.down links.(id) ~now) t.route
-
-let settle ~(links : Link.t array) t ~rate =
-  let delta = rate -. t.applied in
-  Array.iter
-    (fun id ->
-      let l = links.(id) in
-      l.Link.demand <- l.Link.demand +. delta)
-    t.route;
-  t.applied <- rate
-
-(* Service-model dispatch (DESIGN.md §15).  The Renegotiate branch
-   returns [Grant] without touching the links, so drivers keep their
-   historical float expressions (and bit-identity) in their own Grant
-   branches; the other models probe [fits] / police the MTS ladder and
-   hand the granted rate back for the driver to settle and count. *)
-let decide model ~(links : Link.t array) t ~now ~demanded =
-  match (model : Service_model.t) with
-  | Service_model.Renegotiate ->
-      t.demanded <- demanded;
-      Service_model.Grant
-  | Service_model.Downgrade { tiers } ->
-      t.demanded <- demanded;
-      Service_model.decide_tiers ~tiers ~demanded ~fits:(fun r ->
-          fits ~links t ~rate:r ~now)
-  | Service_model.Mts_profile p ->
-      if Array.length t.buckets = 0 then begin
-        t.buckets <- Mts.attach p;
-        t.policed_at <- now
-      end;
-      let elapsed = Float.max 0. (now -. t.policed_at) in
-      t.policed_at <- now;
-      t.demanded <- demanded;
-      let granted =
-        Mts.police p t.buckets ~elapsed ~applied:t.applied ~demanded
-      in
-      if granted >= demanded then Service_model.Grant
-      else Service_model.Police_to { granted }
-
-let try_upgrade model ~(links : Link.t array) t ~now =
-  match (model : Service_model.t) with
-  | Service_model.Renegotiate | Service_model.Mts_profile _ -> None
-  | Service_model.Downgrade { tiers } ->
-      Service_model.upgrade ~tiers ~demanded:t.demanded ~applied:t.applied
-        ~fits:(fun r -> fits ~links t ~rate:r ~now)
-
-(* Every link's demand must equal the sum of the [applied] rates of the
-   sessions crossing it — conservation of (desired) bandwidth under any
-   interleaving of changes, retransmissions and give-ups.  One
-   pseudo-VCI per link holds the recomputed expectation so the
-   [Invariant] checker flags aggregate/sum mismatches for us. *)
-let audit ~(links : Link.t array) ~sessions =
-  let expect = Array.make (Array.length links) 0. in
-  List.iter
-    (fun s ->
-      Array.iter (fun id -> expect.(id) <- expect.(id) +. s.applied) s.route)
-    sessions;
-  let views =
-    Array.init (Array.length links) (fun i ->
-        {
-          Invariant.index = i;
-          capacity = links.(i).Link.capacity;
-          reserved = links.(i).Link.demand;
-          vci_rates = Some [ (0, expect.(i)) ];
-        })
-  in
-  List.length (Invariant.check ~check_capacity:false views)
+let arm p h q =
+  let n = Array.length p.armed in
+  if h >= n then begin
+    let a = Array.make (max 16 (max (2 * n) (h + 1))) None in
+    Array.blit p.armed 0 a 0 n;
+    p.armed <- a
+  end;
+  p.armed.(h) <- Some q
 
 type lifetime =
   | Hold_until of float
-  | Depart_after_pieces of (t -> now:float -> unit)
+  | Depart_after_pieces of (Store.handle -> now:float -> unit)
 
 type driver = {
+  store : Store.t;
   plane_ : plane option;
   reliable_setup : bool;
   lifetime : lifetime;
   before : now:float -> unit;
   on_attempt : now:float -> unit;
   retry : now:float -> bool;
-  deliver : t -> now:float -> idx:int -> rate:float -> unit;
+  deliver : Store.handle -> now:float -> idx:int -> rate:float -> unit;
 }
 
-let dropped p t =
+(* Cancelling an armed retransmission counts it as superseded exactly
+   when the timer would have popped under the seed engine: always for
+   run-to-exhaustion drivers ([bound = infinity]), and only for timers
+   at or before the horizon under [Hold_until] (a bounded [Events.run]
+   never pops later timers, so the seed never counted them). *)
+let cancel_pending d h =
+  Store.bump_gen d.store h;
+  match d.plane_ with
+  | Some p when h < Array.length p.armed -> (
+      match p.armed.(h) with
+      | None -> ()
+      | Some q ->
+          Events.cancel q.tok;
+          p.armed.(h) <- None;
+          if q.at <= q.bound then
+            p.counters.superseded <- p.counters.superseded + 1)
+  | _ -> ()
+
+let dropped p store h =
   p.faults.rm_drop > 0.
   &&
   match p.drop with
   | Per_cell -> Rng.float p.frng < p.faults.rm_drop
   | Per_link ->
-      Array.exists (fun _ -> Rng.float p.frng < p.faults.rm_drop) t.route
+      (* One draw per hop, none after the first loss. *)
+      let lost = ref false in
+      Store.route_iter store h (fun _ ->
+          if not !lost then lost := Rng.float p.frng < p.faults.rm_drop);
+      !lost
 
-(* One transmission attempt of the rate-change cell across the session's
+(* One transmission attempt of the rate-change cell across the call's
    route; a drop loses it and arms a retransmission, which a newer
    change (or the departure) cancels out of the queue. *)
-let signal d t ~idx ~rate engine =
-  cancel_pending t;
-  let gen = t.gen in
+let signal d h ~idx ~rate engine =
+  cancel_pending d h;
+  let gen = Store.gen d.store h in
   let bound =
     match d.lifetime with
     | Hold_until horizon -> horizon
@@ -227,23 +131,24 @@ let signal d t ~idx ~rate engine =
     let now = Events.now engine in
     d.on_attempt ~now;
     match d.plane_ with
-    | Some p when (idx > 0 || not d.reliable_setup) && dropped p t ->
+    | Some p when (idx > 0 || not d.reliable_setup) && dropped p d.store h ->
         p.counters.rm_lost <- p.counters.rm_lost + 1;
         if retx >= p.faults.max_retransmits then begin
           (* Give up signalling and settle on the desired demand anyway:
              the overload shows up in the demand accounting, as for a
              denied increase. *)
           p.counters.abandoned <- p.counters.abandoned + 1;
-          d.deliver t ~now ~idx ~rate
+          d.deliver h ~now ~idx ~rate
         end
         else begin
           let at = now +. p.faults.retx_timeout in
           let tok =
             Events.schedule_token engine ~at (fun engine ->
-                t.pending <- None;
-                (* Newer changes cancel the token eagerly, so a firing
-                   timer is never stale; the guard is pure defence. *)
-                if t.gen = gen then begin
+                p.armed.(h) <- None;
+                (* Newer changes and departures cancel the token
+                   eagerly, so a firing timer is never stale; the guard
+                   is pure defence. *)
+                if Store.gen d.store h = gen then begin
                   let now = Events.now engine in
                   if d.retry ~now then begin
                     p.counters.retransmits <- p.counters.retransmits + 1;
@@ -251,13 +156,13 @@ let signal d t ~idx ~rate engine =
                   end
                 end)
           in
-          t.pending <- Some { tok; at; bound; owner = p.counters }
+          arm p h { tok; at; bound }
         end
-    | _ -> d.deliver t ~now ~idx ~rate
+    | _ -> d.deliver h ~now ~idx ~rate
   in
   attempt 0 engine
 
-let rec play d t pieces idx engine =
+let rec play d h pieces idx engine =
   let now = Events.now engine in
   match d.lifetime with
   | Hold_until horizon ->
@@ -265,19 +170,17 @@ let rec play d t pieces idx engine =
         d.before ~now;
         let idx = if idx >= Array.length pieces then 0 else idx in
         let duration, rate = pieces.(idx) in
-        signal d t ~idx ~rate engine;
-        Events.schedule_after engine ~delay:duration
-          (play d t pieces (idx + 1))
+        signal d h ~idx ~rate engine;
+        Events.schedule_after engine ~delay:duration (play d h pieces (idx + 1))
       end
   | Depart_after_pieces depart ->
       d.before ~now;
       if idx >= Array.length pieces then begin
-        cancel_pending t;
-        depart t ~now
+        cancel_pending d h;
+        depart h ~now
       end
       else begin
         let duration, rate = pieces.(idx) in
-        signal d t ~idx ~rate engine;
-        Events.schedule_after engine ~delay:duration
-          (play d t pieces (idx + 1))
+        signal d h ~idx ~rate engine;
+        Events.schedule_after engine ~delay:duration (play d h pieces (idx + 1))
       end

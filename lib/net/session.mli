@@ -1,24 +1,23 @@
-(** Per-call state machine over a {!Topology}: setup, renegotiations
-    over an optionally unreliable signalling plane (with settle/deny
-    semantics), and departure.
+(** The per-call signalling machine: setup, renegotiations over an
+    optionally unreliable signalling plane (with settle/deny semantics),
+    and departure, for calls held in a {!Store}.
 
-    A session walks the [(duration_s, rate)] pieces of its call
-    schedule on a {!Rcbr_queue.Events} engine.  Each rate change is
-    signalled across the session's route; with a fault {!plane}
-    attached the change cell can be dropped ({!faults.rm_drop}) and is
-    then retransmitted after {!faults.retx_timeout} until
-    {!faults.max_retransmits}, after which the change is applied anyway
-    — settle semantics: the overload shows up in the demand
-    accounting, exactly as for a denied increase.  A newer change for
-    the same session (or its departure) bumps {!t.gen} and cancels the
-    pending retransmission.
+    A call walks the [(duration_s, rate)] pieces of its schedule on a
+    {!Rcbr_queue.Events} engine.  Each rate change is signalled across
+    the call's route; with a fault {!plane} attached the change cell
+    can be dropped ({!faults.rm_drop}) and is then retransmitted after
+    {!faults.retx_timeout} until {!faults.max_retransmits}, after which
+    the change is applied anyway — settle semantics: the overload shows
+    up in the demand accounting, exactly as for a denied increase.  A
+    newer change for the same call (or its departure) bumps the call's
+    {!Store.gen} and cancels the pending retransmission.
 
     The experiment-specific float expressions — how delivery updates
-    link demand, what counts as a denial — live in the {!driver}
-    hooks so the historical simulators stay bit-identical to their
+    link demand, what counts as a denial — live in the {!driver} hooks
+    so the historical simulators stay bit-identical to their
     pre-refactor behaviour (DESIGN.md §10); the machine itself (fault
-    draws, retransmit scheduling, generation bookkeeping, blackout and
-    fit checks, conservation audits) is shared. *)
+    draws, retransmit scheduling, generation bookkeeping) is shared.
+    Per-call state and the route queries are {!Store}'s. *)
 
 (** {1 Faults} *)
 
@@ -35,7 +34,7 @@ type faults = {
       (** faults draw from their own stream, so [rm_drop = 0.] and no
           crashes reproduce the fault-free run bit for bit *)
   check_invariants : bool;
-      (** periodically audit demand = sum of crossing sessions' rates *)
+      (** periodically audit demand = sum of crossing calls' rates *)
 }
 
 val no_faults : faults
@@ -60,18 +59,6 @@ type counters = {
   mutable invariant_failures : int;  (** 0 unless there is a bookkeeping bug *)
 }
 
-type plane = {
-  faults : faults;
-  frng : Rcbr_util.Rng.t;  (** the separate fault stream *)
-  drop : drop_model;
-  counters : counters;
-}
-
-val plane : drop:drop_model -> faults -> plane
-(** Fresh zeroed counters and a [fault_seed]ed stream. *)
-
-(** {1 Sessions} *)
-
 type pending = {
   tok : Rcbr_queue.Events.token;  (** the armed retransmission timer *)
   at : float;  (** when it would fire *)
@@ -79,89 +66,36 @@ type pending = {
       (** horizon up to which a cancelled timer counts as superseded
           (the seed engine only counted timers that actually popped,
           i.e. those at or before the driver's run bound) *)
-  owner : counters;
 }
 
-type t = {
-  id : int;  (** caller's label (the MBAC call id) *)
-  route : int array;  (** link ids, in hop order *)
-  transit : bool;  (** multi-link call (vs single-hop cross traffic) *)
-  mutable applied : float;
-      (** the rate the links currently account for this session; lags
-          the demanded rate while a change cell is in retransmission *)
-  mutable gen : int;
-      (** bumped per rate change and on departure; guards against
-          stale retransmissions *)
-  mutable pending : pending option;
-      (** the armed retransmission, if any; cancelled out of the event
-          queue by the next change or the departure, so dead timers
-          never accumulate under storm workloads *)
-  mutable demanded : float;
-      (** the rate the source currently wants; exceeds [applied] while
-          the call is downgraded (service models, DESIGN.md §15) *)
-  mutable buckets : Rcbr_traffic.Token_bucket.t array;
-      (** per-call MTS policer ladder, attached lazily by {!decide};
-          empty under the other models *)
-  mutable policed_at : float;
-      (** time of the last MTS policing decision *)
+type plane = {
+  faults : faults;
+  frng : Rcbr_util.Rng.t;  (** the separate fault stream *)
+  drop : drop_model;
+  counters : counters;
+  mutable armed : pending option array;
+      (** the armed retransmission per {!Store.handle}, grown on first
+          arm; cancelled out of the event queue by the next change or
+          the departure, so dead timers never accumulate under storm
+          workloads *)
 }
 
-val make : id:int -> route:int array -> transit:bool -> t
-
-val cancel_pending : t -> unit
-(** Bump [gen] and cancel any armed retransmission out of the event
-    queue (counting it as superseded per [pending.bound]). *)
-
-(** {1 Route queries} *)
-
-val fits : links:Link.t array -> t -> rate:float -> now:float -> bool
-(** Whether every route link is up and can absorb the rate delta
-    within capacity (1e-9 slack for float accumulation). *)
-
-val blocked : links:Link.t array -> t -> now:float -> bool
-(** Whether any route link is inside a crash blackout. *)
-
-val settle : links:Link.t array -> t -> rate:float -> unit
-(** Account the demanded [rate] on every route link (settle semantics:
-    the demand moves whether or not it {!fits}) and record it as
-    [applied]. *)
-
-(** {1 Service models (DESIGN.md §15)} *)
-
-val decide :
-  Rcbr_policy.Service_model.t -> links:Link.t array -> t -> now:float ->
-  demanded:float -> Rcbr_policy.Service_model.decision
-(** What the service model grants for a demanded rate change on this
-    session.  [Renegotiate] returns [Grant] without touching the links
-    (drivers keep their historical float expressions, hence
-    bit-identity); [Downgrade] runs the ladder walk against {!fits};
-    [Mts_profile] polices against the call's bucket ladder (attached
-    lazily) and returns [Police_to] when it clips.  Updates
-    [t.demanded]; the caller settles the granted rate and counts. *)
-
-val try_upgrade :
-  Rcbr_policy.Service_model.t -> links:Link.t array -> t -> now:float ->
-  float option
-(** Spare-capacity upgrade for a downgraded session ([Downgrade] model
-    only): the new granted rate if a higher tier (or the full demanded
-    rate) fits, [None] otherwise. *)
-
-val audit : links:Link.t array -> sessions:t list -> int
-(** Conservation check: every link's demand must equal the sum of the
-    [applied] rates of the sessions crossing it, via
-    {!Rcbr_fault.Invariant.check} on per-link views.  Returns the
-    number of violations (0 unless there is a bookkeeping bug). *)
+val plane : drop:drop_model -> faults -> plane
+(** Fresh zeroed counters, no armed timers and a [fault_seed]ed
+    stream. *)
 
 (** {1 The state machine} *)
 
 type lifetime =
   | Hold_until of float
       (** loop the pieces until the horizon (the multi-hop calls) *)
-  | Depart_after_pieces of (t -> now:float -> unit)
+  | Depart_after_pieces of (Store.handle -> now:float -> unit)
       (** play the pieces once, then run the departure hook (the MBAC
-          calls); [gen] is bumped first so pending retransmissions die *)
+          calls); pending retransmissions are cancelled first, so the
+          hook may release the handle *)
 
 type driver = {
+  store : Store.t;  (** where the driven calls live *)
   plane_ : plane option;  (** [None]: reliable signalling *)
   reliable_setup : bool;
       (** piece 0 is signalled without loss (MBAC: admission already
@@ -174,18 +108,29 @@ type driver = {
   retry : now:float -> bool;
       (** guard run when a retransmission timer fires (after the [gen]
           check); returning false drops the retransmission silently *)
-  deliver : t -> now:float -> idx:int -> rate:float -> unit;
+  deliver : Store.handle -> now:float -> idx:int -> rate:float -> unit;
       (** the change cell arrived (or the machine gave up): apply the
           rate — demand update, denial counting, controller callbacks *)
 }
 
-val play : driver -> t -> (float * float) array -> int -> Rcbr_queue.Events.t -> unit
-(** [play d t pieces idx engine] is the piece event: fire piece [idx]
+val cancel_pending : driver -> Store.handle -> unit
+(** Bump the call's [gen] and cancel its armed retransmission, if any,
+    out of the event queue (counting it as superseded per
+    [pending.bound]).  Must run before a signalled handle is released:
+    {!Store.acquire} restarts [gen] at 0, so a surviving timer could
+    otherwise pass the generation guard of the handle's next call. *)
+
+val play :
+  driver -> Store.handle -> (float * float) array -> int ->
+  Rcbr_queue.Events.t -> unit
+(** [play d h pieces idx engine] is the piece event: fire piece [idx]
     (signal its rate, schedule the next piece after its duration), or
     depart / stop at the horizon per [d.lifetime].  Partially applied,
-    it is the [Events] callback for the session's next piece. *)
+    it is the [Events] callback for the call's next piece. *)
 
-val signal : driver -> t -> idx:int -> rate:float -> Rcbr_queue.Events.t -> unit
+val signal :
+  driver -> Store.handle -> idx:int -> rate:float -> Rcbr_queue.Events.t ->
+  unit
 (** One rate change: bump [gen] and run transmission attempts until
     the cell is delivered, abandoned (then delivered with settle
     semantics) or superseded.  Exposed for drivers that signal outside

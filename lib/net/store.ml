@@ -1,17 +1,18 @@
-(* Struct-of-arrays session store for the million-call engine.
+(* Struct-of-arrays call store: the one per-call representation every
+   simulator and the switch daemon run on.
 
-   One {!Session.t} record per call costs a heap block, a route array
-   and pointer-chasing per event; at 10^6 concurrent calls that is the
-   hot loop.  Here every per-call field lives in a packed parallel
-   array indexed by an integer handle, routes are slices of one shared
-   int arena, and freed handles recycle through a stack — so steady
-   state allocates nothing.
+   Every per-call field lives in a packed parallel array indexed by an
+   integer handle, routes are slices of one shared int arena, and
+   freed handles recycle through a stack — so steady state allocates
+   nothing, even at 10^6 concurrent calls.
 
-   The route queries ([fits]/[blocked]/[settle]/[audit]) evaluate the
-   exact float expressions of their {!Session} counterparts, in the
-   same order, so a store-backed run is bit-identical to a
-   record-backed one (property-tested in test/test_net.ml via
-   {!to_session}). *)
+   The route queries ([fits]/[blocked]/[settle]/[audit]) fix the float
+   expressions and their evaluation order; drivers that owe bit-identity
+   to a historical expression (MBAC's verbatim demand update, DESIGN.md
+   §10) write [applied] through {!set_applied} instead. *)
+
+module Service_model = Rcbr_policy.Service_model
+module Mts = Rcbr_policy.Mts
 
 type handle = int
 
@@ -32,6 +33,11 @@ type t = {
   mutable free_len : int;
   mutable hwm : int;  (* handles ever touched: live + free *)
   mutable live : int;
+  (* Per-call MTS ladder state (DESIGN.md §15), allocated on the first
+     [Mts_profile] use: Renegotiate and Downgrade runs never grow these
+     beyond the empty arrays.  An empty ladder means "not attached". *)
+  mutable mts_buckets : Rcbr_traffic.Token_bucket.t array array;
+  mutable mts_at : float array;  (* time of the last policing decision *)
 }
 
 let create ?(capacity_hint = 16) () =
@@ -53,6 +59,8 @@ let create ?(capacity_hint = 16) () =
     free_len = 0;
     hwm = 0;
     live = 0;
+    mts_buckets = [||];
+    mts_at = [||];
   }
 
 let live_count t = t.live
@@ -138,6 +146,7 @@ let acquire t ~id ~route ~transit =
   t.cursor.(h) <- 0;
   t.gen.(h) <- 0;
   t.id.(h) <- id;
+  if h < Array.length t.mts_buckets then t.mts_buckets.(h) <- [||];
   Bytes.set t.flags h (Char.chr (1 lor if transit then 2 else 0));
   t.live <- t.live + 1;
   h
@@ -152,6 +161,7 @@ let release t h =
 
 let id t h = t.id.(h)
 let applied t h = t.applied.(h)
+let set_applied t h r = t.applied.(h) <- r
 let demanded t h = t.demanded.(h)
 let set_demanded t h r = t.demanded.(h) <- r
 let level t h = t.level.(h)
@@ -167,9 +177,6 @@ let route_iter t h f =
   for i = off to off + len - 1 do
     f t.routes.(i)
   done
-
-(* The queries below are the Session ones verbatim, with the record
-   field reads swapped for array reads. *)
 
 let fits ~(links : Link.t array) t h ~rate ~now =
   let delta = rate -. t.applied.(h) in
@@ -201,26 +208,86 @@ let settle ~(links : Link.t array) t h ~rate =
       l.Link.demand <- l.Link.demand +. delta);
   t.applied.(h) <- rate
 
-(* Service-model ladder queries (DESIGN.md §15), the handle-indexed
-   twins of {!Session.decide}/{!Session.try_upgrade} for the Downgrade
-   model.  MTS policing state stays driver-side (per-shard arrays), so
-   only the demanded column lives here. *)
+(* --- service models (DESIGN.md §15) ---------------------------------- *)
 
-let decide_downgrade ~(links : Link.t array) t h ~tiers ~demanded ~now =
-  t.demanded.(h) <- demanded;
-  Rcbr_policy.Service_model.decide_tiers ~tiers ~demanded ~fits:(fun r ->
-      fits ~links t h ~rate:r ~now)
+let attach_mts t h p ~now =
+  let n = Array.length t.mts_buckets in
+  if h >= n then begin
+    let nn = max 16 (max (2 * n) (h + 1)) in
+    let nb = Array.make nn [||] in
+    Array.blit t.mts_buckets 0 nb 0 n;
+    t.mts_buckets <- nb;
+    let na = Array.make nn 0. in
+    Array.blit t.mts_at 0 na 0 n;
+    t.mts_at <- na
+  end;
+  t.mts_buckets.(h) <- Mts.attach p;
+  t.mts_at.(h) <- now
 
-let try_upgrade ~(links : Link.t array) t h ~tiers ~now =
-  Rcbr_policy.Service_model.upgrade ~tiers ~demanded:t.demanded.(h)
-    ~applied:t.applied.(h)
-    ~fits:(fun r -> fits ~links t h ~rate:r ~now)
+(* The Renegotiate branch returns [Grant] without touching the links,
+   so drivers keep their historical float expressions (and
+   bit-identity) in their own Grant branches; the other models probe
+   [fits] / police the MTS ladder and hand the granted rate back for
+   the driver to settle and count. *)
+let decide model ~(links : Link.t array) t h ~now ~demanded =
+  match (model : Service_model.t) with
+  | Service_model.Renegotiate ->
+      t.demanded.(h) <- demanded;
+      Service_model.Grant
+  | Service_model.Downgrade { tiers } ->
+      t.demanded.(h) <- demanded;
+      Service_model.decide_tiers ~tiers ~demanded ~fits:(fun r ->
+          fits ~links t h ~rate:r ~now)
+  | Service_model.Mts_profile p ->
+      if h >= Array.length t.mts_buckets || Array.length t.mts_buckets.(h) = 0
+      then attach_mts t h p ~now;
+      let elapsed = Float.max 0. (now -. t.mts_at.(h)) in
+      t.mts_at.(h) <- now;
+      t.demanded.(h) <- demanded;
+      let granted =
+        Mts.police p t.mts_buckets.(h) ~elapsed ~applied:t.applied.(h) ~demanded
+      in
+      if granted >= demanded then Service_model.Grant
+      else Service_model.Police_to { granted }
+
+let try_upgrade model ~(links : Link.t array) t h ~now =
+  match (model : Service_model.t) with
+  | Service_model.Renegotiate | Service_model.Mts_profile _ -> None
+  | Service_model.Downgrade { tiers } ->
+      Service_model.upgrade ~tiers ~demanded:t.demanded.(h)
+        ~applied:t.applied.(h)
+        ~fits:(fun r -> fits ~links t h ~rate:r ~now)
 
 let iter_live t f =
   for h = 0 to t.hwm - 1 do
     if is_live t h then f h
   done
 
+(* Ascending call id, not handle order: recycled handles would otherwise
+   make the scan order (and with it who gets the spare capacity) depend
+   on the departure history.  The live set is snapshotted first, as the
+   settles in [f] may not add or remove calls. *)
+let upgrade_scan model ~links t ~now f =
+  match (model : Service_model.t) with
+  | Service_model.Renegotiate | Service_model.Mts_profile _ -> ()
+  | Service_model.Downgrade _ ->
+      let hs = Array.make t.live 0 and k = ref 0 in
+      iter_live t (fun h ->
+          hs.(!k) <- h;
+          incr k);
+      Array.sort (fun a b -> compare t.id.(a) t.id.(b)) hs;
+      Array.iter
+        (fun h ->
+          match try_upgrade model ~links t h ~now with
+          | None -> ()
+          | Some r -> f h r)
+        hs
+
+(* Every link's demand must equal the sum of the [applied] rates of the
+   calls crossing it — conservation of (desired) bandwidth under any
+   interleaving of changes, retransmissions and give-ups.  One
+   pseudo-VCI per link holds the recomputed expectation so the
+   [Invariant] checker flags aggregate/sum mismatches for us. *)
 let audit ~(links : Link.t array) t =
   let expect = Array.make (Array.length links) 0. in
   iter_live t (fun h ->
@@ -235,11 +302,3 @@ let audit ~(links : Link.t array) t =
         })
   in
   List.length (Rcbr_fault.Invariant.check ~check_capacity:false views)
-
-let to_session t h =
-  let route = Array.make t.route_len.(h) 0 in
-  Array.blit t.routes t.route_off.(h) route 0 t.route_len.(h);
-  let s = Session.make ~id:t.id.(h) ~route ~transit:(transit t h) in
-  s.Session.applied <- t.applied.(h);
-  s.Session.gen <- t.gen.(h);
-  s

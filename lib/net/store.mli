@@ -1,14 +1,15 @@
-(** Struct-of-arrays session store for 10^6+ concurrent calls.
+(** Struct-of-arrays call store: the one per-call representation of
+    every simulator ([Mbac], [Multihop], [Svc_compare], [Megacall]) and
+    of the switch daemon.
 
     Per-call state lives in packed parallel arrays indexed by an
-    integer {!handle} — applied rate, rate-level id, schedule cursor,
-    generation counter, caller id — with routes stored as slices of a
-    shared int arena and freed handles recycled through a stack, so
-    the steady-state hot loop allocates nothing.  The route queries
-    evaluate the exact float expressions of their {!Session}
-    counterparts in the same order, making a store-backed simulation
-    bit-identical to a record-backed one; {!to_session} materializes
-    the equivalent {!Session.t} record view for tests and debugging.
+    integer {!handle} — applied and demanded rate, rate-level id,
+    schedule cursor, generation counter, caller id — with routes stored
+    as slices of a shared int arena and freed handles recycled through
+    a stack, so the steady-state hot loop allocates nothing.  The MTS
+    policer ladder of the [Mts_profile] service model lives here too,
+    allocated on first use.  Signalling over an unreliable plane is
+    {!Session}'s job; it drives calls of this store by handle.
 
     Handles are only valid between their {!acquire} and {!release};
     the store does not check for stale handles beyond the [is_live]
@@ -30,8 +31,11 @@ val high_water : t -> int
 val is_live : t -> handle -> bool
 
 val acquire : t -> id:int -> route:int array -> transit:bool -> handle
-(** Fresh call with [applied = 0], level/cursor/gen zeroed; the route
-    (non-empty, link ids in hop order) is copied into the arena. *)
+(** Fresh call with [applied = 0], level/cursor/gen zeroed and no MTS
+    ladder attached; the route (non-empty, link ids in hop order) is
+    copied into the arena.  [gen] restarting at 0 on a recycled handle
+    is why {!Session.cancel_pending} must run before a signalled call
+    is released. *)
 
 val release : t -> handle -> unit
 (** Free the handle for reuse.  Requires it live. *)
@@ -40,6 +44,11 @@ val release : t -> handle -> unit
 
 val id : t -> handle -> int
 val applied : t -> handle -> float
+
+val set_applied : t -> handle -> float -> unit
+(** Overwrite [applied] without touching the links — for drivers that
+    update link demand with their own float expression (MBAC,
+    DESIGN.md §10).  Everyone else uses {!settle}. *)
 
 val demanded : t -> handle -> float
 (** The rate the source currently wants; exceeds [applied] while the
@@ -56,39 +65,62 @@ val transit : t -> handle -> bool
 val route_iter : t -> handle -> (int -> unit) -> unit
 (** Route link ids in hop order, without materializing an array. *)
 
-(** {1 Route queries — Session semantics} *)
+(** {1 Route queries} *)
 
 val fits : links:Link.t array -> t -> handle -> rate:float -> now:float -> bool
-(** Exactly {!Session.fits}. *)
+(** Whether every route link is up and can absorb the rate delta
+    within capacity (1e-9 slack for float accumulation). *)
 
 val blocked : links:Link.t array -> t -> handle -> now:float -> bool
-(** Exactly {!Session.blocked}. *)
+(** Whether any route link is inside a crash blackout. *)
 
 val settle : links:Link.t array -> t -> handle -> rate:float -> unit
-(** Exactly {!Session.settle}. *)
+(** Account the [rate] on every route link (settle semantics: the
+    demand moves whether or not it {!fits}) and record it as
+    [applied]. *)
 
 (** {1 Service models (DESIGN.md §15)} *)
 
-val decide_downgrade :
-  links:Link.t array -> t -> handle -> tiers:float array -> demanded:float ->
-  now:float -> Rcbr_policy.Service_model.decision
-(** The {!Session.decide} ladder walk for a store-backed call under the
-    Downgrade model: records [demanded] and grants the highest tier
-    that {!fits}.  The caller settles the granted rate and counts. *)
+val decide :
+  Rcbr_policy.Service_model.t -> links:Link.t array -> t -> handle ->
+  now:float -> demanded:float -> Rcbr_policy.Service_model.decision
+(** What the service model grants for a demanded rate change on this
+    call.  [Renegotiate] returns [Grant] without touching the links
+    (drivers keep their historical float expressions, hence
+    bit-identity); [Downgrade] runs the ladder walk against {!fits};
+    [Mts_profile] polices against the call's bucket ladder (attached
+    at [now] on first use unless {!attach_mts} ran) and returns
+    [Police_to] when it clips.  Records [demanded]; the caller settles
+    the granted rate and counts. *)
+
+val attach_mts : t -> handle -> Rcbr_policy.Mts.profile -> now:float -> unit
+(** Attach a full MTS ladder to the call with its policing clock at
+    [now] — for drivers whose calls start being policed at admission
+    rather than at their first {!decide}. *)
 
 val try_upgrade :
-  links:Link.t array -> t -> handle -> tiers:float array -> now:float ->
-  float option
-(** Spare-capacity upgrade: the new granted rate if a higher tier (or
-    the full demanded rate) fits, [None] otherwise. *)
+  Rcbr_policy.Service_model.t -> links:Link.t array -> t -> handle ->
+  now:float -> float option
+(** Spare-capacity upgrade for a downgraded call ([Downgrade] only):
+    the new granted rate if a higher tier (or the full demanded rate)
+    fits, [None] otherwise. *)
+
+val upgrade_scan :
+  Rcbr_policy.Service_model.t -> links:Link.t array -> t -> now:float ->
+  (handle -> float -> unit) -> unit
+(** Spare capacity appeared: {!try_upgrade} every live call in
+    ascending call-id order (never handle order, which recycling
+    scrambles) and pass each granted rate to the callback, which must
+    settle it before the next probe.  A no-op except under
+    [Downgrade]. *)
+
+(** {1 Population} *)
 
 val audit : links:Link.t array -> t -> int
-(** Conservation check over the live population, as {!Session.audit}
-    (live handles visited in ascending handle order). *)
+(** Conservation check: every link's demand must equal the sum of the
+    [applied] rates of the live calls crossing it, via
+    {!Rcbr_fault.Invariant.check} on per-link views.  Returns the
+    number of violations (0 unless there is a bookkeeping bug). *)
 
 val iter_live : t -> (handle -> unit) -> unit
 (** Live handles in ascending order. *)
-
-val to_session : t -> handle -> Session.t
-(** Record view of the handle (fresh arrays; mutating it does not
-    affect the store). *)

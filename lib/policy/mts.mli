@@ -12,8 +12,8 @@
     of the short scales first and is clipped once any scale runs dry.
 
     The profile is stateless; per-call bucket state comes from
-    {!attach} and is threaded through {!police} by the session layer
-    ({!Rcbr_net.Session.decide}) or driver. *)
+    {!attach} and is threaded through {!police} by the call store
+    ({!Rcbr_net.Store.decide}). *)
 
 type profile = {
   rates : float array;  (** sustained token rate per scale, b/s *)

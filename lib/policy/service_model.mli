@@ -2,10 +2,9 @@
     demanded rate does not fit (DESIGN.md section 15).
 
     The admission kernel ({!Rcbr_admission.Controller.decide}), the
-    session layer ({!Rcbr_net.Session.decide} / the
-    {!Rcbr_net.Store} ladder queries) and every call-level simulator
-    are parameterized by a value of this type instead of hard-wiring
-    settle semantics.  The type is a closed variant on purpose: models
+    call store ({!Rcbr_net.Store.decide} / {!Rcbr_net.Store.try_upgrade})
+    and every call-level simulator are parameterized by a value of this
+    type instead of hard-wiring settle semantics.  The type is a closed variant on purpose: models
     must be nameable from a CLI flag ({!of_spec}), deterministic, and
     free of hidden state — a closure-based registry could smuggle
     wall-clock or RNG reads past the determinism lints.

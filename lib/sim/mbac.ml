@@ -6,6 +6,7 @@ module Controller = Rcbr_admission.Controller
 module Topology = Rcbr_net.Topology
 module Link = Rcbr_net.Link
 module Session = Rcbr_net.Session
+module Store = Rcbr_net.Store
 module Service_model = Rcbr_policy.Service_model
 
 type config = {
@@ -114,43 +115,39 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
   in
   let link = (Link.of_topology ~crashes topology).(0) in
   let links = [| link |] in
+  let store = Store.create () in
+  let route = [| 0 |] in
   let next_call_id = ref 0 in
   let arrivals = ref 0 and blocked = ref 0 in
   let reneg_up = ref 0 and reneg_denied = ref 0 in
   let downgrades = ref 0 and upgrades = ref 0 in
-  (* The active list is needed for the conservation audit and for the
-     Downgrade model's spare-capacity upgrade scan. *)
-  let track_active =
-    audit_enabled || c.service <> Service_model.Renegotiate
-  in
   let failure_stats = Stats.Online.create () in
   let util_stats = Stats.Online.create () in
   let calls_stats = Stats.Online.create () in
   let windows_done = ref 0 in
   let stop = ref false in
-  let active = ref [] and applies = ref 0 in
+  let applies = ref 0 in
   let record_audit () =
     match plane with
     | Some p ->
         p.Session.counters.Session.invariant_failures <-
           p.Session.counters.Session.invariant_failures
-          + Session.audit ~links:[| link |] ~sessions:!active
+          + Store.audit ~links store
     | None -> ()
   in
-  (* One call's life: walk its pieces, then depart.  [t.applied] is the
-     rate the link currently accounts for this call; with a reliable
-     signalling plane it always equals the previous piece's rate, but a
-     dropped rate-change cell leaves it behind until the retransmission
-     (or the give-up) lands.  [t.gen] is bumped per rate change and on
-     departure, so a newer change or the teardown cancels any pending
-     retransmission of a stale one. *)
-  let deliver t ~now ~idx ~rate =
+  (* One call's life: walk its pieces, then depart.  The call's
+     [applied] is the rate the link currently accounts for it; with a
+     reliable signalling plane it always equals the previous piece's
+     rate, but a dropped rate-change cell leaves it behind until the
+     retransmission (or the give-up) lands. *)
+  let deliver h ~now ~idx ~rate =
     match c.service with
     | Service_model.Renegotiate ->
         (* The seed's float expressions, verbatim (bit-identity anchor
            for the service-model refactor, DESIGN.md §15). *)
-        let new_demand = link.Link.demand -. t.Session.applied +. rate in
-        if idx > 0 && rate > t.Session.applied then begin
+        let applied = Store.applied store h in
+        let new_demand = link.Link.demand -. applied +. rate in
+        if idx > 0 && rate > applied then begin
           incr reneg_up;
           if new_demand > link.Link.capacity || Link.down link ~now then begin
             incr reneg_denied;
@@ -163,17 +160,19 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
           end
         end;
         link.Link.demand <- new_demand;
-        t.Session.applied <- rate;
+        Store.set_applied store h rate;
         if idx > 0 then
-          Controller.on_renegotiate controller ~now ~call:t.Session.id ~rate;
+          Controller.on_renegotiate controller ~now ~call:(Store.id store h)
+            ~rate;
         if audit_enabled then begin
           incr applies;
           if !applies mod 64 = 0 then record_audit ()
         end
     | _ ->
-        let decision = Session.decide c.service ~links t ~now ~demanded:rate in
+        let applied = Store.applied store h in
+        let decision = Store.decide c.service ~links store h ~now ~demanded:rate in
         let granted = Service_model.granted_rate decision ~demanded:rate in
-        if idx > 0 && rate > t.Session.applied then begin
+        if idx > 0 && rate > applied then begin
           incr reneg_up;
           if Service_model.downgraded decision then begin
             incr downgrades;
@@ -191,47 +190,33 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
             | _ -> ()
           end
         end;
-        Session.settle ~links t ~rate:granted;
+        Store.settle ~links store h ~rate:granted;
         if idx > 0 then
-          Controller.on_renegotiate controller ~now ~call:t.Session.id
+          Controller.on_renegotiate controller ~now ~call:(Store.id store h)
             ~rate:granted;
         if audit_enabled then begin
           incr applies;
           if !applies mod 64 = 0 then record_audit ()
         end
   in
-  (* Spare capacity just appeared: restore downgraded calls toward their
-     demanded rate, in ascending call-id order (deterministic regardless
-     of the active list's insertion history). *)
-  let upgrade_scan ~now =
-    match c.service with
-    | Service_model.Downgrade _ ->
-        List.iter
-          (fun s ->
-            match Session.try_upgrade c.service ~links s ~now with
-            | None -> ()
-            | Some r ->
-                incr upgrades;
-                Session.settle ~links s ~rate:r;
-                Controller.on_renegotiate controller ~now ~call:s.Session.id
-                  ~rate:r)
-          (List.sort
-             (fun a b -> compare a.Session.id b.Session.id)
-             !active)
-    | _ -> ()
-  in
-  let depart t ~now =
+  let depart h ~now =
     (* Departure: release whatever rate the link believes.  A change
        still in retransmission simply never applies. *)
-    link.Link.demand <- link.Link.demand -. t.Session.applied;
+    link.Link.demand <- link.Link.demand -. Store.applied store h;
     link.Link.n_calls <- link.Link.n_calls - 1;
-    Controller.on_depart controller ~now ~call:t.Session.id;
-    if track_active then active := List.filter (fun s -> s != t) !active;
-    upgrade_scan ~now
+    Controller.on_depart controller ~now ~call:(Store.id store h);
+    Store.release store h;
+    (* Spare capacity just appeared: restore downgraded calls. *)
+    Store.upgrade_scan c.service ~links store ~now (fun h r ->
+        incr upgrades;
+        Store.settle ~links store h ~rate:r;
+        Controller.on_renegotiate controller ~now ~call:(Store.id store h)
+          ~rate:r)
   in
   let driver =
     {
-      Session.plane_ = plane;
+      Session.store;
+      plane_ = plane;
       (* Call setup (piece 0) is signalled reliably: admission already
          happened at the arrival event. *)
       reliable_setup = true;
@@ -254,9 +239,8 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
           let pieces = make_pieces rng in
           link.Link.n_calls <- link.Link.n_calls + 1;
           Controller.on_admit controller ~now ~call:id ~rate:(snd pieces.(0));
-          let t = Session.make ~id ~route:[| 0 |] ~transit:false in
-          if track_active then active := t :: !active;
-          Session.play driver t pieces 0 engine
+          let h = Store.acquire store ~id ~route ~transit:false in
+          Session.play driver h pieces 0 engine
         end
         else incr blocked
     | _ -> (
@@ -277,9 +261,8 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
             incr next_call_id;
             link.Link.n_calls <- link.Link.n_calls + 1;
             Controller.on_admit controller ~now ~call:id ~rate:granted;
-            let t = Session.make ~id ~route:[| 0 |] ~transit:false in
-            active := t :: !active;
-            Session.play driver t pieces 0 engine));
+            let h = Store.acquire store ~id ~route ~transit:false in
+            Session.play driver h pieces 0 engine));
     if not !stop then
       Events.schedule_after engine
         ~delay:(Rng.exponential rng c.arrival_rate)

@@ -13,8 +13,8 @@
 
     Since the [lib/net] refactor this module is a thin driver: the link
     state is an {!Rcbr_net.Link} on a {!Rcbr_net.Topology.single_link}
-    and each call is an {!Rcbr_net.Session} played on the shared event
-    engine; only the MBAC-specific accounting (controller callbacks,
+    and each call is an {!Rcbr_net.Store} handle played by the
+    {!Rcbr_net.Session} signalling machine on the shared event engine; only the MBAC-specific accounting (controller callbacks,
     denial counting, window sampling) lives here.
 
     Sampling follows the paper: every interval of one schedule duration

@@ -32,7 +32,6 @@ module Link = Rcbr_net.Link
 module Store = Rcbr_net.Store
 module Controller = Rcbr_admission.Controller
 module Service_model = Rcbr_policy.Service_model
-module Mts = Rcbr_policy.Mts
 
 type config = {
   shards : int;  (** independent sub-meshes, one Pool task each *)
@@ -165,28 +164,13 @@ let run_shard cfg rng =
   and replacements = ref 0 in
   let n_levels = Array.length cfg.levels in
   let routes = (topo : Topology.t).routes in
-  (* Per-call MTS policing state, handle-indexed driver-side (the SoA
-     store keeps only the [demanded] scalar column). *)
-  let mts_buckets = ref [||] and mts_at = ref [||] in
-  let ensure_mts h =
-    let n = Array.length !mts_buckets in
-    if h >= n then begin
-      let nn = max 16 (max (2 * n) (h + 1)) in
-      let nb = Array.make nn [||] in
-      Array.blit !mts_buckets 0 nb 0 n;
-      mts_buckets := nb;
-      let na = Array.make nn 0. in
-      Array.blit !mts_at 0 na 0 n;
-      mts_at := na
-    end
-  in
   (* Downgraded calls waiting for spare capacity, oldest first.  Handles
      recycle, so entries carry the call id; stale or already-restored
      entries are dropped at drain time. *)
   let upq : (Store.handle * int) Queue.t = Queue.create () in
   let rec drain_upgrades now =
     match cfg.service with
-    | Service_model.Downgrade { tiers } -> (
+    | Service_model.Downgrade _ -> (
         match Queue.peek_opt upq with
         | None -> ()
         | Some (h, id0) ->
@@ -199,7 +183,7 @@ let run_shard cfg rng =
               drain_upgrades now
             end
             else begin
-              match Store.try_upgrade ~links store h ~tiers ~now with
+              match Store.try_upgrade cfg.service ~links store h ~now with
               | None -> () (* head-of-line blocking keeps the order fair *)
               | Some r ->
                   incr upgrades;
@@ -265,11 +249,9 @@ let run_shard cfg rng =
             Store.set_demanded store h demanded;
             Store.settle ~links store h ~rate:granted;
             Controller.on_admit ctrl ~now ~call:id ~rate:granted;
+            (* Calls are policed from admission on. *)
             (match cfg.service with
-            | Service_model.Mts_profile p ->
-                ensure_mts h;
-                !mts_buckets.(h) <- Mts.attach p;
-                !mts_at.(h) <- now
+            | Service_model.Mts_profile p -> Store.attach_mts store h p ~now
             | _ -> ());
             if downgraded then begin
               incr downgrades;
@@ -324,39 +306,18 @@ let run_shard cfg rng =
           let demanded = cfg.levels.(lvl) in
           let applied = Store.applied store h in
           if demanded > applied then incr reneg_attempts;
-          let granted =
-            match cfg.service with
-            | Service_model.Downgrade { tiers } ->
-                let d =
-                  Store.decide_downgrade ~links store h ~tiers ~demanded ~now
-                in
-                if Service_model.downgraded d then begin
-                  incr downgrades;
-                  (match d with
-                  | Service_model.Settle_floor _ -> incr reneg_denied
-                  | _ -> ());
-                  Queue.push (h, Store.id store h) upq
-                end;
-                Service_model.granted_rate d ~demanded
-            | Service_model.Mts_profile p ->
-                ensure_mts h;
-                if Array.length !mts_buckets.(h) = 0 then begin
-                  !mts_buckets.(h) <- Mts.attach p;
-                  !mts_at.(h) <- now
-                end;
-                let elapsed = Float.max 0. (now -. !mts_at.(h)) in
-                !mts_at.(h) <- now;
-                Store.set_demanded store h demanded;
-                let granted =
-                  Mts.police p !mts_buckets.(h) ~elapsed ~applied ~demanded
-                in
-                if granted < demanded then begin
-                  incr downgrades;
-                  if demanded > applied then incr reneg_denied
-                end;
-                granted
-            | Service_model.Renegotiate -> assert false
-          in
+          let d = Store.decide cfg.service ~links store h ~now ~demanded in
+          if Service_model.downgraded d then begin
+            incr downgrades;
+            match d with
+            | Service_model.Police_to _ ->
+                if demanded > applied then incr reneg_denied
+            | Service_model.Settle_floor _ ->
+                incr reneg_denied;
+                Queue.push (h, Store.id store h) upq
+            | _ -> Queue.push (h, Store.id store h) upq
+          end;
+          let granted = Service_model.granted_rate d ~demanded in
           Store.set_level store h lvl;
           Store.settle ~links store h ~rate:granted;
           Controller.on_renegotiate ctrl ~now ~call:(Store.id store h)

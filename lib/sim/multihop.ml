@@ -4,6 +4,7 @@ module Rng = Rcbr_util.Rng
 module Topology = Rcbr_net.Topology
 module Link = Rcbr_net.Link
 module Session = Rcbr_net.Session
+module Store = Rcbr_net.Store
 module Service_model = Rcbr_policy.Service_model
 
 type config = {
@@ -69,7 +70,7 @@ let run_net (nc : net_config) fc =
   let counters = plane.Session.counters in
   let engine = Events.create () in
   let links = Link.of_topology ~crashes:fc.Session.crashes topo in
-  let sessions = ref [] in
+  let store = Store.create () in
   let util_integral = ref 0. and last = ref 0. in
   let advance now =
     let dt = now -. !last in
@@ -91,47 +92,46 @@ let run_net (nc : net_config) fc =
   let check_invariant () =
     counters.Session.invariant_failures <-
       counters.Session.invariant_failures
-      + Session.audit ~links ~sessions:!sessions
+      + Store.audit ~links store
   in
   (* Demand is the *desired* rate (settle semantics): a denied increase
      is counted and the demand still rises — the overload shows up in
      the utilization cap. *)
-  let apply_change t rate ~now ~count =
+  let apply_change h rate ~now ~count =
+    let transit = Store.transit store h in
     (match nc.service with
     | Service_model.Renegotiate ->
         (* The seed's expressions, verbatim (bit-identity anchor for
            the service-model refactor, DESIGN.md §15). *)
-        if count && rate > t.Session.applied then begin
-          if t.Session.transit then incr transit_attempts
-          else incr local_attempts;
-          if not (Session.fits ~links t ~rate ~now) then begin
-            if t.Session.transit then incr transit_denials
-            else incr local_denials;
-            if Session.blocked ~links t ~now then
+        if count && rate > Store.applied store h then begin
+          if transit then incr transit_attempts else incr local_attempts;
+          if not (Store.fits ~links store h ~rate ~now) then begin
+            if transit then incr transit_denials else incr local_denials;
+            if Store.blocked ~links store h ~now then
               counters.Session.crash_denials <-
                 counters.Session.crash_denials + 1
           end
         end;
-        Session.settle ~links t ~rate
+        Store.settle ~links store h ~rate
     | _ ->
-        let decision = Session.decide nc.service ~links t ~now ~demanded:rate in
+        let decision =
+          Store.decide nc.service ~links store h ~now ~demanded:rate
+        in
         let granted = Service_model.granted_rate decision ~demanded:rate in
-        if count && rate > t.Session.applied then begin
-          if t.Session.transit then incr transit_attempts
-          else incr local_attempts;
+        if count && rate > Store.applied store h then begin
+          if transit then incr transit_attempts else incr local_attempts;
           if Service_model.downgraded decision then begin
             incr downgrades;
             match decision with
             | Service_model.Settle_floor _ ->
-                if t.Session.transit then incr transit_denials
-                else incr local_denials;
-                if Session.blocked ~links t ~now then
+                if transit then incr transit_denials else incr local_denials;
+                if Store.blocked ~links store h ~now then
                   counters.Session.crash_denials <-
                     counters.Session.crash_denials + 1
             | _ -> ()
           end
         end;
-        Session.settle ~links t ~rate:granted);
+        Store.settle ~links store h ~rate:granted);
     if fc.Session.check_invariants then begin
       incr applies;
       if !applies mod 64 = 0 then check_invariant ()
@@ -139,7 +139,8 @@ let run_net (nc : net_config) fc =
   in
   let driver =
     {
-      Session.plane_ = Some plane;
+      Session.store;
+      plane_ = Some plane;
       reliable_setup = false;
       lifetime = Session.Hold_until nc.horizon;
       before = (fun ~now -> advance now);
@@ -152,22 +153,21 @@ let run_net (nc : net_config) fc =
                true
              end);
       deliver =
-        (fun t ~now ~idx:_ ~rate -> apply_change t rate ~now ~count:true);
+        (fun h ~now ~idx:_ ~rate -> apply_change h rate ~now ~count:true);
     }
   in
   let start_call ~route ~transit =
     let shift = Rng.int rng n_slots in
     let pieces = Mbac.shifted_pieces nc.schedule ~shift in
-    let t = Session.make ~id:0 ~route ~transit in
-    sessions := t :: !sessions;
+    let h = Store.acquire store ~id:(Store.live_count store) ~route ~transit in
     (* Reserve the setup rate immediately so later placement decisions
        (the load balancer) see it; the first piece event is then a
        no-op rate-wise.  Call setup is signalled reliably and is not a
        renegotiation attempt. *)
-    apply_change t (snd pieces.(0)) ~now:0. ~count:false;
+    apply_change h (snd pieces.(0)) ~now:0. ~count:false;
     (* Desynchronize call starts within the first pieces. *)
     let offset = Rng.float rng in
-    Events.schedule engine ~at:offset (Session.play driver t pieces 0)
+    Events.schedule engine ~at:offset (Session.play driver h pieces 0)
   in
   let route_load route =
     Array.fold_left (fun acc id -> acc +. links.(id).Link.demand) 0. route

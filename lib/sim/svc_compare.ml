@@ -2,7 +2,7 @@ module Events = Rcbr_queue.Events
 module Rng = Rcbr_util.Rng
 module Topology = Rcbr_net.Topology
 module Link = Rcbr_net.Link
-module Session = Rcbr_net.Session
+module Store = Rcbr_net.Store
 module Controller = Rcbr_admission.Controller
 module Descriptor = Rcbr_admission.Descriptor
 module Service_model = Rcbr_policy.Service_model
@@ -154,7 +154,7 @@ let run_model c topo (calls : call array) model =
   let granted_bits = Array.make c.calls 0. in
   let demanded_bits = Array.make c.calls 0. in
   let last = Array.make c.calls 0. in
-  let active = ref [] and everyone = ref [] in
+  let store = Store.create () in
   let util_integral = ref 0. and util_last = ref 0. in
   let advance now =
     let dt = now -. !util_last in
@@ -170,51 +170,38 @@ let run_model c topo (calls : call array) model =
   in
   (* Per-flow fairness accounting: integrate granted (applied) and
      demanded bits between rate-change points. *)
-  let accrue i (s : Session.t) ~now =
+  let accrue i h ~now =
     let dt = now -. last.(i) in
     if dt > 0. then begin
-      granted_bits.(i) <- granted_bits.(i) +. (s.Session.applied *. dt);
+      let applied = Store.applied store h in
+      granted_bits.(i) <- granted_bits.(i) +. (applied *. dt);
       demanded_bits.(i) <-
-        demanded_bits.(i) +. (Float.max s.Session.applied s.Session.demanded *. dt);
+        demanded_bits.(i) +. (Float.max applied (Store.demanded store h) *. dt);
       last.(i) <- now
     end
   in
-  let upgrade_scan ~now =
-    match model with
-    | Service_model.Downgrade _ ->
-        List.iter
-          (fun (s : Session.t) ->
-            match Session.try_upgrade model ~links s ~now with
-            | None -> ()
-            | Some r ->
-                accrue s.Session.id s ~now;
-                Session.settle ~links s ~rate:r;
-                Controller.on_renegotiate ctrl ~now ~call:s.Session.id ~rate:r;
-                incr upgrades)
-          (List.sort
-             (fun (a : Session.t) (b : Session.t) ->
-               compare a.Session.id b.Session.id)
-             !active)
-    | _ -> ()
-  in
-  let depart (s : Session.t) i engine =
+  let depart h i engine =
     let now = Events.now engine in
     advance now;
-    accrue i s ~now;
-    Session.settle ~links s ~rate:0.;
-    s.Session.demanded <- 0.;
+    accrue i h ~now;
+    Store.settle ~links store h ~rate:0.;
+    Store.release store h;
     Controller.on_depart ctrl ~now ~call:i;
-    active := List.filter (fun (t : Session.t) -> t.Session.id <> i) !active;
     incr departures;
-    upgrade_scan ~now
+    Store.upgrade_scan model ~links store ~now (fun h r ->
+        let i = Store.id store h in
+        accrue i h ~now;
+        Store.settle ~links store h ~rate:r;
+        Controller.on_renegotiate ctrl ~now ~call:i ~rate:r;
+        incr upgrades)
   in
-  let change (s : Session.t) i rate engine =
+  let change h i rate engine =
     let now = Events.now engine in
     advance now;
-    accrue i s ~now;
-    let increase = rate > s.Session.applied in
+    accrue i h ~now;
+    let increase = rate > Store.applied store h in
     if increase then incr reneg_attempts;
-    let decision = Session.decide model ~links s ~now ~demanded:rate in
+    let decision = Store.decide model ~links store h ~now ~demanded:rate in
     let granted = Service_model.granted_rate decision ~demanded:rate in
     (* Renegotiation failure (the paper's headline price): an increase
        the route cannot absorb.  [Downgrade] converts the failure into
@@ -226,32 +213,33 @@ let run_model c topo (calls : call array) model =
        | Service_model.Settle_floor _ -> if increase then incr reneg_denied
        | _ -> ()
      end
-     else if increase && not (Session.fits ~links s ~rate:granted ~now) then
-       incr reneg_denied);
-    Session.settle ~links s ~rate:granted;
+     else if increase && not (Store.fits ~links store h ~rate:granted ~now)
+     then incr reneg_denied);
+    Store.settle ~links store h ~rate:granted;
     Controller.on_renegotiate ctrl ~now ~call:i ~rate:granted
   in
   let arrival i engine =
     let now = Events.now engine in
     advance now;
     let cw = calls.(i) in
-    let s =
-      Session.make ~id:i ~route:topo.Topology.routes.(cw.route) ~transit:true
+    let h =
+      Store.acquire store ~id:i ~route:topo.Topology.routes.(cw.route)
+        ~transit:true
     in
-    everyone := s :: !everyone;
     let rate0 = snd cw.pieces.(0) in
     match
       Controller.decide ctrl ~now ~demanded:rate0 ~fits:(fun r ->
-          Session.fits ~links s ~rate:r ~now)
+          Store.fits ~links store h ~rate:r ~now)
     with
-    | Controller.Blocked -> incr blocked
+    | Controller.Blocked ->
+        Store.release store h;
+        incr blocked
     | Controller.Admit { granted; downgraded; _ } ->
         incr admitted;
-        s.Session.demanded <- rate0;
+        Store.set_demanded store h rate0;
         if downgraded then incr downgrades;
-        Session.settle ~links s ~rate:granted;
+        Store.settle ~links store h ~rate:granted;
         Controller.on_admit ctrl ~now ~call:i ~rate:granted;
-        active := s :: !active;
         last.(i) <- now;
         let t = ref now in
         Array.iteri
@@ -259,8 +247,8 @@ let run_model c topo (calls : call array) model =
             t := !t +. duration;
             if idx < Array.length cw.pieces - 1 then
               let rate = snd cw.pieces.(idx + 1) in
-              Events.schedule engine ~at:!t (change s i rate)
-            else Events.schedule engine ~at:!t (depart s i))
+              Events.schedule engine ~at:!t (change h i rate)
+            else Events.schedule engine ~at:!t (depart h i))
           cw.pieces
   in
   Array.iteri
@@ -268,7 +256,7 @@ let run_model c topo (calls : call array) model =
     calls;
   Events.run engine;
   advance (Events.now engine);
-  let audit_violations = Session.audit ~links ~sessions:!everyone in
+  let audit_violations = Store.audit ~links store in
   let mean_utilization =
     if Events.now engine > 0. then !util_integral /. Events.now engine else 0.
   in

@@ -60,7 +60,7 @@ type model_metrics = {
           blocked calls count as 0 *)
   decision_hash : int;  (** the controller's admit/deny sequence hash *)
   outcome_hash : int;  (** FNV over the counters and final link demands *)
-  audit_violations : int;  (** conservation check over every session *)
+  audit_violations : int;  (** conservation check over the calls still live *)
 }
 
 type metrics = { models : model_metrics array }

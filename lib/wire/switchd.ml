@@ -1,8 +1,7 @@
 module Topology = Rcbr_net.Topology
 module Link = Rcbr_net.Link
-module Session = Rcbr_net.Session
+module Store = Rcbr_net.Store
 module Controller = Rcbr_admission.Controller
-module Tables = Rcbr_util.Tables
 
 type config = {
   topology : Topology.t;
@@ -31,7 +30,8 @@ type stats = {
 type t = {
   config : config;
   links : Link.t array;
-  sessions : (int, Session.t) Hashtbl.t;
+  store : Store.t;
+  calls : (int, Store.handle) Hashtbl.t;  (* call id -> store handle *)
   stats : stats;
   mutable draining : bool;
 }
@@ -40,7 +40,8 @@ let create config =
   {
     config;
     links = Link.of_topology config.topology;
-    sessions = Hashtbl.create 64;
+    store = Store.create ();
+    calls = Hashtbl.create 64;
     stats =
       {
         setups = 0;
@@ -61,14 +62,9 @@ let create config =
 
 let stats t = t.stats
 let links t = t.links
-let sessions t = Hashtbl.length t.sessions
+let sessions t = Store.live_count t.store
 let draining t = t.draining
-
-(* Sorted call order makes the float sums (and hence the audit verdict)
-   a pure function of the daemon's state, not of hash-bucket history. *)
-let session_list t = List.map snd (Tables.sorted_bindings t.sessions)
-
-let audit t = Session.audit ~links:t.links ~sessions:(session_list t)
+let audit t = Store.audit ~links:t.links t.store
 
 let total_demand t =
   Array.fold_left (fun acc l -> acc +. l.Link.demand) 0. t.links
@@ -103,27 +99,33 @@ let deny t ~req reason =
 let do_setup t ~now ~req ~call ~route ~transit ~rate =
   t.stats.setups <- t.stats.setups + 1;
   if t.draining then deny t ~req Codec.Draining
-  else if Hashtbl.mem t.sessions call then deny t ~req Codec.Duplicate_call
+  else if Hashtbl.mem t.calls call then deny t ~req Codec.Duplicate_call
   else if not (route_valid t route) then deny t ~req Codec.Bad_route
   else begin
-    let s = Session.make ~id:call ~route ~transit in
-    if Session.blocked ~links:t.links s ~now then deny t ~req Codec.Blackout
+    (* The fit checks need the call's route in the store; a denied
+       setup hands the handle straight back. *)
+    let h = Store.acquire t.store ~id:call ~route ~transit in
+    let refuse reason =
+      Store.release t.store h;
+      deny t ~req reason
+    in
+    if Store.blocked ~links:t.links t.store h ~now then refuse Codec.Blackout
     else
       let admitted =
         match t.config.controller with
         | Some c -> Controller.admit c ~now
         | None -> true
       in
-      if not (admitted && Session.fits ~links:t.links s ~rate ~now) then
-        deny t ~req Codec.Capacity
+      if not (admitted && Store.fits ~links:t.links t.store h ~rate ~now) then
+        refuse Codec.Capacity
       else begin
         advance_links t ~now;
-        Session.settle ~links:t.links s ~rate;
+        Store.settle ~links:t.links t.store h ~rate;
         Array.iter
           (fun id ->
             t.links.(id).Link.n_calls <- t.links.(id).Link.n_calls + 1)
           route;
-        Hashtbl.replace t.sessions call s;
+        Hashtbl.replace t.calls call h;
         (match t.config.controller with
         | Some c -> Controller.on_admit c ~now ~call ~rate
         | None -> ());
@@ -133,16 +135,17 @@ let do_setup t ~now ~req ~call ~route ~transit ~rate =
 
 let do_renegotiate t ~now ~req ~call ~rate =
   t.stats.renegotiations <- t.stats.renegotiations + 1;
-  match Hashtbl.find_opt t.sessions call with
+  match Hashtbl.find_opt t.calls call with
   | None -> deny t ~req Codec.Unknown_call
-  | Some s ->
-      if Session.blocked ~links:t.links s ~now then deny t ~req Codec.Blackout
-      else if rate > s.Session.applied
-              && not (Session.fits ~links:t.links s ~rate ~now)
+  | Some h ->
+      if Store.blocked ~links:t.links t.store h ~now then
+        deny t ~req Codec.Blackout
+      else if rate > Store.applied t.store h
+              && not (Store.fits ~links:t.links t.store h ~rate ~now)
       then deny t ~req Codec.Capacity
       else begin
         advance_links t ~now;
-        Session.settle ~links:t.links s ~rate;
+        Store.settle ~links:t.links t.store h ~rate;
         (match t.config.controller with
         | Some c -> Controller.on_renegotiate c ~now ~call ~rate
         | None -> ());
@@ -151,16 +154,15 @@ let do_renegotiate t ~now ~req ~call ~rate =
 
 let do_teardown t ~now ~req ~call =
   t.stats.teardowns <- t.stats.teardowns + 1;
-  match Hashtbl.find_opt t.sessions call with
+  match Hashtbl.find_opt t.calls call with
   | None -> deny t ~req Codec.Unknown_call
-  | Some s ->
+  | Some h ->
       advance_links t ~now;
-      Session.cancel_pending s;
-      Session.settle ~links:t.links s ~rate:0.;
-      Array.iter
-        (fun id -> t.links.(id).Link.n_calls <- t.links.(id).Link.n_calls - 1)
-        s.Session.route;
-      Hashtbl.remove t.sessions call;
+      Store.settle ~links:t.links t.store h ~rate:0.;
+      Store.route_iter t.store h (fun id ->
+          t.links.(id).Link.n_calls <- t.links.(id).Link.n_calls - 1);
+      Store.release t.store h;
+      Hashtbl.remove t.calls call;
       (match t.config.controller with
       | Some c -> Controller.on_depart c ~now ~call
       | None -> ());
@@ -171,10 +173,10 @@ let do_teardown t ~now ~req ~call =
    up in the link accounting, never as a lost update. *)
 let do_delta t ~now ~vci ~delta =
   t.stats.deltas <- t.stats.deltas + 1;
-  (match Hashtbl.find_opt t.sessions vci with
+  (match Hashtbl.find_opt t.calls vci with
   | None -> t.stats.stray_cells <- t.stats.stray_cells + 1
-  | Some s ->
-      let next = s.Session.applied +. delta in
+  | Some h ->
+      let next = Store.applied t.store h +. delta in
       let next =
         if next < 0. then begin
           t.stats.underflows <- t.stats.underflows + 1;
@@ -183,16 +185,16 @@ let do_delta t ~now ~vci ~delta =
         else next
       in
       advance_links t ~now;
-      Session.settle ~links:t.links s ~rate:next);
+      Store.settle ~links:t.links t.store h ~rate:next);
   None
 
 let do_resync t ~now ~vci ~rate =
   t.stats.resyncs <- t.stats.resyncs + 1;
-  (match Hashtbl.find_opt t.sessions vci with
+  (match Hashtbl.find_opt t.calls vci with
   | None -> t.stats.stray_cells <- t.stats.stray_cells + 1
-  | Some s ->
+  | Some h ->
       advance_links t ~now;
-      Session.settle ~links:t.links s ~rate);
+      Store.settle ~links:t.links t.store h ~rate);
   None
 
 let do_audit t ~req =
@@ -201,7 +203,7 @@ let do_audit t ~req =
     (Codec.Audit_reply
        {
          req;
-         sessions = Hashtbl.length t.sessions;
+         sessions = Store.live_count t.store;
          violations = audit t;
          demand = total_demand t;
        })
@@ -258,7 +260,7 @@ type drain_report = { live_sessions : int; violations : int; demand : float }
 let drain t =
   t.draining <- true;
   {
-    live_sessions = Hashtbl.length t.sessions;
+    live_sessions = Store.live_count t.store;
     violations = audit t;
     demand = total_demand t;
   }

@@ -2,7 +2,7 @@
     so it can be driven byte-by-byte in tests.
 
     A {!t} owns the real network state — {!Rcbr_net.Link} accounting
-    over a {!Rcbr_net.Topology}, one {!Rcbr_net.Session} per live call,
+    over a {!Rcbr_net.Topology}, one {!Rcbr_net.Store} handle per live call,
     an optional {!Rcbr_admission.Controller} gating setups — and
     dispatches decoded {!Codec} messages against it.  Each client
     connection gets a {!conn}: a {!Frame.Reader} tolerating partial
@@ -72,8 +72,8 @@ val input : t -> conn -> now:float -> string -> (string list, Codec.error) resul
 
 val audit : t -> int
 (** Conservation violations right now: every link's demand must equal
-    the sum of its sessions' applied rates ({!Rcbr_net.Session.audit}),
-    summed in sorted call order so the float total is deterministic. *)
+    the sum of its sessions' applied rates ({!Rcbr_net.Store.audit},
+    summed in handle order — a pure function of the request sequence). *)
 
 val total_demand : t -> float
 

@@ -1,5 +1,6 @@
 (* Unit tests for Rcbr_net: topology construction and validation, link
-   accounting and blackout windows, session fit/settle/audit, and the
+   accounting and blackout windows, store fit/settle/audit, the
+   signalling machine's settle paths over store handles, and the
    equivalence of the topology-general simulator with the historical
    Multihop entry points. *)
 
@@ -201,62 +202,68 @@ let test_link_of_topology () =
     (Array.for_all (fun l -> Array.length l.Link.blackouts = 0)
        [| links.(0); links.(2); links.(3); links.(4) |])
 
-(* --- Session -------------------------------------------------------- *)
+(* --- Session: route queries and the signalling machine on Store ------ *)
+
+module Store = Rcbr_net.Store
+module Rng = Rcbr_util.Rng
 
 let test_session_fit_settle_audit () =
   let topo = diamond () in
   let links = Link.of_topology topo in
-  let s2 = Session.make ~id:0 ~route:topo.Topology.routes.(1) ~transit:true in
-  let s3 = Session.make ~id:1 ~route:topo.Topology.routes.(2) ~transit:true in
+  let store = Store.create () in
+  let s2 = Store.acquire store ~id:0 ~route:topo.Topology.routes.(1) ~transit:true in
+  let s3 = Store.acquire store ~id:1 ~route:topo.Topology.routes.(2) ~transit:true in
   Alcotest.(check bool) "fits within capacity" true
-    (Session.fits ~links s2 ~rate:9e5 ~now:0.);
-  Session.settle ~links s2 ~rate:9e5;
-  check_exact "applied recorded" 9e5 s2.Session.applied;
+    (Store.fits ~links store s2 ~rate:9e5 ~now:0.);
+  Store.settle ~links store s2 ~rate:9e5;
+  check_exact "applied recorded" 9e5 (Store.applied store s2);
   check_exact "demand on route link" 9e5 links.(1).Link.demand;
   check_exact "demand on shared link" 9e5 links.(2).Link.demand;
   check_exact "other links untouched" 0. links.(0).Link.demand;
   (* The shared link 2 is nearly full now, so the 3-hop route is
      blocked on its last hop even though links 3 and 4 are empty. *)
   Alcotest.(check bool) "shared link rejects" false
-    (Session.fits ~links s3 ~rate:2e5 ~now:0.);
+    (Store.fits ~links store s3 ~rate:2e5 ~now:0.);
   Alcotest.(check bool) "small rate still fits" true
-    (Session.fits ~links s3 ~rate:0.5e5 ~now:0.);
+    (Store.fits ~links store s3 ~rate:0.5e5 ~now:0.);
   (* Settle semantics: demand moves even when it does not fit. *)
-  Session.settle ~links s3 ~rate:2e5;
+  Store.settle ~links store s3 ~rate:2e5;
   check_exact "overloaded shared demand" 11e5 links.(2).Link.demand;
-  let sessions = [ s2; s3 ] in
-  Alcotest.(check int) "conservation holds" 0 (Session.audit ~links ~sessions);
+  Alcotest.(check int) "conservation holds" 0 (Store.audit ~links store);
   links.(2).Link.demand <- 42.;
-  Alcotest.(check bool) "tampering caught" true
-    (Session.audit ~links ~sessions > 0)
+  Alcotest.(check bool) "tampering caught" true (Store.audit ~links store > 0)
 
 let test_session_blocked () =
   let topo = diamond () in
   let links = Link.of_topology ~crashes:[ (2, 10., 20.) ] topo in
-  let s = Session.make ~id:0 ~route:topo.Topology.routes.(2) ~transit:true in
+  let store = Store.create () in
+  let s = Store.acquire store ~id:0 ~route:topo.Topology.routes.(2) ~transit:true in
   Alcotest.(check bool) "clean before crash" false
-    (Session.blocked ~links s ~now:5.);
+    (Store.blocked ~links store s ~now:5.);
   Alcotest.(check bool) "blocked during crash" true
-    (Session.blocked ~links s ~now:15.);
+    (Store.blocked ~links store s ~now:15.);
   Alcotest.(check bool) "down route never fits" false
-    (Session.fits ~links s ~rate:1. ~now:15.);
-  let direct = Session.make ~id:1 ~route:topo.Topology.routes.(0) ~transit:false in
+    (Store.fits ~links store s ~rate:1. ~now:15.);
+  let direct =
+    Store.acquire store ~id:1 ~route:topo.Topology.routes.(0) ~transit:false
+  in
   Alcotest.(check bool) "other route unaffected" false
-    (Session.blocked ~links direct ~now:15.)
+    (Store.blocked ~links store direct ~now:15.)
 
 (* --- Session settle-path edge cases --------------------------------- *)
 
 (* A driver that just settles on delivery — the minimal honest client of
    the state machine, no simulator accounting on top. *)
-let settle_driver ~links plane lifetime =
+let settle_driver ?(reliable_setup = false) ~links store plane lifetime =
   {
-    Session.plane_ = Some plane;
-    reliable_setup = false;
+    Session.store;
+    plane_ = Some plane;
+    reliable_setup;
     lifetime;
     before = (fun ~now:_ -> ());
     on_attempt = (fun ~now:_ -> ());
     retry = (fun ~now:_ -> true);
-    deliver = (fun s ~now:_ ~idx:_ ~rate -> Session.settle ~links s ~rate);
+    deliver = (fun h ~now:_ ~idx:_ ~rate -> Store.settle ~links store h ~rate);
   }
 
 let lossy_plane ~max_retransmits =
@@ -269,15 +276,19 @@ let lossy_plane ~max_retransmits =
       fault_seed = 5;
     }
 
+let single_call () =
+  let topo = Topology.single_link ~capacity:1e6 in
+  let store = Store.create () in
+  let h = Store.acquire store ~id:0 ~route:topo.Topology.routes.(0) ~transit:false in
+  (Link.of_topology topo, store, h)
+
 (* Give-up exactly at max_retransmits: initial cell + 2 retransmissions
    all lost, then the change is applied anyway (settle semantics) and
    conservation still holds. *)
 let test_session_give_up_at_cap () =
-  let topo = Topology.single_link ~capacity:1e6 in
-  let links = Link.of_topology topo in
+  let links, store, s = single_call () in
   let plane = lossy_plane ~max_retransmits:2 in
-  let s = Session.make ~id:0 ~route:topo.Topology.routes.(0) ~transit:false in
-  let d = settle_driver ~links plane (Session.Hold_until infinity) in
+  let d = settle_driver ~links store plane (Session.Hold_until infinity) in
   let engine = Rcbr_queue.Events.create () in
   Session.signal d s ~idx:0 ~rate:5e4 engine;
   Rcbr_queue.Events.run engine;
@@ -286,20 +297,17 @@ let test_session_give_up_at_cap () =
   Alcotest.(check int) "exactly max retransmits" 2 c.Session.retransmits;
   Alcotest.(check int) "one abandoned change" 1 c.Session.abandoned;
   Alcotest.(check int) "nothing superseded" 0 c.Session.superseded;
-  check_exact "applied anyway after give-up" 5e4 s.Session.applied;
+  check_exact "applied anyway after give-up" 5e4 (Store.applied store s);
   check_exact "demand follows" 5e4 links.(0).Link.demand;
-  Alcotest.(check int) "conservation holds" 0
-    (Session.audit ~links ~sessions:[ s ])
+  Alcotest.(check int) "conservation holds" 0 (Store.audit ~links store)
 
 (* A newer renegotiation supersedes the pending retransmission of an
    older one: the old retx dies at the gen check, the new change runs
    its own retransmit budget, and only the new rate lands. *)
 let test_session_superseded_resync () =
-  let topo = Topology.single_link ~capacity:1e6 in
-  let links = Link.of_topology topo in
+  let links, store, s = single_call () in
   let plane = lossy_plane ~max_retransmits:1 in
-  let s = Session.make ~id:0 ~route:topo.Topology.routes.(0) ~transit:false in
-  let d = settle_driver ~links plane (Session.Hold_until infinity) in
+  let d = settle_driver ~links store plane (Session.Hold_until infinity) in
   let engine = Rcbr_queue.Events.create () in
   (* t=0: change A (lost, retx armed for t=0.2).  t=0.1: change B
      supersedes it (lost, retx armed for t=0.3).  t=0.2: A's retx finds
@@ -313,41 +321,67 @@ let test_session_superseded_resync () =
   Alcotest.(check int) "only B retransmits" 1 c.Session.retransmits;
   Alcotest.(check int) "A's retx superseded" 1 c.Session.superseded;
   Alcotest.(check int) "B abandoned" 1 c.Session.abandoned;
-  check_exact "the superseding rate lands" 8e4 s.Session.applied;
-  Alcotest.(check int) "conservation holds" 0
-    (Session.audit ~links ~sessions:[ s ])
+  check_exact "the superseding rate lands" 8e4 (Store.applied store s);
+  Alcotest.(check int) "conservation holds" 0 (Store.audit ~links store)
 
 (* Departure while a retransmission is in flight: cancel_pending bumps
    gen, the timer fires into the superseded branch, and the links end
    the run empty. *)
 let test_session_depart_with_retx_in_flight () =
-  let topo = Topology.single_link ~capacity:1e6 in
-  let links = Link.of_topology topo in
+  let links, store, s = single_call () in
   let plane = lossy_plane ~max_retransmits:3 in
-  let s = Session.make ~id:0 ~route:topo.Topology.routes.(0) ~transit:false in
-  let d = settle_driver ~links plane (Session.Hold_until infinity) in
+  let d = settle_driver ~links store plane (Session.Hold_until infinity) in
   let engine = Rcbr_queue.Events.create () in
   Session.signal d s ~idx:0 ~rate:6e4 engine;
   Rcbr_queue.Events.schedule engine ~at:0.1 (fun _ ->
       (* The departure path every simulator uses: kill the pending
-         retransmission, then account the session down to zero. *)
-      Session.cancel_pending s;
-      Session.settle ~links s ~rate:0.);
+         retransmission, then account the call down to zero. *)
+      Session.cancel_pending d s;
+      Store.settle ~links store s ~rate:0.);
   Rcbr_queue.Events.run engine;
   let c = plane.Session.counters in
   Alcotest.(check int) "only the first cell was lost" 1 c.Session.rm_lost;
   Alcotest.(check int) "no retransmission ran" 0 c.Session.retransmits;
   Alcotest.(check int) "the armed retx was superseded" 1 c.Session.superseded;
   Alcotest.(check int) "nothing abandoned" 0 c.Session.abandoned;
-  check_exact "departed clean" 0. s.Session.applied;
+  check_exact "departed clean" 0. (Store.applied store s);
   check_exact "link empty" 0. links.(0).Link.demand;
-  Alcotest.(check int) "conservation holds" 0
-    (Session.audit ~links ~sessions:[ s ])
+  Alcotest.(check int) "conservation holds" 0 (Store.audit ~links store)
+
+(* Handles recycle and [Store.acquire] restarts [gen] at 0, so the next
+   call on a slot reaches the same generation its predecessor's timer
+   captured.  The departure's cancel must kill that timer: it counts as
+   superseded and never touches the new call's rate or the link. *)
+let test_session_recycled_handle_retx () =
+  let links, store, a = single_call () in
+  let plane = lossy_plane ~max_retransmits:3 in
+  let d =
+    settle_driver ~reliable_setup:true ~links store plane
+      (Session.Hold_until infinity)
+  in
+  let engine = Rcbr_queue.Events.create () in
+  (* t=0: a's renegotiation is lost; its retx is armed for t=0.2 with
+     the generation a's first change produced. *)
+  Session.signal d a ~idx:1 ~rate:6e4 engine;
+  let b = ref (-1) in
+  Rcbr_queue.Events.schedule engine ~at:0.1 (fun engine ->
+      Session.cancel_pending d a;
+      Store.settle ~links store a ~rate:0.;
+      Store.release store a;
+      b := Store.acquire store ~id:1 ~route:[| 0 |] ~transit:false;
+      (* Reliable setup: one change, so b's gen equals a's captured one. *)
+      Session.signal d !b ~idx:0 ~rate:2e4 engine);
+  Rcbr_queue.Events.run engine;
+  let c = plane.Session.counters in
+  Alcotest.(check int) "slot recycled" a !b;
+  Alcotest.(check int) "stale timer superseded" 1 c.Session.superseded;
+  Alcotest.(check int) "stale timer never retransmitted" 0 c.Session.retransmits;
+  Alcotest.(check int) "nothing abandoned" 0 c.Session.abandoned;
+  check_exact "new call keeps its own rate" 2e4 (Store.applied store !b);
+  check_exact "link carries only the new call" 2e4 links.(0).Link.demand;
+  Alcotest.(check int) "conservation holds" 0 (Store.audit ~links store)
 
 (* --- Grid topology --------------------------------------------------- *)
-
-module Store = Rcbr_net.Store
-module Rng = Rcbr_util.Rng
 
 let test_grid_topology () =
   let t = Topology.grid ~rows:3 ~cols:4 ~capacity:1e6 in
@@ -384,22 +418,43 @@ let test_store_acquire_release_reuse () =
   let hops = ref [] in
   Store.route_iter store c (fun l -> hops := l :: !hops);
   Alcotest.(check (list int)) "route readable" (Array.to_list route)
-    (List.rev !hops);
-  let s = Store.to_session store c in
-  Alcotest.(check int) "record view id" 12 s.Session.id;
-  Alcotest.(check (array int)) "record view route" route s.Session.route
+    (List.rev !hops)
 
-(* The bit-identity contract: a store-backed run and a record-session
-   run fed the same op sequence produce the same fits answers, the
-   same applied rates and bitwise-equal link demands. *)
+(* The float-expression contract: a store fed a seeded op sequence
+   agrees, answer for answer and bit for bit, with a test-local record
+   model of one call — its route and applied rate — written with the
+   delta-form [fits]/[settle] expressions the simulators' bit-identity
+   rests on (DESIGN.md §10). *)
+type model_call = { route : int array; mutable applied : float }
+
+let model_fits ~(links : Link.t array) m ~rate ~now =
+  let delta = rate -. m.applied in
+  Array.for_all
+    (fun id ->
+      let l = links.(id) in
+      (not (Link.down l ~now)) && l.Link.demand +. delta <= l.Link.capacity +. 1e-9)
+    m.route
+
+let model_blocked ~(links : Link.t array) m ~now =
+  Array.exists (fun id -> Link.down links.(id) ~now) m.route
+
+let model_settle ~(links : Link.t array) m ~rate =
+  let delta = rate -. m.applied in
+  Array.iter
+    (fun id ->
+      let l = links.(id) in
+      l.Link.demand <- l.Link.demand +. delta)
+    m.route;
+  m.applied <- rate
+
 let test_store_matches_sessions () =
   let topo = Topology.grid ~rows:4 ~cols:4 ~capacity:2e5 in
   let links_s = Link.of_topology topo in
   (* store side *)
   let links_r = Link.of_topology topo in
-  (* record side *)
+  (* model side *)
   let store = Store.create () in
-  let mirror : (int, Session.t) Hashtbl.t = Hashtbl.create 64 in
+  let mirror : (int, model_call) Hashtbl.t = Hashtbl.create 64 in
   let live = ref [] in
   let rng = Rng.create 7 in
   let rates = [| 1e4; 3e4; 9e4; 2.7e5 |] in
@@ -412,29 +467,29 @@ let test_store_matches_sessions () =
         let route = topo.Topology.routes.(Rng.int rng n_routes) in
         let transit = Array.length route > 1 in
         let h = Store.acquire store ~id:step ~route ~transit in
-        Hashtbl.replace mirror h (Session.make ~id:step ~route ~transit);
+        Hashtbl.replace mirror h { route; applied = 0. };
         live := h :: !live;
         let rate = rates.(Rng.int rng (Array.length rates)) in
         Store.settle ~links:links_s store h ~rate;
-        Session.settle ~links:links_r (Hashtbl.find mirror h) ~rate
+        model_settle ~links:links_r (Hashtbl.find mirror h) ~rate
     | 2 | 3 ->
         (* renegotiate a random live call; fits answers must agree *)
         let h = List.nth !live (Rng.int rng (List.length !live)) in
-        let s = Hashtbl.find mirror h in
+        let m = Hashtbl.find mirror h in
         let rate = rates.(Rng.int rng (Array.length rates)) in
         Alcotest.(check bool) "fits agrees"
-          (Session.fits ~links:links_r s ~rate ~now)
+          (model_fits ~links:links_r m ~rate ~now)
           (Store.fits ~links:links_s store h ~rate ~now);
         Alcotest.(check bool) "blocked agrees"
-          (Session.blocked ~links:links_r s ~now)
+          (model_blocked ~links:links_r m ~now)
           (Store.blocked ~links:links_s store h ~now);
         Store.settle ~links:links_s store h ~rate;
-        Session.settle ~links:links_r s ~rate
+        model_settle ~links:links_r m ~rate
     | _ ->
         (* departure *)
         let h = List.nth !live (Rng.int rng (List.length !live)) in
         Store.settle ~links:links_s store h ~rate:0.;
-        Session.settle ~links:links_r (Hashtbl.find mirror h) ~rate:0.;
+        model_settle ~links:links_r (Hashtbl.find mirror h) ~rate:0.;
         Store.release store h;
         Hashtbl.remove mirror h;
         live := List.filter (fun x -> x <> h) !live
@@ -448,13 +503,9 @@ let test_store_matches_sessions () =
         l.Link.demand links_s.(i).Link.demand)
     links_r;
   Store.iter_live store (fun h ->
-      let s = Hashtbl.find mirror h in
-      check_exact "applied bit-identical" s.Session.applied
+      check_exact "applied bit-identical" (Hashtbl.find mirror h).applied
         (Store.applied store h));
-  Alcotest.(check int) "store conservation" 0 (Store.audit ~links:links_s store);
-  Alcotest.(check int) "session conservation" 0
-    (Session.audit ~links:links_r
-       ~sessions:(Hashtbl.fold (fun _ s acc -> s :: acc) mirror []))
+  Alcotest.(check int) "store conservation" 0 (Store.audit ~links:links_s store)
 
 (* --- run_net vs the historical entry points ------------------------- *)
 
@@ -621,6 +672,8 @@ let () =
             test_session_superseded_resync;
           Alcotest.test_case "depart with retx in flight" `Quick
             test_session_depart_with_retx_in_flight;
+          Alcotest.test_case "recycled handle kills stale retx" `Quick
+            test_session_recycled_handle_retx;
         ] );
       ( "run_net",
         [

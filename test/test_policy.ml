@@ -1,5 +1,5 @@
 (* Unit and property tests for Rcbr_policy: the tier-ladder walk, the
-   MTS token-bucket policer, CLI spec parsing, the session/store-level
+   MTS token-bucket policer, CLI spec parsing, the store-level
    downgrade-upgrade machinery, and the service-model plumbing through
    the admission controller and the engines (Controller.decide under
    Renegotiate must be decision-for-decision identical to admit;
@@ -9,7 +9,7 @@ module Service_model = Rcbr_policy.Service_model
 module Mts = Rcbr_policy.Mts
 module Topology = Rcbr_net.Topology
 module Link = Rcbr_net.Link
-module Session = Rcbr_net.Session
+module Store = Rcbr_net.Store
 module Controller = Rcbr_admission.Controller
 module Descriptor = Rcbr_admission.Descriptor
 module Megacall = Rcbr_sim.Megacall
@@ -123,7 +123,7 @@ let test_mts_ladder () =
   Alcotest.(check bool) "depths grow with the time scale" true
     (p.Mts.depths.(2) > p.Mts.depths.(0))
 
-(* --- session-level downgrade semantics ------------------------------- *)
+(* --- store-level downgrade semantics ---------------------------------- *)
 
 let single_link ~capacity =
   let topo = Topology.single_link ~capacity in
@@ -131,49 +131,87 @@ let single_link ~capacity =
 
 let model = Service_model.Downgrade { tiers }
 
+let call store ~id = Store.acquire store ~id ~route:[| 0 |] ~transit:false
+
 let test_settle_at_floor_audits_clean () =
   let links = single_link ~capacity:10_000. in
-  let a = Session.make ~id:0 ~route:[| 0 |] ~transit:false in
-  Session.settle ~links a ~rate:9_500.;
-  let b = Session.make ~id:1 ~route:[| 0 |] ~transit:false in
+  let store = Store.create () in
+  let a = call store ~id:0 in
+  Store.settle ~links store a ~rate:9_500.;
+  let b = call store ~id:1 in
   (* Nothing fits next to the 9.5k call — the established call settles
      at the floor anyway (settle semantics) and conservation still
      holds: link demand = 9.5k + 1k over a 10k link. *)
-  (match Session.decide model ~links b ~now:0. ~demanded:6_000. with
+  (match Store.decide model ~links store b ~now:0. ~demanded:6_000. with
   | Service_model.Settle_floor { granted; tier } ->
       checkf "floor grant" 1_000. granted;
       Alcotest.(check int) "floor tier" 0 tier;
-      Session.settle ~links b ~rate:granted
+      Store.settle ~links store b ~rate:granted
   | _ -> Alcotest.fail "expected Settle_floor");
   checkf "link demand" 10_500. links.(0).Link.demand;
-  Alcotest.(check int) "audit clean" 0
-    (Session.audit ~links ~sessions:[ a; b ]);
-  checkf "demand tracked" 6_000. b.Session.demanded
+  Alcotest.(check int) "audit clean" 0 (Store.audit ~links store);
+  checkf "demand tracked" 6_000. (Store.demanded store b)
 
 let test_upgrade_races_departure () =
   let links = single_link ~capacity:10_000. in
-  let a = Session.make ~id:0 ~route:[| 0 |] ~transit:false in
-  Session.settle ~links a ~rate:8_000.;
-  let b = Session.make ~id:1 ~route:[| 0 |] ~transit:false in
-  (match Session.decide model ~links b ~now:0. ~demanded:8_000. with
+  let store = Store.create () in
+  let a = call store ~id:0 in
+  Store.settle ~links store a ~rate:8_000.;
+  let b = call store ~id:1 in
+  (match Store.decide model ~links store b ~now:0. ~demanded:8_000. with
   | Service_model.Downgrade_to { granted; _ } ->
       checkf "downgraded next to the 8k call" 1_000. granted;
-      Session.settle ~links b ~rate:granted
+      Store.settle ~links store b ~rate:granted
   | _ -> Alcotest.fail "expected Downgrade_to");
   (* Same tick: the upgrade probe fires before the departure settles —
      the link still carries the departing call, so nothing fits ... *)
   Alcotest.(check bool) "upgrade loses the race" true
-    (Session.try_upgrade model ~links b ~now:1. = None);
+    (Store.try_upgrade model ~links store b ~now:1. = None);
   (* ... and after the departure settles, the probe restores the full
      demanded rate.  Drivers run their upgrade scans after the
      departure bookkeeping for exactly this reason. *)
-  Session.settle ~links a ~rate:0.;
-  (match Session.try_upgrade model ~links b ~now:1. with
+  Store.settle ~links store a ~rate:0.;
+  Store.release store a;
+  (match Store.try_upgrade model ~links store b ~now:1. with
   | Some r ->
       checkf "full restore after departure" 8_000. r;
-      Session.settle ~links b ~rate:r
+      Store.settle ~links store b ~rate:r
   | None -> Alcotest.fail "expected upgrade after departure");
-  Alcotest.(check int) "audit clean" 0 (Session.audit ~links ~sessions:[ a; b ])
+  Alcotest.(check int) "audit clean" 0 (Store.audit ~links store)
+
+(* Recycled handles put handle order and call-id order apart; the
+   spare capacity must go to the oldest call (lowest id) first. *)
+let test_upgrade_scan_call_id_order () =
+  let links = single_link ~capacity:10_000. in
+  let store = Store.create () in
+  let old = call store ~id:0 in
+  let mid = call store ~id:1 in
+  Store.settle ~links store mid ~rate:1_000.;
+  (* Call 0 leaves; call 2 recycles its handle, which now sorts first. *)
+  Store.release store old;
+  let young = call store ~id:2 in
+  Alcotest.(check bool) "handle order differs from id order" true (young < mid);
+  Store.settle ~links store young ~rate:1_000.;
+  let blocker = call store ~id:3 in
+  Store.settle ~links store blocker ~rate:8_000.;
+  List.iter
+    (fun h ->
+      match Store.decide model ~links store h ~now:0. ~demanded:8_000. with
+      | Service_model.Settle_floor _ | Service_model.Downgrade_to _ -> ()
+      | _ -> Alcotest.fail "expected a downgrade")
+    [ mid; young ];
+  (* The blocker leaves: 8k of room, enough to restore only one call. *)
+  Store.settle ~links store blocker ~rate:0.;
+  Store.release store blocker;
+  let order = ref [] in
+  Store.upgrade_scan model ~links store ~now:1. (fun h r ->
+      order := Store.id store h :: !order;
+      Store.settle ~links store h ~rate:r);
+  Alcotest.(check (list int)) "the lower call id wins the room" [ 1 ]
+    (List.rev !order);
+  checkf "older call fully restored" 8_000. (Store.applied store mid);
+  checkf "younger call stays at the floor" 1_000. (Store.applied store young);
+  Alcotest.(check int) "audit clean" 0 (Store.audit ~links store)
 
 (* --- Controller.decide ≡ admit under Renegotiate --------------------- *)
 
@@ -227,54 +265,46 @@ let prop_downgrade_capacity =
     (QCheck.make gen) (fun (cap_mult, ops, _salt) ->
       let capacity = float_of_int cap_mult *. 1_000. in
       let links = single_link ~capacity in
-      let active = ref [] and next_id = ref 0 in
+      let store = Store.create () and next_id = ref 0 in
       let check_cap () =
         if links.(0).Link.demand > capacity +. 1e-6 then
           QCheck.Test.fail_reportf "demand %.1f > capacity %.1f"
             links.(0).Link.demand capacity
       in
-      let upgrade_scan () =
-        List.iter
-          (fun s ->
-            match Session.try_upgrade model ~links s ~now:0. with
-            | Some r -> Session.settle ~links s ~rate:r
-            | None -> ())
-          (List.sort
-             (fun (x : Session.t) y -> compare x.Session.id y.Session.id)
-             !active)
+      let pick v =
+        let live = ref [] in
+        Store.iter_live store (fun h -> live := h :: !live);
+        List.nth !live (v mod List.length !live)
       in
       List.iter
         (fun (op, v) ->
           (* Demands stay at or above the floor tier. *)
           let demand = float_of_int (1 + (v mod 9)) *. 1_000. in
-          (match (op, !active) with
-          | 0, _ ->
-              let s = Session.make ~id:!next_id ~route:[| 0 |] ~transit:false in
+          (match op with
+          | 0 -> (
+              let h = call store ~id:!next_id in
               incr next_id;
-              (match Session.decide model ~links s ~now:0. ~demanded:demand with
-              | Service_model.Settle_floor _ -> () (* blocked arrival *)
+              match Store.decide model ~links store h ~now:0. ~demanded:demand with
+              | Service_model.Settle_floor _ ->
+                  Store.release store h (* blocked arrival *)
               | d ->
-                  Session.settle ~links s
-                    ~rate:(Service_model.granted_rate d ~demanded:demand);
-                  active := s :: !active)
-          | 1, _ :: _ ->
-              let s = List.nth !active (v mod List.length !active) in
-              let d = Session.decide model ~links s ~now:0. ~demanded:demand in
-              Session.settle ~links s
+                  Store.settle ~links store h
+                    ~rate:(Service_model.granted_rate d ~demanded:demand))
+          | 1 when Store.live_count store > 0 ->
+              let h = pick v in
+              let d = Store.decide model ~links store h ~now:0. ~demanded:demand in
+              Store.settle ~links store h
                 ~rate:(Service_model.granted_rate d ~demanded:demand)
-          | 2, _ :: _ ->
-              let s = List.nth !active (v mod List.length !active) in
-              Session.settle ~links s ~rate:0.;
-              active :=
-                List.filter
-                  (fun (t : Session.t) -> t.Session.id <> s.Session.id)
-                  !active;
-              upgrade_scan ()
+          | 2 when Store.live_count store > 0 ->
+              let h = pick v in
+              Store.settle ~links store h ~rate:0.;
+              Store.release store h;
+              Store.upgrade_scan model ~links store ~now:0. (fun h r ->
+                  Store.settle ~links store h ~rate:r)
           | _ -> ());
           check_cap ())
         ops;
-      Alcotest.(check int) "audit clean" 0
-        (Session.audit ~links ~sessions:!active);
+      Alcotest.(check int) "audit clean" 0 (Store.audit ~links store);
       true)
 
 (* --- engine plumbing ------------------------------------------------- *)
@@ -324,6 +354,12 @@ let test_svc_compare_deterministic () =
         true
         (r.Svc_compare.jain_fairness >= 0. && r.Svc_compare.jain_fairness <= 1.))
     seq.Svc_compare.models;
+  (* Downgrade pin: recycled handles put this workload's handle order
+     apart from its call-id order, so an upgrade scan in handle order
+     lands a different outcome hash (value from the record-session
+     engine, which scanned by ascending call id). *)
+  Alcotest.(check int) "downgrade outcome pinned" 1382759711495414427
+    seq.Svc_compare.models.(1).Svc_compare.outcome_hash;
   (* Renegotiate grants every admitted demand in full, so its fairness
      over admitted calls is exact: J = admitted / arrivals. *)
   let r = seq.Svc_compare.models.(0) in
@@ -351,6 +387,8 @@ let () =
             test_settle_at_floor_audits_clean;
           Alcotest.test_case "upgrade races departure" `Quick
             test_upgrade_races_departure;
+          Alcotest.test_case "upgrade scan in call-id order" `Quick
+            test_upgrade_scan_call_id_order;
         ] );
       ( "controller",
         [

@@ -15,7 +15,7 @@ module Mts = Rcbr_policy.Mts
    the engine's renegotiation levels instead (DESIGN.md §15). *)
 let service_of_spec spec (levels : float array) =
   let sorted = Array.copy levels in
-  Array.sort compare sorted;
+  Array.sort Float.compare sorted;
   let lo = sorted.(0) and hi = sorted.(Array.length sorted - 1) in
   let mean =
     Array.fold_left ( +. ) 0. levels /. float_of_int (Array.length levels)
@@ -25,7 +25,7 @@ let service_of_spec spec (levels : float array) =
       ~default_tiers:(fun n ->
         match n with
         | None ->
-            List.sort_uniq compare (Array.to_list sorted) |> Array.of_list
+            List.sort_uniq Float.compare (Array.to_list sorted) |> Array.of_list
         | Some k ->
             Array.init k (fun i ->
                 lo +. ((hi -. lo) *. float_of_int i /. float_of_int (max 1 (k - 1)))))

@@ -37,7 +37,9 @@ let mean_rate t =
 
 let peak_rate t =
   let top = ref 0. in
-  Array.iteri (fun i f -> if f > 0. then top := max !top t.levels.(i)) t.fractions;
+  Array.iteri
+    (fun i f -> if f > 0. then top := Float.max !top t.levels.(i))
+    t.fractions;
   !top
 
 let to_marginal t =

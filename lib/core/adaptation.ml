@@ -18,7 +18,7 @@ let grant_with_probability rng p ~slot:_ ~old_rate ~new_rate =
 let simulate ~policy ~grant ~buffer ~trace schedule =
   if Trace.length trace <> Schedule.n_slots schedule then
     invalid_arg "Adaptation.simulate: length mismatch";
-  if Trace.fps trace <> Schedule.fps schedule then
+  if not (Float.equal (Trace.fps trace) (Schedule.fps schedule)) then
     invalid_arg "Adaptation.simulate: fps mismatch";
   assert (buffer >= 0.);
   (match policy with
@@ -61,7 +61,7 @@ let simulate ~policy ~grant ~buffer ~trace schedule =
     (match policy with
     | Reserve_peak -> ()
     | Settle | Retry _ | Requantize _ ->
-        if t > 0 && desired.(t) <> desired.(t - 1) then
+        if t > 0 && not (Float.equal desired.(t) desired.(t - 1)) then
           ignore (request t desired.(t))
         else begin
           match (policy, !wanted) with

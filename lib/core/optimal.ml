@@ -460,8 +460,6 @@ let solve params trace = fst (solve_with_stats params trace)
    trace, so memoize the bisection.  Keyed by physical trace identity;
    guarded by a mutex so pool workers can share the cache (a lost race
    recomputes the same deterministic value, never a different one). *)
-(* lint: allow R001 — mutex-guarded memo cache; a lost race recomputes
-   the same deterministic value, never a different one *)
 let needed_rate_cache : (Trace.t * float * float) list ref = ref []
 let needed_rate_mutex = Mutex.create ()
 

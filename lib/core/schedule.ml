@@ -30,7 +30,7 @@ let create ~fps ~n_slots segs =
     List.fold_left
       (fun acc s ->
         match acc with
-        | prev :: _ when prev.rate = s.rate -> acc
+        | prev :: _ when Float.equal prev.rate s.rate -> acc
         | _ -> s :: acc)
       [] segs
   in
@@ -90,7 +90,8 @@ let mean_rate t =
     t.segments;
   !acc /. float_of_int t.n_slots
 
-let peak_rate t = Array.fold_left (fun acc s -> max acc s.rate) 0. t.segments
+let peak_rate t =
+  Array.fold_left (fun acc s -> Float.max acc s.rate) 0. t.segments
 
 let cost t ~reneg_cost ~bandwidth_cost =
   let service_bits = mean_rate t *. duration t in
@@ -125,7 +126,7 @@ let shift t ~slots =
   let segs = ref [] in
   for i = n - 1 downto 0 do
     match !segs with
-    | { start_slot = _; rate } :: _ when rate = shifted.(i) ->
+    | { start_slot = _; rate } :: _ when Float.equal rate shifted.(i) ->
         segs := { start_slot = i; rate } :: List.tl !segs
     | _ -> segs := { start_slot = i; rate = shifted.(i) } :: !segs
   done;
@@ -134,7 +135,7 @@ let shift t ~slots =
 let simulate_buffer t ~trace ~capacity =
   if Trace.length trace <> t.n_slots then
     invalid_arg "Schedule.simulate_buffer: length mismatch";
-  if Trace.fps trace <> t.fps then
+  if not (Float.equal (Trace.fps trace) t.fps) then
     invalid_arg "Schedule.simulate_buffer: fps mismatch";
   let rates = to_rates t in
   Fluid.run_schedule ~capacity ~rate_per_slot:(fun i -> rates.(i)) trace

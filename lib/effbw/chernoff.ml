@@ -17,7 +17,7 @@ let mean m = Array.fold_left (fun acc (p, e) -> acc +. (p *. e)) 0. m
 
 let max_level m =
   Array.fold_left
-    (fun acc (p, e) -> if p > 0. then max acc e else acc)
+    (fun acc (p, e) -> if p > 0. then Float.max acc e else acc)
     neg_infinity m
 
 let log_mgf m ~theta =

@@ -10,8 +10,6 @@ type totals = {
   reordered : int;
 }
 
-(* lint: allow R001 — [totals] is immutable; its field names merely
-   shadow [t]'s mutable counters *)
 let no_totals = { sent = 0; dropped = 0; duplicated = 0; delayed = 0; reordered = 0 }
 
 type t = {

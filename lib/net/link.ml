@@ -58,7 +58,12 @@ let down link ~now =
 
 let compile_blackouts windows =
   let windows = List.filter (fun (a, r) -> r > a) windows in
-  let windows = List.sort compare windows in
+  let windows =
+    List.sort
+      (fun (a1, r1) (a2, r2) ->
+        match Float.compare a1 a2 with 0 -> Float.compare r1 r2 | c -> c)
+      windows
+  in
   let merged =
     List.fold_left
       (fun acc (a, r) ->

@@ -22,7 +22,7 @@ let backlog t = t.backlog
 let offer t bits =
   assert (bits >= 0.);
   let room = t.cap -. t.backlog in
-  let accepted = min bits room in
+  let accepted = Float.min bits room in
   t.backlog <- t.backlog +. accepted;
   bits -. accepted
 

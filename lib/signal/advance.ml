@@ -15,7 +15,7 @@ let capacity t = t.capacity
 let add_delta t at delta =
   let rec insert = function
     | [] -> [ (at, delta) ]
-    | (time, d) :: rest when time = at ->
+    | (time, d) :: rest when Float.equal time at ->
         let d' = d +. delta in
         if Float.abs d' < 1e-9 then rest else (time, d') :: rest
     | (time, _) :: _ as all when time > at -> (at, delta) :: all

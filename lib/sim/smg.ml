@@ -18,7 +18,7 @@ type config = {
 let validate c =
   if Schedule.n_slots c.schedule <> Trace.length c.trace then
     invalid_arg "Smg: schedule/trace length mismatch";
-  if Schedule.fps c.schedule <> Trace.fps c.trace then
+  if not (Float.equal (Schedule.fps c.schedule) (Trace.fps c.trace)) then
     invalid_arg "Smg: schedule/trace fps mismatch";
   if c.buffer <= 0. then invalid_arg "Smg: buffer";
   if c.target_loss < 0. then invalid_arg "Smg: target_loss";
@@ -98,7 +98,7 @@ type demand_profile = { sorted : float array; prefix : float array; total : floa
 
 let profile_of_demand demand =
   let sorted = Array.copy demand in
-  Array.sort (fun a b -> compare b a) sorted;
+  Array.sort (fun a b -> Float.compare b a) sorted;
   let nslots = Array.length sorted in
   let prefix = Array.make (nslots + 1) 0. in
   for i = 0 to nslots - 1 do

@@ -103,7 +103,7 @@ let validate c =
    levels (no trellis schedule here; megacall does the same). *)
 let models c =
   let sorted = Array.copy c.levels in
-  Array.sort compare sorted;
+  Array.sort Float.compare sorted;
   let lo = sorted.(0) and hi = sorted.(Array.length sorted - 1) in
   let tiers =
     Array.init c.tiers (fun i ->
@@ -135,7 +135,7 @@ let run_model c topo (calls : call array) model =
   let n_links = Topology.n_links topo in
   let descriptor =
     let sorted =
-      List.sort_uniq compare (Array.to_list c.levels) |> Array.of_list
+      List.sort_uniq Float.compare (Array.to_list c.levels) |> Array.of_list
     in
     let n = Array.length sorted in
     Descriptor.create ~levels:sorted

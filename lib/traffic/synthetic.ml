@@ -153,7 +153,7 @@ let generate ?(params = star_wars_params) ~seed ~frames () =
       *. (Gop.weight_at p.gop i /. gop_norm)
       *. noise
     in
-    out.(i) <- max p.min_frame_bits bits
+    out.(i) <- Float.max p.min_frame_bits bits
   done;
   (* Exact rescale: the published mean is a fixed property of the trace. *)
   let actual_mean =

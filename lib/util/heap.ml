@@ -11,7 +11,8 @@ let length t = t.size
 let is_empty t = t.size = 0
 
 let before a b =
-  a.priority < b.priority || (a.priority = b.priority && a.seq < b.seq)
+  a.priority < b.priority
+  || (Float.equal a.priority b.priority && a.seq < b.seq)
 
 let grow t entry =
   let cap = Array.length t.data in

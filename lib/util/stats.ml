@@ -16,7 +16,7 @@ let stddev xs = sqrt (variance xs)
 let quantile xs q =
   assert (Array.length xs > 0 && q >= 0. && q <= 1.);
   let sorted = Array.copy xs in
-  Array.sort compare sorted;
+  Array.sort Float.compare sorted;
   let n = Array.length sorted in
   let pos = q *. float_of_int (n - 1) in
   let lo = int_of_float (Float.floor pos) in

@@ -4,12 +4,12 @@
    on the insertion/removal history, so any float accumulation or list
    built that way is only reproducible by accident.  Result paths must
    go through these sorted-key views instead (lint rule D002,
-   DESIGN.md §8); the suppressed fold below is the one sanctioned
+   DESIGN.md §14); the suppressed fold below is the one sanctioned
    unordered traversal — it only collects keys, and the sort restores a
    canonical order before anything observable happens. *)
 
 let sorted_keys ?(compare = Stdlib.compare) tbl =
-  (* lint: allow D002 — key collection only; sort_uniq canonicalizes *)
+  (* lint: allow D002, T001 — key collection only; sort_uniq canonicalizes *)
   let keys = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
   List.sort_uniq compare keys
 

@@ -1,6 +1,6 @@
 (** Deterministic (sorted-key) views of hash tables.
 
-    Lint rule D002 (DESIGN.md §8) bans raw [Hashtbl.iter]/[Hashtbl.fold]
+    Lint rule D002 (DESIGN.md §14) bans raw [Hashtbl.iter]/[Hashtbl.fold]
     in result paths because bucket order depends on the table's history.
     These helpers are the sanctioned replacement: they visit keys in
     [compare] order (default: [Stdlib.compare]), so every traversal is a

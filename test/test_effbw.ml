@@ -97,7 +97,7 @@ let test_multiscale_formula9 () =
   let total = Eb.multiscale_equivalent_bandwidth ms ~buffer:5. ~target_loss:1e-6 in
   check_close 1e-12 "max over subchains" (Array.fold_left Float.max 0. per) total;
   (* The worst subchain (action) should dominate. *)
-  Alcotest.(check bool) "action dominates" true (total = per.(2))
+  Alcotest.(check bool) "action dominates" true (Float.equal total per.(2))
 
 let test_multiscale_exceeds_worst_mean () =
   (* Formula (9) implies the needed rate exceeds the max subchain mean. *)
@@ -326,7 +326,7 @@ let marginal_gen =
     let* ws = array_size (return k) (float_range 0.05 1.) in
     let* levels = array_size (return k) (float_range 0.1 10.) in
     let total = Array.fold_left ( +. ) 0. ws in
-    Array.sort compare levels;
+    Array.sort Float.compare levels;
     (* Make levels strictly ascending to keep them distinct. *)
     Array.iteri (fun i l -> levels.(i) <- l +. (0.01 *. float_of_int i)) levels;
     return (Array.init k (fun i -> (ws.(i) /. total, levels.(i)))))

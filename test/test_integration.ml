@@ -129,9 +129,9 @@ let test_two_schedules_share_port () =
   let port = Port.create ~capacity () in
   let p1 = Path.create_exn [ port ] ~vci:1 ~initial_rate:(Schedule.rate_at s1 0) in
   let p2 = Path.create_exn [ port ] ~vci:2 ~initial_rate:(Schedule.rate_at s2 0) in
-  (* Interleave renegotiations in slot order. *)
+  (* Interleave renegotiations in slot order; (slot, path) is unique. *)
   let events =
-    List.sort compare
+    List.sort (fun (s1, p1, _) (s2, p2, _) -> compare (s1, p1) (s2, p2))
       (List.concat_map
          (fun (path_id, s) ->
            Array.to_list (Schedule.segments s)

@@ -1,46 +1,66 @@
-(* Fixture tests for the rcbr_lint static analyzer (DESIGN.md §8).
+(* Fixture tests for the rcbr_lint determinism analyzer (DESIGN.md §14).
    Every rule gets a must-fire, a must-not-fire and a suppressed case,
    plus coverage for rule scoping, the allowlist, the suppression
    grammar (mandatory reason, multi-line comments, comma-separated rule
-   lists) and parse failures.  Fixtures live in quoted strings: the
-   analyzer only ever sees them through [Lint.check_source], never as
-   code belonging to this compilation unit. *)
+   lists), typing failures and the coverage guard.  Fixtures live in
+   quoted strings and are typed in memory against the stdlib
+   environment plus [Unix] ([Tlint.check_sources]), so each one is a
+   single self-contained compilation unit named [Fix]; cross-module flow
+   is exercised through nested modules, which go through the same
+   canonical-name resolution as real cross-unit refs. *)
 
-module Lint = Rcbr_lint_core.Lint
+module T = Rcbr_lint_core.Tlint
+module C = Rcbr_lint_core.Lint_common
 
-let hits ?(config = Lint.strict_config) ?(filename = "lib/fixture.ml") src =
+let hits ?(config = T.strict_config) ?(filename = "lib/fix.ml") src =
   List.map
-    (fun v -> (v.Lint.line, v.Lint.rule))
-    (Lint.check_source ~config ~filename src)
+    (fun v -> (v.C.line, v.C.rule))
+    (T.check_sources ~config [ ("Fix", filename, src) ])
 
 let pairs = Alcotest.(list (pair int string))
 
 let check_hits ?config ?filename msg expected src =
   Alcotest.check pairs msg expected (hits ?config ?filename src)
 
-let has_prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
+let grant file rule =
+  { C.g_file = file; g_rule = rule; g_reason = "fixture"; g_line = 1 }
 
-(* --- rule inventory -------------------------------------------------- *)
+(* --- rule inventory --------------------------------------------------- *)
 
 let test_rule_inventory () =
-  let ids = List.map fst Lint.rules in
+  Alcotest.(check (list string))
+    "every rule, in report order"
+    [
+      "D001"; "D002"; "D003"; "F001"; "F002"; "P001"; "T001"; "T002"; "E001";
+      "U001"; "U002";
+    ]
+    (List.map fst C.rules)
+
+let test_typed_rule_inventory () =
+  (* one vocabulary validates suppressions and grants: the rules plus
+     the meta ids, and no retired id *)
   List.iter
-    (fun r -> Alcotest.(check bool) (r ^ " listed") true (List.mem r ids))
-    [ "D001"; "D002"; "D003"; "F001"; "F002"; "R001"; "P001" ]
+    (fun r ->
+      Alcotest.(check bool) (r ^ " accepted") true (List.mem r C.all_rule_ids))
+    [ "D001"; "T001"; "U002"; "PARSE"; "SUPP"; "GRANT" ];
+  Alcotest.(check bool)
+    "R001 is retired" false
+    (List.mem "R001" C.all_rule_ids)
 
 (* --- D001: randomness outside the sanctioned module ------------------ *)
 
 let test_d001_fires () =
   check_hits "Random.int" [ (1, "D001") ] {|let f () = Random.int 10|};
-  check_hits "open Random" [ (1, "D001") ] {|open Random|}
+  check_hits "a use through open Random" [ (2, "D001") ]
+    {|open Random
+let f () = int 10|}
 
 let test_d001_clean () =
   check_hits "lowercase near-miss" [] {|let random_pick = 3|}
 
 let test_d001_exempt_file () =
   let config =
-    { Lint.strict_config with Lint.d001_exempt = (fun f -> f = "lib/util/rng.ml") }
+    { T.strict_config with T.random_exempt = (fun f -> f = "lib/util/rng.ml") }
   in
   check_hits ~config ~filename:"lib/util/rng.ml" "rng.ml exempt" []
     {|let f () = Random.int 10|};
@@ -67,7 +87,7 @@ let test_d002_clean () =
 
 let test_d002_out_of_scope () =
   let config =
-    { Lint.strict_config with Lint.d002_scope = (fun f -> has_prefix "lib/" f) }
+    { T.strict_config with T.order_scope = (C.has_prefix ~prefix:"lib/") }
   in
   check_hits ~config ~filename:"test/fixture.ml" "not result-producing" []
     fold_fixture;
@@ -112,14 +132,17 @@ let bad x = x = nan || x = 0.5|}
 let test_d003_fires () =
   check_hits "Unix.gettimeofday" [ (1, "D003") ]
     {|let now () = Unix.gettimeofday ()|};
-  check_hits "Sys.time" [ (1, "D003") ] {|let cpu () = Sys.time ()|}
+  check_hits "Sys.time" [ (1, "D003") ] {|let cpu () = Sys.time ()|};
+  check_hits "calendar reads" [ (1, "D003"); (1, "D003"); (2, "D003") ]
+    {|let utc () = Unix.gmtime (Unix.time ())
+let local t = Unix.localtime t|}
 
 let test_d003_clean () =
   check_hits "Sys.argv is not a clock" [] {|let args () = Sys.argv|}
 
 let test_d003_bench_exempt () =
   let config =
-    { Lint.strict_config with Lint.d003_exempt = (fun f -> has_prefix "bench/" f) }
+    { T.strict_config with T.clock_exempt = (C.has_prefix ~prefix:"bench/") }
   in
   check_hits ~config ~filename:"bench/fixture.ml" "bench may read the clock"
     [] {|let now () = Unix.gettimeofday ()|};
@@ -131,7 +154,7 @@ let test_d003_suppressed () =
     {|(* lint: allow D003 -- fixture: time injected for a seed check *)
 let now () = Unix.gettimeofday ()|}
 
-(* --- F001: polymorphic comparison on float-bearing operands ---------- *)
+(* --- F001: polymorphic comparison instantiated at a float type ------- *)
 
 let test_f001_fires () =
   check_hits "poly = on float literal" [ (1, "F001") ]
@@ -139,13 +162,22 @@ let test_f001_fires () =
   check_hits "poly compare on float arithmetic" [ (1, "F001") ]
     {|let c a b = compare (a +. 1.0) b|};
   check_hits "bare max folded over floats" [ (1, "F001") ]
-    {|let peak xs = List.fold_left max 0.0 xs|}
+    {|let peak xs = List.fold_left max 0.0 xs|};
+  (* no float spelled anywhere near the operator: only the type says so *)
+  check_hits "annotated float operands" [ (1, "F001") ]
+    {|let eq (a : float) b = a = b|};
+  check_hits "float inside a tuple" [ (1, "F001") ]
+    {|let sort (xs : (int * float) list) = List.sort compare xs|}
 
 let test_f001_clean () =
   check_hits "Float.equal" [] {|let close a = Float.equal a 0.5|};
   check_hits "Float.max folded" []
     {|let peak xs = List.fold_left Float.max 0.0 xs|};
-  check_hits "no float evidence" [] {|let eq a b = a = b|}
+  check_hits "polymorphic operands" [] {|let eq a b = a = b|};
+  check_hits "int operands" [] {|let m (a : int) b = max a b|};
+  check_hits "constant constructors decide a shape" []
+    {|let empty (xs : float list) = xs = []
+let unset (o : float option) = o <> None|}
 
 let test_f001_suppressed () =
   check_hits "allow with reason" []
@@ -157,7 +189,8 @@ let close a = a = 0.5|}
 let test_f002_fires () =
   (* F002 wins over F001 for the same application: one report, not two. *)
   check_hits "= nan" [ (1, "F002") ] {|let bad x = x = nan|};
-  check_hits "< nan" [ (1, "F002") ] {|let worse x = x < nan|}
+  check_hits "< nan" [ (1, "F002") ] {|let worse x = x < nan|};
+  check_hits "Float.nan" [ (1, "F002") ] {|let also x = x <> Float.nan|}
 
 let test_f002_clean () =
   check_hits "Float.is_nan" [] {|let good x = Float.is_nan x|}
@@ -166,91 +199,6 @@ let test_f002_suppressed () =
   check_hits "allow with reason" []
     {|(* lint: allow F002 -- fixture: documenting the always-false branch *)
 let bad x = x = nan|}
-
-(* --- R001: module-level mutable state in Pool-reachable code --------- *)
-
-let test_r001_fires () =
-  check_hits "top-level ref" [ (1, "R001") ] {|let counter = ref 0|};
-  check_hits "top-level Hashtbl.create" [ (1, "R001") ]
-    {|let cache = Hashtbl.create 16|};
-  check_hits "record with a mutable field" [ (2, "R001") ]
-    {|type t = { mutable hits : int }
-let stats = { hits = 0 }|}
-
-let test_r001_clean () =
-  check_hits "per-call state is fine" [] {|let fresh () = ref 0|};
-  check_hits "immutable record literal" []
-    {|type t = { hits : int }
-let stats = { hits = 0 }|}
-
-let test_r001_out_of_zone () =
-  let config =
-    { Lint.strict_config with Lint.r001_zone = (fun _ -> false) }
-  in
-  check_hits ~config "not Pool-reachable" [] {|let counter = ref 0|}
-
-let test_r001_suppressed () =
-  check_hits "allow with reason" []
-    {|(* lint: allow R001 -- fixture: mutex-guarded, idempotent cache *)
-let counter = ref 0|}
-
-let test_r001_zone_transitive () =
-  (* The Pool-reachable zone follows the dune library graph: a library
-     that never mentions the pool itself is still in zone when a
-     Pool-using stanza depends on it (the lib/net case — rcbr_sim's
-     sweeps fan out over simulations that run rcbr_net sessions). *)
-  let tmp = Filename.temp_file "rcbr_zone" "" in
-  Sys.remove tmp;
-  let dir sub =
-    let d = Filename.concat tmp sub in
-    Sys.mkdir (Filename.dirname d) 0o755;
-    Sys.mkdir d 0o755;
-    d
-  in
-  Sys.mkdir tmp 0o755;
-  let write path contents =
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc
-  in
-  let net = dir "lib/net" in
-  write (Filename.concat net "dune") "(library (name fix_net))";
-  write (Filename.concat net "state.ml") "let version = 1";
-  let sim = Filename.concat tmp "lib/sim" in
-  Sys.mkdir sim 0o755;
-  write (Filename.concat sim "dune")
-    "(library (name fix_sim) (libraries fix_net))";
-  write (Filename.concat sim "sweep.ml") "let version = 1";
-  let solo = Filename.concat tmp "lib/solo" in
-  Sys.mkdir solo 0o755;
-  write (Filename.concat solo "dune") "(library (name fix_solo))";
-  write (Filename.concat solo "quiet.ml") "let version = 2";
-  (* The Pool user: an executable fanning fix_sim simulations out. *)
-  let bench = Filename.concat tmp "bench" in
-  Sys.mkdir bench 0o755;
-  write (Filename.concat bench "dune")
-    "(executable (name fix_bench) (libraries fix_sim))";
-  write (Filename.concat bench "main.ml") "let go pool = Pool.map pool";
-  Fun.protect ~finally:(fun () ->
-      List.iter Sys.remove
-        [
-          Filename.concat net "dune"; Filename.concat net "state.ml";
-          Filename.concat sim "dune"; Filename.concat sim "sweep.ml";
-          Filename.concat solo "dune"; Filename.concat solo "quiet.ml";
-          Filename.concat bench "dune"; Filename.concat bench "main.ml";
-        ];
-      List.iter Sys.rmdir
-        [ net; sim; solo; bench; Filename.concat tmp "lib"; tmp ])
-  @@ fun () ->
-  let config = Lint.repo_config ~roots:[ tmp ] () in
-  Alcotest.(check bool) "library the Pool user runs is in zone" true
-    (config.Lint.r001_zone (Filename.concat sim "sweep.ml"));
-  Alcotest.(check bool) "transitive dependency is in zone" true
-    (config.Lint.r001_zone (Filename.concat net "state.ml"));
-  Alcotest.(check bool) "unreachable library is out of zone" false
-    (config.Lint.r001_zone (Filename.concat solo "quiet.ml"));
-  Alcotest.(check bool) "the executable's own dir is not a library zone" false
-    (config.Lint.r001_zone (Filename.concat bench "main.ml"))
 
 (* --- P001: Obj.magic -------------------------------------------------- *)
 
@@ -265,11 +213,11 @@ let test_p001_suppressed () =
     {|(* lint: allow P001 -- fixture: suppression still demands a reason *)
 let coerce x = Obj.magic x|}
 
-(* --- allowlist, interfaces, parse failures ---------------------------- *)
+(* --- allowlist, parse failures, coverage ------------------------------ *)
 
 let test_allowlist_grants () =
   let config =
-    { Lint.strict_config with Lint.allowlist = [ ("lib/fixture.ml", "D002") ] }
+    { T.strict_config with T.allow_grants = [ grant "lib/fixture.ml" "D002" ] }
   in
   check_hits ~config ~filename:"lib/fixture.ml" "granted file is clean" []
     fold_fixture;
@@ -282,8 +230,8 @@ let test_allowlist_grants () =
 let test_allowlist_grants_switchd_d003 () =
   let config =
     {
-      Lint.strict_config with
-      Lint.allowlist = [ ("bin/rcbr_switchd.ml", "D003") ];
+      T.strict_config with
+      T.allow_grants = [ grant "bin/rcbr_switchd.ml" "D003" ];
     }
   in
   let clock_fixture = {|let now () = Unix.gettimeofday ()|} in
@@ -295,12 +243,6 @@ let test_allowlist_grants_switchd_d003 () =
     "grant covers only D003" [ (1, "D001") ]
     {|let draw () = Random.float 1.0|}
 
-let test_mli_parses_as_interface () =
-  (* [val] is only legal in an interface: this proves the suffix routes
-     the source through [Parse.interface]. *)
-  check_hits ~filename:"lib/fixture.mli" "clean interface" []
-    {|val f : int -> int|}
-
 let test_parse_failure_reported () =
   match hits {|let = |} with
   | [ (_, "PARSE") ] -> ()
@@ -309,80 +251,53 @@ let test_parse_failure_reported () =
         (List.length other)
         (String.concat ", " (List.map snd other))
 
-(* The suppression grammar works in interfaces too: stage 1 routes
-   [.mli] sources through [Parse.interface] and scans the same comment
-   syntax, so an interface-level [open Random] can be waived in place. *)
-let test_mli_suppression () =
-  check_hits ~filename:"lib/fixture.mli" "open Random fires in an interface"
-    [ (1, "D001") ] {|open Random|};
-  check_hits ~filename:"lib/fixture.mli" "and is suppressible in place" []
-    {|(* lint: allow D001 -- fixture: interface-level waiver *)
-open Random|};
-  (* the id is spliced so this file's own lint scan never sees it *)
-  check_hits ~filename:"lib/fixture.mli" "unknown ids are errors there too"
-    [ (1, "SUPP") ]
-    ("(* lint: allow Z" ^ "001 -- fixture: no stage owns this id *)\n"
-   ^ "val f : int -> int")
-
-(* ===================================================================== *)
-(* Stage 2: the typed interprocedural analyzer (DESIGN.md §14).          *)
-(* Fixtures are typed in memory against the stdlib-only environment, so  *)
-(* each one is a single self-contained compilation unit named [Fix];     *)
-(* cross-module flow is exercised through nested modules, which go       *)
-(* through the same canonical-name resolution as real cross-unit refs.  *)
-(* ===================================================================== *)
-
-module T = Rcbr_tlint_core.Tlint
-module C = Rcbr_lint_core.Lint_common
-
-let thits ?(config = T.strict_config) src =
-  List.map
-    (fun v -> (v.C.line, v.C.rule))
-    (T.check_sources ~config [ ("Fix", "lib/fix.ml", src) ])
-
-let check_thits ?config msg expected src =
-  Alcotest.check pairs msg expected (thits ?config src)
-
-(* A fixture-local FNV mixer stands in for the repo's outcome hashes. *)
-let sink_cfg = { T.strict_config with T.sinks = [ "Fix.fnv" ] }
-
-(* --- rule inventory --------------------------------------------------- *)
-
-let test_typed_rule_inventory () =
-  let ids = List.map fst C.typed_rules in
-  List.iter
-    (fun r -> Alcotest.(check bool) (r ^ " listed") true (List.mem r ids))
-    [ "T001"; "T002"; "E001"; "U001"; "U002" ];
-  (* one vocabulary validates suppressions and grants for both stages *)
-  List.iter
-    (fun r ->
-      Alcotest.(check bool) (r ^ " in union") true (List.mem r C.all_rule_ids))
-    [ "D001"; "R001"; "T001"; "U002"; "PARSE"; "SUPP"; "GRANT" ]
+(* A source the build never typed is code the analyzer cannot see: the
+   coverage guard reports it rather than letting it vanish. *)
+let test_source_without_typed_tree () =
+  let root = Filename.temp_file "rcbr_cover" "" in
+  Sys.remove root;
+  Sys.mkdir root 0o755;
+  let src = Filename.concat root "orphan.ml" in
+  C.write_file src "let x = 1\n";
+  Fun.protect ~finally:(fun () ->
+      Sys.remove src;
+      Sys.rmdir root)
+  @@ fun () ->
+  let r = T.run_cmts ~config:T.strict_config ~roots:[ root ] [] in
+  Alcotest.check pairs "exactly the coverage violation" [ (1, "PARSE") ]
+    (List.map (fun v -> (v.C.line, v.C.rule)) r.T.violations);
+  Alcotest.(check (list string)) "on the unseen file" [ C.normalize src ]
+    (List.map (fun v -> v.C.file) r.T.violations)
 
 (* --- T001: determinism taint ------------------------------------------ *)
 
+(* A fixture-local FNV mixer stands in for the repo's outcome hashes.
+   The same recogniser drives D001-D003 and T001's sources, so a source
+   that reaches the sink reports twice: the occurrence, then the flow. *)
+let sink_cfg = { T.strict_config with T.sinks = [ "Fix.fnv" ] }
+
 let test_t001_fires () =
-  (* the ISSUE's seeded mutant: a wall-clock read folded into the hash *)
-  check_thits ~config:sink_cfg "Sys.time reaches the sink"
-    [ (2, "T001") ]
+  (* the seeded mutant: a wall-clock read folded into the hash *)
+  check_hits ~config:sink_cfg "Sys.time reaches the sink"
+    [ (2, "D003"); (2, "T001") ]
     {|let fnv h x = (h * 16777619) lxor x
 let bad () = fnv 0 (int_of_float (Sys.time ()))|}
 
 let test_t001_clean () =
-  check_thits ~config:sink_cfg "constant data is fine" []
+  check_hits ~config:sink_cfg "constant data is fine" []
     {|let fnv h x = (h * 16777619) lxor x
 let ok () = fnv 0 42|}
 
 let test_t001_interprocedural () =
   (* the source sits in another definition inside a nested module: the
      returns-taint fixpoint must carry it to the sink call site *)
-  check_thits ~config:sink_cfg "taint crosses definitions and modules"
-    [ (3, "T001") ]
+  check_hits ~config:sink_cfg "taint crosses definitions and modules"
+    [ (2, "D003"); (3, "T001") ]
     {|let fnv h x = (h * 16777619) lxor x
 module Clock = struct let now () = Sys.time () end
 let digest () = fnv 0 (int_of_float (Clock.now ()))|};
-  check_thits ~config:sink_cfg "and survives a two-hop chain"
-    [ (4, "T001") ]
+  check_hits ~config:sink_cfg "and survives a two-hop chain"
+    [ (2, "D003"); (4, "T001") ]
     {|let fnv h x = (h * 16777619) lxor x
 let jitter () = Sys.time ()
 let scaled () = jitter () *. 2.0
@@ -390,8 +305,8 @@ let out () = fnv 0 (int_of_float (scaled ()))|}
 
 let test_t001_hof_sink () =
   (* the megacall idiom: the sink is not applied, it is folded *)
-  check_thits ~config:sink_cfg "sink fed through List.fold_left"
-    [ (2, "T001") ]
+  check_hits ~config:sink_cfg "sink fed through List.fold_left"
+    [ (2, "D003"); (2, "T001") ]
     {|let fnv h x = (h * 16777619) lxor x
 let mix () = List.fold_left fnv 0 [ int_of_float (Sys.time ()) ]|}
 
@@ -400,14 +315,20 @@ let test_t001_order_source () =
     {|let fnv h x = (h * 16777619) lxor x
 let digest h = fnv 0 (Hashtbl.fold (fun k _ a -> a + k) h 0)|}
   in
-  check_thits ~config:sink_cfg "bucket order feeds the sink"
-    [ (2, "T001") ] fixture;
+  check_hits ~config:sink_cfg "bucket order feeds the sink"
+    [ (2, "D002"); (2, "T001") ]
+    fixture;
   let config = { sink_cfg with T.order_scope = (fun _ -> false) } in
-  check_thits ~config "out of order scope, no source" [] fixture;
-  let config = { sink_cfg with T.trusted = [ "Fix.Sorted." ] } in
-  check_thits ~config "folds inside a trusted wrapper are sanctioned" []
+  check_hits ~config "out of order scope, no source" [] fixture;
+  (* the Rcbr_util.Tables idiom: one waiver at the fold sanctions both
+     the occurrence and everything downstream of it *)
+  check_hits ~config:sink_cfg "a waived fold inside a sorting wrapper" []
     {|let fnv h x = (h * 16777619) lxor x
-module Sorted = struct let total h = Hashtbl.fold (fun k _ a -> a + k) h 0 end
+module Sorted = struct
+  let total h =
+    (* lint: allow D002, T001 -- fixture: sum is order-independent *)
+    Hashtbl.fold (fun k _ a -> a + k) h 0
+end
 let digest h = fnv 0 (Sorted.total h)|}
 
 let test_t001_random_exempt () =
@@ -415,19 +336,20 @@ let test_t001_random_exempt () =
     {|let fnv h x = (h * 16777619) lxor x
 let draw () = fnv 0 (Random.int 10)|}
   in
-  check_thits ~config:sink_cfg "Random taints by default"
-    [ (2, "T001") ] fixture;
+  check_hits ~config:sink_cfg "Random taints by default"
+    [ (2, "D001"); (2, "T001") ]
+    fixture;
   let config =
     { sink_cfg with T.random_exempt = (fun f -> f = "lib/fix.ml") }
   in
-  check_thits ~config "the sanctioned module may use Random" [] fixture
+  check_hits ~config "the sanctioned module may use Random" [] fixture
 
 let test_t001_source_suppression () =
   (* suppressing at the source line sanctions the source itself, so
      nothing downstream reports — the documented T001 semantics *)
-  check_thits ~config:sink_cfg "source-line waiver kills downstream" []
+  check_hits ~config:sink_cfg "source-line waiver kills downstream" []
     {|let fnv h x = (h * 16777619) lxor x
-(* lint: allow T001 -- fixture: sanctioned clock read *)
+(* lint: allow D003, T001 -- fixture: sanctioned clock read *)
 let t () = Sys.time ()
 let out () = fnv 0 (int_of_float (t ()))|}
 
@@ -435,42 +357,36 @@ let test_t001_allow_grant () =
   let config =
     {
       sink_cfg with
-      T.allow_grants =
-        [
-          {
-            C.g_file = "lib/fix.ml";
-            g_rule = "T001";
-            g_reason = "fixture";
-            g_line = 1;
-          };
-        ];
+      T.allow_grants = [ grant "lib/fix.ml" "D003"; grant "lib/fix.ml" "T001" ];
     }
   in
-  check_thits ~config "allowlist grant absorbs the report" []
+  check_hits ~config "allowlist grants absorb the reports" []
     {|let fnv h x = (h * 16777619) lxor x
 let bad () = fnv 0 (int_of_float (Sys.time ()))|}
 
 (* --- T002: address-based hash of a closure ---------------------------- *)
 
 let test_t002_fires () =
-  check_thits "Hashtbl.hash of a closure" [ (1, "T002") ]
+  check_hits "Hashtbl.hash of a closure" [ (1, "T002") ]
     {|let h = Hashtbl.hash (fun x -> x + 1)|}
 
 let test_t002_clean () =
-  check_thits "hashing plain data is fine" []
+  check_hits "hashing plain data is fine" []
     {|let h = Hashtbl.hash (42, "x")|}
 
 let test_t002_suppressed () =
-  check_thits "allow with reason" []
+  check_hits "allow with reason" []
     {|(* lint: allow T002 -- fixture: tag only feeds a debug label *)
 let h = Hashtbl.hash (fun x -> x + 1)|}
 
 (* --- E001: Pool escape ------------------------------------------------ *)
 
 (* A stub pool: the analysis keys on the configured spawn names, not on
-   the implementation, so [Array.map] stands in for the real thing. *)
+   the implementation, so [List.map]/[Array.map] stand in for the real
+   thing. *)
 let pool_stub =
   {|module Pool = struct
+  let map f xs = List.map f xs
   let map_array f xs = Array.map f xs
   let init n f = Array.init n f
 end|}
@@ -478,20 +394,41 @@ end|}
 let spawn_cfg =
   {
     T.strict_config with
-    T.spawns = [ ("Fix.Pool.map_array", 0); ("Fix.Pool.init", 1) ];
+    T.spawns =
+      [ ("Fix.Pool.map", 0); ("Fix.Pool.map_array", 0); ("Fix.Pool.init", 1) ];
   }
 
 let test_e001_closure_fires () =
-  (* the ISSUE's seeded mutant: a shared ref captured by the task *)
-  check_thits ~config:spawn_cfg "task closure writes a captured ref"
-    [ (6, "E001") ]
+  (* the seeded mutant: a shared ref captured by the task *)
+  check_hits ~config:spawn_cfg "task closure writes a captured ref"
+    [ (7, "E001") ]
     (pool_stub
     ^ {|
 let total = ref 0
 let run xs = Pool.map_array (fun x -> total := !total + x; x) xs|})
 
+(* Module-level mutable state of each kind, written from a Pool.map
+   task: a ref, a hash table, a record with a mutable field. *)
+let test_e001_module_state () =
+  check_hits ~config:spawn_cfg "top-level ref" [ (7, "E001") ]
+    (pool_stub
+    ^ {|
+let counter = ref 0
+let run xs = Pool.map (fun x -> incr counter; x) xs|});
+  check_hits ~config:spawn_cfg "top-level Hashtbl.create" [ (7, "E001") ]
+    (pool_stub
+    ^ {|
+let cache = Hashtbl.create 16
+let run xs = Pool.map (fun x -> Hashtbl.replace cache x (); x) xs|});
+  check_hits ~config:spawn_cfg "record with a mutable field" [ (8, "E001") ]
+    (pool_stub
+    ^ {|
+type t = { mutable hits : int }
+let stats = { hits = 0 }
+let run xs = Pool.map (fun x -> stats.hits <- stats.hits + x; x) xs|})
+
 let test_e001_local_state_clean () =
-  check_thits ~config:spawn_cfg "task-local state is fine" []
+  check_hits ~config:spawn_cfg "task-local state is fine" []
     (pool_stub
     ^ {|
 let run xs = Pool.map_array (fun x -> let r = ref 0 in r := x; !r) xs|})
@@ -499,13 +436,13 @@ let run xs = Pool.map_array (fun x -> let r = ref 0 in r := x; !r) xs|})
 let test_e001_partial_application () =
   (* a partially-applied argument is shared across tasks: writing it is
      an escape, writing the per-item argument is not *)
-  check_thits ~config:spawn_cfg "writing a partially-applied arg escapes"
-    [ (6, "E001") ]
+  check_hits ~config:spawn_cfg "writing a partially-applied arg escapes"
+    [ (7, "E001") ]
     (pool_stub
     ^ {|
 let bump acc x = acc := !acc + x; x
 let run xs = let acc = ref 0 in Pool.map_array (bump acc) xs|});
-  check_thits ~config:spawn_cfg "writing the per-item arg is allowed" []
+  check_hits ~config:spawn_cfg "writing the per-item arg is allowed" []
     (pool_stub
     ^ {|
 let reset (r : int ref) = r := 0
@@ -513,8 +450,8 @@ let run rs = Pool.map_array reset rs|})
 
 let test_e001_transitive () =
   (* the write hides one call deep: the writes-global summary carries it *)
-  check_thits ~config:spawn_cfg "task function writes a global via summary"
-    [ (7, "E001") ]
+  check_hits ~config:spawn_cfg "task function writes a global via summary"
+    [ (8, "E001") ]
     (pool_stub
     ^ {|
 let hits = ref 0
@@ -523,18 +460,66 @@ let run xs = Pool.map_array note xs|})
 
 let test_e001_domain_spawn () =
   let config = { T.strict_config with T.spawns = [ ("Domain.spawn", 0) ] } in
-  check_thits ~config "Domain.spawn closure writing captured state"
+  check_hits ~config "Domain.spawn closure writing captured state"
     [ (2, "E001") ]
     {|let flag = ref false
 let go () = Domain.spawn (fun () -> flag := true)|}
 
 let test_e001_suppressed () =
-  check_thits ~config:spawn_cfg "allow with reason" []
+  check_hits ~config:spawn_cfg "allow with reason" []
     (pool_stub
     ^ {|
 let total = ref 0
 (* lint: allow E001 -- fixture: the write is mutex-guarded elsewhere *)
 let run xs = Pool.map_array (fun x -> total := !total + x; x) xs|})
+
+(* --- R001, retired for E001 --------------------------------------------- *)
+
+(* R001 flagged module-level mutable state in Pool-reachable code by
+   shape alone.  E001 decides the same shapes by what a task writes;
+   these pin that R001's clean, out-of-zone and waived cases keep their
+   verdicts.  Its must-fire shapes are [test_e001_module_state]. *)
+
+let test_r001_clean () =
+  check_hits ~config:spawn_cfg "a fresh ref per call is fine" []
+    (pool_stub
+    ^ {|
+let fresh () = ref 0
+let run xs = Pool.map (fun x -> let r = fresh () in r := x; !r) xs|});
+  (* the lib/fault/injector.ml shape R001 misread as mutable *)
+  check_hits ~config:spawn_cfg "reading an immutable record is fine" []
+    (pool_stub
+    ^ {|
+type totals = { sent : int }
+let no_totals = { sent = 0 }
+let run xs = Pool.map (fun x -> x + no_totals.sent) xs|})
+
+let test_r001_out_of_zone () =
+  check_hits ~config:spawn_cfg "module-level state with no task is fine" []
+    {|let counter = ref 0
+let bump () = incr counter|};
+  check_hits ~config:spawn_cfg "state no task writes is fine" []
+    (pool_stub
+    ^ {|
+let counter = ref 0
+let bump () = incr counter
+let run xs = bump (); Pool.map (fun x -> x + !counter) xs|})
+
+let test_r001_suppressed () =
+  (* the Optimal.needed_rate_cache shape: a task reaches the memo write
+     one call deep, and the waiver sits at the spawn site *)
+  check_hits ~config:spawn_cfg "E001 waiver at the spawn site" []
+    (pool_stub
+    ^ {|
+let cache = ref []
+let memo x = cache := x :: !cache; x
+(* lint: allow E001 -- fixture: mutex-guarded, idempotent cache *)
+let run xs = Pool.map memo xs|});
+  (* the id is spliced so this file's own lint scan never sees it *)
+  check_hits ~config:spawn_cfg "an R001 waiver is an unknown id"
+    [ (1, "SUPP") ]
+    ("(* lint: allow R" ^ "001 -- fixture: mutex-guarded, idempotent cache *)\n"
+   ^ "let counter = ref 0")
 
 (* --- U001/U002: units of measure -------------------------------------- *)
 
@@ -561,47 +546,47 @@ let shift ~by x = x +. by
 type t = { mutable cap : float }|}
 
 let test_u001_fires () =
-  (* the ISSUE's seeded mutant: seconds + slots without a conversion *)
-  check_thits ~config:units_cfg "seconds + slots" [ (7, "U001") ]
+  (* the seeded mutant: seconds + slots without a conversion *)
+  check_hits ~config:units_cfg "seconds + slots" [ (7, "U001") ]
     (units_defs ^ {|
 let bad x = dur x +. len x|});
-  check_thits ~config:units_cfg "comparison across dimensions"
+  check_hits ~config:units_cfg "comparison across dimensions"
     [ (7, "U001") ]
     (units_defs ^ {|
 let c x = dur x < len x|});
-  check_thits ~config:units_cfg "min across dimensions" [ (7, "U001") ]
+  check_hits ~config:units_cfg "min across dimensions" [ (7, "U001") ]
     (units_defs ^ {|
-let m x = min (dur x) (len x)|})
+let m x = Float.min (dur x) (len x)|})
 
 let test_u001_clean () =
-  check_thits ~config:units_cfg "same dimension adds fine" []
+  check_hits ~config:units_cfg "same dimension adds fine" []
     (units_defs ^ {|
 let ok x = dur x +. dur x|});
-  check_thits ~config:units_cfg "multiply and divide combine dimensions" []
+  check_hits ~config:units_cfg "multiply and divide combine dimensions" []
     (units_defs ^ {|
 let bits x = bw x *. dur x
 let rate x = dur x /. len x|})
 
 let test_u002_fires () =
-  check_thits ~config:units_cfg "positional slot rejects slots for seconds"
+  check_hits ~config:units_cfg "positional slot rejects slots for seconds"
     [ (7, "U002") ]
     (units_defs ^ {|
 let b x = at (len x)|});
-  check_thits ~config:units_cfg "labelled slot rejects seconds for slots"
+  check_hits ~config:units_cfg "labelled slot rejects seconds for slots"
     [ (7, "U002") ]
     (units_defs ^ {|
 let s x = shift ~by:(dur x) (bw x)|});
-  check_thits ~config:units_cfg "record field rejects the wrong dimension"
+  check_hits ~config:units_cfg "record field rejects the wrong dimension"
     [ (7, "U002") ]
     (units_defs ^ {|
 let mk x = { cap = len x }|});
-  check_thits ~config:units_cfg "field assignment rejects it too"
+  check_hits ~config:units_cfg "field assignment rejects it too"
     [ (7, "U002") ]
     (units_defs ^ {|
 let set r x = r.cap <- len x|})
 
 let test_u002_clean () =
-  check_thits ~config:units_cfg "matching dimensions pass" []
+  check_hits ~config:units_cfg "matching dimensions pass" []
     (units_defs
     ^ {|
 let g x = at (dur x)
@@ -609,13 +594,13 @@ let s x = shift ~by:(len x) (bw x)
 let mk x = { cap = bw x }|})
 
 let test_u002_suppressed () =
-  check_thits ~config:units_cfg "allow with reason" []
+  check_hits ~config:units_cfg "allow with reason" []
     (units_defs
     ^ {|
 (* lint: allow U002 -- fixture: the slot count doubles as raw seconds here *)
 let b x = at (len x)|})
 
-(* --- typed-stage suppression plumbing --------------------------------- *)
+(* --- typed plumbing --------------------------------------------------- *)
 
 let test_typed_comma_list () =
   let config = { units_cfg with T.sinks = [ "Fix.fnv" ] } in
@@ -624,32 +609,27 @@ let test_typed_comma_list () =
 let dur x = float_of_int x
 let len x = float_of_int x|}
   in
-  check_thits ~config "two rules fire on one line"
-    [ (4, "T001"); (4, "U001") ]
+  check_hits ~config "three rules fire on one line"
+    [ (4, "D003"); (4, "T001"); (4, "U001") ]
     (body
     ^ {|
 let both t = fnv 0 (int_of_float (Sys.time () +. dur t +. len t))|});
-  check_thits ~config "one comma-separated comment silences both" []
+  check_hits ~config "one comma-separated comment silences all three" []
     (body
     ^ {|
-(* lint: allow T001, U001 -- fixture: one comment, two typed rules *)
+(* lint: allow D003, T001, U001 -- fixture: one comment, three rules *)
 let both t = fnv 0 (int_of_float (Sys.time () +. dur t +. len t))|})
 
 let test_typed_unknown_rule () =
   (* the id is spliced so this file's own lint scan never sees it *)
-  check_thits "unknown rule id is an error, not a no-op"
+  check_hits "unknown rule id is an error, not a no-op"
     [ (1, "SUPP") ]
     ("(* lint: allow T" ^ "999 -- fixture: nobody owns this id *)\n"
    ^ "let x = 1")
 
 let test_typed_type_failure () =
-  (* stage 2 sees full typing errors, not just parse errors *)
-  (match thits {|let = |} with
-  | [ (_, "PARSE") ] -> ()
-  | other ->
-      Alcotest.failf "expected one PARSE for a syntax error, got %d"
-        (List.length other));
-  match thits {|let x : int = 1.0|} with
+  (* full typing errors, not just parse errors, come back as PARSE *)
+  match hits {|let x : int = 1.0|} with
   | [ (_, "PARSE") ] -> ()
   | other ->
       Alcotest.failf "expected one PARSE for a type error, got %d"
@@ -659,9 +639,7 @@ let test_typed_type_failure () =
 
 let with_temp_allowlist contents f =
   let tmp = Filename.temp_file "rcbr_allow" ".txt" in
-  let oc = open_out tmp in
-  output_string oc contents;
-  close_out oc;
+  C.write_file tmp contents;
   Fun.protect ~finally:(fun () -> Sys.remove tmp) (fun () -> f tmp)
 
 let test_allowlist_loader () =
@@ -698,10 +676,9 @@ let test_dead_grants () =
     [
       g "lib/a.ml" "T001" 3;  (* absorbed something: alive *)
       g "lib/b.ml" "E001" 4;  (* absorbed nothing: dead *)
-      g "lib/c.ml" "D001" 5;  (* other stage's rule: not ours to judge *)
     ]
   in
-  match C.dead_grants ~own_rules:C.typed_rules ~allowlist_file:"allow" r grants with
+  match C.dead_grants ~allowlist_file:"allow" r grants with
   | [ v ] ->
       Alcotest.(check string) "dead grant reports as GRANT" "GRANT" v.C.rule;
       Alcotest.(check int) "at its own allowlist line" 4 v.C.line
@@ -754,14 +731,6 @@ let () =
           t "clean" test_f002_clean;
           t "suppressed" test_f002_suppressed;
         ] );
-      ( "r001",
-        [
-          t "fires" test_r001_fires;
-          t "clean" test_r001_clean;
-          t "out of zone" test_r001_out_of_zone;
-          t "suppressed" test_r001_suppressed;
-          t "zone is dune-graph transitive" test_r001_zone_transitive;
-        ] );
       ( "p001",
         [
           t "fires" test_p001_fires;
@@ -772,9 +741,8 @@ let () =
         [
           t "allowlist grants" test_allowlist_grants;
           t "allowlist grants switchd D003" test_allowlist_grants_switchd_d003;
-          t "mli parses as interface" test_mli_parses_as_interface;
-          t "mli suppressions" test_mli_suppression;
           t "parse failure reported" test_parse_failure_reported;
+          t "source without typed tree" test_source_without_typed_tree;
         ] );
       ( "typed inventory",
         [ t "typed rule inventory" test_typed_rule_inventory ] );
@@ -798,11 +766,18 @@ let () =
       ( "e001",
         [
           t "closure fires" test_e001_closure_fires;
+          t "module-level state" test_e001_module_state;
           t "local state clean" test_e001_local_state_clean;
           t "partial application" test_e001_partial_application;
           t "transitive write" test_e001_transitive;
           t "Domain.spawn" test_e001_domain_spawn;
           t "suppressed" test_e001_suppressed;
+        ] );
+      ( "r001",
+        [
+          t "clean" test_r001_clean;
+          t "out of zone" test_r001_out_of_zone;
+          t "suppressed" test_r001_suppressed;
         ] );
       ( "u001",
         [ t "fires" test_u001_fires; t "clean" test_u001_clean ] );

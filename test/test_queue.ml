@@ -389,6 +389,10 @@ let prop_infinite_buffer_no_loss =
 
 (* Times drawn from a mix of a continuum and a coarse lattice, so
    duplicate timestamps (the FIFO tie case) occur constantly. *)
+(* Wheel and heap pops are (time, payload) pairs. *)
+let same_entry (t1, v1) (t2, v2) = Float.equal t1 t2 && v1 = v2
+let same_pop = Option.equal same_entry
+
 let times_gen =
   QCheck.Gen.(
     list_size (int_range 0 300)
@@ -410,7 +414,7 @@ let prop_wheel_equals_heap =
       let rec drain ok =
         match (Wheel.pop w, Heap.pop h) with
         | None, None -> ok
-        | Some a, Some b -> drain (ok && a = b)
+        | Some a, Some b -> drain (ok && same_entry a b)
         | _ -> false
       in
       drain true)
@@ -448,13 +452,13 @@ let prop_wheel_equals_heap_interleaved =
               Heap.push h ~priority:t !seq;
               true
             end
-            else Wheel.pop w = Heap.pop h)
+            else same_pop (Wheel.pop w) (Heap.pop h))
           ops
       in
       let rec drain ok =
         match (Wheel.pop w, Heap.pop h) with
         | None, None -> ok
-        | Some a, Some b -> drain (ok && a = b)
+        | Some a, Some b -> drain (ok && same_entry a b)
         | _ -> false
       in
       drain ok)
@@ -513,11 +517,11 @@ let prop_wheel_cancel_model =
             alive := false
           end
           else if kind = 4 then
-            if Wheel.pop w <> model_pop () then ok := false)
+            if not (same_pop (Wheel.pop w) (model_pop ())) then ok := false)
         ops;
       let rec drain () =
         let a = Wheel.pop w and b = model_pop () in
-        if a <> b then ok := false;
+        if not (same_pop a b) then ok := false;
         if a <> None || b <> None then drain ()
       in
       drain ();

@@ -235,6 +235,8 @@ let test_smg_jobs_invariant () =
   let seq = with_jobs 1 sweep and par = with_jobs 4 sweep in
   (* Bit-identical, not approximately equal: the pool only reorders
      execution, never the pre-split rng streams or the reduction. *)
+  (* lint: allow F001 — the claim is equality of the whole result tuple;
+     a nan anywhere in it fails the check, which is what it should do *)
   Alcotest.(check bool) "rcbr/shared/loss/batch identical" true (seq = par)
 
 let test_smg_batch_matches_pointwise () =
@@ -242,8 +244,9 @@ let test_smg_batch_matches_pointwise () =
   let ns = [ 1; 4; 8 ] in
   with_jobs 4 @@ fun pool ->
   Alcotest.(check bool) "batched = pointwise" true
-    (Smg.min_capacities_rcbr ?pool c ~ns
-     = List.map (fun n -> Smg.min_capacity_rcbr ?pool c ~n) ns)
+    (List.equal Float.equal
+       (Smg.min_capacities_rcbr ?pool c ~ns)
+       (List.map (fun n -> Smg.min_capacity_rcbr ?pool c ~n) ns))
 
 let test_mbac_run_many_jobs_invariant () =
   let capacity = 16. *. Trace.mean_rate trace in

@@ -126,7 +126,7 @@ let test_synthetic_seed_changes () =
   let b = Synthetic.star_wars ~frames:1_000 ~seed:2 () in
   let same = ref 0 in
   for i = 0 to 999 do
-    if Trace.frame a i = Trace.frame b i then incr same
+    if Float.equal (Trace.frame a i) (Trace.frame b i) then incr same
   done;
   Alcotest.(check bool) "traces differ" true (!same < 10)
 
@@ -221,7 +221,7 @@ let arb_trace = QCheck.make trace_gen
 let prop_shift_roundtrip =
   QCheck.Test.make ~name:"shift by n is identity" ~count:100 arb_trace (fun t ->
       let s = Trace.shift t (Trace.length t) in
-      Array.for_all2 ( = ) (Trace.frames t) (Trace.frames s))
+      Array.for_all2 Float.equal (Trace.frames t) (Trace.frames s))
 
 let prop_window_max_monotone =
   QCheck.Test.make ~name:"window max is monotone in window" ~count:100 arb_trace

@@ -25,7 +25,7 @@ let test_rng_seed_sensitivity () =
   let a = Rng.create 1 and b = Rng.create 2 in
   let equal = ref 0 in
   for _ = 1 to 64 do
-    if Rng.float a = Rng.float b then incr equal
+    if Float.equal (Rng.float a) (Rng.float b) then incr equal
   done;
   Alcotest.(check bool) "streams differ" true (!equal < 4)
 
@@ -71,7 +71,7 @@ let test_rng_split_independent () =
   (* The child stream should not track the parent's continuation. *)
   let equal = ref 0 in
   for _ = 1 to 64 do
-    if Rng.float parent = Rng.float child then incr equal
+    if Float.equal (Rng.float parent) (Rng.float child) then incr equal
   done;
   Alcotest.(check bool) "split decorrelated" true (!equal < 4)
 
@@ -476,7 +476,9 @@ let prop_pool_map_equals_sequential =
     QCheck.(list (float_range (-1e6) 1e6))
     (fun xs ->
       let f x = (x *. 1.7) -. (x /. 3.) in
-      Pool.with_pool ~jobs:4 (fun pool -> Pool.map ~pool f xs) = List.map f xs)
+      List.equal Float.equal
+        (Pool.with_pool ~jobs:4 (fun pool -> Pool.map ~pool f xs))
+        (List.map f xs))
 
 (* Pre-split generators make randomized parallel tasks bit-identical to
    the sequential run — the pattern every lib/sim sweep relies on. *)
@@ -490,7 +492,7 @@ let prop_pool_presplit_rng_deterministic =
         let rngs = Array.init 8 (fun _ -> Rng.split master) in
         Pool.with_pool ~jobs (fun pool -> Pool.map_array ~pool task rngs)
       in
-      run 1 = run 4)
+      Array.for_all2 (Array.for_all2 Float.equal) (run 1) (run 4))
 
 (* --- Json --- *)
 
@@ -561,7 +563,7 @@ let prop_heap_sorts =
       let rec drain acc =
         match Heap.pop h with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
       in
-      drain [] = List.sort compare xs)
+      List.equal Float.equal (drain []) (List.sort Float.compare xs))
 
 let prop_quantile_bounds =
   QCheck.Test.make ~name:"quantile within min/max" ~count:200

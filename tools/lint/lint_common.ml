@@ -1,13 +1,10 @@
-(* Shared machinery for the two lint stages (DESIGN.md §8, §14).
+(* Reporting machinery of the determinism analyzer (DESIGN.md §14).
 
-   The syntactic stage (Lint, PR 4) and the typed interprocedural stage
-   (Tlint) report through the same violation type, honour the same
-   suppression grammar and allowlist format, and share the output
-   formats (text, JSON, SARIF) and the per-rule summary table.  Keeping
-   the grammar in one place is what makes a single inline comment able
-   to silence one rule from each stage — [(* lint: allow D002, T001 —
-   reason *)] — without the two binaries disagreeing about what it
-   means. *)
+   The rule registry, the violation type, the suppression grammar, the
+   allowlist format, the output formats (text, JSON, SARIF) and the
+   per-rule summary table live here, apart from the analysis passes in
+   Tlint, so the grammar that [(* lint: allow D002, T001 — reason *)]
+   follows is written down in exactly one place. *)
 
 type violation = {
   file : string;
@@ -16,25 +13,18 @@ type violation = {
   message : string;
 }
 
-(* --- rule registries -------------------------------------------------- *)
+(* --- rule registry ---------------------------------------------------- *)
 
-(* Both stages validate suppression comments and allowlist grants
-   against the union, so a file can suppress a typed rule without the
-   syntactic stage flagging the id as unknown (and vice versa). *)
-
-let syntactic_rules =
+(* Report order: the per-occurrence identifier rules, then the
+   whole-program passes. *)
+let rules =
   [
     ("D001", "no Random.* outside lib/util/rng.ml (use Rcbr_util.Rng)");
     ("D002", "no order-dependent Hashtbl.iter/fold in result-producing code");
     ("D003", "no wall-clock reads outside bench/");
-    ("F001", "no polymorphic =/compare/min/max on float-bearing operands");
+    ("F001", "no polymorphic =/compare/min/max instantiated at a float type");
     ("F002", "no comparison against nan (use Float.is_nan)");
-    ("R001", "no top-level mutable state in Pool-reachable libraries");
     ("P001", "no Obj.magic");
-  ]
-
-let typed_rules =
-  [
     ("T001", "no determinism source reaching an outcome hash or result sink");
     ("T002", "no address-based Hashtbl.hash on closures or mutable values");
     ("E001", "no shared mutable state written inside a Pool/Domain task");
@@ -50,8 +40,7 @@ let meta_rules =
     ("GRANT", "allowlist grant is dead (matches no occurrence) or invalid");
   ]
 
-let all_rule_ids =
-  List.map fst (syntactic_rules @ typed_rules @ meta_rules)
+let all_rule_ids = List.map fst (rules @ meta_rules)
 
 (* --- paths ------------------------------------------------------------ *)
 
@@ -83,9 +72,8 @@ let discover roots =
           if entry <> "_build" && entry.[0] <> '.' then
             walk (Filename.concat path entry))
         (Sys.readdir path)
-    else if
-      Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli"
-    then files := normalize path :: !files
+    else if Filename.check_suffix path ".ml" then
+      files := normalize path :: !files
   in
   List.iter (fun r -> if Sys.file_exists r then walk r) roots;
   List.sort compare !files
@@ -95,7 +83,7 @@ let discover roots =
 (* [(* lint: allow D002, T001 — reason *)] on the violation's own line
    or the line above.  The reason is mandatory: a bare [lint: allow
    D002] grants nothing, so every suppression in the tree documents
-   itself.  A rule id no stage knows is an error ([SUPP]), never a
+   itself.  An unknown rule id is an error ([SUPP]), never a
    silent no-op — a typo'd suppression that quietly grants nothing is
    worse than a loud one. *)
 
@@ -202,8 +190,8 @@ let scan_suppressions ~file source =
                       rule = "SUPP";
                       message =
                         Printf.sprintf
-                          "suppression references unknown rule id %s — no \
-                           lint stage owns it, so it would grant nothing"
+                          "suppression references unknown rule id %s, so it \
+                           would grant nothing"
                           r;
                     }
                     :: !errors
@@ -296,20 +284,17 @@ let sort_violations vs =
       | c -> c)
     vs
 
-(* Grants for rules the running stage owns that absorbed nothing this
-   run are dead: the occurrence they documented is gone, and leaving
-   them in place would silently cover the next occurrence, whatever it
-   is.  Grants for the other stage's rules are not ours to judge. *)
-let dead_grants ~own_rules ~allowlist_file rep grants =
-  let own = List.map fst own_rules in
+(* A grant that absorbed nothing this run is dead: the occurrence it
+   documented is gone, and leaving it in place would silently cover the
+   next occurrence, whatever it is. *)
+let dead_grants ~allowlist_file rep grants =
   List.filter_map
     (fun g ->
       if
-        List.mem g.g_rule own
-        && not
-             (List.exists
-                (fun (f, r) -> f = g.g_file && r = g.g_rule)
-                rep.grant_suppressed)
+        not
+          (List.exists
+             (fun (f, r) -> f = g.g_file && r = g.g_rule)
+             rep.grant_suppressed)
       then
         Some
           {
@@ -333,8 +318,8 @@ let print_text vs =
       Printf.printf "%s:%d:%s: %s\n" v.file v.line v.rule v.message)
     vs
 
-(* Hand-rolled emission so the lint stages depend on nothing but
-   compiler-libs (they lint the JSON library they would otherwise
+(* Hand-rolled emission so the analyzer depends on nothing but
+   compiler-libs (it lints the JSON library it would otherwise
    link). *)
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -352,11 +337,12 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let json_of_violations ~tool ~files_scanned vs =
+let json_of_violations ~files_scanned vs =
   let b = Buffer.create 1024 in
   Buffer.add_string b
-    (Printf.sprintf "{\"tool\":\"%s\",\"files_scanned\":%d,\"violations\":["
-       (json_escape tool) files_scanned);
+    (Printf.sprintf
+       "{\"tool\":\"rcbr_lint\",\"files_scanned\":%d,\"violations\":["
+       files_scanned);
   List.iteri
     (fun i v ->
       if i > 0 then Buffer.add_char b ',';
@@ -371,13 +357,12 @@ let json_of_violations ~tool ~files_scanned vs =
 
 (* Minimal SARIF 2.1.0: enough for GitHub code-scanning annotations
    (ruleId + message + physicalLocation with file/line). *)
-let sarif_of_violations ~tool ~rules vs =
+let sarif_of_violations vs =
   let b = Buffer.create 4096 in
   Buffer.add_string b
     "{\"$schema\":\"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",";
   Buffer.add_string b "\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{";
-  Buffer.add_string b
-    (Printf.sprintf "\"name\":\"%s\",\"rules\":[" (json_escape tool));
+  Buffer.add_string b "\"name\":\"rcbr_lint\",\"rules\":[";
   List.iteri
     (fun i (id, descr) ->
       if i > 0 then Buffer.add_char b ',';
@@ -403,7 +388,7 @@ let sarif_of_violations ~tool ~rules vs =
 
 let count p xs = List.length (List.filter p xs)
 
-let summary_table ~rules rep =
+let summary_table rep =
   let vs = rep.out in
   let b = Buffer.create 512 in
   Buffer.add_string b

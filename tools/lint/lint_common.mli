@@ -1,11 +1,9 @@
-(** Shared machinery for the two lint stages (DESIGN.md §8, §14).
-
-    The syntactic stage ({!module:Lint}, [rcbr_lint.exe]) and the typed
-    interprocedural stage ([Tlint], [rcbr_tlint.exe]) share one
-    violation type, one suppression grammar, one allowlist format, the
-    report formats (text / JSON / SARIF) and the per-rule summary
-    table.  A single inline comment can therefore silence one rule from
-    each stage — [(* lint: allow D002, T001 — reason *)]. *)
+(** Reporting machinery of the determinism analyzer ({!Tlint},
+    DESIGN.md §14): the rule registry, one violation type, one
+    suppression grammar, one allowlist format, the report formats (text
+    / JSON / SARIF) and the per-rule summary table.  One inline comment
+    can silence several rules at once —
+    [(* lint: allow D002, T001 — reason *)]. *)
 
 type violation = {
   file : string;
@@ -14,19 +12,18 @@ type violation = {
   message : string;
 }
 
-val syntactic_rules : (string * string) list
-(** Rules of the parsetree stage: D001–D003, F001–F002, R001, P001. *)
-
-val typed_rules : (string * string) list
-(** Rules of the [.cmt] stage: T001–T002 (determinism taint), E001
-    (Pool escape), U001–U002 (units of measure). *)
+val rules : (string * string) list
+(** [(id, one-line description)] for every rule, in report order:
+    D001–D003, F001–F002, P001 (per occurrence), then T001–T002
+    (determinism taint), E001 (Pool escape), U001–U002 (units of
+    measure). *)
 
 val meta_rules : (string * string) list
 (** PARSE / SUPP / GRANT — harness diagnostics, not suppressible. *)
 
 val all_rule_ids : string list
-(** Union of every stage's ids plus the meta ids; the vocabulary
-    suppression comments and allowlist grants are validated against. *)
+(** Every rule id plus the meta ids; the vocabulary suppression
+    comments and allowlist grants are validated against. *)
 
 (** {1 Paths and files} *)
 
@@ -35,7 +32,7 @@ val has_prefix : prefix:string -> string -> bool
 val read_file : string -> string
 
 val discover : string list -> string list
-(** Recursively collect the [.ml]/[.mli] files under the roots, sorted;
+(** Recursively collect the [.ml] files under the roots, sorted;
     [_build] and dot-directories are skipped. *)
 
 (** {1 Suppressions} *)
@@ -43,7 +40,7 @@ val discover : string list -> string list
 type suppressions = {
   grants : (int * string) list;  (** (line, rule) inline grants *)
   supp_errors : violation list;
-      (** [SUPP] violations for rule ids no stage knows — a typo'd
+      (** [SUPP] violations for unknown rule ids — a typo'd
           suppression is an error, never a silent no-op *)
 }
 
@@ -96,30 +93,23 @@ val sort_violations : violation list -> violation list
 (** Stable report order: file, then line, then (rule, message). *)
 
 val dead_grants :
-  own_rules:(string * string) list ->
-  allowlist_file:string ->
-  reporter ->
-  grant list ->
-  violation list
-(** [GRANT] violations for allowlist entries naming rules of the
-    running stage that absorbed nothing this run (satellite: dead
-    grants rot silently otherwise).  Grants for the other stage's
-    rules are ignored. *)
+  allowlist_file:string -> reporter -> grant list -> violation list
+(** [GRANT] violations for allowlist entries that absorbed nothing
+    this run (dead grants rot silently otherwise). *)
 
 (** {1 Output} *)
 
 val print_text : violation list -> unit
 
 val json_of_violations :
-  tool:string -> files_scanned:int -> violation list -> string
+  files_scanned:int -> violation list -> string
 
-val sarif_of_violations :
-  tool:string -> rules:(string * string) list -> violation list -> string
+val sarif_of_violations : violation list -> string
 (** Minimal SARIF 2.1.0 — enough for GitHub code-scanning annotations
     (ruleId, message, file, startLine). *)
 
-val summary_table : rules:(string * string) list -> reporter -> string
+val summary_table : reporter -> string
 (** Per-rule findings / inline suppressions / allowlist absorptions,
-    one row per stage rule (meta rules only when they fired). *)
+    one row per rule (meta rules only when they fired). *)
 
 val write_file : string -> string -> unit

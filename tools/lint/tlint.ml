@@ -1,15 +1,18 @@
-(* Typed interprocedural analysis over .cmt trees — stage 2 of the lint
-   pipeline (DESIGN.md §14).
+(* The determinism analyzer (DESIGN.md §14): typed, interprocedural,
+   over the .cmt trees dune writes for every source.
 
-   Where stage 1 (Lint) pattern-matches the parsetree of one file at a
-   time, this stage loads the typed trees dune already produced, builds
-   a cross-module definition table and call graph, and runs three
-   passes:
+   It builds a cross-module definition table and call graph and runs
+   four passes:
 
-   - determinism taint (T001/T002): sources (Random outside Rng,
-     wall-clock reads, Hashtbl bucket order, Domain.self, Hashtbl.hash
-     of closures) propagated through let-bindings, control flow and
-     calls until they reach a sink (FNV outcome hashes, Json emission);
+   - identifier rules at every occurrence: D001-D003 at each
+     determinism source (Random outside Rng, wall-clock reads,
+     Hashtbl bucket order), F001 at a polymorphic comparison
+     instantiated at a float-bearing type, F002 at a comparison against
+     nan, P001 at Obj.magic;
+   - determinism taint (T001/T002): the same sources plus Domain.self
+     and Hashtbl.hash of closures, propagated through let-bindings,
+     control flow and calls until they reach a sink (FNV outcome
+     hashes, Json emission);
    - Pool escape analysis (E001): mutable state written from inside a
      Pool/Domain task, through literal closures or partially-applied
      functions, using per-definition writes-global / writes-param
@@ -19,10 +22,10 @@
      checking arithmetic, comparisons, record fields and annotated
      calls.
 
-   All reporting goes through Lint_common, so suppression comments and
-   the allowlist work exactly as in stage 1. *)
+   All reporting goes through Lint_common, so one suppression grammar
+   and one allowlist cover every rule. *)
 
-module C = Rcbr_lint_core.Lint_common
+module C = Lint_common
 open Typedtree
 
 (* ------------------------------------------------------------------ *)
@@ -223,7 +226,6 @@ type config = {
   random_exempt : string -> bool;  (* file may use Random directly *)
   clock_exempt : string -> bool;  (* file may read the wall clock *)
   order_scope : string -> bool;  (* Hashtbl order is a source here *)
-  trusted : string list;  (* def-name prefixes exempt from order taint *)
   sinks : string list;  (* canonical sink functions (T001) *)
   spawns : (string * int) list;  (* spawn fn, task-arg Nolabel index *)
   mutators : (string * int) list;  (* extra mutators: fn, mutated arg *)
@@ -236,7 +238,6 @@ let strict_config =
     random_exempt = (fun _ -> false);
     clock_exempt = (fun _ -> false);
     order_scope = (fun _ -> true);
-    trusted = [];
     sinks = [];
     spawns = [];
     mutators = [];
@@ -253,7 +254,6 @@ let repo_config ?(units = []) ?(allow_grants = []) () =
         C.has_prefix ~prefix:"lib/" f
         || C.has_prefix ~prefix:"bin/" f
         || C.has_prefix ~prefix:"bench/" f);
-    trusted = [ "Rcbr_util.Tables." ];
     sinks =
       [
         "Rcbr_wire.Loadgen.outcome_hash";
@@ -539,30 +539,32 @@ let file_report st u ~line ~rule msg =
     C.report st.rep ~supps:u.u_supps.C.grants ~allowlist:st.cfg.allow_grants
       ~file:u.u_file ~line ~rule msg
 
-(* Recognize a determinism source by canonical name; suppressing T001
-   at the source line kills the taint itself. *)
-let source_of st u ~def_name ~line (n : string) : string option =
+let wall_clocks =
+  [ "Sys.time"; "Unix.gettimeofday"; "Unix.time"; "Unix.gmtime";
+    "Unix.localtime" ]
+
+(* The determinism sources, by canonical name and the file's scope:
+   (the D rule reporting each occurrence, if any; what the source is).
+   Every one of them is a T001 taint source. *)
+let classify_source st u (n : string) =
   let sn = strip_stdlib n in
-  let hit what =
-    if absorbed_at st u ~line ~rule:"T001" then None
-    else Some (Printf.sprintf "%s (%s:%d)" what u.u_file line)
-  in
   if C.has_prefix ~prefix:"Random." sn && not (st.cfg.random_exempt u.u_file)
-  then hit ("Random source " ^ sn)
-  else if
-    List.mem sn [ "Sys.time"; "Unix.gettimeofday"; "Unix.time" ]
-    && not (st.cfg.clock_exempt u.u_file)
-  then hit ("wall-clock read " ^ sn)
-  else if sn = "Domain.self" then hit "Domain.self"
+  then Some (Some "D001", "Random source " ^ sn)
+  else if List.mem sn wall_clocks && not (st.cfg.clock_exempt u.u_file) then
+    Some (Some "D003", "wall-clock read " ^ sn)
   else if
     List.mem sn [ "Hashtbl.fold"; "Hashtbl.iter" ]
     && st.cfg.order_scope u.u_file
-    && not
-         (List.exists
-            (fun p -> C.has_prefix ~prefix:p def_name)
-            st.cfg.trusted)
-  then hit ("bucket-order-dependent " ^ sn)
+  then Some (Some "D002", "bucket-order-dependent " ^ sn)
+  else if sn = "Domain.self" then Some (None, "Domain.self")
   else None
+
+(* Suppressing T001 at the source line kills the taint itself. *)
+let source_of st u ~line (n : string) : string option =
+  match classify_source st u n with
+  | Some (_, what) when not (absorbed_at st u ~line ~rule:"T001") ->
+      Some (Printf.sprintf "%s (%s:%d)" what u.u_file line)
+  | _ -> None
 
 let join a b = match a with Some _ -> a | None -> b
 
@@ -580,8 +582,8 @@ let is_sink st u f_expr =
 (* Value-level taint with let/match binding and control-dependence
    joins; [check] additionally fires T001 at sink arguments, T002 at
    closure hashes, and E001 at spawn sites. *)
-let rec taint st u ~def_name env (e : expression) : string option =
-  let self = taint st u ~def_name env in
+let rec taint st u env (e : expression) : string option =
+  let self = taint st u env in
   match e.exp_desc with
   | Texp_ident (p, _, _) -> (
       match p with
@@ -592,9 +594,8 @@ let rec taint st u ~def_name env (e : expression) : string option =
           | Some d ->
               Option.map (fun w -> w ^ " via " ^ d.d_name) d.d_taint
           | None ->
-              source_of st u ~def_name ~line:(line_of e.exp_loc)
-                (canon_name u p)))
-  | Texp_apply (f, args) -> taint_apply st u ~def_name env e f args
+              source_of st u ~line:(line_of e.exp_loc) (canon_name u p)))
+  | Texp_apply (f, args) -> taint_apply st u env e f args
   | Texp_let (_, vbs, body) ->
       List.iter
         (fun vb ->
@@ -645,8 +646,8 @@ let rec taint st u ~def_name env (e : expression) : string option =
         (fun acc x -> join acc (self x))
         None (immediate_subexprs e)
 
-and taint_apply st u ~def_name env e f args =
-  let self = taint st u ~def_name env in
+and taint_apply st u env e f args =
+  let self = taint st u env in
   let arg_taints =
     List.map
       (fun (_, a) -> match a with Some a -> self a | None -> None)
@@ -721,11 +722,102 @@ and taint_apply st u ~def_name env e f args =
             | Some d ->
                 Option.map (fun w -> w ^ " via " ^ d.d_name) d.d_taint
             | None ->
-                source_of st u ~def_name ~line:(line_of e.exp_loc)
-                  (canon_name u p)))
+                source_of st u ~line:(line_of e.exp_loc) (canon_name u p)))
     | _ -> self f
   in
   join t002 (join from_f from_args)
+
+(* ------------------------------------------------------------------ *)
+(* Identifier rules (D001-D003, F001, F002, P001)                      *)
+(* ------------------------------------------------------------------ *)
+
+let d_advice = function
+  | "D001" ->
+      "— all randomness must flow through Rcbr_util.Rng (splittable, \
+       replayable)"
+  | "D002" ->
+      "in a result path — iterate in sorted key order (Rcbr_util.Tables) or \
+       suppress with a reason"
+  | _ -> "outside bench/ breaks replayability — take time as an input"
+
+let poly_cmps = [ "="; "<>"; "compare"; "min"; "max" ]
+let nan_cmps = [ "="; "<>"; "<"; ">"; "<="; ">="; "=="; "!="; "compare" ]
+
+(* float, or a tuple or type application with a float inside.  Type
+   abbreviations are not expanded: a .cmt keeps only environment
+   summaries, not an environment to expand them in. *)
+let rec float_bearing ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, args, _) ->
+      Path.same p Predef.path_float || List.exists float_bearing args
+  | Types.Ttuple ts -> List.exists float_bearing ts
+  | _ -> false
+
+(* [x = []] or [o <> None] decides a shape, never a float ordering. *)
+let is_constant_constructor (e : expression) =
+  match e.exp_desc with
+  | Texp_construct (_, _, []) | Texp_variant (_, None) -> true
+  | _ -> false
+
+(* Every identifier occurrence in the unit, applied or passed as a
+   value: [List.fold_left max 0. xs] instantiates [max] at float just
+   as [max a b] does. *)
+let check_idents st u =
+  let report (loc : Location.t) rule msg =
+    file_report st u ~line:(line_of loc) ~rule msg
+  in
+  let is_nan (a : expression) =
+    match a.exp_desc with
+    | Texp_ident (q, _, _) ->
+        List.mem (canon_name u q) [ "Stdlib.nan"; "Stdlib.Float.nan" ]
+    | _ -> false
+  in
+  let ident ~at (f : expression) p args =
+    let n = canon_name u p in
+    let sn = strip_stdlib n in
+    (match classify_source st u n with
+    | Some (Some rule, what) ->
+        report f.exp_loc rule (what ^ " " ^ d_advice rule)
+    | _ -> ());
+    if sn = "Obj.magic" then
+      report f.exp_loc "P001"
+        "Obj.magic defeats the type system — no use is admissible here";
+    if C.has_prefix ~prefix:"Stdlib." n then
+      if List.mem sn nan_cmps && List.exists is_nan args then
+        report at "F002"
+          (Printf.sprintf
+             "comparison (%s) against nan is always false/unspecified — use \
+              Float.is_nan"
+             sn)
+      else if
+        List.mem sn poly_cmps
+        && not (List.exists is_constant_constructor args)
+      then
+        match Types.get_desc f.exp_type with
+        | Types.Tarrow (_, operand, _, _) when float_bearing operand ->
+            report at "F001"
+              (Format.asprintf
+                 "polymorphic %s instantiated at %a — use Float.%s" sn
+                 Printtyp.type_expr operand
+                 (if sn = "<>" then "equal (negated)"
+                  else if sn = "=" then "equal"
+                  else sn))
+        | _ -> ()
+  in
+  let iter =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun self e ->
+          match e.exp_desc with
+          | Texp_apply (({ exp_desc = Texp_ident (p, _, _); _ } as f), args) ->
+              ident ~at:e.exp_loc f p (List.filter_map snd args);
+              List.iter (fun (_, a) -> Option.iter (self.expr self) a) args
+          | Texp_ident (p, _, _) -> ident ~at:e.exp_loc e p []
+          | _ -> Tast_iterator.default_iterator.expr self e);
+    }
+  in
+  iter.structure iter u.u_str
 
 (* ------------------------------------------------------------------ *)
 (* Escape analysis (E001)                                              *)
@@ -1281,7 +1373,7 @@ let run_fixpoints st defs =
       (fun d ->
         if d.d_taint = None then begin
           let env = Hashtbl.create 32 in
-          match taint st d.d_u ~def_name:d.d_name env d.d_body with
+          match taint st d.d_u env d.d_body with
           | Some w ->
               d.d_taint <- Some w;
               changed := true
@@ -1322,7 +1414,7 @@ let check_units st d =
 
 let check_def st d =
   let env = Hashtbl.create 32 in
-  ignore (taint st d.d_u ~def_name:d.d_name env d.d_body : string option);
+  ignore (taint st d.d_u env d.d_body : string option);
   check_spawns st d.d_u d.d_body;
   if Hashtbl.length st.units_tbl > 0 then check_units st d
 
@@ -1348,6 +1440,7 @@ let analyze ~config (units : unit_info list) : C.reporter =
     (fun u -> List.iter (C.raw st.rep) u.u_supps.C.supp_errors)
     units;
   List.iter (check_def st) defs;
+  List.iter (check_idents st) units;
   st.rep
 
 let make_unit ~modname ~filename ~source (str : Typedtree.structure) =
@@ -1360,12 +1453,13 @@ let make_unit ~modname ~filename ~source (str : Typedtree.structure) =
     u_str = str;
   }
 
-(* Type a source held in memory against the stdlib-only initial
-   environment — the fixture entry point used by test/test_lint.ml.
-   Typing or parse errors come back as a PARSE violation. *)
+(* Type a source held in memory against the stdlib environment plus
+   [Unix] — the fixture entry point used by test/test_lint.ml.  Typing
+   or parse errors come back as a PARSE violation. *)
 let type_source ~modname ~filename source :
     (unit_info, C.violation) Stdlib.result =
   try
+    Clflags.include_dirs := [ "+unix" ];
     Compmisc.init_path ();
     Env.set_unit_name modname;
     let env = Compmisc.initial_env () in
@@ -1406,7 +1500,7 @@ let check_sources ~config (srcs : (string * string * string) list) :
 (* Load one .cmt produced by dune; [scope_ok] filters by the
    repo-relative source path recorded in it.  Suppression comments are
    read back from the source file (present next to the build tree —
-   the @tlint rule runs in _build/default where dune copied them). *)
+   the @lint rule runs in _build/default where dune copied them). *)
 let load_cmt ~scope_ok path : unit_info option =
   let info = Cmt_format.read_cmt path in
   match (info.Cmt_format.cmt_annots, info.Cmt_format.cmt_sourcefile) with
@@ -1426,13 +1520,18 @@ type result = {
 }
 
 (* Analyze a set of .cmt files (unreadable ones are skipped; duplicate
-   module names keep the first occurrence). *)
-let run_cmts ~config ~scope_ok (cmt_paths : string list) : result =
+   module names keep the first occurrence), then hold the loaded trees
+   against the sources: a .ml under the roots that no tree covers is
+   code the analyzer never saw, and that fails the gate too. *)
+let run_cmts ~config ~roots (cmt_paths : string list) : result =
+  let under_roots f =
+    List.exists (fun r -> C.has_prefix ~prefix:(C.normalize r ^ "/") f) roots
+  in
   let seen = Hashtbl.create 64 in
   let units =
     List.filter_map
       (fun p ->
-        match (try load_cmt ~scope_ok p with _ -> None) with
+        match (try load_cmt ~scope_ok:under_roots p with _ -> None) with
         | Some u when not (Hashtbl.mem seen u.u_mod) ->
             Hashtbl.replace seen u.u_mod ();
             Some u
@@ -1440,6 +1539,20 @@ let run_cmts ~config ~scope_ok (cmt_paths : string list) : result =
       cmt_paths
   in
   let rep = analyze ~config units in
+  List.iter
+    (fun file ->
+      if not (List.exists (fun u -> u.u_file = file) units) then
+        C.raw rep
+          {
+            C.file;
+            line = 1;
+            rule = "PARSE";
+            message =
+              "no typed tree (.cmt) was loaded for this source, so the \
+               analyzer cannot see it — no stanza compiles it, its .cmt is \
+               missing, or another unit has the same module name";
+          })
+    (C.discover roots);
   {
     violations = C.sort_violations rep.C.out;
     units_scanned = List.length units;

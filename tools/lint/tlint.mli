@@ -1,26 +1,34 @@
-(** [rcbr_tlint]: typed interprocedural analysis over [.cmt] trees,
-    stage 2 of the lint pipeline (DESIGN.md §14).
+(** [rcbr_lint]: the determinism analyzer (DESIGN.md §14), typed and
+    interprocedural, over the [.cmt] trees.
 
     The analyzer loads every typed tree dune produced for [lib/],
     [bin/], [bench/] and [test/], resolves references through the
     repo's local-module-alias idiom ([module Pool = Rcbr_util.Pool]),
-    builds a cross-module definition table, and runs three passes:
+    builds a cross-module definition table, and runs four passes:
 
-    - {b T001/T002 — determinism taint.}  Sources ([Random.*] outside
-      [Rcbr_util.Rng], wall-clock reads outside [bench/], [Domain.self],
-      bucket-order-dependent [Hashtbl.iter]/[fold] outside
-      [Rcbr_util.Tables], [Hashtbl.hash] of a closure) are propagated
+    - {b D001–D003, F001, F002, P001 — identifier rules}, at every
+      occurrence.  D001–D003 report the determinism sources T001
+      starts from, one recogniser for both: [Random.*] outside
+      [Rcbr_util.Rng] (D001), bucket-order-dependent
+      [Hashtbl.iter]/[fold] in result-producing code (D002), wall-clock
+      reads outside [bench/] (D003).  F001 fires on [Stdlib]
+      [=]/[<>]/[compare]/[min]/[max] whose instantiated operand type is
+      [float] or a tuple or type application containing [float] —
+      applied or passed as a value — unless an operand is a constant
+      constructor ([[]], [None]); type abbreviations are not expanded
+      (a [.cmt] keeps only environment summaries).
+      F002 fires on a comparison against [nan], P001 on [Obj.magic].
+
+    - {b T001/T002 — determinism taint.}  The D001–D003 sources plus
+      [Domain.self] and [Hashtbl.hash] of a closure are propagated
       through let-bindings, control dependence and calls (a
       returns-taint fixpoint over the call graph) until they reach a
       sink — the FNV outcome hashes or Json emission — either as a
       direct argument or through a higher-order call.  Suppressing
       T001 at the {e source} line sanctions that source and kills all
-      downstream reports from it.  The syntactic rules D001–D003 are
-      this pass's fast-path pre-checks: they flag plain spellings at
-      parse time; this pass follows the same facts across modules.
-      The taint is value-level: flows through mutable cells
-      (accumulating into a [ref]/array, then reading it back) are not
-      tracked.
+      downstream reports from it.  The taint is value-level: flows
+      through mutable cells (accumulating into a [ref]/array, then
+      reading it back) are not tracked.
 
     - {b E001 — Pool escape.}  At each spawn site ([Pool.map],
       [Pool.map_array], [Pool.init], [Domain.spawn]) a literal task
@@ -29,8 +37,7 @@
       any of its partially-applied (hence task-shared) arguments —
       established via per-definition writes-global / writes-param
       summaries computed to fixpoint.  Writing the task's own per-item
-      argument is allowed.  This supersedes the syntactic R001, which
-      only sees top-level mutable state in one file at a time.
+      argument is allowed.
 
     - {b U001/U002 — units of measure.}  A dimension lattice over
       seconds, slots, cells, bits, bytes and calls, seeded from
@@ -67,9 +74,6 @@ type config = {
   random_exempt : string -> bool;  (** file may use [Random] directly *)
   clock_exempt : string -> bool;  (** file may read the wall clock *)
   order_scope : string -> bool;  (** Hashtbl order is a source here *)
-  trusted : string list;
-      (** canonical def-name prefixes whose bodies are exempt from
-          order-taint sources (e.g. ["Rcbr_util.Tables."]) *)
   sinks : string list;  (** canonical sink functions (T001) *)
   spawns : (string * int) list;
       (** spawn function, task-argument index among [Nolabel] args *)
@@ -77,42 +81,45 @@ type config = {
       (** extra mutators beyond the stdlib table: function, index of
           the mutated [Nolabel] argument *)
   units : (string * dtype) list;  (** units.map contents *)
-  allow_grants : Rcbr_lint_core.Lint_common.grant list;
+  allow_grants : Lint_common.grant list;
 }
 
 val strict_config : config
-(** Everything in scope, nothing exempt or trusted, no sinks, spawns
-    or units — fixtures add exactly what they exercise. *)
+(** Everything in scope, nothing exempt, no sinks, spawns or units —
+    fixtures add exactly what they exercise. *)
 
 val repo_config :
   ?units:(string * dtype) list ->
-  ?allow_grants:Rcbr_lint_core.Lint_common.grant list ->
+  ?allow_grants:Lint_common.grant list ->
   unit ->
   config
 (** The repo policy: [Rng] may use [Random], [bench/] may read the
-    clock, order matters in [lib/ bin/ bench/], [Tables] is trusted,
-    sinks are the FNV outcome hashes and Json emission, spawn points
-    are the [Pool] entry points and [Domain.spawn]. *)
+    clock, order matters in [lib/ bin/ bench/], sinks are the FNV
+    outcome hashes and Json emission, spawn points are the [Pool] entry
+    points and [Domain.spawn]. *)
 
 (** {1 Entry points} *)
 
 val check_sources :
   config:config ->
   (string * string * string) list ->
-  Rcbr_lint_core.Lint_common.violation list
+  Lint_common.violation list
 (** [(modname, filename, source)] units are typed in memory against
-    the stdlib-only environment ([Compmisc]/[Typemod]) and analyzed
+    the stdlib environment plus [Unix] ([Compmisc]/[Typemod]) and analyzed
     together, so fixtures exercise the cross-definition machinery.
     Typing failures become PARSE violations; results are sorted. *)
 
 type result = {
-  violations : Rcbr_lint_core.Lint_common.violation list;
+  violations : Lint_common.violation list;
   units_scanned : int;
-  reporter : Rcbr_lint_core.Lint_common.reporter;
+  reporter : Lint_common.reporter;
       (** for the summary table and dead-grant check *)
 }
 
-val run_cmts : config:config -> scope_ok:(string -> bool) -> string list -> result
-(** Analyze the given [.cmt] files together ([scope_ok] filters by the
-    repo-relative source path recorded in each; unreadable files and
-    duplicate module names are skipped). *)
+val run_cmts :
+  config:config -> roots:string list -> string list -> result
+(** Analyze the given [.cmt] files together — those whose recorded
+    source path lies under one of [roots]; unreadable files and
+    duplicate module names are skipped — then report, as [PARSE], each
+    [.ml] that {!Lint_common.discover} lists under [roots] but no
+    loaded tree covers. *)

@@ -133,14 +133,13 @@ let run seed frames cost_ratio capacity_mult load target controller_name
       {
         cfg with
         Mbac.faults =
-          Some
-            {
-              Session.no_faults with
-              Session.rm_drop;
-              retx_timeout = rm_timeout;
-              max_retransmits = rm_max_retx;
-              fault_seed = seed + 2;
-            };
+          {
+            Session.no_faults with
+            Session.rm_drop;
+            retx_timeout = rm_timeout;
+            max_retransmits = rm_max_retx;
+            fault_seed = seed + 2;
+          };
       }
   in
   let controller =

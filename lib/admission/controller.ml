@@ -55,9 +55,6 @@ type stats = {
 type t = {
   name : string;
   kind : kind;
-  mutable service : Service_model.t;
-      (* what [decide] does when the Chernoff gate admits but the
-         demanded rate does not fit (DESIGN.md §15) *)
   calls : (int, call_state) Hashtbl.t;
   (* Level table: rate values interned in first-seen order. *)
   mutable values : float array;
@@ -89,11 +86,6 @@ type t = {
 
 let name t = t.name
 let n_in_system t = Hashtbl.length t.calls
-let service t = t.service
-
-let set_service t service =
-  Service_model.validate service;
-  t.service <- service
 
 let stats t =
   {
@@ -263,38 +255,27 @@ let admit t ~now =
   | Memoryless { capacity; target } | Memory { capacity; target } ->
       record t (chernoff_admit t ~now ~capacity ~target)
 
-(* --- service-model admission (DESIGN.md §15) ------------------------ *)
+(* --- service-model placement (DESIGN.md §15) ------------------------ *)
 
-type admission = Blocked | Admit of { granted : float; tier : int; downgraded : bool }
-
-(* Admission under the controller's service model.  The statistical
-   Chernoff gate runs first under every model — exactly one [record],
-   so under [Renegotiate] the decision sequence (and hence
-   [decision_hash]) is the seed's [admit] verbatim.  Under [Downgrade]
-   an admitted call whose demanded rate does not [fits] walks the
-   ladder; a call that fits at no tier is Blocked (new calls hold no
-   floor right — only established calls settle, see [Store.decide])
-   and the capacity rejection is recorded as an extra deny so the hash
-   covers it.  [Mts_profile] polices established traffic only, so
-   arrivals behave as [Renegotiate]. *)
-let decide t ~now ~demanded ~fits =
-  match t.service with
-  | Service_model.Renegotiate | Service_model.Mts_profile _ ->
-      if admit t ~now then Admit { granted = demanded; tier = -1; downgraded = false }
-      else Blocked
+(* Where an admitted call lands under the service model.  The engine
+   ran the Chernoff gate first ([admit], one [record]) and drew the
+   call only when it admitted, so under every model but [Downgrade]
+   this is a full grant and [fits] is never probed.  Under [Downgrade]
+   a call that does not [fits] at its demanded rate walks the ladder;
+   one that fits at no tier gets [Settle_floor], which blocks it (new
+   calls hold no floor right — only established calls settle, see
+   [Store.decide]), and the capacity rejection is recorded as an extra
+   deny so the hash covers it.  [Mts_profile] polices established
+   traffic only. *)
+let place t (model : Service_model.t) ~demanded ~fits =
+  match model with
+  | Service_model.Renegotiate | Service_model.Mts_profile _ -> Service_model.Grant
   | Service_model.Downgrade { tiers } ->
-      if not (admit t ~now) then Blocked
-      else begin
-        match Service_model.decide_tiers ~tiers ~demanded ~fits with
-        | Service_model.Grant ->
-            Admit { granted = demanded; tier = -1; downgraded = false }
-        | Service_model.Downgrade_to { granted; tier } ->
-            Admit { granted; tier; downgraded = true }
-        | Service_model.Settle_floor _ ->
-            ignore (record t false);
-            Blocked
-        | Service_model.Police_to _ -> assert false (* decide_tiers never *)
-      end
+      let decision = Service_model.decide_tiers ~tiers ~demanded ~fits in
+      (match decision with
+      | Service_model.Settle_floor _ -> ignore (record t false)
+      | _ -> ());
+      decision
 
 (* --- debug: incremental aggregate vs from-scratch rebuild ----------- *)
 
@@ -328,7 +309,6 @@ let make ~name ~kind () =
   {
     name;
     kind;
-    service = Service_model.Renegotiate;
     calls = Hashtbl.create 64;
     values = Array.make 16 0.;
     n_levels = 0;

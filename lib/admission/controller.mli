@@ -53,25 +53,19 @@ val admit : t -> now:float -> bool
 
 (** {1 Service models (DESIGN.md §15)} *)
 
-val service : t -> Rcbr_policy.Service_model.t
-
-val set_service : t -> Rcbr_policy.Service_model.t -> unit
-(** Controllers start under [Renegotiate] (the seed behaviour).
-    Validates the model. *)
-
-type admission =
-  | Blocked
-  | Admit of { granted : float; tier : int; downgraded : bool }
-      (** [tier] is the granted ladder index, or [-1] for a full grant *)
-
-val decide : t -> now:float -> demanded:float -> fits:(float -> bool) -> admission
-(** {!admit} composed with the service model.  The Chernoff gate runs
-    first (one {!stats.decision_hash} record — under [Renegotiate] the
-    decision sequence is exactly {!admit}'s and [fits] is never
-    probed); under [Downgrade] an admitted call that does not fit at
-    its demanded rate is granted the highest fitting ladder tier, or
-    [Blocked] when no tier fits (arrivals hold no settle-floor right,
-    and the capacity rejection is recorded as an extra deny). *)
+val place :
+  t -> Rcbr_policy.Service_model.t -> demanded:float -> fits:(float -> bool) ->
+  Rcbr_policy.Service_model.decision
+(** Where a call the gate admitted lands under the service model.  The
+    engines run {!admit} first (one {!stats.decision_hash} record) and
+    draw the call only when it admits, then [place] it.  Every model
+    but [Downgrade] answers [Grant] and never probes [fits], so under
+    [Renegotiate] the decision sequence is exactly {!admit}'s.  Under
+    [Downgrade] a call that does not [fits] at its demanded rate gets
+    the highest fitting ladder tier ([Downgrade_to]), or [Settle_floor]
+    when no tier fits: an arrival holds no settle-floor right, so the
+    caller blocks it, and the capacity rejection is recorded here as an
+    extra deny. *)
 
 val on_admit : t -> now:float -> call:int -> rate:float -> unit
 val on_renegotiate : t -> now:float -> call:int -> rate:float -> unit

@@ -77,7 +77,7 @@ type lifetime =
 
 type driver = {
   store : Store.t;
-  plane_ : plane option;
+  plane : plane;
   reliable_setup : bool;
   lifetime : lifetime;
   before : now:float -> unit;
@@ -93,16 +93,15 @@ type driver = {
    never pops later timers, so the seed never counted them). *)
 let cancel_pending d h =
   Store.bump_gen d.store h;
-  match d.plane_ with
-  | Some p when h < Array.length p.armed -> (
-      match p.armed.(h) with
-      | None -> ()
-      | Some q ->
-          Events.cancel q.tok;
-          p.armed.(h) <- None;
-          if q.at <= q.bound then
-            p.counters.superseded <- p.counters.superseded + 1)
-  | _ -> ()
+  let p = d.plane in
+  if h < Array.length p.armed then
+    match p.armed.(h) with
+    | None -> ()
+    | Some q ->
+        Events.cancel q.tok;
+        p.armed.(h) <- None;
+        if q.at <= q.bound then
+          p.counters.superseded <- p.counters.superseded + 1
 
 let dropped p store h =
   p.faults.rm_drop > 0.
@@ -130,35 +129,36 @@ let signal d h ~idx ~rate engine =
   let rec attempt retx engine =
     let now = Events.now engine in
     d.on_attempt ~now;
-    match d.plane_ with
-    | Some p when (idx > 0 || not d.reliable_setup) && dropped p d.store h ->
-        p.counters.rm_lost <- p.counters.rm_lost + 1;
-        if retx >= p.faults.max_retransmits then begin
-          (* Give up signalling and settle on the desired demand anyway:
-             the overload shows up in the demand accounting, as for a
-             denied increase. *)
-          p.counters.abandoned <- p.counters.abandoned + 1;
-          d.deliver h ~now ~idx ~rate
-        end
-        else begin
-          let at = now +. p.faults.retx_timeout in
-          let tok =
-            Events.schedule_token engine ~at (fun engine ->
-                p.armed.(h) <- None;
-                (* Newer changes and departures cancel the token
-                   eagerly, so a firing timer is never stale; the guard
-                   is pure defence. *)
-                if Store.gen d.store h = gen then begin
-                  let now = Events.now engine in
-                  if d.retry ~now then begin
-                    p.counters.retransmits <- p.counters.retransmits + 1;
-                    attempt (retx + 1) engine
-                  end
-                end)
-          in
-          arm p h { tok; at; bound }
-        end
-    | _ -> d.deliver h ~now ~idx ~rate
+    let p = d.plane in
+    if (idx > 0 || not d.reliable_setup) && dropped p d.store h then begin
+      p.counters.rm_lost <- p.counters.rm_lost + 1;
+      if retx >= p.faults.max_retransmits then begin
+        (* Give up signalling and settle on the desired demand anyway:
+           the overload shows up in the demand accounting, as for a
+           denied increase. *)
+        p.counters.abandoned <- p.counters.abandoned + 1;
+        d.deliver h ~now ~idx ~rate
+      end
+      else begin
+        let at = now +. p.faults.retx_timeout in
+        let tok =
+          Events.schedule_token engine ~at (fun engine ->
+              p.armed.(h) <- None;
+              (* Newer changes and departures cancel the token
+                 eagerly, so a firing timer is never stale; the guard
+                 is pure defence. *)
+              if Store.gen d.store h = gen then begin
+                let now = Events.now engine in
+                if d.retry ~now then begin
+                  p.counters.retransmits <- p.counters.retransmits + 1;
+                  attempt (retx + 1) engine
+                end
+              end)
+        in
+        arm p h { tok; at; bound }
+      end
+    end
+    else d.deliver h ~now ~idx ~rate
   in
   attempt 0 engine
 

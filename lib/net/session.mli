@@ -1,11 +1,11 @@
-(** The per-call signalling machine: setup, renegotiations over an
-    optionally unreliable signalling plane (with settle/deny semantics),
+(** The per-call signalling machine: setup, renegotiations over a
+    possibly unreliable signalling plane (with settle/deny semantics),
     and departure, for calls held in a {!Store}.
 
     A call walks the [(duration_s, rate)] pieces of its schedule on a
     {!Rcbr_queue.Events} engine.  Each rate change is signalled across
-    the call's route; with a fault {!plane} attached the change cell
-    can be dropped ({!faults.rm_drop}) and is then retransmitted after
+    the call's route through the driver's fault {!plane}; the change
+    cell can be dropped ({!faults.rm_drop}) and is then retransmitted after
     {!faults.retx_timeout} until {!faults.max_retransmits}, after which
     the change is applied anyway — settle semantics: the overload shows
     up in the demand accounting, exactly as for a denied increase.  A
@@ -96,7 +96,10 @@ type lifetime =
 
 type driver = {
   store : Store.t;  (** where the driven calls live *)
-  plane_ : plane option;  (** [None]: reliable signalling *)
+  plane : plane;
+      (** the signalling plane; one built from {!no_faults} (or any
+          [rm_drop = 0.]) never draws and never drops, so it is the
+          reliable plane *)
   reliable_setup : bool;
       (** piece 0 is signalled without loss (MBAC: admission already
           happened at the arrival event) *)

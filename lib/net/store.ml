@@ -224,11 +224,9 @@ let attach_mts t h p ~now =
   t.mts_buckets.(h) <- Mts.attach p;
   t.mts_at.(h) <- now
 
-(* The Renegotiate branch returns [Grant] without touching the links,
-   so drivers keep their historical float expressions (and
-   bit-identity) in their own Grant branches; the other models probe
-   [fits] / police the MTS ladder and hand the granted rate back for
-   the driver to settle and count. *)
+(* Renegotiate grants without probing the links; the other models
+   probe [fits] / police the MTS ladder.  Every model hands the
+   granted rate back for the driver to count and settle. *)
 let decide model ~(links : Link.t array) t h ~now ~demanded =
   match (model : Service_model.t) with
   | Service_model.Renegotiate ->

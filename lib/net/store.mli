@@ -85,13 +85,15 @@ val decide :
   Rcbr_policy.Service_model.t -> links:Link.t array -> t -> handle ->
   now:float -> demanded:float -> Rcbr_policy.Service_model.decision
 (** What the service model grants for a demanded rate change on this
-    call.  [Renegotiate] returns [Grant] without touching the links
-    (drivers keep their historical float expressions, hence
-    bit-identity); [Downgrade] runs the ladder walk against {!fits};
+    call — the first step of every engine's one rate-change path, for
+    every model.  [Renegotiate] returns [Grant] without probing the
+    links; [Downgrade] runs the ladder walk against {!fits};
     [Mts_profile] polices against the call's bucket ladder (attached
     at [now] on first use unless {!attach_mts} ran) and returns
-    [Police_to] when it clips.  Records [demanded]; the caller settles
-    the granted rate and counts. *)
+    [Police_to] when it clips.  Records [demanded]; the caller then
+    counts the decision ({!Rcbr_policy.Service_model.downgraded},
+    {!Rcbr_policy.Service_model.denial}, probing {!fits} only when
+    asked) and settles the granted rate. *)
 
 val attach_mts : t -> handle -> Rcbr_policy.Mts.profile -> now:float -> unit
 (** Attach a full MTS ladder to the call with its policing clock at

@@ -38,6 +38,16 @@ let downgraded = function
   | Grant -> false
   | Downgrade_to _ | Police_to _ | Settle_floor _ -> true
 
+type denial = Not_denied | Denied | Denied_unless_fits
+
+let denial decision ~increase =
+  if not increase then Not_denied
+  else
+    match decision with
+    | Settle_floor _ -> Denied
+    | Grant -> Denied_unless_fits
+    | Downgrade_to _ | Police_to _ -> Not_denied
+
 let decide_tiers ~tiers ~demanded ~fits =
   if fits demanded then Grant
   else begin

@@ -1,20 +1,21 @@
 (** The service-model contract: what a network does when a call's
     demanded rate does not fit (DESIGN.md section 15).
 
-    The admission kernel ({!Rcbr_admission.Controller.decide}), the
+    The admission controller ({!Rcbr_admission.Controller.place}), the
     call store ({!Rcbr_net.Store.decide} / {!Rcbr_net.Store.try_upgrade})
-    and every call-level simulator are parameterized by a value of this
-    type instead of hard-wiring settle semantics.  The type is a closed variant on purpose: models
+    and every call-level simulator take a value of this type instead of
+    hard-wiring settle semantics.  Each engine has one arrival path and
+    one rate-change path that every model runs through, and one
+    counting rule ({!denial}), so the [Renegotiate] pins guard the code
+    every model runs.  The type is a closed variant on purpose: models
     must be nameable from a CLI flag ({!of_spec}), deterministic, and
     free of hidden state — a closure-based registry could smuggle
     wall-clock or RNG reads past the determinism lints.
 
     - {!Renegotiate} — the paper's RCBR service and this repo's seed
-      behaviour: a change that does not fit is counted as denied and
-      settles anyway (the overload shows up in the demand accounting).
-      Every driver's [Renegotiate] branch preserves its historical
-      float expressions verbatim, so results are bit-identical to the
-      pre-refactor code — the refactor's correctness anchor.
+      behaviour: every change is granted as demanded and settles; an
+      increase the route cannot fit is counted as denied (the overload
+      shows up in the demand accounting).
     - {!Downgrade} — tiered admission per arXiv 1604.00894: a change
       that does not fit walks a rate ladder downward and is granted at
       the highest tier that does; if nothing fits the call settles at
@@ -33,7 +34,7 @@ type t =
 
 (** What the model decided for one demanded rate change.  The decision
     carries the granted rate; the caller settles it on the links and
-    does its own (driver-specific) counting. *)
+    counts it with {!downgraded} and {!denial}. *)
 type decision =
   | Grant  (** the demanded rate applies as-is *)
   | Downgrade_to of { granted : float; tier : int }
@@ -54,7 +55,25 @@ val granted_rate : decision -> demanded:float -> float
 (** The rate the decision actually grants ([demanded] for {!Grant}). *)
 
 val downgraded : decision -> bool
-(** Whether the decision granted less than demanded. *)
+(** Whether the decision granted less than demanded.  Engines count one
+    downgrade per such decision; a call's setup counts once. *)
+
+(** How a rate change counts toward renegotiation failure, the price
+    RCBR pays for its multiplexing gain (the paper's Figs. 7-10). *)
+type denial =
+  | Not_denied
+  | Denied  (** an increase the model settled at the floor *)
+  | Denied_unless_fits
+      (** an increase granted in full: denied exactly when the caller's
+          route cannot fit the demanded rate *)
+
+val denial : decision -> increase:bool -> denial
+(** The one counting rule of every engine: an increase is denied when
+    the model settled it at the floor, or granted it in full and the
+    route cannot fit it.  A [Downgrade_to] or [Police_to] grant is a
+    downgrade, not a denial, and a decrease is never denied.  Only
+    [Denied_unless_fits] asks the caller to probe its route (before it
+    settles the change), so no other change pays for a probe. *)
 
 val decide_tiers :
   tiers:float array -> demanded:float -> fits:(float -> bool) -> decision

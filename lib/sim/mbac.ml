@@ -19,7 +19,7 @@ type config = {
   min_windows : int;
   max_windows : int;
   relative_precision : float;
-  faults : Session.faults option;
+  faults : Session.faults;
   service : Service_model.t;
 }
 
@@ -34,7 +34,7 @@ let default_config ~schedule ~capacity ~arrival_rate ~target ~seed =
     min_windows = 10;
     max_windows = 200;
     relative_precision = 0.2;
-    faults = None;
+    faults = Session.no_faults;
     service = Service_model.Renegotiate;
   }
 
@@ -92,28 +92,18 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
   assert (c.capacity > 0. && c.arrival_rate > 0.);
   assert (c.warmup_windows >= 0 && c.min_windows >= 1);
   assert (c.max_windows >= c.warmup_windows + c.min_windows);
-  (match c.faults with None -> () | Some f -> Session.validate f);
+  Session.validate c.faults;
   Service_model.validate c.service;
-  Controller.set_service controller c.service;
   let rng = Rng.create c.seed in
-  (* Fault randomness lives on its own stream inside the plane:
-     [faults = None] and [Some { rm_drop = 0.; _ }] give bit-identical
-     metrics. *)
-  let plane =
-    match c.faults with
-    | None -> None
-    | Some f -> Some (Session.plane ~drop:Session.Per_cell f)
-  in
-  let audit_enabled =
-    match c.faults with Some f -> f.check_invariants | None -> false
-  in
+  (* Fault randomness lives on its own stream inside the plane, which
+     never draws while [rm_drop = 0.]. *)
+  let plane = Session.plane ~drop:Session.Per_cell c.faults in
+  let counters = plane.Session.counters in
+  let audit_enabled = c.faults.Session.check_invariants in
   let engine = Events.create () in
   let window = Schedule.duration c.schedule in
   let topology = Topology.single_link ~capacity:c.capacity in
-  let crashes =
-    match c.faults with None -> [] | Some f -> f.Session.crashes
-  in
-  let link = (Link.of_topology ~crashes topology).(0) in
+  let link = (Link.of_topology ~crashes:c.faults.Session.crashes topology).(0) in
   let links = [| link |] in
   let store = Store.create () in
   let route = [| 0 |] in
@@ -128,76 +118,47 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
   let stop = ref false in
   let applies = ref 0 in
   let record_audit () =
-    match plane with
-    | Some p ->
-        p.Session.counters.Session.invariant_failures <-
-          p.Session.counters.Session.invariant_failures
-          + Store.audit ~links store
-    | None -> ()
+    counters.Session.invariant_failures <-
+      counters.Session.invariant_failures + Store.audit ~links store
   in
   (* One call's life: walk its pieces, then depart.  The call's
      [applied] is the rate the link currently accounts for it; with a
      reliable signalling plane it always equals the previous piece's
-     rate, but a dropped rate-change cell leaves it behind until the
-     retransmission (or the give-up) lands. *)
+     granted rate, but a dropped rate-change cell leaves it behind
+     until the retransmission (or the give-up) lands.  Every service
+     model runs this one path; the demand update and the overflow
+     probe are the seed's float expressions (DESIGN.md §10).  Piece 0
+     is the call's setup, which the arrival already counted. *)
   let deliver h ~now ~idx ~rate =
-    match c.service with
-    | Service_model.Renegotiate ->
-        (* The seed's float expressions, verbatim (bit-identity anchor
-           for the service-model refactor, DESIGN.md §15). *)
-        let applied = Store.applied store h in
-        let new_demand = link.Link.demand -. applied +. rate in
-        if idx > 0 && rate > applied then begin
-          incr reneg_up;
-          if new_demand > link.Link.capacity || Link.down link ~now then begin
-            incr reneg_denied;
-            if Link.down link ~now then
-              match plane with
-              | Some p ->
-                  p.Session.counters.Session.crash_denials <-
-                    p.Session.counters.Session.crash_denials + 1
-              | None -> ()
-          end
-        end;
-        link.Link.demand <- new_demand;
-        Store.set_applied store h rate;
-        if idx > 0 then
-          Controller.on_renegotiate controller ~now ~call:(Store.id store h)
-            ~rate;
-        if audit_enabled then begin
-          incr applies;
-          if !applies mod 64 = 0 then record_audit ()
-        end
-    | _ ->
-        let applied = Store.applied store h in
-        let decision = Store.decide c.service ~links store h ~now ~demanded:rate in
-        let granted = Service_model.granted_rate decision ~demanded:rate in
-        if idx > 0 && rate > applied then begin
-          incr reneg_up;
-          if Service_model.downgraded decision then begin
-            incr downgrades;
-            match decision with
-            | Service_model.Settle_floor _ ->
-                (* Nothing fit, not even the floor: the call settles
-                   there anyway — this is the denied-increase analogue. *)
-                incr reneg_denied;
-                if Link.down link ~now then (
-                  match plane with
-                  | Some p ->
-                      p.Session.counters.Session.crash_denials <-
-                        p.Session.counters.Session.crash_denials + 1
-                  | None -> ())
-            | _ -> ()
-          end
-        end;
-        Store.settle ~links store h ~rate:granted;
-        if idx > 0 then
-          Controller.on_renegotiate controller ~now ~call:(Store.id store h)
-            ~rate:granted;
-        if audit_enabled then begin
-          incr applies;
-          if !applies mod 64 = 0 then record_audit ()
-        end
+    let applied = Store.applied store h in
+    let decision = Store.decide c.service ~links store h ~now ~demanded:rate in
+    let granted = Service_model.granted_rate decision ~demanded:rate in
+    let new_demand = link.Link.demand -. applied +. granted in
+    if idx > 0 then begin
+      if Service_model.downgraded decision then incr downgrades;
+      let increase = rate > applied in
+      if increase then incr reneg_up;
+      let denied =
+        match Service_model.denial decision ~increase with
+        | Service_model.Not_denied -> false
+        | Service_model.Denied -> true
+        | Service_model.Denied_unless_fits ->
+            new_demand > link.Link.capacity || Link.down link ~now
+      in
+      if denied then begin
+        incr reneg_denied;
+        if Link.down link ~now then
+          counters.Session.crash_denials <- counters.Session.crash_denials + 1
+      end;
+      Controller.on_renegotiate controller ~now ~call:(Store.id store h)
+        ~rate:granted
+    end;
+    link.Link.demand <- new_demand;
+    Store.set_applied store h granted;
+    if audit_enabled then begin
+      incr applies;
+      if !applies mod 64 = 0 then record_audit ()
+    end
   in
   let depart h ~now =
     (* Departure: release whatever rate the link believes.  A change
@@ -216,7 +177,7 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
   let driver =
     {
       Session.store;
-      plane_ = plane;
+      plane;
       (* Call setup (piece 0) is signalled reliably: admission already
          happened at the arrival event. *)
       reliable_setup = true;
@@ -231,38 +192,29 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
     let now = Events.now engine in
     Link.advance link ~now;
     incr arrivals;
-    (match c.service with
-    | Service_model.Renegotiate ->
-        if Controller.admit controller ~now then begin
-          let id = !next_call_id in
-          incr next_call_id;
-          let pieces = make_pieces rng in
-          link.Link.n_calls <- link.Link.n_calls + 1;
-          Controller.on_admit controller ~now ~call:id ~rate:(snd pieces.(0));
-          let h = Store.acquire store ~id ~route ~transit:false in
-          Session.play driver h pieces 0 engine
-        end
-        else incr blocked
-    | _ -> (
-        (* Pieces are drawn before the decision here (the setup rate is
-           the demanded rate); the models do not share the seed's RNG
-           consumption pattern and do not need to. *)
-        let pieces = make_pieces rng in
-        let rate0 = snd pieces.(0) in
-        let probe r =
-          (not (Link.down link ~now))
-          && link.Link.demand +. r <= link.Link.capacity +. 1e-9
-        in
-        match Controller.decide controller ~now ~demanded:rate0 ~fits:probe with
-        | Controller.Blocked -> incr blocked
-        | Controller.Admit { granted; downgraded; _ } ->
-            if downgraded then incr downgrades;
-            let id = !next_call_id in
-            incr next_call_id;
-            link.Link.n_calls <- link.Link.n_calls + 1;
-            Controller.on_admit controller ~now ~call:id ~rate:granted;
-            let h = Store.acquire store ~id ~route ~transit:false in
-            Session.play driver h pieces 0 engine));
+    (* The Chernoff gate runs first and the call is drawn only when it
+       admits, as in the seed; the service model then places it. *)
+    (if Controller.admit controller ~now then begin
+       let pieces = make_pieces rng in
+       let demanded = snd pieces.(0) in
+       let id = !next_call_id in
+       let h = Store.acquire store ~id ~route ~transit:false in
+       match
+         Controller.place controller c.service ~demanded ~fits:(fun r ->
+             Store.fits ~links store h ~rate:r ~now)
+       with
+       | Service_model.Settle_floor _ ->
+           Store.release store h;
+           incr blocked
+       | decision ->
+           if Service_model.downgraded decision then incr downgrades;
+           incr next_call_id;
+           link.Link.n_calls <- link.Link.n_calls + 1;
+           Controller.on_admit controller ~now ~call:id
+             ~rate:(Service_model.granted_rate decision ~demanded);
+           Session.play driver h pieces 0 engine
+     end
+     else incr blocked);
     if not !stop then
       Events.schedule_after engine
         ~delay:(Rng.exponential rng c.arrival_rate)
@@ -309,16 +261,6 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
     ()
   done;
   if audit_enabled then record_audit ();
-  let rm_lost, retransmits, abandoned, invariant_failures =
-    match plane with
-    | Some p ->
-        let k = p.Session.counters in
-        ( k.Session.rm_lost,
-          k.Session.retransmits,
-          k.Session.abandoned,
-          k.Session.invariant_failures )
-    | None -> (0, 0, 0, 0)
-  in
   {
     failure_probability = Stats.Online.mean failure_stats;
     failure_halfwidth = Stats.Online.confidence_halfwidth failure_stats;
@@ -332,10 +274,10 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
        else float_of_int !reneg_denied /. float_of_int !reneg_up);
     mean_calls_in_system = Stats.Online.mean calls_stats;
     windows = Stats.Online.count failure_stats;
-    signalling_dropped = rm_lost;
-    signalling_retransmits = retransmits;
-    signalling_abandoned = abandoned;
-    invariant_failures;
+    signalling_dropped = counters.Session.rm_lost;
+    signalling_retransmits = counters.Session.retransmits;
+    signalling_abandoned = counters.Session.abandoned;
+    invariant_failures = counters.Session.invariant_failures;
     downgrades = !downgrades;
     upgrades = !upgrades;
     admission = Controller.stats controller;

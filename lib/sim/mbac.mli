@@ -35,9 +35,11 @@ type config = {
   min_windows : int;
   max_windows : int;
   relative_precision : float;
-  faults : Rcbr_net.Session.faults option;
-      (** [None] (the default): reliable signalling, historical
-          behaviour.  [Some]: each renegotiation cell is dropped with
+  faults : Rcbr_net.Session.faults;
+      (** the signalling plane.  {!Rcbr_net.Session.no_faults} (the
+          default) is reliable signalling, the historical behaviour: a
+          plane with [rm_drop = 0.] never draws and never drops.  With
+          [rm_drop > 0.] each renegotiation cell is dropped with
           [rm_drop] and retransmitted after [retx_timeout]; a newer rate
           change for the same call, or its departure, cancels the
           pending retransmission, and a departing call releases the rate
@@ -47,10 +49,14 @@ type config = {
   service : Rcbr_policy.Service_model.t;
       (** what happens when a demanded rate does not fit (DESIGN.md
           §15).  [Renegotiate] (the default) is the seed's settle
-          semantics, bit-identical to the pre-refactor code; [Downgrade]
-          grants the highest fitting ladder tier and upgrades
-          opportunistically on departures; [Mts_profile] polices each
-          change against a per-call token-bucket ladder. *)
+          semantics; [Downgrade] grants the highest fitting ladder tier
+          and upgrades opportunistically on departures; [Mts_profile]
+          polices each change against a per-call token-bucket ladder.
+          Every model runs one arrival path (Chernoff gate, then the
+          draw, then {!Rcbr_admission.Controller.place}) and one
+          rate-change path, with the seed's demand update and overflow
+          probe and {!Rcbr_policy.Service_model.denial}'s counting
+          rule. *)
 }
 
 val default_config :
@@ -73,7 +79,9 @@ type metrics = {
   utilization : float;  (** mean per-window granted / capacity *)
   utilization_halfwidth : float;
   call_blocking : float;  (** fraction of arrivals rejected *)
-  denial_fraction : float;  (** renegotiation increases denied / issued *)
+  denial_fraction : float;
+      (** renegotiation increases denied / issued, by
+          {!Rcbr_policy.Service_model.denial} *)
   mean_calls_in_system : float;
   windows : int;
   signalling_dropped : int;  (** RM cells lost to the fault plane; 0 without faults *)
@@ -83,8 +91,9 @@ type metrics = {
       (** conservation-audit violations; 0 unless [check_invariants]
           found a bookkeeping bug *)
   downgrades : int;
-      (** changes (and admissions) granted below the demanded rate; 0
-          under [Renegotiate] *)
+      (** admissions and changes granted below the demanded rate, one
+          per decision (a call's setup counts once); 0 under
+          [Renegotiate] *)
   upgrades : int;
       (** downgraded calls restored toward their demanded rate on
           spare-capacity events ([Downgrade] model only) *)

@@ -51,7 +51,7 @@ type config = {
   ramp_ticks : int;  (** ticks over which the ramp quota is spread *)
   horizon : float;  (** churn seconds simulated after the ramp *)
   seed : int;
-  service : Service_model.t;  (** DESIGN.md §15; [Renegotiate] = seed *)
+  service : Service_model.t;  (** DESIGN.md §15 *)
 }
 
 let default ~concurrent () =
@@ -148,7 +148,6 @@ let run_shard cfg rng =
         (cfg.admit_margin *. float_of_int cfg.calls_per_shard *. mean_rate)
       ~target:cfg.target
   in
-  Controller.set_service ctrl cfg.service;
   let wheel : Store.handle Wheel.t = Wheel.create () in
   let arrivals = ref 0
   and admitted = ref 0
@@ -164,105 +163,79 @@ let run_shard cfg rng =
   and replacements = ref 0 in
   let n_levels = Array.length cfg.levels in
   let routes = (topo : Topology.t).routes in
-  (* Downgraded calls waiting for spare capacity, oldest first.  Handles
-     recycle, so entries carry the call id; stale or already-restored
-     entries are dropped at drain time. *)
+  (* Downgraded calls waiting for spare capacity, oldest first (only
+     [Downgrade] grants below demand at a tier, so only it queues).
+     Handles recycle, so entries carry the call id; stale or
+     already-restored entries are dropped at drain time. *)
   let upq : (Store.handle * int) Queue.t = Queue.create () in
   let rec drain_upgrades now =
-    match cfg.service with
-    | Service_model.Downgrade _ -> (
-        match Queue.peek_opt upq with
-        | None -> ()
-        | Some (h, id0) ->
-            if
-              (not (Store.is_live store h))
-              || Store.id store h <> id0
-              || Store.demanded store h <= Store.applied store h
-            then begin
-              ignore (Queue.pop upq);
-              drain_upgrades now
-            end
-            else begin
-              match Store.try_upgrade cfg.service ~links store h ~now with
-              | None -> () (* head-of-line blocking keeps the order fair *)
-              | Some r ->
-                  incr upgrades;
-                  Store.settle ~links store h ~rate:r;
-                  Controller.on_renegotiate ctrl ~now ~call:id0 ~rate:r;
-                  if Store.demanded store h <= r then begin
-                    ignore (Queue.pop upq);
-                    drain_upgrades now
-                  end
-                  (* else: partially restored — stays at the head, and
-                     the next spare-capacity event climbs further *)
-            end)
-    | _ -> ()
+    match Queue.peek_opt upq with
+    | None -> ()
+    | Some (h, id0) ->
+        if
+          (not (Store.is_live store h))
+          || Store.id store h <> id0
+          || Store.demanded store h <= Store.applied store h
+        then begin
+          ignore (Queue.pop upq);
+          drain_upgrades now
+        end
+        else begin
+          match Store.try_upgrade cfg.service ~links store h ~now with
+          | None -> () (* head-of-line blocking keeps the order fair *)
+          | Some r ->
+              incr upgrades;
+              Store.settle ~links store h ~rate:r;
+              Controller.on_renegotiate ctrl ~now ~call:id0 ~rate:r;
+              if Store.demanded store h <= r then begin
+                ignore (Queue.pop upq);
+                drain_upgrades now
+              end
+              (* else: partially restored — stays at the head, and the
+                 next spare-capacity event climbs further *)
+        end
   in
+  (* One arrival path for every service model: the Chernoff gate first,
+     then the route and level draws only when it admits (the seed's
+     draw order), then the model places the call. *)
   let try_arrival now =
     incr arrivals;
-    match cfg.service with
-    | Service_model.Renegotiate ->
-        (* Seed path, verbatim (bit-identity anchor, DESIGN.md §15). *)
-        if Controller.admit ctrl ~now then begin
+    if Controller.admit ctrl ~now then begin
+      let id = !next_id in
+      let route = routes.(Rng.int rng n_routes) in
+      let h = Store.acquire store ~id ~route ~transit:(Array.length route > 1) in
+      let lvl = Rng.int rng n_levels in
+      let demanded = cfg.levels.(lvl) in
+      match
+        Controller.place ctrl cfg.service ~demanded ~fits:(fun r ->
+            Store.fits ~links store h ~rate:r ~now)
+      with
+      | Service_model.Settle_floor _ ->
+          Store.release store h;
+          incr admission_denied
+      | decision ->
+          let granted = Service_model.granted_rate decision ~demanded in
           incr admitted;
-          let id = !next_id in
           incr next_id;
-          let route = routes.(Rng.int rng n_routes) in
-          let h =
-            Store.acquire store ~id ~route ~transit:(Array.length route > 1)
-          in
-          let lvl = Rng.int rng n_levels in
-          let rate = cfg.levels.(lvl) in
           Store.set_level store h lvl;
-          Store.set_cursor store h 0;
-          Store.settle ~links store h ~rate;
-          Controller.on_admit ctrl ~now ~call:id ~rate;
+          Store.set_demanded store h demanded;
+          Store.settle ~links store h ~rate:granted;
+          Controller.on_admit ctrl ~now ~call:id ~rate:granted;
+          (* Calls are policed from admission on. *)
+          (match cfg.service with
+          | Service_model.Mts_profile p -> Store.attach_mts store h p ~now
+          | _ -> ());
+          if Service_model.downgraded decision then begin
+            incr downgrades;
+            Queue.push (h, id) upq
+          end;
           if Store.live_count store > !peak then peak := Store.live_count store;
           ignore
             (Wheel.push wheel
                ~time:(now +. Rng.exponential rng (1. /. cfg.mean_hold))
                h)
-        end
-        else incr admission_denied
-    | _ -> (
-        (* The demanded level is drawn before the decision here (the
-           models need the rate to decide); the draw order differs from
-           the seed path on denied arrivals, which is fine — only the
-           Renegotiate path owes bit-identity. *)
-        let route = routes.(Rng.int rng n_routes) in
-        let lvl = Rng.int rng n_levels in
-        let demanded = cfg.levels.(lvl) in
-        let id = !next_id in
-        let h =
-          Store.acquire store ~id ~route ~transit:(Array.length route > 1)
-        in
-        let fits r = Store.fits ~links store h ~rate:r ~now in
-        match Controller.decide ctrl ~now ~demanded ~fits with
-        | Controller.Blocked ->
-            Store.release store h;
-            incr admission_denied
-        | Controller.Admit { granted; downgraded; _ } ->
-            incr admitted;
-            incr next_id;
-            Store.set_level store h lvl;
-            Store.set_cursor store h 0;
-            Store.set_demanded store h demanded;
-            Store.settle ~links store h ~rate:granted;
-            Controller.on_admit ctrl ~now ~call:id ~rate:granted;
-            (* Calls are policed from admission on. *)
-            (match cfg.service with
-            | Service_model.Mts_profile p -> Store.attach_mts store h p ~now
-            | _ -> ());
-            if downgraded then begin
-              incr downgrades;
-              Queue.push (h, id) upq
-            end;
-            if Store.live_count store > !peak then
-              peak := Store.live_count store;
-            ignore
-              (Wheel.push wheel
-                 ~time:(now +. Rng.exponential rng (1. /. cfg.mean_hold))
-                 h))
+    end
+    else incr admission_denied
   in
   let fire h now =
     incr events_fired;
@@ -280,52 +253,34 @@ let run_shard cfg rng =
       drain_upgrades now
     end
     else begin
-      match cfg.service with
-      | Service_model.Renegotiate ->
-          (* Seed path, verbatim. *)
-          let lvl = Rng.int rng n_levels in
-          let rate = cfg.levels.(lvl) in
-          let applied = Store.applied store h in
-          if rate > applied then begin
-            incr reneg_attempts;
-            if not (Store.fits ~links store h ~rate ~now) then
-              incr reneg_denied
-          end;
-          (* Settle semantics, as everywhere in this repo: the demand
-             moves whether or not it fits; overload shows up in the
-             accounting. *)
-          Store.set_level store h lvl;
-          Store.settle ~links store h ~rate;
-          Controller.on_renegotiate ctrl ~now ~call:(Store.id store h) ~rate;
-          ignore
-            (Wheel.push wheel
-               ~time:(now +. Rng.exponential rng (1. /. cfg.mean_hold))
-               h)
-      | _ ->
-          let lvl = Rng.int rng n_levels in
-          let demanded = cfg.levels.(lvl) in
-          let applied = Store.applied store h in
-          if demanded > applied then incr reneg_attempts;
-          let d = Store.decide cfg.service ~links store h ~now ~demanded in
-          if Service_model.downgraded d then begin
-            incr downgrades;
-            match d with
-            | Service_model.Police_to _ ->
-                if demanded > applied then incr reneg_denied
-            | Service_model.Settle_floor _ ->
-                incr reneg_denied;
-                Queue.push (h, Store.id store h) upq
-            | _ -> Queue.push (h, Store.id store h) upq
-          end;
-          let granted = Service_model.granted_rate d ~demanded in
-          Store.set_level store h lvl;
-          Store.settle ~links store h ~rate:granted;
-          Controller.on_renegotiate ctrl ~now ~call:(Store.id store h)
-            ~rate:granted;
-          ignore
-            (Wheel.push wheel
-               ~time:(now +. Rng.exponential rng (1. /. cfg.mean_hold))
-               h)
+      (* One rate-change path for every service model: decide, count
+         by the shared rule, then settle — settle semantics, as
+         everywhere in this repo: the demand moves whether or not it
+         fits; overload shows up in the accounting. *)
+      let lvl = Rng.int rng n_levels in
+      let demanded = cfg.levels.(lvl) in
+      let increase = demanded > Store.applied store h in
+      if increase then incr reneg_attempts;
+      let d = Store.decide cfg.service ~links store h ~now ~demanded in
+      let granted = Service_model.granted_rate d ~demanded in
+      if Service_model.downgraded d then incr downgrades;
+      (match Service_model.denial d ~increase with
+      | Service_model.Not_denied -> ()
+      | Service_model.Denied -> incr reneg_denied
+      | Service_model.Denied_unless_fits ->
+          if not (Store.fits ~links store h ~rate:granted ~now) then
+            incr reneg_denied);
+      (match d with
+      | Service_model.Downgrade_to _ | Service_model.Settle_floor _ ->
+          Queue.push (h, Store.id store h) upq
+      | Service_model.Grant | Service_model.Police_to _ -> ());
+      Store.set_level store h lvl;
+      Store.settle ~links store h ~rate:granted;
+      Controller.on_renegotiate ctrl ~now ~call:(Store.id store h) ~rate:granted;
+      ignore
+        (Wheel.push wheel
+           ~time:(now +. Rng.exponential rng (1. /. cfg.mean_hold))
+           h)
     end
   in
   let fire_until bound =

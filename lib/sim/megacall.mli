@@ -32,11 +32,17 @@ type config = {
   seed : int;
   service : Rcbr_policy.Service_model.t;
       (** what a non-fitting rate gets (DESIGN.md §15).  [Renegotiate]
-          (the default) keeps every path — and the outcome hash —
-          bit-identical to the pre-refactor engine; [Downgrade] grants
-          ladder tiers and restores downgraded calls on departures in
-          FIFO order; [Mts_profile] polices each change against a
-          per-call token-bucket ladder. *)
+          is the default; [Downgrade] grants ladder tiers and restores
+          downgraded calls on departures in FIFO order; [Mts_profile]
+          polices each change against a per-call token-bucket ladder,
+          attached at admission.  Every model runs one arrival path
+          (Chernoff gate, then the route and level draws, then
+          {!Rcbr_admission.Controller.place}) and one rate-change path
+          ({!Rcbr_net.Store.decide}, the
+          {!Rcbr_policy.Service_model.denial} rule probed with
+          {!Rcbr_net.Store.fits}, then {!Rcbr_net.Store.settle}).  The
+          shard hash folds the downgrade and upgrade counters only for
+          the other models, which keeps the [Renegotiate] hash. *)
 }
 
 val default : concurrent:int -> unit -> config
@@ -49,7 +55,10 @@ type shard_metrics = {
   admitted : int;
   admission_denied : int;
   reneg_attempts : int;  (** renegotiations asking for a rate increase *)
-  reneg_denied : int;  (** of which did not fit link capacity *)
+  reneg_denied : int;
+      (** of which were denied by {!Rcbr_policy.Service_model.denial}:
+          settled at the ladder floor, or granted in full where the
+          route could not fit them *)
   departures : int;
   events_fired : int;  (** wheel events (renegotiations + departures) *)
   downgrades : int;  (** rates granted below demanded; 0 under [Renegotiate] *)

@@ -96,42 +96,31 @@ let run_net (nc : net_config) fc =
   in
   (* Demand is the *desired* rate (settle semantics): a denied increase
      is counted and the demand still rises — the overload shows up in
-     the utilization cap. *)
+     the utilization cap.  Every service model runs this one path; a
+     call's setup ([count = false]) is a decision too, but not a
+     renegotiation attempt. *)
   let apply_change h rate ~now ~count =
-    let transit = Store.transit store h in
-    (match nc.service with
-    | Service_model.Renegotiate ->
-        (* The seed's expressions, verbatim (bit-identity anchor for
-           the service-model refactor, DESIGN.md §15). *)
-        if count && rate > Store.applied store h then begin
-          if transit then incr transit_attempts else incr local_attempts;
-          if not (Store.fits ~links store h ~rate ~now) then begin
-            if transit then incr transit_denials else incr local_denials;
-            if Store.blocked ~links store h ~now then
-              counters.Session.crash_denials <-
-                counters.Session.crash_denials + 1
-          end
-        end;
-        Store.settle ~links store h ~rate
-    | _ ->
-        let decision =
-          Store.decide nc.service ~links store h ~now ~demanded:rate
-        in
-        let granted = Service_model.granted_rate decision ~demanded:rate in
-        if count && rate > Store.applied store h then begin
-          if transit then incr transit_attempts else incr local_attempts;
-          if Service_model.downgraded decision then begin
-            incr downgrades;
-            match decision with
-            | Service_model.Settle_floor _ ->
-                if transit then incr transit_denials else incr local_denials;
-                if Store.blocked ~links store h ~now then
-                  counters.Session.crash_denials <-
-                    counters.Session.crash_denials + 1
-            | _ -> ()
-          end
-        end;
-        Store.settle ~links store h ~rate:granted);
+    let applied = Store.applied store h in
+    let decision = Store.decide nc.service ~links store h ~now ~demanded:rate in
+    let granted = Service_model.granted_rate decision ~demanded:rate in
+    if Service_model.downgraded decision then incr downgrades;
+    if count && rate > applied then begin
+      let transit = Store.transit store h in
+      if transit then incr transit_attempts else incr local_attempts;
+      let denied =
+        match Service_model.denial decision ~increase:true with
+        | Service_model.Not_denied -> false
+        | Service_model.Denied -> true
+        | Service_model.Denied_unless_fits ->
+            not (Store.fits ~links store h ~rate:granted ~now)
+      in
+      if denied then begin
+        if transit then incr transit_denials else incr local_denials;
+        if Store.blocked ~links store h ~now then
+          counters.Session.crash_denials <- counters.Session.crash_denials + 1
+      end
+    end;
+    Store.settle ~links store h ~rate:granted;
     if fc.Session.check_invariants then begin
       incr applies;
       if !applies mod 64 = 0 then check_invariant ()
@@ -140,7 +129,7 @@ let run_net (nc : net_config) fc =
   let driver =
     {
       Session.store;
-      plane_ = Some plane;
+      plane;
       reliable_setup = false;
       lifetime = Session.Hold_until nc.horizon;
       before = (fun ~now -> advance now);

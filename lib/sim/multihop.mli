@@ -43,10 +43,12 @@ type net_config = {
   balance : bool;
   service : Rcbr_policy.Service_model.t;
       (** what a non-fitting rate change gets (DESIGN.md §15);
-          [Renegotiate] is the seed's settle semantics, bit-identical to
-          the pre-refactor code.  The historical entry points
-          ({!run}/{!run_balanced}/{!run_faulty}) always run
-          [Renegotiate]. *)
+          [Renegotiate] is the seed's settle semantics.  Every model
+          runs one rate-change path ({!Rcbr_net.Store.decide}, then
+          {!Rcbr_policy.Service_model.denial}'s counting rule probed
+          with {!Rcbr_net.Store.fits}, then {!Rcbr_net.Store.settle}).
+          The historical entry points ({!run}/{!run_balanced}/
+          {!run_faulty}) always run [Renegotiate]. *)
 }
 
 type metrics = {
@@ -55,8 +57,8 @@ type metrics = {
   local_attempts : int;
   local_denials : int;
   downgrades : int;
-      (** increases granted below the demanded rate; 0 under
-          [Renegotiate] *)
+      (** decisions granted below the demanded rate, call setups
+          included; 0 under [Renegotiate] *)
   mean_hop_utilization : float;  (** demand / capacity, time-averaged, capped at 1 *)
 }
 

@@ -66,9 +66,9 @@ type model_metrics = {
 type metrics = { models : model_metrics array }
 
 (* One pre-generated call: arrival time, route index, and the
-   (duration, rate) pieces it will demand.  The workload is drawn once
-   and replayed verbatim by every service model, so the comparison
-   differs only in what the model grants. *)
+   (duration, rate) pieces it will demand.  The workload is drawn from
+   the config's own seed, so every service model replays it verbatim
+   and the comparison differs only in what the model grants. *)
 type call = { at : float; route : int; pieces : (float * float) array }
 
 let mean_level c =
@@ -129,8 +129,11 @@ let jain xs =
     if s2 <= 0. then 0. else s *. s /. (float_of_int n *. s2)
   end
 
-let run_model c topo (calls : call array) model =
+let run_model c model =
+  validate c;
   Service_model.validate model;
+  let topo = Topology.grid ~rows:c.rows ~cols:c.cols ~capacity:c.capacity in
+  let calls = workload c ~n_routes:(Topology.n_routes topo) in
   let links = Link.of_topology topo in
   let n_links = Topology.n_links topo in
   let descriptor =
@@ -146,7 +149,6 @@ let run_model c topo (calls : call array) model =
       ~capacity:(c.admit_margin *. mean_level c *. float_of_int c.calls)
       ~target:c.target
   in
-  Controller.set_service ctrl model;
   let engine = Events.create () in
   let admitted = ref 0 and blocked = ref 0 in
   let reneg_attempts = ref 0 and reneg_denied = ref 0 in
@@ -203,53 +205,56 @@ let run_model c topo (calls : call array) model =
     if increase then incr reneg_attempts;
     let decision = Store.decide model ~links store h ~now ~demanded:rate in
     let granted = Service_model.granted_rate decision ~demanded:rate in
-    (* Renegotiation failure (the paper's headline price): an increase
-       the route cannot absorb.  [Downgrade] converts the failure into
-       a ladder floor; the other models settle it anyway and the
-       overload shows in the utilization cap. *)
-    (if Service_model.downgraded decision then begin
-       incr downgrades;
-       match decision with
-       | Service_model.Settle_floor _ -> if increase then incr reneg_denied
-       | _ -> ()
-     end
-     else if increase && not (Store.fits ~links store h ~rate:granted ~now)
-     then incr reneg_denied);
+    if Service_model.downgraded decision then incr downgrades;
+    (* Renegotiation failure (the paper's headline price), by the rule
+       every engine shares: an increase settled at the ladder floor, or
+       granted in full where the route cannot absorb it (the overload
+       then shows in the utilization cap). *)
+    (match Service_model.denial decision ~increase with
+    | Service_model.Not_denied -> ()
+    | Service_model.Denied -> incr reneg_denied
+    | Service_model.Denied_unless_fits ->
+        if not (Store.fits ~links store h ~rate:granted ~now) then
+          incr reneg_denied);
     Store.settle ~links store h ~rate:granted;
     Controller.on_renegotiate ctrl ~now ~call:i ~rate:granted
   in
   let arrival i engine =
     let now = Events.now engine in
     advance now;
-    let cw = calls.(i) in
-    let h =
-      Store.acquire store ~id:i ~route:topo.Topology.routes.(cw.route)
-        ~transit:true
-    in
-    let rate0 = snd cw.pieces.(0) in
-    match
-      Controller.decide ctrl ~now ~demanded:rate0 ~fits:(fun r ->
-          Store.fits ~links store h ~rate:r ~now)
-    with
-    | Controller.Blocked ->
-        Store.release store h;
-        incr blocked
-    | Controller.Admit { granted; downgraded; _ } ->
-        incr admitted;
-        Store.set_demanded store h rate0;
-        if downgraded then incr downgrades;
-        Store.settle ~links store h ~rate:granted;
-        Controller.on_admit ctrl ~now ~call:i ~rate:granted;
-        last.(i) <- now;
-        let t = ref now in
-        Array.iteri
-          (fun idx (duration, _) ->
-            t := !t +. duration;
-            if idx < Array.length cw.pieces - 1 then
-              let rate = snd cw.pieces.(idx + 1) in
-              Events.schedule engine ~at:!t (change h i rate)
-            else Events.schedule engine ~at:!t (depart h i))
-          cw.pieces
+    if not (Controller.admit ctrl ~now) then incr blocked
+    else begin
+      let cw = calls.(i) in
+      let h =
+        Store.acquire store ~id:i ~route:topo.Topology.routes.(cw.route)
+          ~transit:true
+      in
+      let rate0 = snd cw.pieces.(0) in
+      match
+        Controller.place ctrl model ~demanded:rate0 ~fits:(fun r ->
+            Store.fits ~links store h ~rate:r ~now)
+      with
+      | Service_model.Settle_floor _ ->
+          Store.release store h;
+          incr blocked
+      | decision ->
+          let granted = Service_model.granted_rate decision ~demanded:rate0 in
+          incr admitted;
+          Store.set_demanded store h rate0;
+          if Service_model.downgraded decision then incr downgrades;
+          Store.settle ~links store h ~rate:granted;
+          Controller.on_admit ctrl ~now ~call:i ~rate:granted;
+          last.(i) <- now;
+          let t = ref now in
+          Array.iteri
+            (fun idx (duration, _) ->
+              t := !t +. duration;
+              if idx < Array.length cw.pieces - 1 then
+                let rate = snd cw.pieces.(idx + 1) in
+                Events.schedule engine ~at:!t (change h i rate)
+              else Events.schedule engine ~at:!t (depart h i))
+            cw.pieces
+    end
   in
   Array.iteri
     (fun i cw -> Events.schedule engine ~at:cw.at (arrival i))
@@ -300,6 +305,4 @@ let run_model c topo (calls : call array) model =
 
 let run ?pool c =
   validate c;
-  let topo = Topology.grid ~rows:c.rows ~cols:c.cols ~capacity:c.capacity in
-  let calls = workload c ~n_routes:(Topology.n_routes topo) in
-  { models = Rcbr_util.Pool.map_array ?pool (run_model c topo calls) (models c) }
+  { models = Rcbr_util.Pool.map_array ?pool (run_model c) (models c) }

@@ -4,10 +4,10 @@
     (DESIGN.md §15).
 
     A seeded workload — arrival times, route picks and per-call
-    (duration, rate) pieces — is drawn once and replayed verbatim under
-    [Renegotiate], [Downgrade] (ladder between the lowest and highest
-    workload level) and [Mts_profile] (token-bucket ladder between the
-    workload's mean and peak rates).  Each run reports the paper's
+    (duration, rate) pieces — is drawn from [config.seed] and replayed
+    verbatim under [Renegotiate], [Downgrade] (ladder between the
+    lowest and highest workload level) and [Mts_profile] (token-bucket
+    ladder between the workload's mean and peak rates).  Each run reports the paper's
     statistical-multiplexing gain alongside the service-quality prices
     the models pay for it: blocking probability, downgrade probability,
     and Jain's fairness index over per-flow granted/demanded bit
@@ -44,7 +44,10 @@ type model_metrics = {
   admitted : int;
   blocked : int;
   reneg_attempts : int;  (** rate-increase requests by admitted calls *)
-  reneg_denied : int;  (** increases settled at the ladder floor *)
+  reneg_denied : int;
+      (** increases denied by {!Rcbr_policy.Service_model.denial}:
+          settled at the ladder floor, or granted in full where the
+          route could not fit them *)
   downgrades : int;  (** grants below the demanded rate *)
   upgrades : int;  (** downgraded calls restored on departures *)
   departures : int;
@@ -67,6 +70,10 @@ type metrics = { models : model_metrics array }
 (** In model order: renegotiate, downgrade, mts. *)
 
 val run : ?pool:Rcbr_util.Pool.t -> config -> metrics
-(** Generate the workload once, then run the three models over it (in
-    parallel when [pool] has jobs).  Deterministic per [config];
-    independent of pool size. *)
+(** {!run_model} for each of the three contenders (in parallel when
+    [pool] has jobs).  Deterministic per [config]; independent of pool
+    size. *)
+
+val run_model : config -> Rcbr_policy.Service_model.t -> model_metrics
+(** The config's workload under one given model — for differential
+    tests against [Renegotiate]. *)

@@ -434,11 +434,8 @@ let test_mbac_null_faults_identical () =
   let run faults =
     Mbac.run { cfg with Mbac.faults } ~controller:(Controller.always_admit ())
   in
-  let a = run None in
-  let b =
-    run
-      (Some { Session.no_faults with Session.fault_seed = 1 })
-  in
+  let a = run Session.no_faults in
+  let b = run { Session.no_faults with Session.fault_seed = 1 } in
   check_close 1e-12 "failure probability" a.Mbac.failure_probability
     b.Mbac.failure_probability;
   check_close 1e-12 "utilization" a.Mbac.utilization b.Mbac.utilization;
@@ -454,14 +451,13 @@ let test_mbac_lossy_signalling () =
       {
         cfg with
         Mbac.faults =
-          Some
-            {
-              Session.no_faults with
-              Session.rm_drop = 0.3;
-              retx_timeout = 0.1;
-              max_retransmits = 3;
-              fault_seed = 13;
-            };
+          {
+            Session.no_faults with
+            Session.rm_drop = 0.3;
+            retx_timeout = 0.1;
+            max_retransmits = 3;
+            fault_seed = 13;
+          };
       }
       ~controller:(Controller.always_admit ())
   in

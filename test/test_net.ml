@@ -257,7 +257,7 @@ let test_session_blocked () =
 let settle_driver ?(reliable_setup = false) ~links store plane lifetime =
   {
     Session.store;
-    plane_ = Some plane;
+    plane;
     reliable_setup;
     lifetime;
     before = (fun ~now:_ -> ());

@@ -1,8 +1,8 @@
 (* Unit and property tests for Rcbr_policy: the tier-ladder walk, the
    MTS token-bucket policer, CLI spec parsing, the store-level
    downgrade-upgrade machinery, and the service-model plumbing through
-   the admission controller and the engines (Controller.decide under
-   Renegotiate must be decision-for-decision identical to admit;
+   the admission controller and the engines (Controller.place under
+   Renegotiate must leave the decision sequence identical to admit's;
    Megacall under Downgrade must stay pool-size independent). *)
 
 module Service_model = Rcbr_policy.Service_model
@@ -14,9 +14,15 @@ module Controller = Rcbr_admission.Controller
 module Descriptor = Rcbr_admission.Descriptor
 module Megacall = Rcbr_sim.Megacall
 module Svc_compare = Rcbr_sim.Svc_compare
+module Mbac = Rcbr_sim.Mbac
+module Multihop = Rcbr_sim.Multihop
+module Session = Rcbr_net.Session
+module Schedule = Rcbr_core.Schedule
+module Optimal = Rcbr_core.Optimal
 module Pool = Rcbr_util.Pool
 
 let checkf = Alcotest.(check (float 1e-9))
+let check_exact = Alcotest.(check (float 0.))
 
 (* --- decide_tiers / upgrade ----------------------------------------- *)
 
@@ -63,6 +69,55 @@ let test_upgrade () =
     (Service_model.upgrade ~tiers ~demanded:9_000. ~applied:4_000.
        ~fits:(fun r -> r <= 4_000.)
     = None)
+
+(* --- the denial rule -------------------------------------------------- *)
+
+(* Every decision constructor x increase x route fit.  An increase is
+   denied when settled at the floor, or granted in full where the route
+   cannot fit it; downgrades and policer clips are not denials, and only
+   a full grant of an increase asks for the route probe. *)
+let test_denial_table () =
+  let decisions =
+    [
+      ("grant", Service_model.Grant);
+      ("downgrade_to", Service_model.Downgrade_to { granted = 1_000.; tier = 0 });
+      ("police_to", Service_model.Police_to { granted = 1_000. });
+      ("settle_floor", Service_model.Settle_floor { granted = 1_000.; tier = 0 });
+    ]
+  in
+  List.iter
+    (fun (name, d) ->
+      List.iter
+        (fun increase ->
+          List.iter
+            (fun fits ->
+              let probed = ref false in
+              let denied =
+                match Service_model.denial d ~increase with
+                | Service_model.Not_denied -> false
+                | Service_model.Denied -> true
+                | Service_model.Denied_unless_fits ->
+                    probed := true;
+                    not fits
+              in
+              let is_grant, is_floor =
+                match d with
+                | Service_model.Grant -> (true, false)
+                | Service_model.Settle_floor _ -> (false, true)
+                | Service_model.Downgrade_to _ | Service_model.Police_to _ ->
+                    (false, false)
+              in
+              let tag =
+                Printf.sprintf "%s increase=%b fits=%b" name increase fits
+              in
+              Alcotest.(check bool) (tag ^ " denied")
+                (increase && (is_floor || (is_grant && not fits)))
+                denied;
+              Alcotest.(check bool) (tag ^ " probed") (increase && is_grant)
+                !probed)
+            [ true; false ])
+        [ true; false ])
+    decisions
 
 (* --- of_spec --------------------------------------------------------- *)
 
@@ -122,6 +177,11 @@ let test_mts_ladder () =
   checkf "last scale polices the mean" 10. p.Mts.rates.(2);
   Alcotest.(check bool) "depths grow with the time scale" true
     (p.Mts.depths.(2) > p.Mts.depths.(0))
+
+(* A ladder so generous it never clips: every model-specific path runs
+   and must act exactly as Renegotiate. *)
+let never_clips =
+  Service_model.Mts_profile (Mts.ladder ~scales:1 ~quantum:1. ~mean:1e12 ~peak:1e12)
 
 (* --- store-level downgrade semantics ---------------------------------- *)
 
@@ -213,38 +273,50 @@ let test_upgrade_scan_call_id_order () =
   checkf "younger call stays at the floor" 1_000. (Store.applied store young);
   Alcotest.(check int) "audit clean" 0 (Store.audit ~links store)
 
-(* --- Controller.decide ≡ admit under Renegotiate --------------------- *)
+(* --- Controller.place ≡ admit under Renegotiate ---------------------- *)
 
-let test_controller_decide_renegotiate_identity () =
+(* The engines run [admit] and then [place]; under every model but
+   Downgrade [place] is a full grant that never probes [fits], so the
+   decision sequence is exactly [admit]'s. *)
+let test_controller_place_renegotiate_identity () =
   let descriptor =
     Descriptor.create ~levels:[| 1_000.; 2_000. |] ~fractions:[| 0.5; 0.5 |]
   in
   let mk () = Controller.perfect ~descriptor ~capacity:12_000. ~target:1e-3 in
   let a = mk () and b = mk () in
-  Alcotest.(check bool) "default service" true
-    (Controller.service b = Service_model.Renegotiate);
+  let never_probed _ = Alcotest.fail "place probed fits" in
   for i = 0 to 39 do
     let now = float_of_int i in
     let adm = Controller.admit a ~now in
-    (* [fits] must never be probed under Renegotiate. *)
-    (match
-       Controller.decide b ~now ~demanded:2_000. ~fits:(fun _ ->
-           Alcotest.fail "Renegotiate probed fits")
-     with
-    | Controller.Blocked -> Alcotest.(check bool) "decisions agree" false adm
-    | Controller.Admit { granted; tier; downgraded } ->
-        Alcotest.(check bool) "decisions agree" true adm;
-        checkf "full grant" 2_000. granted;
-        Alcotest.(check int) "no tier" (-1) tier;
-        Alcotest.(check bool) "not downgraded" false downgraded);
+    Alcotest.(check bool) "gates agree" adm (Controller.admit b ~now);
     if adm then begin
+      List.iter
+        (fun model ->
+          match Controller.place b model ~demanded:2_000. ~fits:never_probed with
+          | Service_model.Grant -> ()
+          | _ -> Alcotest.fail "full grant expected")
+        [ Service_model.Renegotiate; never_clips ];
       Controller.on_admit a ~now ~call:i ~rate:2_000.;
       Controller.on_admit b ~now ~call:i ~rate:2_000.
     end
   done;
   Alcotest.(check int) "identical decision hashes"
     (Controller.stats a).Controller.decision_hash
-    (Controller.stats b).Controller.decision_hash
+    (Controller.stats b).Controller.decision_hash;
+  (* Downgrade walks the ladder; an arrival that fits no tier is blocked
+     and the capacity rejection lands in the hash as one more deny. *)
+  let before = Controller.stats b in
+  (match Controller.place b model ~demanded:6_000. ~fits:(fun r -> r <= 4_000.) with
+  | Service_model.Downgrade_to { granted; _ } -> checkf "fitting tier" 4_000. granted
+  | _ -> Alcotest.fail "expected Downgrade_to");
+  (match Controller.place b model ~demanded:6_000. ~fits:(fun _ -> false) with
+  | Service_model.Settle_floor _ -> ()
+  | _ -> Alcotest.fail "expected Settle_floor");
+  let after = Controller.stats b in
+  Alcotest.(check int) "one extra deny" (before.Controller.decisions + 1)
+    after.Controller.decisions;
+  Alcotest.(check int) "no extra admit" before.Controller.admits
+    after.Controller.admits
 
 (* --- property: Downgrade never oversubscribes the link --------------- *)
 
@@ -367,6 +439,241 @@ let test_svc_compare_deterministic () =
     (float_of_int r.Svc_compare.admitted /. float_of_int r.Svc_compare.arrivals)
     r.Svc_compare.jain_fairness
 
+(* --- differential: a model that never acts is Renegotiate ------------ *)
+
+(* Every engine runs one arrival path and one rate-change path for all
+   models, in the seed's draw order, and counts denials by one rule.  So
+   a model that never acts — [never_clips], or [Downgrade] where every
+   change fits — must reproduce the Renegotiate run counter for counter
+   and decision for decision. *)
+
+let diff_schedule =
+  Schedule.create ~fps:24. ~n_slots:480
+    [
+      { Schedule.start_slot = 0; rate = 300_000. };
+      { Schedule.start_slot = 120; rate = 600_000. };
+      { Schedule.start_slot = 240; rate = 200_000. };
+      { Schedule.start_slot = 360; rate = 400_000. };
+    ]
+
+let diff_tiers = Service_model.Downgrade { tiers = [| 200_000.; 400_000.; 600_000. |] }
+
+let check_mbac tag (a : Mbac.metrics) (b : Mbac.metrics) =
+  check_exact (tag ^ " failure") a.Mbac.failure_probability b.Mbac.failure_probability;
+  check_exact (tag ^ " utilization") a.Mbac.utilization b.Mbac.utilization;
+  check_exact (tag ^ " blocking") a.Mbac.call_blocking b.Mbac.call_blocking;
+  check_exact (tag ^ " denials") a.Mbac.denial_fraction b.Mbac.denial_fraction;
+  check_exact (tag ^ " mean calls") a.Mbac.mean_calls_in_system
+    b.Mbac.mean_calls_in_system;
+  Alcotest.(check int) (tag ^ " windows") a.Mbac.windows b.Mbac.windows;
+  Alcotest.(check int) (tag ^ " downgrades") a.Mbac.downgrades b.Mbac.downgrades;
+  Alcotest.(check int) (tag ^ " upgrades") a.Mbac.upgrades b.Mbac.upgrades;
+  Alcotest.(check int) (tag ^ " decisions") a.Mbac.admission.Controller.decisions
+    b.Mbac.admission.Controller.decisions;
+  Alcotest.(check int) (tag ^ " decision hash")
+    a.Mbac.admission.Controller.decision_hash
+    b.Mbac.admission.Controller.decision_hash
+
+let test_mbac_differential () =
+  (* Three times the offered load a 2 Mb/s link carries. *)
+  let arrival_rate =
+    3. *. 2e6
+    /. (Schedule.mean_rate diff_schedule *. Schedule.duration diff_schedule)
+  in
+  let run ~capacity service =
+    Mbac.run
+      {
+        (Mbac.default_config ~schedule:diff_schedule ~capacity ~arrival_rate
+           ~target:0.1 ~seed:5)
+        with
+        Mbac.min_windows = 5;
+        max_windows = 20;
+        service;
+      }
+      ~controller:(Controller.memory ~capacity ~target:0.1)
+  in
+  let reference = run ~capacity:2e6 Service_model.Renegotiate in
+  Alcotest.(check bool) "renegotiate denies some increases" true
+    (reference.Mbac.denial_fraction > 0.);
+  check_mbac "mts" reference (run ~capacity:2e6 never_clips);
+  let roomy = run ~capacity:2e7 Service_model.Renegotiate in
+  check_exact "no change refused at 20 Mb/s" 0. roomy.Mbac.failure_probability;
+  check_mbac "downgrade" roomy (run ~capacity:2e7 diff_tiers)
+
+let check_multihop tag (a : Multihop.metrics) (b : Multihop.metrics) =
+  Alcotest.(check int) (tag ^ " transit attempts") a.Multihop.transit_attempts
+    b.Multihop.transit_attempts;
+  Alcotest.(check int) (tag ^ " transit denials") a.Multihop.transit_denials
+    b.Multihop.transit_denials;
+  Alcotest.(check int) (tag ^ " local attempts") a.Multihop.local_attempts
+    b.Multihop.local_attempts;
+  Alcotest.(check int) (tag ^ " local denials") a.Multihop.local_denials
+    b.Multihop.local_denials;
+  Alcotest.(check int) (tag ^ " downgrades") a.Multihop.downgrades
+    b.Multihop.downgrades;
+  check_exact (tag ^ " utilization") a.Multihop.mean_hop_utilization
+    b.Multihop.mean_hop_utilization
+
+let test_multihop_differential () =
+  let run ~capacity service =
+    fst
+      (Multihop.run_net
+         {
+           Multihop.schedule = diff_schedule;
+           topology = Topology.linear ~hops:3 ~capacity;
+           transit_calls = 12;
+           local_calls_per_link = 10;
+           horizon = 2. *. Schedule.duration diff_schedule;
+           seed = 3;
+           balance = false;
+           service;
+         }
+         Session.no_faults)
+  in
+  let reference = run ~capacity:8e6 Service_model.Renegotiate in
+  Alcotest.(check bool) "renegotiate denies transit increases" true
+    (reference.Multihop.transit_denials > 0);
+  check_multihop "mts" reference (run ~capacity:8e6 never_clips);
+  let roomy = run ~capacity:1e8 Service_model.Renegotiate in
+  Alcotest.(check int) "no change refused at 100 Mb/s" 0
+    (roomy.Multihop.transit_denials + roomy.Multihop.local_denials);
+  check_multihop "downgrade" roomy (run ~capacity:1e8 diff_tiers)
+
+(* Megacall's outcome hash folds the model-only counters, so compare the
+   per-shard decision hashes and the totals instead. *)
+let check_megacall tag (a : Megacall.metrics) (b : Megacall.metrics) =
+  Array.iteri
+    (fun i (s : Megacall.shard_metrics) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s shard %d decision hash" tag i)
+        s.Megacall.decision_hash b.Megacall.shards_.(i).Megacall.decision_hash)
+    a.Megacall.shards_;
+  List.iter
+    (fun (name, f) -> Alcotest.(check int) (tag ^ " " ^ name) (f a) (f b))
+    [
+      ("arrivals", fun m -> m.Megacall.total_arrivals);
+      ("admitted", fun m -> m.Megacall.total_admitted);
+      ("denied", fun m -> m.Megacall.total_denied);
+      ("reneg attempts", fun m -> m.Megacall.total_reneg_attempts);
+      ("reneg denied", fun m -> m.Megacall.total_reneg_denied);
+      ("departures", fun m -> m.Megacall.total_departures);
+      ("events", fun m -> m.Megacall.total_events);
+      ("downgrades", fun m -> m.Megacall.total_downgrades);
+      ("upgrades", fun m -> m.Megacall.total_upgrades);
+      ("concurrent", fun m -> m.Megacall.concurrent_calls);
+      ("audit", fun m -> m.Megacall.audit_violations);
+    ]
+
+let test_megacall_differential () =
+  let run ~link_load_factor service =
+    Megacall.run
+      {
+        (Megacall.default ~concurrent:2048 ()) with
+        Megacall.shards = 2;
+        calls_per_shard = 512;
+        mean_hold = 2.;
+        horizon = 6.;
+        link_load_factor;
+        service;
+      }
+  in
+  let reference = run ~link_load_factor:1.05 Service_model.Renegotiate in
+  Alcotest.(check bool) "renegotiate denies increases" true
+    (reference.Megacall.total_reneg_denied > 0);
+  check_megacall "mts" reference (run ~link_load_factor:1.05 never_clips);
+  let roomy = run ~link_load_factor:100. Service_model.Renegotiate in
+  Alcotest.(check int) "no change refused at 100x load" 0
+    roomy.Megacall.total_reneg_denied;
+  check_megacall "downgrade" roomy
+    (run ~link_load_factor:100.
+       (Service_model.Downgrade { tiers = [| 64_000.; 256_000.; 1_024_000. |] }))
+
+let check_svc tag (a : Svc_compare.model_metrics) (b : Svc_compare.model_metrics) =
+  List.iter
+    (fun (name, f) -> Alcotest.(check int) (tag ^ " " ^ name) (f a) (f b))
+    [
+      ("admitted", fun m -> m.Svc_compare.admitted);
+      ("blocked", fun m -> m.Svc_compare.blocked);
+      ("reneg attempts", fun m -> m.Svc_compare.reneg_attempts);
+      ("reneg denied", fun m -> m.Svc_compare.reneg_denied);
+      ("downgrades", fun m -> m.Svc_compare.downgrades);
+      ("upgrades", fun m -> m.Svc_compare.upgrades);
+      ("departures", fun m -> m.Svc_compare.departures);
+      ("decision hash", fun m -> m.Svc_compare.decision_hash);
+      ("outcome hash", fun m -> m.Svc_compare.outcome_hash);
+    ];
+  check_exact (tag ^ " utilization") a.Svc_compare.mean_utilization
+    b.Svc_compare.mean_utilization;
+  check_exact (tag ^ " fairness") a.Svc_compare.jain_fairness
+    b.Svc_compare.jain_fairness
+
+let test_svc_compare_differential () =
+  let cfg capacity =
+    {
+      (Svc_compare.default ()) with
+      Svc_compare.calls = 96;
+      capacity;
+      arrival_window = 10.;
+    }
+  in
+  let reference = Svc_compare.run_model (cfg 2e6) Service_model.Renegotiate in
+  Alcotest.(check bool) "renegotiate denies increases" true
+    (reference.Svc_compare.reneg_denied > 0);
+  check_svc "mts" reference (Svc_compare.run_model (cfg 2e6) never_clips);
+  let roomy = Svc_compare.run_model (cfg 1e9) Service_model.Renegotiate in
+  Alcotest.(check int) "no change refused at 1 Gb/s" 0
+    roomy.Svc_compare.reneg_denied;
+  check_svc "downgrade" roomy
+    (Svc_compare.run_model (cfg 1e9)
+       (Service_model.Downgrade { tiers = [| 64_000.; 256_000.; 1_024_000. |] }))
+
+(* --- where MTS policing reaches admission ----------------------------- *)
+
+(* svc-compare's MTS run keeps Renegotiate's decision hash by
+   construction, not by accident: its [Controller.perfect] decides on
+   the call count alone, the pre-generated workload fixes every arrival
+   and departure time, and MTS polices only established calls — so the
+   admit/deny sequence cannot move, while the outcomes do. *)
+let test_svc_compare_mts_admission_identity () =
+  let m = Svc_compare.run (Svc_compare.default ()) in
+  let reneg = m.Svc_compare.models.(0) and mts = m.Svc_compare.models.(2) in
+  Alcotest.(check string) "mts column" "mts" mts.Svc_compare.model;
+  Alcotest.(check bool) "policing acts" true (mts.Svc_compare.downgrades > 0);
+  Alcotest.(check bool) "outcomes differ" true
+    (mts.Svc_compare.outcome_hash <> reneg.Svc_compare.outcome_hash);
+  Alcotest.(check int) "same admit/deny sequence" reneg.Svc_compare.decision_hash
+    mts.Svc_compare.decision_hash
+
+(* The counterpart: the memory controller learns from the rates calls
+   actually hold, so under the CLI's default MTS ladder the policed
+   rates reach its histograms and move its decisions.  With one
+   arrival path in the seed's draw order, policing is the only cause. *)
+let test_mbac_mts_moves_memory_controller () =
+  let trace = Rcbr_traffic.Synthetic.star_wars ~frames:2_000 ~seed:42 () in
+  let schedule = Optimal.solve (Optimal.default_params ~cost_ratio:2e5 trace) trace in
+  let capacity = 16. *. Rcbr_traffic.Trace.mean_rate trace in
+  let arrival_rate =
+    capacity /. (Schedule.mean_rate schedule *. Schedule.duration schedule)
+  in
+  let run service =
+    Mbac.run
+      {
+        (Mbac.default_config ~schedule ~capacity ~arrival_rate ~target:1e-3
+           ~seed:43)
+        with
+        Mbac.service;
+      }
+      ~controller:(Controller.memory ~capacity ~target:1e-3)
+  in
+  let reneg = run Service_model.Renegotiate in
+  let mts =
+    run (Service_model.Mts_profile (Mts.of_schedule schedule ~scales:3 ~base_window:16))
+  in
+  Alcotest.(check bool) "policing acts" true (mts.Mbac.downgrades > 0);
+  Alcotest.(check bool) "decision hash moves" true
+    (mts.Mbac.admission.Controller.decision_hash
+    <> reneg.Mbac.admission.Controller.decision_hash)
+
 let () =
   Alcotest.run "rcbr_policy"
     [
@@ -375,6 +682,7 @@ let () =
           Alcotest.test_case "decide_tiers" `Quick test_decide_tiers;
           Alcotest.test_case "upgrade" `Quick test_upgrade;
           Alcotest.test_case "of_spec" `Quick test_of_spec;
+          Alcotest.test_case "denial rule table" `Quick test_denial_table;
         ] );
       ( "mts",
         [
@@ -392,8 +700,8 @@ let () =
         ] );
       ( "controller",
         [
-          Alcotest.test_case "decide = admit under Renegotiate" `Quick
-            test_controller_decide_renegotiate_identity;
+          Alcotest.test_case "place = admit under Renegotiate" `Quick
+            test_controller_place_renegotiate_identity;
         ] );
       ( "properties",
         List.map
@@ -405,5 +713,20 @@ let () =
             test_megacall_downgrade_pool_identity;
           Alcotest.test_case "svc-compare deterministic" `Quick
             test_svc_compare_deterministic;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "mbac never-acting models = renegotiate" `Quick
+            test_mbac_differential;
+          Alcotest.test_case "multihop never-acting models = renegotiate"
+            `Quick test_multihop_differential;
+          Alcotest.test_case "megacall never-acting models = renegotiate"
+            `Quick test_megacall_differential;
+          Alcotest.test_case "svc-compare never-acting models = renegotiate"
+            `Quick test_svc_compare_differential;
+          Alcotest.test_case "svc-compare mts keeps the admit/deny sequence"
+            `Quick test_svc_compare_mts_admission_identity;
+          Alcotest.test_case "mbac mts moves the memory controller" `Quick
+            test_mbac_mts_moves_memory_controller;
         ] );
     ]

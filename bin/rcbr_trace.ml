@@ -322,7 +322,7 @@ let stream file seed frames hops capacity_mult drop duplicate reorder delay_prob
       buffer;
       delay_slots;
       retry_slots = (if retry_slots <= 0 then None else Some retry_slots);
-      faults = Some faults;
+      faults;
     }
   in
   Format.printf
@@ -340,24 +340,22 @@ let stream file seed frames hops capacity_mult drop duplicate reorder delay_prob
     (if r.Niu.bits_offered > 0. then 100. *. r.Niu.bits_lost /. r.Niu.bits_offered
      else 0.)
     r.Niu.max_backlog r.Niu.attempts r.Niu.failures r.Niu.mean_reserved;
-  (match r.Niu.faults with
-  | None -> ()
-  | Some f ->
-      Format.printf
-        "@[<v>%a@,\
-         retransmits:    %d (worst per request %d)@,\
-         timeouts:       %d@,\
-         give-ups:       %d@,\
-         resyncs:        %d@,\
-         crashes:        %d (%d recoveries)@,\
-         degraded slots: %d@,\
-         bits scaled:    %.3e@,\
-         invariant violations: %d@,\
-         final drift:    %.3g b/s@]@."
-        Injector.pp_totals f.Niu.cells f.Niu.retransmits f.Niu.worst_retransmits
-        f.Niu.timeouts f.Niu.give_ups f.Niu.resyncs f.Niu.crashes
-        f.Niu.recoveries f.Niu.degraded_slots f.Niu.bits_scaled
-        f.Niu.invariant_violations f.Niu.final_drift);
+  let f = r.Niu.faults in
+  Format.printf
+    "@[<v>%a@,\
+     retransmits:    %d (worst per request %d)@,\
+     timeouts:       %d@,\
+     give-ups:       %d@,\
+     resyncs:        %d@,\
+     crashes:        %d (%d recoveries)@,\
+     degraded slots: %d@,\
+     bits scaled:    %.3e@,\
+     invariant violations: %d@,\
+     final drift:    %.3g b/s@]@."
+    Injector.pp_totals f.Niu.cells f.Niu.retransmits f.Niu.worst_retransmits
+    f.Niu.timeouts f.Niu.give_ups f.Niu.resyncs f.Niu.crashes
+    f.Niu.recoveries f.Niu.degraded_slots f.Niu.bits_scaled
+    f.Niu.invariant_violations f.Niu.final_drift;
   Path.teardown path;
   let leak =
     List.fold_left

@@ -36,6 +36,56 @@ type outcome = {
   predictions : float array;  (** chat(t) per slot, for diagnostics *)
 }
 
+(** {2 The buffer monitor (Section III-A)}
+
+    "We propose that an active component monitor the buffer between the
+    application and the network and initiate renegotiations based on
+    the buffer occupancy."  This is its state and its per-slot
+    operation.  {!run_custom} and {!Rcbr_signal.Niu.stream} run
+    {!slot}; {!run_receding} runs the same buffer step under its own
+    rule.  So the buffer accounting and formulas (6)–(8) exist once. *)
+
+type monitor = {
+  size : float;  (** buffer capacity, bits; [infinity] when unbounded *)
+  mutable backlog : float;  (** B(t), bits *)
+  mutable max_backlog : float;  (** peak backlog so far, bits *)
+  mutable lost : float;  (** bits spilled past [size] so far *)
+  mutable in_force : float;  (** rate serving the buffer, b/s *)
+  mutable requested : float;
+      (** rate last asked of (and granted by) the network, b/s — the
+          reference of formula (8); it leads [in_force] while a grant is
+          in its signalling round-trip *)
+  mutable prediction : float;
+      (** rhat(t) of formula (6) at the last {!slot}, b/s *)
+  mutable want : float;
+      (** the quantized prediction (formula (7)), or the caller's
+          candidate rate, b/s *)
+}
+(** All fields are floats, so the record is stored flat and per-slot
+    updates do not allocate. *)
+
+val monitor : size:float -> rate:float -> monitor
+(** An empty buffer of [size] bits served at [rate], which is also the
+    requested rate and the initial [want]. *)
+
+val slot :
+  params -> monitor -> tau:float -> bits:float -> forecast:float -> bool
+(** One slot of length [tau].  The buffer step: [bits] arrive and
+    [in_force *. tau] drain, the backlog is clamped to [0, size] with
+    the spill counted in [lost], and [max_backlog] follows.  Then
+    formulas (6)–(8) on the predictor's [forecast], taken after it
+    observed this slot: set [prediction] to [forecast] plus the flush
+    term [backlog / T] (when [use_flush_term]), set [want] to it rounded
+    up to a multiple of [granularity], and say whether the buffer urges
+    a move to [want] — above [b_high] and [want > requested], or below
+    [b_low] and [want < requested].  Whether a request may go out (one
+    in flight, a retry timer) is the caller's business. *)
+
+val quantize_down : params -> float -> float
+(** The largest multiple of [granularity] at or below a rate — what a
+    source settles for when a denying switch's ER field offers that
+    rate (Section III-B). *)
+
 val run : params -> Rcbr_traffic.Trace.t -> outcome
 (** Simulate the heuristic over a trace.  The initial rate is the
     quantized first prediction and does not count as a renegotiation. *)
@@ -56,9 +106,10 @@ val run_custom :
     [run_custom ~predictor:(Predictor.ar1 ~eta:ar_coefficient)].
 
     [buffer] (default: unbounded) caps the backlog at the end-system
-    buffer size; the spill is accounted in [bits_lost].  This matches
-    {!Rcbr_signal.Niu}'s buffer semantics, so an uncontended NIU run and
-    [run_custom ?buffer] agree bit for bit on the same trace.
+    buffer size; the spill is accounted in [bits_lost].  The slot loop
+    runs the {!monitor} that {!Rcbr_signal.Niu} runs, so an uncontended
+    NIU and [run_custom ?buffer ~delay_slots] agree bit for bit by
+    construction.
 
     [delay_slots] (default 0) models the signaling round-trip of
     Section III-C: a granted renegotiation only takes effect that many

@@ -29,12 +29,14 @@ let default_faults plan =
     degrade = Settle;
   }
 
+let no_faults = { (default_faults (Plan.null ~hops:0)) with resync_slots = 0 }
+
 type params = {
   online : Rcbr_core.Online.params;
   buffer : float;
   delay_slots : int;
   retry_slots : int option;
-  faults : faults option;
+  faults : faults;
 }
 
 let default_params =
@@ -43,7 +45,7 @@ let default_params =
     buffer = 300_000.;
     delay_slots = 0;
     retry_slots = Some 24;
-    faults = None;
+    faults = no_faults;
   }
 
 type fault_report = {
@@ -69,128 +71,14 @@ type outcome = {
   attempts : int;
   failures : int;
   mean_reserved : float;
-  faults : fault_report option;
+  faults : fault_report;
 }
-
-let quantize_up delta x =
-  if x <= 0. then delta else delta *. Float.ceil (x /. delta)
 
 (* Two quantized wants denote the same renegotiation target iff they sit
    on the same rung of the rate grid — never compare the floats
    directly, a re-predicted want one ulp away must not bypass the retry
    timer. *)
 let same_grid_level delta a b = Float.abs (a -. b) < 0.5 *. delta
-
-(* --- The zero-fault data path (the paper's idealized signalling) ----- *)
-
-let stream_reliable p ~path trace =
-  let o = p.online in
-  let n = Trace.length trace in
-  let tau = Trace.slot_duration trace in
-  let flush_seconds = float_of_int o.Online.flush_slots *. tau in
-  let pred =
-    Predictor.ar1 ~eta:o.Online.ar_coefficient
-      ~initial:(Trace.frame trace 0 /. tau)
-  in
-  (* [in_force] drains the buffer; [granted] is what the network has
-     admitted (awaiting its round-trip when they differ); [wanted] is a
-     denied request kept for retry. *)
-  let in_force = ref (Path.rate path) in
-  let granted = ref !in_force in
-  let pending = ref [] (* (effective_slot, rate) *) in
-  let wanted = ref None and retry_at = ref max_int in
-  let segments = ref [ { Schedule.start_slot = 0; rate = !in_force } ] in
-  let backlog = ref 0. and max_backlog = ref 0. in
-  let offered = ref 0. and lost = ref 0. in
-  let reserved_integral = ref 0. in
-  let attempts = ref 0 and failures = ref 0 in
-  let accept t rate =
-    granted := rate;
-    if p.delay_slots = 0 then begin
-      in_force := rate;
-      segments := { Schedule.start_slot = t; rate } :: !segments
-    end
-    else pending := !pending @ [ (t + p.delay_slots, rate) ]
-  in
-  let request t rate =
-    incr attempts;
-    match Path.renegotiate path rate with
-    | `Granted ->
-        accept t rate;
-        wanted := None
-    | `Denied_at _ ->
-        incr failures;
-        (* ER-field feedback (Section III-B): the denying switch tells
-           the source what is available; settle for it now and keep the
-           real want for a retry. *)
-        wanted := Some rate;
-        (match p.retry_slots with
-        | Some d -> retry_at := t + d
-        | None -> retry_at := max_int);
-        let fallback =
-          o.Online.granularity
-          *. Float.floor (Path.available path /. o.Online.granularity)
-        in
-        if fallback > !granted then
-          match Path.renegotiate path fallback with
-          | `Granted -> accept t fallback
-          | `Denied_at _ -> ()
-  in
-  for t = 0 to n - 1 do
-    (match !pending with
-    | (at, rate) :: rest when at <= t ->
-        in_force := rate;
-        pending := rest;
-        segments := { Schedule.start_slot = t; rate } :: !segments
-    | _ -> ());
-    (* Retry a previously denied request. *)
-    (match !wanted with
-    | Some rate when t >= !retry_at -> request t rate
-    | _ -> ());
-    let bits = Trace.frame trace t in
-    offered := !offered +. bits;
-    let net = !backlog +. bits -. (!in_force *. tau) in
-    backlog := Float.min p.buffer (Float.max 0. net);
-    lost := !lost +. Float.max 0. (net -. p.buffer);
-    if !backlog > !max_backlog then max_backlog := !backlog;
-    reserved_integral := !reserved_integral +. (!in_force *. tau);
-    pred.Predictor.observe (bits /. tau);
-    let flush =
-      if o.Online.use_flush_term then !backlog /. flush_seconds else 0.
-    in
-    let prediction = pred.Predictor.forecast () +. flush in
-    if t + 1 < n then begin
-      let want = quantize_up o.Online.granularity prediction in
-      let reference = !granted in
-      let want_up = !backlog > o.Online.b_high && want > reference in
-      let want_down = !backlog < o.Online.b_low && want < reference in
-      (* Rate-limit the signaling: a want that was just denied waits for
-         its retry timer instead of hammering the switches every slot. *)
-      let already_denied =
-        match !wanted with
-        | Some w ->
-            same_grid_level o.Online.granularity w want && t + 1 < !retry_at
-        | None -> false
-      in
-      if (want_up || want_down) && !pending = [] && not already_denied then
-        request (t + 1) want
-    end
-  done;
-  let schedule =
-    Schedule.create ~fps:(Trace.fps trace) ~n_slots:n (List.rev !segments)
-  in
-  {
-    schedule;
-    bits_offered = !offered;
-    bits_lost = !lost;
-    max_backlog = !max_backlog;
-    attempts = !attempts;
-    failures = !failures;
-    mean_reserved = !reserved_integral /. (float_of_int n *. tau);
-    faults = None;
-  }
-
-(* --- The same data path over an unreliable signalling plane ---------- *)
 
 type inflight = {
   req : Path.request;
@@ -200,16 +88,15 @@ type inflight = {
   mutable deadline : int;
 }
 
-let stream_faulty p f ~path trace =
+(* The plan the stream runs under.  A null plan carries nothing per hop,
+   so it is sized from the path; a lossy one must match the path and
+   leave room for a healthy round-trip before its first timeout. *)
+let checked_plan p f ~path =
   let o = p.online in
-  if Array.length f.plan.Plan.links <> Path.hops path then
-    invalid_arg "Niu faults: plan covers a different number of hops than the path";
-  if f.timeout_slots <= p.delay_slots then
-    invalid_arg
-      (Printf.sprintf
-         "Niu faults: timeout_slots %d must exceed the signalling delay of %d \
-          slot(s), or every request times out before its response can arrive"
-         f.timeout_slots p.delay_slots);
+  assert (o.Online.b_low >= 0. && o.Online.b_high > o.Online.b_low);
+  assert (o.Online.flush_slots > 0 && o.Online.granularity > 0.);
+  assert (p.buffer > 0. && p.delay_slots >= 0);
+  (match p.retry_slots with Some r -> assert (r >= 1) | None -> ());
   if f.max_retransmits < 0 then invalid_arg "Niu faults: max_retransmits < 0";
   if f.backoff < 1. then invalid_arg "Niu faults: backoff factor must be >= 1";
   if f.jitter_slots < 0 then invalid_arg "Niu faults: jitter_slots < 0";
@@ -218,23 +105,40 @@ let stream_faulty p f ~path trace =
   | Scale q when not (q >= 0. && q <= 1.) ->
       invalid_arg "Niu faults: scale factor not in [0,1]"
   | _ -> ());
-  let inj = Injector.create f.plan in
+  if Plan.is_null f.plan then Plan.null ~hops:(Path.hops path)
+  else begin
+    if Array.length f.plan.Plan.links <> Path.hops path then
+      invalid_arg
+        "Niu faults: plan covers a different number of hops than the path";
+    if f.timeout_slots <= p.delay_slots then
+      invalid_arg
+        (Printf.sprintf
+           "Niu faults: timeout_slots %d must exceed the signalling delay of \
+            %d slot(s), or every request times out before its response can \
+            arrive"
+           f.timeout_slots p.delay_slots);
+    f.plan
+  end
+
+let stream p ~path trace =
+  let o = p.online and f = p.faults in
+  let plan = checked_plan p f ~path in
+  let inj = Injector.create plan in
   let ports = Path.ports path in
   let n = Trace.length trace in
   let tau = Trace.slot_duration trace in
-  let flush_seconds = float_of_int o.Online.flush_slots *. tau in
   let pred =
     Predictor.ar1 ~eta:o.Online.ar_coefficient
       ~initial:(Trace.frame trace 0 /. tau)
   in
-  let in_force = ref (Path.rate path) in
-  let granted = ref !in_force in
-  let pending = ref [] in
+  (* [m.in_force] drains the buffer; [m.requested] is what the network
+     has granted (awaiting its round-trip when they differ); [wanted] is
+     a denied or abandoned request kept for retry. *)
+  let m = Online.monitor ~size:p.buffer ~rate:(Path.rate path) in
+  let pending = ref [] (* (effective_slot, rate) *) in
   let wanted = ref None and retry_at = ref max_int in
-  let segments = ref [ { Schedule.start_slot = 0; rate = !in_force } ] in
-  let backlog = ref 0. and max_backlog = ref 0. in
-  let offered = ref 0. and lost = ref 0. in
-  let reserved_integral = ref 0. in
+  let segments = ref [ { Schedule.start_slot = 0; rate = Path.rate path } ] in
+  let offered = ref 0. and reserved_integral = ref 0. in
   let attempts = ref 0 and failures = ref 0 in
   (* Retransmission state machine: at most one request in flight. *)
   let next_id = ref 0 in
@@ -250,10 +154,10 @@ let stream_faulty p f ~path trace =
   let crashes = ref 0 and recoveries = ref 0 in
   let degraded = ref false in
   let accept t ~extra rate =
-    granted := rate;
+    m.Online.requested <- rate;
     let effective = t + p.delay_slots + extra in
     if effective <= t then begin
-      in_force := rate;
+      m.Online.in_force <- rate;
       segments := { Schedule.start_slot = t; rate } :: !segments
     end
     else pending := !pending @ [ (effective, rate) ]
@@ -264,24 +168,24 @@ let stream_faulty p f ~path trace =
     in
     t + int_of_float scaled + Injector.jitter inj f.jitter_slots
   in
+  let retry_later t rate =
+    wanted := Some rate;
+    match p.retry_slots with
+    | Some d -> retry_at := t + d
+    | None -> retry_at := max_int
+  in
   (* A denial concluded: remember the want, arm the retry timer, and —
      under Settle/Scale — settle for the grid level under the ER-field
-     feedback right away (generalizing the fallback of the reliable
-     path).  Ride_out keeps the old rate and rides on the buffer. *)
+     feedback (Section III-B) right away.  Ride_out keeps the old rate
+     and rides on the buffer. *)
   let on_denied t rate =
     incr failures;
-    wanted := Some rate;
-    (match p.retry_slots with
-    | Some d -> retry_at := t + d
-    | None -> retry_at := max_int);
+    retry_later t rate;
     match f.degrade with
     | Ride_out -> ()
     | Settle | Scale _ -> (
-        let fallback =
-          o.Online.granularity
-          *. Float.floor (Path.available path /. o.Online.granularity)
-        in
-        if fallback > !granted then
+        let fallback = Online.quantize_down o (Path.available path) in
+        if fallback > m.Online.requested then
           let fb = Path.request path ~id:(fresh_id ()) fallback in
           match Path.transmit path ~inj fb with
           | `Granted extra -> accept t ~extra fallback
@@ -334,21 +238,24 @@ let stream_faulty p f ~path trace =
     (* Planned switch failures: a crashing port loses its reservations
        and state; on recovery it re-admits from empty (our resync cells
        rebuild its belief). *)
-    List.iter
-      (fun c ->
-        if c.Plan.at_slot = t then begin
-          Port.crash ports.(c.Plan.hop);
-          incr crashes
-        end;
-        if c.Plan.recover_slot = t then begin
-          Port.recover ports.(c.Plan.hop);
-          incr recoveries
-        end)
-      f.plan.Plan.crashes;
+    (match plan.Plan.crashes with
+    | [] -> ()
+    | planned ->
+        List.iter
+          (fun c ->
+            if c.Plan.at_slot = t then begin
+              Port.crash ports.(c.Plan.hop);
+              incr crashes
+            end;
+            if c.Plan.recover_slot = t then begin
+              Port.recover ports.(c.Plan.hop);
+              incr recoveries
+            end)
+          planned);
     (* A granted renegotiation comes into force. *)
     (match !pending with
     | (at, rate) :: rest when at <= t ->
-        in_force := rate;
+        m.Online.in_force <- rate;
         pending := rest;
         segments := { Schedule.start_slot = t; rate } :: !segments
     | _ -> ());
@@ -361,10 +268,7 @@ let stream_faulty p f ~path trace =
           incr give_ups;
           inflight := None;
           if not r.is_fallback then begin
-            wanted := Some r.target;
-            (match p.retry_slots with
-            | Some d -> retry_at := t + d
-            | None -> retry_at := max_int);
+            retry_later t r.target;
             degraded := true
           end
         end
@@ -391,51 +295,36 @@ let stream_faulty p f ~path trace =
       Path.resync path ~inj;
       incr resyncs
     end;
-    let is_degraded = !degraded || !wanted <> None in
+    let is_degraded = !degraded || Option.is_some !wanted in
     if is_degraded then incr degraded_slots;
     let bits = Trace.frame trace t in
     offered := !offered +. bits;
-    (* Quality scaling: while degraded, shed a fraction of the offered
-       bits at the source instead of overflowing the buffer. *)
-    let starved =
-      is_degraded
-      && match !wanted with Some w -> w > !granted | None -> false
-    in
-    let bits_in =
-      match f.degrade with
-      | Scale q when starved ->
+    pred.Predictor.observe (bits /. tau);
+    let forecast = pred.Predictor.forecast () in
+    (* Quality scaling: while degraded and starved, shed a fraction of
+       the offered bits at the source instead of overflowing the
+       buffer. *)
+    let urged =
+      match (f.degrade, !wanted) with
+      | Scale q, Some w when w > m.Online.requested ->
           let shed = q *. bits in
           bits_scaled := !bits_scaled +. shed;
-          bits -. shed
-      | _ -> bits
+          Online.slot o m ~tau ~bits:(bits -. shed) ~forecast
+      | _ -> Online.slot o m ~tau ~bits ~forecast
     in
-    let net = !backlog +. bits_in -. (!in_force *. tau) in
-    backlog := Float.min p.buffer (Float.max 0. net);
-    lost := !lost +. Float.max 0. (net -. p.buffer);
-    if !backlog > !max_backlog then max_backlog := !backlog;
-    reserved_integral := !reserved_integral +. (!in_force *. tau);
-    pred.Predictor.observe (bits /. tau);
-    let flush =
-      if o.Online.use_flush_term then !backlog /. flush_seconds else 0.
-    in
-    let prediction = pred.Predictor.forecast () +. flush in
-    if t + 1 < n then begin
-      let want = quantize_up o.Online.granularity prediction in
-      let reference = !granted in
-      let want_up = !backlog > o.Online.b_high && want > reference in
-      let want_down = !backlog < o.Online.b_low && want < reference in
+    reserved_integral := !reserved_integral +. (m.Online.in_force *. tau);
+    if t + 1 < n && urged && !pending = [] && !inflight = None then begin
+      (* Rate-limit the signalling: a want that was just denied waits
+         for its retry timer instead of hammering the switches every
+         slot. *)
+      let want = m.Online.want in
       let already_denied =
         match !wanted with
         | Some w ->
             same_grid_level o.Online.granularity w want && t + 1 < !retry_at
         | None -> false
       in
-      if
-        (want_up || want_down)
-        && !pending = []
-        && !inflight = None
-        && not already_denied
-      then send_request (t + 1) want
+      if not already_denied then send_request (t + 1) want
     end
   done;
   let views = Array.mapi (fun i port -> Port.view port ~index:i) ports in
@@ -447,7 +336,8 @@ let stream_faulty p f ~path trace =
         | Port.Stateless -> acc
         | Port.Tracked ->
             Float.max acc
-              (Float.abs (Port.vci_rate port (Path.vci path) -. !granted)))
+              (Float.abs
+                 (Port.vci_rate port (Path.vci path) -. m.Online.requested)))
       0. ports
   in
   let schedule =
@@ -456,35 +346,24 @@ let stream_faulty p f ~path trace =
   {
     schedule;
     bits_offered = !offered;
-    bits_lost = !lost;
-    max_backlog = !max_backlog;
+    bits_lost = m.Online.lost;
+    max_backlog = m.Online.max_backlog;
     attempts = !attempts;
     failures = !failures;
     mean_reserved = !reserved_integral /. (float_of_int n *. tau);
     faults =
-      Some
-        {
-          retransmits = !retransmits;
-          timeouts = !timeouts;
-          give_ups = !give_ups;
-          resyncs = !resyncs;
-          degraded_slots = !degraded_slots;
-          bits_scaled = !bits_scaled;
-          worst_retransmits = !worst_retx;
-          crashes = !crashes;
-          recoveries = !recoveries;
-          cells = Injector.totals inj;
-          invariant_violations = List.length violations;
-          final_drift;
-        };
+      {
+        retransmits = !retransmits;
+        timeouts = !timeouts;
+        give_ups = !give_ups;
+        resyncs = !resyncs;
+        degraded_slots = !degraded_slots;
+        bits_scaled = !bits_scaled;
+        worst_retransmits = !worst_retx;
+        crashes = !crashes;
+        recoveries = !recoveries;
+        cells = Injector.totals inj;
+        invariant_violations = List.length violations;
+        final_drift;
+      };
   }
-
-let stream p ~path trace =
-  let o = p.online in
-  assert (o.Online.b_low >= 0. && o.Online.b_high > o.Online.b_low);
-  assert (o.Online.flush_slots > 0 && o.Online.granularity > 0.);
-  assert (p.buffer > 0. && p.delay_slots >= 0);
-  (match p.retry_slots with Some r -> assert (r >= 1) | None -> ());
-  match p.faults with
-  | None -> stream_reliable p ~path trace
-  | Some f -> stream_faulty p f ~path trace

@@ -12,22 +12,28 @@
     real multi-hop {!Path} (which may deny them); denials are retried;
     grants take effect after a signaling round-trip.
 
-    With a {!faults} specification the same NIU runs over an unreliable
-    signalling plane: RM cells are dropped, duplicated, reordered and
-    delayed per the fault plan, and ports crash and recover.  The NIU
-    then behaves like a real transport endpoint — per-request timeouts,
-    bounded retransmissions with exponential backoff and jitter,
-    idempotent request ids so retransmitted or duplicated cells never
-    double-apply at a switch, periodic absolute-rate resyncs to repair
-    drift, and graceful degradation (ride out on buffer, settle for the
-    ER-field rate, or scale quality) when renegotiation persistently
-    fails. *)
+    Every stream runs over a signalling plane described by {!faults}.
+    Under {!no_faults} nothing goes wrong and the NIU is the paper's
+    idealized exchange.  Under a lossy fault plan RM cells are dropped,
+    duplicated, reordered and delayed, and ports crash and recover; the
+    same NIU then behaves like a real transport endpoint — per-request
+    timeouts, bounded retransmissions with exponential backoff and
+    jitter, idempotent request ids so retransmitted or duplicated cells
+    never double-apply at a switch, periodic absolute-rate resyncs to
+    repair drift, and graceful degradation (ride out on buffer, settle
+    for the ER-field rate, or scale quality) when renegotiation
+    persistently fails.
+
+    The buffer and the threshold rule are {!Rcbr_core.Online}'s
+    {!Rcbr_core.Online.monitor}: an NIU on a path that never denies
+    reproduces {!Rcbr_core.Online.run_custom} [~buffer ~delay_slots]
+    bit for bit. *)
 
 type degrade =
   | Ride_out  (** keep the old rate, absorb the burst in the buffer *)
   | Settle
-      (** fall back to the ER-field available rate (the reliable path's
-          behaviour, generalized) *)
+      (** fall back to the grid level under the ER-field available rate
+          (the paper's Section III-B feedback) *)
   | Scale of float
       (** Settle, and additionally shed this fraction of each offered
           frame at the source while starved — quality scaling with
@@ -36,8 +42,9 @@ type degrade =
 type faults = {
   plan : Rcbr_fault.Plan.t;  (** what the network does to RM cells *)
   timeout_slots : int;
-      (** slots without a response before retransmitting; must exceed
-          [delay_slots] so a healthy round-trip never times out *)
+      (** slots without a response before retransmitting; under a plan
+          that can lose a cell it must exceed [delay_slots] so a healthy
+          round-trip never times out *)
   max_retransmits : int;  (** per request, before giving up *)
   backoff : float;  (** timeout multiplier per retransmission (>= 1) *)
   jitter_slots : int;  (** uniform extra [0..jitter] slots per timeout *)
@@ -49,21 +56,25 @@ val default_faults : Rcbr_fault.Plan.t -> faults
 (** timeout 8 slots, 6 retransmits max, backoff 2x with 2 slots of
     jitter, resync every 120 slots (5 s at 24 fps), Settle. *)
 
+val no_faults : faults
+(** The reliable signalling plane: {!default_faults} of a null plan with
+    resync off.  Nothing is lost, so no timer is ever armed and no
+    retransmission or resync cell is sent.  (A resyncing null plan
+    re-sends the absolute rate, which at a rate off the port's
+    arithmetic grid can move a port's reservation by a few ulps.) *)
+
 type params = {
   online : Rcbr_core.Online.params;  (** monitor thresholds and predictor *)
   buffer : float;  (** end-system buffer, bits; overflow is lost *)
   delay_slots : int;  (** signaling round-trip before a grant bites *)
   retry_slots : int option;  (** re-issue a denied request after this many
                                  slots ([None]: wait for the next trigger) *)
-  faults : faults option;
-      (** [None] runs the idealized zero-loss signalling plane and is
-          bit-identical to the historical behaviour; [Some] (even of a
-          null plan) runs the retransmitting state machine *)
+  faults : faults;  (** the signalling plane; {!no_faults} by default *)
 }
 
 val default_params : params
 (** Paper values: default online parameters, 300 kb buffer, no signaling
-    delay, retry after 1 s (24 slots), no fault layer. *)
+    delay, retry after 1 s (24 slots), {!no_faults}. *)
 
 type fault_report = {
   retransmits : int;  (** cells re-sent after a timeout *)
@@ -93,13 +104,16 @@ type outcome = {
   attempts : int;  (** renegotiation requests signaled *)
   failures : int;  (** requests the network denied *)
   mean_reserved : float;  (** time-average in-force rate, b/s *)
-  faults : fault_report option;  (** present iff [params.faults] was *)
+  faults : fault_report;
+      (** under {!no_faults} only [degraded_slots] and [cells.sent] can be
+          nonzero *)
 }
 
 val stream : params -> path:Path.t -> Rcbr_traffic.Trace.t -> outcome
 (** Stream a live source across the path.  The path must already hold a
     reservation (its current {!Path.rate} is the starting service rate);
     on return it holds the final renegotiated rate (the caller tears it
-    down).  Requires positive [buffer] and nonnegative [delay_slots];
-    with faults, requires the plan to cover exactly {!Path.hops} hops
-    and [timeout_slots > delay_slots]. *)
+    down).  Requires positive [buffer] and nonnegative [delay_slots].
+    A null plan of any length runs on the path's {!Path.hops}; a plan
+    that can lose a cell must cover exactly {!Path.hops} hops and needs
+    [timeout_slots > delay_slots]. *)

@@ -75,6 +75,17 @@ type ctx = {
 let emit ctx key v = ctx.extras := (key, v) :: !(ctx.extras)
 let trace_seed = 42
 
+(* FNV-style checksum of a schedule's segment list; joins the
+   [schedule_checksums] identity field, so any numeric drift in the
+   exact or beam solver trips compare.exe. *)
+let schedule_checksum s =
+  Array.fold_left
+    (fun h seg ->
+      let h = ((h * 1_000_003) + seg.Schedule.start_slot) land max_int in
+      ((h * 1_000_003) + Int64.to_int (Int64.bits_of_float seg.Schedule.rate))
+      land max_int)
+    0 (Schedule.segments s)
+
 let make_ctx ~full ~smoke ~pool =
   let frames =
     if full then Synthetic.default_frames else if smoke then 3_000 else 20_000
@@ -166,6 +177,9 @@ let fig2 ctx =
                 ("max_frontier", Json.Int st.Optimal.max_frontier);
               ])
           opt_rows));
+  emit ctx "schedule_checksums"
+    (Json.List
+       (List.map (fun (_, s, _) -> Json.Int (schedule_checksum s)) opt_rows));
   pf "@.AR(1) heuristic (sweep of the granularity Delta; B_l=10 kb, B_h=150 kb, T=5):@.";
   pf "%12s %10s %14s %12s %14s@." "Delta" "renegs" "interval (s)" "efficiency"
     "backlog (kb)";
@@ -528,7 +542,7 @@ let micro ctx =
      over a day at M=100 on an UltraSparc 1 for the full trace. *)
   pf "trellis cost vs number of rate levels (2 000-frame trace, alpha = 2e5):@.";
   pf "%8s %12s %14s %12s@." "levels" "nodes" "peak frontier" "time (s)";
-  let level_rows = ref [] in
+  let level_rows = ref [] and checksum = ref 0 in
   List.iter
     (fun m ->
       let needed =
@@ -561,11 +575,25 @@ let micro ctx =
             ("wall_s", Json.Float wall);
           ]
         :: !level_rows;
+      (* The node counts join the [result_checksum] identity field, so
+         a change in what the trellis expands or prunes trips
+         compare.exe. *)
+      checksum :=
+        List.fold_left
+          (fun h v -> ((h * 1_000_003) + v) land max_int)
+          !checksum
+          [
+            m;
+            st.Optimal.expanded;
+            st.Optimal.max_frontier;
+            st.Optimal.pruned_by_lemma;
+          ];
       pf "%8d %12d %14d %12.2f   (pruned %d lemma + %d cap)@." m
         st.Optimal.expanded st.Optimal.max_frontier wall
         st.Optimal.pruned_by_lemma st.Optimal.pruned_by_cap)
     (if ctx.smoke then [ 5; 10; 20 ] else [ 5; 10; 20; 40 ]);
   emit ctx "levels_sweep" (Json.List (List.rev !level_rows));
+  emit ctx "result_checksum" (Json.Int !checksum);
   (* Lemma 1 ablation. *)
   pf "@.Lemma 1 cross-level pruning ablation (20 levels):@.";
   let params = Optimal.default_params ~cost_ratio:2e5 trace in
@@ -1223,17 +1251,6 @@ let megacall ctx =
     (Json.Float (float_of_int m.Megacall.total_events /. wall))
 
 (* --- Beam: beam-searched trellis on fine rate grids (DESIGN.md #13) -- *)
-
-(* FNV-style checksum of a schedule's segment list; joins the
-   [schedule_checksums] identity field, so any numeric drift in the
-   beam (or exact) solver trips compare.exe. *)
-let schedule_checksum s =
-  Array.fold_left
-    (fun h seg ->
-      let h = ((h * 1_000_003) + seg.Schedule.start_slot) land max_int in
-      ((h * 1_000_003) + Int64.to_int (Int64.bits_of_float seg.Schedule.rate))
-      land max_int)
-    0 (Schedule.segments s)
 
 let beam_experiment ctx =
   section "Beam -- beam-searched trellis on 100+-level grids (DESIGN.md par. 13)";

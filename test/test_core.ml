@@ -308,20 +308,107 @@ let test_optimal_stats () =
   Alcotest.(check bool) "expanded > 0" true (stats.Optimal.expanded > 0);
   Alcotest.(check bool) "frontier > 0" true (stats.Optimal.max_frontier > 0)
 
+(* --- Optimal: golden digests --- *)
+
+(* Digests of the trellis over a grid of solver configurations on a
+   400-frame synthetic trace: exact solves at 5, 10 and 20 levels with
+   and without Lemma 1, both approximation knobs, the delay bound, free
+   renegotiation, the beam and a receding-horizon start level.  Each
+   digest covers the schedule's segments (start slot and rate bits) and
+   the node counters, so any change to which nodes the trellis expands,
+   prunes or keeps must leave all of them intact. *)
+let trellis_digest schedule (st : Optimal.stats) beam =
+  let b = Buffer.create 1024 in
+  Array.iter
+    (fun s ->
+      Printf.bprintf b "%d:%Lx;" s.Schedule.start_slot
+        (Int64.bits_of_float s.Schedule.rate))
+    (Schedule.segments schedule);
+  Printf.bprintf b "%d;%d;%d;%d;" st.Optimal.expanded st.Optimal.max_frontier
+    st.Optimal.pruned_by_lemma st.Optimal.pruned_by_cap;
+  Option.iter
+    (fun (c : Beam.stats) ->
+      Printf.bprintf b "%d;%d;%d;" c.Beam.kept c.Beam.dropped_by_beam
+        c.Beam.prior_hits)
+    beam;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let trellis_golden_runs () =
+  let trace = Rcbr_traffic.Synthetic.star_wars ~frames:400 ~seed:3 () in
+  let params ?(levels = 20) ?(alpha = 2e5) () =
+    Optimal.default_params ~levels ~cost_ratio:alpha trace
+  in
+  let exact label ?lemma_pruning ?buffer_quantum ?frontier_cap p =
+    let s, st =
+      Optimal.solve_with_stats ?lemma_pruning ?buffer_quantum ?frontier_cap p
+        trace
+    in
+    (label, st, trellis_digest s st None)
+  in
+  let beam label ?start_level ~beam_width p =
+    let prior = Beam.of_trace ~grid:p.Optimal.grid trace in
+    let s, st = Beam.solve_with_stats ?start_level ~beam_width ~prior p trace in
+    (label, st.Beam.base, trellis_digest s st.Beam.base (Some st))
+  in
+  List.concat_map
+    (fun levels ->
+      List.map
+        (fun lemma_pruning ->
+          exact
+            (Printf.sprintf "M%d lemma %b" levels lemma_pruning)
+            ~lemma_pruning (params ~levels ()))
+        [ true; false ])
+    [ 5; 10; 20 ]
+  @ [
+      exact "M20 cap 2" ~frontier_cap:2 (params ~alpha:1e4 ());
+      exact "M20 cap 100" ~frontier_cap:100 (params ~alpha:1e4 ());
+      exact "M20 quantum 1000" ~buffer_quantum:1000. (params ());
+      exact "M20 delay 12"
+        { (params ()) with Optimal.constraint_ = Optimal.Delay_bound 12 };
+      exact "M20 K 0" (params ~alpha:0. ());
+      beam "M50 beam 2" ~beam_width:2 (params ~levels:50 ());
+      beam "M50 beam 8" ~beam_width:8 (params ~levels:50 ());
+      beam "M50 beam 8 start 25" ~start_level:25 ~beam_width:8
+        (params ~levels:50 ());
+    ]
+
+let trellis_golden =
+  [
+    ("M5 lemma true", "4ae6c9e3d08e3438c4537605402c5ea7");
+    ("M5 lemma false", "2b5c3e8587333f96b345fa04edafad50");
+    ("M10 lemma true", "02216ac27963fd8b6b54a927c7a6365f");
+    ("M10 lemma false", "fbc6df7f1d51d2e5e9c11fea803d9280");
+    ("M20 lemma true", "3b69f819723e5e9ffedc5a9c194c00f6");
+    ("M20 lemma false", "9c00f8eceaa84b991445da3aede4ceb5");
+    ("M20 cap 2", "bb805be9a51164b2ecddf2aa798f8c98");
+    ("M20 cap 100", "c46ccb05703f460b6bcdf0c4acf86e29");
+    ("M20 quantum 1000", "155fb0fe1860cf120e2911974388752f");
+    ("M20 delay 12", "b4abd822440061321f1baa271f5e9d2f");
+    ("M20 K 0", "9adbcfce87893bbe8bd07181191d6538");
+    ("M50 beam 2", "9cadcaa6b02a07f7fb9eb22ea31fa5f0");
+    ("M50 beam 8", "35e35e949b59bebd9fa20b2f82346813");
+    ("M50 beam 8 start 25", "cea97304fedc3af96c1cb678dee400d1");
+  ]
+
+let test_trellis_golden_digests () =
+  let runs = trellis_golden_runs () in
+  let exercises f = List.exists (fun (_, st, _) -> f st > 0) runs in
+  Alcotest.(check bool) "the grid prunes by Lemma 1" true
+    (exercises (fun st -> st.Optimal.pruned_by_lemma));
+  Alcotest.(check bool) "the grid prunes by the cap" true
+    (exercises (fun st -> st.Optimal.pruned_by_cap));
+  Alcotest.(check (list (pair string string)))
+    "digests" trellis_golden
+    (List.map (fun (label, _, d) -> (label, d)) runs)
+
 (* --- Optimal: randomized exhaustive cross-check --- *)
 
-let prop_optimal_matches_brute_force =
-  let gen =
-    QCheck.Gen.(
-      let* n = int_range 3 7 in
-      let* frames = array_size (return n) (float_range 0. 25.) in
-      let* k = int_range 1 20 in
-      let* b = float_range 5. 40. in
-      return (frames, float_of_int k, b))
-  in
-  QCheck.Test.make ~name:"trellis equals exhaustive search" ~count:150
-    (QCheck.make gen) (fun (frames, reneg_cost, buffer) ->
-      let grid = Rate_grid.of_rates [| 5.; 12.; 25. |] in
+(* The trellis's cost must equal exhaustive search on the grid [rates]
+   for every drawn (frames, K, buffer). *)
+let matches_brute_force ~name ?print ~rates gen =
+  QCheck.Test.make ~name ~count:150 (QCheck.make ?print gen)
+    (fun (frames, reneg_cost, buffer) ->
+      let grid = Rate_grid.of_rates rates in
       let trace = Trace.create ~fps:1. frames in
       let params =
         {
@@ -339,6 +426,39 @@ let prop_optimal_matches_brute_force =
           let got = Schedule.cost s ~reneg_cost ~bandwidth_cost:1. in
           Float.abs (got -. expected) < 1e-6
       | exception Optimal.Infeasible _ -> Float.equal expected infinity)
+
+let prop_optimal_matches_brute_force =
+  matches_brute_force ~name:"trellis equals exhaustive search"
+    ~rates:[| 5.; 12.; 25. |]
+    QCheck.Gen.(
+      let* n = int_range 3 7 in
+      let* frames = array_size (return n) (float_range 0. 25.) in
+      let* k = int_range 1 20 in
+      let* b = float_range 5. 40. in
+      return (frames, float_of_int k, b))
+
+(* Six levels, so the merge of per-level frontiers into the envelope is
+   a real M-way merge.  Frames are whole numbers and often below the
+   lowest rate, so several levels drain the buffer to 0 (or to the same
+   whole number) in one slot: equal buffers across levels, the merge's
+   tie case. *)
+let prop_optimal_matches_brute_force_many_levels =
+  matches_brute_force ~name:"six-level trellis with ties equals exhaustive search"
+    ~print:(fun (frames, k, b) ->
+      Printf.sprintf "frames=[|%s|] reneg=%g buffer=%g"
+        (String.concat "; " (Array.to_list (Array.map string_of_float frames)))
+        k b)
+    ~rates:[| 4.; 8.; 12.; 16.; 24.; 32. |]
+    QCheck.Gen.(
+      let* n = int_range 3 5 in
+      let* frames =
+        array_size (return n)
+          (map float_of_int
+             (frequency [ (2, int_range 0 4); (3, int_range 5 40) ]))
+      in
+      let* k = int_range 1 20 in
+      let* b = int_range 5 40 in
+      return (frames, float_of_int k, float_of_int b))
 
 (* Brute force with the delay-bound constraint of formula (5). *)
 let brute_force_delay ~grid ~reneg_cost ~bandwidth_cost ~delay trace =
@@ -808,6 +928,8 @@ let () =
           Alcotest.test_case "efficiency" `Quick test_optimal_efficiency_close_to_one;
           Alcotest.test_case "delay bound" `Quick test_optimal_delay_bound;
           Alcotest.test_case "stats" `Quick test_optimal_stats;
+          Alcotest.test_case "trellis golden digests" `Quick
+            test_trellis_golden_digests;
         ] );
       ( "online",
         [
@@ -836,6 +958,7 @@ let () =
         q
           [
             prop_optimal_matches_brute_force;
+            prop_optimal_matches_brute_force_many_levels;
             prop_optimal_delay_matches_brute_force;
             prop_shift_marginal_invariant;
             prop_optimal_schedule_feasible;

@@ -17,7 +17,10 @@
 
     The implementation keeps, per rate level, the Pareto frontier of
     (buffer, weight) pairs plus a global frontier for the cross-level
-    rule, so each slot costs O(levels x frontier size). *)
+    rule.  A slot shifts each level's frontier within its level and the
+    global frontier to every level, then merges the level frontiers
+    into the next global one, so it costs O(frontier + levels x global
+    size), where frontier counts the nodes of all levels. *)
 
 type constraint_ =
   | Buffer_bound of float  (** maximum backlog in bits, formula (2) *)

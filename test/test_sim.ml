@@ -322,6 +322,50 @@ let test_megacall_jobs_invariant () =
   Alcotest.(check bool) "seed reaches the hash" true
     (other.Megacall.outcome_hash <> seq.Megacall.outcome_hash)
 
+(* The committed 8 192-call megacall run (seed 42, one domain) under
+   each service model, built as [rcbr_megacall --service] builds it:
+   the downgrade ladder is the sorted rate levels, the MTS profile a
+   3-scale ladder from the mean to the top level.  The pins cover the
+   outcome hash (every admit/deny, link demand and counter), the
+   admitted population and the tick-cache hits; every pinned hit count
+   is above 0, so the cache's hit path runs under all three models. *)
+let megacall_golden =
+  [
+    ("renegotiate", (2268865991550272918, 7_697, 485));
+    ("downgrade", (1704212796314529142, 6_325, 1_847));
+    ("mts", (627595711395470038, 7_697, 485));
+  ]
+
+let test_megacall_golden_outcomes () =
+  let module Megacall = Rcbr_sim.Megacall in
+  let module Service_model = Rcbr_policy.Service_model in
+  let base = Megacall.default ~concurrent:8192 () in
+  let levels = base.Megacall.levels in
+  let tiers = Array.copy levels in
+  Array.sort Float.compare tiers;
+  let mean =
+    Array.fold_left ( +. ) 0. levels /. float_of_int (Array.length levels)
+  in
+  let peak = tiers.(Array.length tiers - 1) in
+  let service = function
+    | "renegotiate" -> Service_model.Renegotiate
+    | "downgrade" -> Service_model.Downgrade { tiers }
+    | _ ->
+        Service_model.Mts_profile
+          (Rcbr_policy.Mts.ladder ~scales:3 ~quantum:50. ~mean ~peak)
+  in
+  let observed =
+    List.map
+      (fun (name, _) ->
+        let m = Megacall.run { base with Megacall.service = service name } in
+        ( name,
+          (m.Megacall.outcome_hash, m.Megacall.total_admitted,
+           m.Megacall.total_batch_hits) ))
+      megacall_golden
+  in
+  Alcotest.(check (list (pair string (triple int int int))))
+    "outcome hash, admitted, batch hits" megacall_golden observed
+
 let () =
   Alcotest.run "rcbr_sim"
     [
@@ -366,5 +410,7 @@ let () =
             test_multihop_run_many_jobs_invariant;
           Alcotest.test_case "megacall jobs-invariant" `Quick
             test_megacall_jobs_invariant;
+          Alcotest.test_case "megacall golden outcomes" `Quick
+            test_megacall_golden_outcomes;
         ] );
     ]

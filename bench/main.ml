@@ -371,9 +371,9 @@ let fig9 ctx =
    test suite checks against the seed's per-decision rebuild
    (test/seed_oracle.ml). *)
 let mbac_admit ctx =
-  section "MBAC admission kernel -- incremental aggregate + warm solver";
+  section "MBAC admission kernel -- incremental aggregate + one-probe test";
   pf "Memory-scheme MBAC over the full load x capacity grid on the@.";
-  pf "incremental aggregate and the warm-started Chernoff solver.@.@.";
+  pf "incremental aggregate and one Chernoff probe per decision.@.@.";
   let runs =
     Mbac.run_many ?pool:ctx.pool
       (mbac_grid ctx ~seed:43 (fun ~capacity ->
@@ -1217,8 +1217,7 @@ let megacall ctx =
     m.Megacall.total_denied m.Megacall.total_departures;
   pf "concurrent %d (peak %d), %d wheel events@." m.Megacall.concurrent_calls
     m.Megacall.peak_concurrent m.Megacall.total_events;
-  pf "batch hits %d, solver memo hits %d, audit violations %d@."
-    m.Megacall.total_batch_hits m.Megacall.total_memo_hits
+  pf "batch hits %d, audit violations %d@." m.Megacall.total_batch_hits
     m.Megacall.audit_violations;
   pf "outcome hash %d (identical for every -j)@." m.Megacall.outcome_hash;
   pf "wall %.3f s: %.0f calls/s, %.0f events/s@." wall
@@ -1244,7 +1243,6 @@ let megacall ctx =
   emit ctx "audit_violations" (Json.Int m.Megacall.audit_violations);
   emit ctx "events" (Json.Int m.Megacall.total_events);
   emit ctx "batch_hits" (Json.Int m.Megacall.total_batch_hits);
-  emit ctx "memo_hits" (Json.Int m.Megacall.total_memo_hits);
   emit ctx "calls_per_s"
     (Json.Float (float_of_int m.Megacall.total_admitted /. wall));
   emit ctx "events_per_s"

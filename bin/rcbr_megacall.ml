@@ -73,8 +73,7 @@ let run concurrent shards rows cols pieces mean_hold horizon seed service_spec
   Format.printf "concurrent: %d (peak %d)  events fired: %d@."
     m.Megacall.concurrent_calls m.Megacall.peak_concurrent
     m.Megacall.total_events;
-  Format.printf "batch hits: %d  solver memo hits: %d@."
-    m.Megacall.total_batch_hits m.Megacall.total_memo_hits;
+  Format.printf "batch hits: %d@." m.Megacall.total_batch_hits;
   if service <> Service_model.Renegotiate then
     Format.printf "service: %s  downgrades: %d  upgrades: %d@."
       (Service_model.name service)

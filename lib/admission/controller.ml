@@ -22,8 +22,9 @@ module Service_model = Rcbr_policy.Service_model
    i.e. every arrival / renegotiation / departure costs O(1) histogram
    updates and a decision materializes the marginal in O(levels) with no
    allocation, instead of rebuilding a per-call weight list in
-   O(calls x levels).  Decisions then go through a warm-started
-   [Chernoff.Solver] owned by the controller.
+   O(calls x levels).  Each decision is then Section VI's one Chernoff
+   probe at n + 1 calls ([Chernoff.Solver.admits]) on a solver owned by
+   the controller.
 
    The decision sequence is property-tested against a from-scratch
    oracle that rebuilds the [(rate, weight)] list from per-call records
@@ -71,12 +72,12 @@ type t = {
   mutable since_floor : float;
   solver : Chernoff.Solver.t;
   (* Tick cache: while nothing has mutated the call population since
-     the last load at the same [now], the committed solver distribution
-     is still exact, so a decision is the O(1) integer compare against
-     the memoized [max_calls]. *)
+     the last load at the same [now], the marginal, the population, the
+     capacity and the target are all unchanged, so the stored verdict
+     is the decision. *)
   mutable cache_valid : bool;
   mutable cache_now : float;
-  mutable cache_empty : bool;  (* the load saw an empty distribution *)
+  mutable cache_verdict : bool;
   (* Instrumentation. *)
   mutable decisions : int;
   mutable admits : int;
@@ -211,21 +212,20 @@ let solver_admit t ~capacity ~target ~n =
   if Chernoff.Solver.n_levels t.solver = 0 then true
   else begin
     Chernoff.Solver.commit_weighted t.solver;
-    n + 1 <= Chernoff.Solver.max_calls t.solver ~capacity ~target
+    Chernoff.Solver.admits t.solver ~capacity ~target ~calls:n
   end
 
 (* Tick-cached decision.  A cache hit means no [on_admit]/[on_renegotiate]/
    [on_depart] ran since the last load and [now] is bit-equal, so
-   reloading would push the identical floats and re-derive the identical
-   [max_calls] — the decision below is therefore *exactly* the
-   per-decision one (property-tested against the seed oracle in
-   test/test_admission.ml), served by the solver's memo without redoing
-   the load or the search. *)
+   reloading would push the identical floats for the same population
+   and probe the identical [fits] — the stored verdict is therefore
+   *exactly* the per-decision one (property-tested against the seed
+   oracle in test/test_admission.ml), served without redoing the load
+   or the probe. *)
 let chernoff_admit t ~now ~capacity ~target =
-  let n = n_in_system t in
   if t.cache_valid && Float.equal t.cache_now now then begin
     t.batch_hits <- t.batch_hits + 1;
-    t.cache_empty || n + 1 <= Chernoff.Solver.max_calls t.solver ~capacity ~target
+    t.cache_verdict
   end
   else begin
     (match t.kind with
@@ -233,8 +233,8 @@ let chernoff_admit t ~now ~capacity ~target =
     | _ -> load_instantaneous t);
     t.cache_now <- now;
     t.cache_valid <- true;
-    t.cache_empty <- Chernoff.Solver.n_levels t.solver = 0;
-    solver_admit t ~capacity ~target ~n
+    t.cache_verdict <- solver_admit t ~capacity ~target ~n:(n_in_system t);
+    t.cache_verdict
   end
 
 (* --- decisions ------------------------------------------------------ *)
@@ -321,7 +321,7 @@ let make ~name ~kind () =
     solver = Chernoff.Solver.create ();
     cache_valid = false;
     cache_now = 0.;
-    cache_empty = false;
+    cache_verdict = false;
     decisions = 0;
     admits = 0;
     decision_hash = 0;

@@ -6,9 +6,9 @@
     measurement-based schemes build their view of "a typical call".
 
     All controllers share the same Chernoff admission rule — admit the
-    new call iff [n + 1 <= max_calls(estimate, capacity, target)] — and
-    differ only in where the bandwidth-level distribution estimate comes
-    from:
+    new call iff [n + 1 <= max_calls(estimate, capacity, target)], i.e.
+    iff the estimate with [n + 1] calls meets the target — and differ
+    only in where the bandwidth-level distribution estimate comes from:
 
     - {!perfect}: the true marginal, known a priori;
     - {!memoryless}: the instantaneous rates of the calls currently in
@@ -26,16 +26,17 @@
     aggregate at time [now] is [hist + cur_count*now - since_sum] per
     level.  Arrival, renegotiation and departure each cost O(1)
     histogram updates; a decision materializes the marginal in O(levels)
-    without allocation and runs it through a warm-started
-    {!Rcbr_effbw.Chernoff.Solver} owned by the controller.
+    without allocation and decides with one Chernoff probe at [n + 1]
+    calls ({!Rcbr_effbw.Chernoff.Solver.admits}) on a solver owned by
+    the controller, not a search for the whole admission limit.
 
-    The solver load is cached keyed on the decision's exact [now] and
+    The verdict is cached keyed on the decision's exact [now] and
     invalidated by any {!on_admit}/{!on_renegotiate}/{!on_depart}, so
     repeat decisions inside one tick — e.g. an arrival burst being
-    denied against an unchanged population — reduce to an O(1) integer
-    compare against the solver's memoized [max_calls].  A cache hit
-    implies a reload would push bit-identical weights, so the admit/deny
-    sequence is exactly the per-decision one.
+    denied against an unchanged population — return the stored verdict
+    in O(1).  A cache hit implies a reload would push bit-identical
+    weights for the same population, so the admit/deny sequence is
+    exactly the per-decision one.
 
     The decision sequence is property-tested against the seed's
     from-scratch rebuild — a per-call [(rate, weight)] list through the

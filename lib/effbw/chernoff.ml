@@ -60,6 +60,14 @@ let capacity_for_target ?(tol = 1e-6) m ~n ~target =
       ~pred:(fun c -> overflow_estimate m ~n ~capacity_per_call:c <= target)
       lo hi
 
+(* The searches' bound: past [capacity /. mean] calls each call's share
+   is below the mean, where the estimate is 1.  Clamped to 2^60 so that
+   [int_of_float] stays in range (a vanishing mean used to wrap it to 1)
+   and no midpoint or gallop overflows. *)
+let upper_calls ~capacity ~mean =
+  let x = capacity /. mean in
+  if x < 0x1p60 then int_of_float x + 1 else 1 lsl 60
+
 let max_calls m ~capacity ~target =
   assert (capacity >= 0.);
   let mu = mean m in
@@ -72,7 +80,7 @@ let max_calls m ~capacity ~target =
     in
     (* Overflow probability is monotone in n (same capacity shared by
        more calls), so binary search over integers. *)
-    let upper = int_of_float (capacity /. mu) + 1 in
+    let upper = upper_calls ~capacity ~mean:mu in
     if not (fits 1) then 0
     else begin
       let lo = ref 1 and hi = ref upper in
@@ -115,19 +123,10 @@ module Solver = struct
     (* Warm-start state. *)
     mutable bracket_hint : int;  (* exponent k of the last 2^k theta bracket *)
     mutable calls_hint : int;  (* last [max_calls] answer; 0 = none *)
-    (* Memoized [max_calls]: valid while the committed distribution is
-       unchanged ([stamp]) and the query point repeats exactly.  This is
-       what makes a batched admission tick O(1) per repeat decision. *)
-    mutable stamp : int;  (* bumped whenever the distribution changes *)
-    mutable memo_stamp : int;  (* -1: no memo *)
-    mutable memo_capacity : float;
-    mutable memo_target : float;
-    mutable memo_answer : int;
     (* Instrumentation. *)
     mutable mgf_evals : int;
     mutable fits_evals : int;
     mutable queries : int;
-    mutable memo_hits : int;
   }
 
   let create () =
@@ -140,15 +139,9 @@ module Solver = struct
       loading = false;
       bracket_hint = -1;
       calls_hint = 0;
-      stamp = 0;
-      memo_stamp = -1;
-      memo_capacity = 0.;
-      memo_target = 0.;
-      memo_answer = 0;
       mgf_evals = 0;
       fits_evals = 0;
       queries = 0;
-      memo_hits = 0;
     }
 
   let grow t =
@@ -174,7 +167,6 @@ module Solver = struct
   let commit t =
     assert (t.loading);
     t.loading <- false;
-    t.stamp <- t.stamp + 1;
     let mu = ref 0. and top = ref neg_infinity in
     for i = 0 to t.n - 1 do
       let p = exp t.logp.(i) in
@@ -188,7 +180,6 @@ module Solver = struct
     reset t;
     Array.iter (fun (p, e) -> if p > 0. then push_log t ~level:e ~logp:(log p)) m;
     t.loading <- false;
-    t.stamp <- t.stamp + 1;
     (* Mean and max over the raw marginal, matching the cold functions
        bit for bit (p = 0 entries add an exact 0.). *)
     t.mean <- mean m;
@@ -305,9 +296,28 @@ module Solver = struct
         ~pred:(fun c -> overflow_estimate t ~n ~capacity_per_call:c <= target)
         lo hi
 
-  (* Warm-started admission limit.  The [fits] predicate is evaluated by
-     exactly the same code as the cold binary search, and it is monotone
-     in n (more calls sharing the same capacity overflow more often), so
+  (* The admission predicate, evaluated by exactly the same code as the
+     cold search's [fits]. *)
+  let fits t ~capacity ~target n =
+    t.fits_evals <- t.fits_evals + 1;
+    n > 0
+    && overflow_estimate t ~n ~capacity_per_call:(capacity /. float_of_int n)
+       <= target
+
+  (* Section VI's test: admit the (calls+1)-th call iff the estimate
+     with calls+1 calls meets the target.  [fits] is monotone in n (n
+     calls sharing the same capacity overflow more often as n grows) and
+     [max_calls] answers the largest fitting n <= [upper_calls], or 0,
+     so [calls + 1 <= max_calls] holds exactly when [calls + 1] is in
+     range and fits: one probe decides what the search decides. *)
+  let admits t ~capacity ~target ~calls =
+    assert (capacity >= 0.);
+    assert (not t.loading);
+    t.mean <= 0.
+    || (calls < upper_calls ~capacity ~mean:t.mean
+       && fits t ~capacity ~target (calls + 1))
+
+  (* Warm-started admission limit.  [fits] is monotone in n, so
      galloping out from the previous answer and bisecting the resulting
      bracket lands on the same boundary the cold search finds — only the
      *set* of probed n differs, typically 2-3 probes when the system
@@ -315,24 +325,10 @@ module Solver = struct
   let max_calls t ~capacity ~target =
     assert (capacity >= 0.);
     assert (not t.loading);
-    if
-      t.memo_stamp = t.stamp
-      && Float.equal t.memo_capacity capacity
-      && Float.equal t.memo_target target
-    then begin
-      t.memo_hits <- t.memo_hits + 1;
-      t.memo_answer
-    end
-    else if t.mean <= 0. then max_int
+    if t.mean <= 0. then max_int
     else begin
-      let fits n =
-        t.fits_evals <- t.fits_evals + 1;
-        n > 0
-        && overflow_estimate t ~n
-             ~capacity_per_call:(capacity /. float_of_int n)
-           <= target
-      in
-      let upper = int_of_float (capacity /. t.mean) + 1 in
+      let fits = fits t ~capacity ~target in
+      let upper = upper_calls ~capacity ~mean:t.mean in
       let answer =
         if not (fits 1) then 0
         else if fits upper then upper
@@ -370,26 +366,12 @@ module Solver = struct
           !lo
         end
       in
-      if answer > 0 && answer < max_int then t.calls_hint <- answer;
-      t.memo_stamp <- t.stamp;
-      t.memo_capacity <- capacity;
-      t.memo_target <- target;
-      t.memo_answer <- answer;
+      if answer > 0 then t.calls_hint <- answer;
       answer
     end
 
-  type stats = {
-    mgf_evals : int;
-    fits_evals : int;
-    queries : int;
-    memo_hits : int;
-  }
+  type stats = { mgf_evals : int; fits_evals : int; queries : int }
 
   let stats (t : t) =
-    {
-      mgf_evals = t.mgf_evals;
-      fits_evals = t.fits_evals;
-      queries = t.queries;
-      memo_hits = t.memo_hits;
-    }
+    { mgf_evals = t.mgf_evals; fits_evals = t.fits_evals; queries = t.queries }
 end

@@ -42,16 +42,20 @@ val capacity_for_target :
     that cannot meet the target (it always can, conservatively). *)
 
 val max_calls : marginal -> capacity:float -> target:float -> int
-(** Formula (12) turned into an admission rule: the largest [n] such that
-    [overflow_estimate ~n ~capacity_per_call:(capacity /. n) <= target].
-    0 when even one call misses the target. *)
+(** Formula (12) turned into an admission limit: the largest [n] such
+    that [overflow_estimate ~n ~capacity_per_call:(capacity /. n) <= target].
+    0 when even one call misses the target; [max_int] when the mean is
+    [<= 0].  The search never looks past [floor (capacity /. mean) + 1]
+    calls, clamped to [2^60], which is therefore the answer for a mean
+    that is a vanishing fraction of the capacity. *)
 
 (** Reusable warm-started solver — the admission fast path.
 
     A solver owns a quantized log-MGF table (per-level bandwidth and
     cached log-probability in flat arrays, refilled in place), an
-    allocation-free {!Solver.log_mgf}, and warm-start state for the
-    theta* bracket and the {!Solver.max_calls} integer search.
+    allocation-free {!Solver.log_mgf}, warm-start state for the theta*
+    bracket and the {!Solver.max_calls} integer search, and the
+    one-probe admission test {!Solver.admits}.
 
     Numerical contract: for the same marginal, every solver query
     returns the {e exact} float (and hence the exact admit/deny
@@ -65,9 +69,10 @@ val max_calls : marginal -> capacity:float -> target:float -> int
     cold scan, never to a different answer.
 
     Typical uses: an admission controller loads the current aggregate
-    histogram into its solver before every decision (see
-    [Rcbr_admission.Controller]); a capacity sweep builds one solver per
-    marginal and reuses it across all [n] / capacity / target queries. *)
+    histogram into its solver and decides each arrival with one
+    {!Solver.admits} probe (see [Rcbr_admission.Controller]); a
+    capacity sweep builds one solver per marginal and reuses it across
+    all [n] / capacity / target queries. *)
 module Solver : sig
   type t
 
@@ -103,19 +108,24 @@ module Solver : sig
   val overflow_estimate : t -> n:int -> capacity_per_call:float -> float
   val capacity_for_target : ?tol:float -> t -> n:int -> target:float -> float
 
+  val admits : t -> capacity:float -> target:float -> calls:int -> bool
+  (** Section VI's admission test for one more call: whether the
+      Chernoff estimate with [calls + 1] calls sharing [capacity] meets
+      [target].  Equal to [calls + 1 <= max_calls t ~capacity ~target]
+      for every [calls >= 0], but decided with one admission-predicate
+      probe instead of a search (the predicate is monotone in the
+      number of calls).  [true] when the mean is [<= 0]. *)
+
   val max_calls : t -> capacity:float -> target:float -> int
   (** Warm-started admission limit; equal to {!val:max_calls} on the
-      loaded distribution for every (capacity, target).  Memoized on
-      the committed distribution: repeating the query without an
-      intervening load returns the stored answer in O(1), which makes
-      a batched admission tick (many decisions against one commit)
-      cost one search total. *)
+      loaded distribution for every (capacity, target).  Gallops out
+      from the previous answer, then bisects.  For capacity sweeps and
+      the SMG; an admission decision needs only {!admits}. *)
 
   type stats = {
     mgf_evals : int;  (** log-MGF evaluations (the innermost kernel) *)
-    fits_evals : int;  (** admission-predicate probes across searches *)
+    fits_evals : int;  (** admission-predicate probes, {!admits} and searches *)
     queries : int;  (** rate-function queries *)
-    memo_hits : int;  (** [max_calls] answers served from the memo *)
   }
 
   val stats : t -> stats

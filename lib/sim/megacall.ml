@@ -3,9 +3,10 @@
    Scale comes from four pieces working together: the {!Rcbr_net.Store}
    struct-of-arrays session store (no per-call heap records), the
    {!Rcbr_queue.Wheel} calendar queue driven directly with integer
-   session handles (no per-event closures), the admission controller's
-   tick cache (one solver load per tick mutation, O(1) repeat
-   decisions), and link-sharding across the
+   session handles (no per-event closures), the admission controller
+   (one solver load and one Chernoff probe per decision after a
+   mutation, the cached verdict for a repeat decision in the same tick),
+   and link-sharding across the
    Domain {!Rcbr_util.Pool}.
 
    Sharding model: each shard owns a disjoint [rows x cols] grid mesh
@@ -89,7 +90,6 @@ type shard_metrics = {
   final_concurrent : int;
   decision_hash : int;
   batch_hits : int;
-  memo_hits : int;
   audit_violations : int;
   shard_hash : int;
 }
@@ -352,7 +352,6 @@ let run_shard cfg rng =
     final_concurrent = Store.live_count store;
     decision_hash = stats.Controller.decision_hash;
     batch_hits = stats.Controller.batch_hits;
-    memo_hits = stats.Controller.solver.Rcbr_effbw.Chernoff.Solver.memo_hits;
     audit_violations;
     shard_hash;
   }
@@ -382,7 +381,7 @@ let run ?pool cfg =
     concurrent_calls = sum (fun s -> s.final_concurrent);
     peak_concurrent = sum (fun s -> s.peak_concurrent);
     total_batch_hits = sum (fun s -> s.batch_hits);
-    total_memo_hits = sum (fun s -> s.memo_hits);
+    total_memo_hits = 0;
     audit_violations = sum (fun s -> s.audit_violations);
     outcome_hash =
       Array.fold_left (fun h s -> fnv h s.shard_hash) 0 shards_;

@@ -67,7 +67,6 @@ type shard_metrics = {
   final_concurrent : int;
   decision_hash : int;  (** the controller's admit/deny sequence hash *)
   batch_hits : int;  (** decisions served from the batched-tick cache *)
-  memo_hits : int;  (** solver [max_calls] memo hits *)
   audit_violations : int;  (** conservation check over the final store *)
   shard_hash : int;  (** FNV over link demands and the counters above *)
 }
@@ -85,8 +84,11 @@ type metrics = {
   total_upgrades : int;
   concurrent_calls : int;  (** sum of final per-shard populations *)
   peak_concurrent : int;  (** sum of per-shard peaks *)
-  total_batch_hits : int;
+  total_batch_hits : int;  (** decisions served from the batched-tick cache *)
   total_memo_hits : int;
+      (** always 0: the controller decides with one Chernoff probe and
+          caches the verdict, so no solver answer is memoized any more.
+          Kept because the end-to-end benchmark (bench/e2e) reads it. *)
   audit_violations : int;
   outcome_hash : int;  (** ordered FNV fold of the shard hashes *)
 }

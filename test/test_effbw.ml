@@ -242,6 +242,17 @@ let test_max_calls_zero_capacity () =
   Alcotest.(check int) "no capacity, no calls" 0
     (Chernoff.max_calls m ~capacity:0.5 ~target:1e-3)
 
+let test_max_calls_vanishing_mean () =
+  (* Each call peaks at 1e-300 of the capacity, so the limit is
+     effectively unbounded: the search's upper bound (capacity / mean,
+     here 2e300) must clamp to 2^60 rather than wrap to a tiny int. *)
+  let m = [| (0.5, 0.); (0.5, 1e-300) |] in
+  let cold = Chernoff.max_calls m ~capacity:1. ~target:1e-3 in
+  Alcotest.(check int) "cold limit clamps" (1 lsl 60) cold;
+  Alcotest.(check int) "warm equals cold" cold
+    (Chernoff.Solver.max_calls (Chernoff.Solver.of_marginal m) ~capacity:1.
+       ~target:1e-3)
+
 (* --- Chernoff.Solver: warm-started fast path --- *)
 
 module Solver = Chernoff.Solver
@@ -286,6 +297,48 @@ let test_solver_max_calls_warm () =
     [
       (100., 1e-3); (100., 1e-3); (101., 1e-3); (99., 1e-3); (200., 1e-3);
       (50., 1e-3); (100., 1e-6); (100., 1e-2); (0.5, 1e-3); (1000., 1e-4);
+    ]
+
+(* [admits] must answer [calls + 1 <= max_calls] with one probe. *)
+let check_admits s m ~capacity ~target calls =
+  Alcotest.(check bool)
+    (Printf.sprintf "capacity %g target %g calls %d" capacity target calls)
+    (calls + 1 <= Chernoff.max_calls m ~capacity ~target)
+    (Solver.admits s ~capacity ~target ~calls)
+
+let test_solver_admits_one_level () =
+  (* One level at 2: n calls fit 10 exactly while 10 / n > 2, so the
+     limit is 4 (at n = 5 the share equals the mean and overflows). *)
+  let m = [| (1., 2.) |] in
+  let s = Solver.of_marginal m in
+  Alcotest.(check int) "limit" 4 (Chernoff.max_calls m ~capacity:10. ~target:1e-3);
+  List.iter (check_admits s m ~capacity:10. ~target:1e-3) [ 0; 1; 3; 4; 5; 6; 7 ];
+  let st = Solver.stats s in
+  Alcotest.(check int) "one probe per in-range decision" 5 st.Solver.fits_evals
+
+let test_solver_admits_mean_zero () =
+  let s = Solver.of_marginal [| (1., 0.) |] in
+  List.iter
+    (fun calls ->
+      Alcotest.(check bool) (Printf.sprintf "admits at %d" calls) true
+        (Solver.admits s ~capacity:1. ~target:1e-3 ~calls))
+    [ 0; 1; 1_000; max_int - 1 ]
+
+let test_solver_admits_mixed () =
+  (* One solver answering [admits] and [max_calls] in turn: neither
+     query's warm state may move the other's answer. *)
+  let m = simple_marginal () in
+  let s = Solver.of_marginal m in
+  List.iter
+    (fun (capacity, target, calls) ->
+      check_admits s m ~capacity ~target calls;
+      Alcotest.(check int) "warm limit"
+        (Chernoff.max_calls m ~capacity ~target)
+        (Solver.max_calls s ~capacity ~target);
+      check_admits s m ~capacity ~target (calls + 1))
+    [
+      (100., 1e-3, 20); (100., 1e-3, 40); (101., 1e-3, 39); (99., 1e-6, 5);
+      (200., 1e-2, 70); (50., 1e-4, 0); (0.5, 1e-3, 0); (1000., 1e-4, 399);
     ]
 
 let test_solver_weighted_load () =
@@ -369,6 +422,37 @@ let prop_solver_decisions_equal_cold =
           = Chernoff.max_calls m ~capacity ~target)
         queries)
 
+let prop_admits_equals_max_calls =
+  (* The one-probe admission test against both searches, for call
+     counts from 0 to past the search's upper bound (capacity / mean
+     + 1), always including both sides of the admission limit. *)
+  let gen =
+    QCheck.Gen.(
+      let* m = marginal_gen in
+      let* capacity =
+        oneof
+          [ return 0.; float_range 0. (Chernoff.mean m); float_range 0.5 500. ]
+      in
+      let* target = oneofl [ 1e-2; 1e-3; 1e-4; 1e-6 ] in
+      let* fractions = list_size (int_range 1 20) (float_range 0. 1.5) in
+      return (m, capacity, target, fractions))
+  in
+  QCheck.Test.make ~name:"admits equals max_calls" ~count:200
+    (QCheck.make gen) (fun (m, capacity, target, fractions) ->
+      let s = Chernoff.Solver.of_marginal m in
+      let cold = Chernoff.max_calls m ~capacity ~target in
+      let upper = int_of_float (capacity /. Chernoff.mean m) + 1 in
+      let calls =
+        [ 0; max 0 (cold - 1); cold; cold + 1; upper - 1; upper; upper + 1 ]
+        @ List.map (fun f -> int_of_float (f *. float_of_int upper)) fractions
+      in
+      List.for_all
+        (fun calls ->
+          let admits = Chernoff.Solver.admits s ~capacity ~target ~calls in
+          admits = (calls + 1 <= Chernoff.Solver.max_calls s ~capacity ~target)
+          && admits = (calls + 1 <= cold))
+        calls)
+
 let prop_eb_between_mean_and_peak =
   QCheck.Test.make ~name:"effective bandwidth in [mean, peak]" ~count:100
     QCheck.(pair (float_range 0.05 0.95) (float_range 0.05 0.95))
@@ -425,11 +509,17 @@ let () =
             test_max_calls_monotone_in_capacity;
           Alcotest.test_case "max calls zero capacity" `Quick
             test_max_calls_zero_capacity;
+          Alcotest.test_case "max calls vanishing mean" `Quick
+            test_max_calls_vanishing_mean;
         ] );
       ( "solver",
         [
           Alcotest.test_case "matches cold" `Quick test_solver_matches_cold;
           Alcotest.test_case "warm max calls" `Quick test_solver_max_calls_warm;
+          Alcotest.test_case "admits one level" `Quick test_solver_admits_one_level;
+          Alcotest.test_case "admits mean zero" `Quick test_solver_admits_mean_zero;
+          Alcotest.test_case "admits mixed with max calls" `Quick
+            test_solver_admits_mixed;
           Alcotest.test_case "weighted load" `Quick test_solver_weighted_load;
           Alcotest.test_case "set_marginal reuse" `Quick
             test_solver_set_marginal_reuse;
@@ -441,5 +531,6 @@ let () =
             prop_overflow_decreasing_in_c;
             prop_eb_between_mean_and_peak;
             prop_solver_decisions_equal_cold;
+            prop_admits_equals_max_calls;
           ] );
     ]

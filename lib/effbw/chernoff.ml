@@ -62,8 +62,8 @@ let capacity_for_target ?(tol = 1e-6) m ~n ~target =
 
 (* The searches' bound: past [capacity /. mean] calls each call's share
    is below the mean, where the estimate is 1.  Clamped to 2^60 so that
-   [int_of_float] stays in range (a vanishing mean used to wrap it to 1)
-   and no midpoint or gallop overflows. *)
+   [int_of_float] stays in range (it wraps for a vanishing mean) and no
+   midpoint or gallop overflows. *)
 let upper_calls ~capacity ~mean =
   let x = capacity /. mean in
   if x < 0x1p60 then int_of_float x + 1 else 1 lsl 60

@@ -26,6 +26,12 @@ module Service_model = Rcbr_policy.Service_model
    probe at n + 1 calls ([Chernoff.Solver.admits]) on a solver owned by
    the controller.
 
+   The decision cache is keyed on the weight vector a decision loads:
+   per key the controller keeps bounds on the admission limit.  A call
+   admitted at [now] has been observed for zero seconds and leaves the
+   memory scheme's weights unchanged, so a whole arrival burst at one
+   tick is decided by one probe and one warm [max_calls] search.
+
    The decision sequence is property-tested against a from-scratch
    oracle that rebuilds the [(rate, weight)] list from per-call records
    on every decision and runs the cold [Chernoff.max_calls]
@@ -71,13 +77,13 @@ type t = {
      only be stale *downward* — see [all_fresh]). *)
   mutable since_floor : float;
   solver : Chernoff.Solver.t;
-  (* Tick cache: while nothing has mutated the call population since
-     the last load at the same [now], the marginal, the population, the
-     capacity and the target are all unchanged, so the stored verdict
-     is the decision. *)
-  mutable cache_valid : bool;
-  mutable cache_now : float;
-  mutable cache_verdict : bool;
+  (* Decision cache: [key] is the per-level weight vector [solver] was
+     last loaded from, and [fit_lo] (0 = none) and [fit_hi] ([max_int]
+     = none) bound that vector's admission limit: n calls fit for
+     every n <= [fit_lo] and for no n >= [fit_hi]. *)
+  mutable key : float array;
+  mutable fit_lo : int;
+  mutable fit_hi : int;
   (* Instrumentation. *)
   mutable decisions : int;
   mutable admits : int;
@@ -126,7 +132,6 @@ let accumulate t state ~now =
 
 let on_admit t ~now ~call ~rate =
   assert (not (Hashtbl.mem t.calls call));
-  t.cache_valid <- false;
   let level = level_of t rate in
   let state =
     {
@@ -142,7 +147,6 @@ let on_admit t ~now ~call ~rate =
   Histogram.add t.since_sum level now
 
 let on_renegotiate t ~now ~call ~rate =
-  t.cache_valid <- false;
   match Hashtbl.find_opt t.calls call with
   | None -> ()
   | Some st ->
@@ -158,7 +162,6 @@ let on_renegotiate t ~now ~call ~rate =
 
 let on_depart t ~now ~call =
   ignore now;
-  t.cache_valid <- false;
   match Hashtbl.find_opt t.calls call with
   | None -> ()
   | Some st ->
@@ -172,21 +175,6 @@ let on_depart t ~now ~call =
       t.hist_segments <- t.hist_segments - st.segments
 
 (* --- decision path ---------------------------------------------------- *)
-
-let load_instantaneous t =
-  Chernoff.Solver.reset t.solver;
-  Histogram.iter_support t.cur_count (fun l w ->
-      Chernoff.Solver.push t.solver ~level:t.values.(l) ~weight:w)
-
-let load_history t ~now =
-  Chernoff.Solver.reset t.solver;
-  for l = 0 to t.n_levels - 1 do
-    let ongoing =
-      (Histogram.weight t.cur_count l *. now) -. Histogram.weight t.since_sum l
-    in
-    let w = Histogram.weight t.hist l +. ongoing in
-    Chernoff.Solver.push t.solver ~level:t.values.(l) ~weight:w
-  done
 
 (* The seed fell back to instantaneous rates when every history weight
    was <= 0, which — since finalized segments always carry positive
@@ -208,33 +196,79 @@ let all_fresh t ~now =
         result is invariant under bucket order and taints nothing *)
      || Hashtbl.fold (fun _ st acc -> acc && now -. st.since <= 0.) t.calls true)
 
-let solver_admit t ~capacity ~target ~n =
-  if Chernoff.Solver.n_levels t.solver = 0 then true
-  else begin
-    Chernoff.Solver.commit_weighted t.solver;
-    Chernoff.Solver.admits t.solver ~capacity ~target ~calls:n
+(* Load the decision's weights: per level, the calls' instantaneous
+   counts or the memory scheme's time-weighted aggregate.  Equal to
+   the stored key bit for bit, they are the marginal the solver holds
+   ([Float.equal] equates 0. and -0., which [Chernoff.Solver.push] both
+   skips), and capacity and target are fixed per controller, so the key
+   determines [fits n] for every n.  At the first level that differs,
+   the solver is reset and reloaded from the key's equal prefix, and
+   from there each weight is stored and pushed in the same pass; the
+   old key's bounds are dropped. *)
+let load t ~now =
+  let instantaneous =
+    match t.kind with Memory _ -> all_fresh t ~now | _ -> true
+  in
+  let n = t.n_levels in
+  let hit = ref (Array.length t.key = n) in
+  if not !hit then begin
+    t.key <- Array.make n 0.;
+    Chernoff.Solver.reset t.solver
+  end;
+  for l = 0 to n - 1 do
+    let count = Histogram.weight t.cur_count l in
+    let w =
+      if instantaneous then count
+      else
+        Histogram.weight t.hist l
+        +. ((count *. now) -. Histogram.weight t.since_sum l)
+    in
+    if !hit && not (Float.equal w t.key.(l)) then begin
+      hit := false;
+      Chernoff.Solver.reset t.solver;
+      for k = 0 to l - 1 do
+        Chernoff.Solver.push t.solver ~level:t.values.(k) ~weight:t.key.(k)
+      done
+    end;
+    if not !hit then begin
+      t.key.(l) <- w;
+      Chernoff.Solver.push t.solver ~level:t.values.(l) ~weight:w
+    end
+  done;
+  if not !hit then begin
+    if Chernoff.Solver.n_levels t.solver > 0 then
+      Chernoff.Solver.commit_weighted t.solver;
+    t.fit_lo <- 0;
+    t.fit_hi <- max_int
   end
 
-(* Tick-cached decision.  A cache hit means no [on_admit]/[on_renegotiate]/
-   [on_depart] ran since the last load and [now] is bit-equal, so
-   reloading would push the identical floats for the same population
-   and probe the identical [fits] — the stored verdict is therefore
-   *exactly* the per-decision one (property-tested against the seed
-   oracle in test/test_admission.ml), served without redoing the load
-   or the probe. *)
+(* Section VI's test, admit iff [n + 1] calls fit, answered from the
+   key's bounds whenever they cover it (a batch hit).  That is exact:
+   [fits] is monotone in n, and [Solver.admits ~calls] equals
+   [calls + 1 <= Solver.max_calls].  A key's first decision makes one
+   probe and keeps its answer as a bound; its first decision the bounds
+   do not cover runs one warm search, whose limit settles every later
+   decision on the key. *)
 let chernoff_admit t ~now ~capacity ~target =
-  if t.cache_valid && Float.equal t.cache_now now then begin
+  load t ~now;
+  let wanted = n_in_system t + 1 in
+  if Chernoff.Solver.n_levels t.solver = 0 then true
+  else if wanted <= t.fit_lo || wanted >= t.fit_hi then begin
     t.batch_hits <- t.batch_hits + 1;
-    t.cache_verdict
+    wanted <= t.fit_lo
+  end
+  else if t.fit_lo = 0 && t.fit_hi = max_int then begin
+    let fits =
+      Chernoff.Solver.admits t.solver ~capacity ~target ~calls:(wanted - 1)
+    in
+    if fits then t.fit_lo <- wanted else t.fit_hi <- wanted;
+    fits
   end
   else begin
-    (match t.kind with
-    | Memory _ when not (all_fresh t ~now) -> load_history t ~now
-    | _ -> load_instantaneous t);
-    t.cache_now <- now;
-    t.cache_valid <- true;
-    t.cache_verdict <- solver_admit t ~capacity ~target ~n:(n_in_system t);
-    t.cache_verdict
+    let limit = Chernoff.Solver.max_calls t.solver ~capacity ~target in
+    t.fit_lo <- limit;
+    t.fit_hi <- (if limit = max_int then max_int else limit + 1);
+    wanted <= limit
   end
 
 (* --- decisions ------------------------------------------------------ *)
@@ -319,9 +353,9 @@ let make ~name ~kind () =
     hist_segments = 0;
     since_floor = infinity;
     solver = Chernoff.Solver.create ();
-    cache_valid = false;
-    cache_now = 0.;
-    cache_verdict = false;
+    key = [||];
+    fit_lo = 0;
+    fit_hi = max_int;
     decisions = 0;
     admits = 0;
     decision_hash = 0;

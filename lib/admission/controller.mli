@@ -30,13 +30,15 @@
     calls ({!Rcbr_effbw.Chernoff.Solver.admits}) on a solver owned by
     the controller, not a search for the whole admission limit.
 
-    The verdict is cached keyed on the decision's exact [now] and
-    invalidated by any {!on_admit}/{!on_renegotiate}/{!on_depart}, so
-    repeat decisions inside one tick — e.g. an arrival burst being
-    denied against an unchanged population — return the stored verdict
-    in O(1).  A cache hit implies a reload would push bit-identical
-    weights for the same population, so the admit/deny sequence is
-    exactly the per-decision one.
+    The decision cache is keyed on the weight vector a decision loads:
+    per key it keeps the largest number of calls known to fit and the
+    smallest known not to, and a decision those bounds cover costs one
+    O(levels) comparison and no probe.  The solver is a function of the
+    weights, and the probe is monotone in the number of calls, so the
+    admit/deny sequence is exactly the per-decision one.  A call
+    admitted at [now] leaves the memory scheme's weights unchanged, so
+    an arrival burst at one tick costs one probe and one warm
+    {!Rcbr_effbw.Chernoff.Solver.max_calls} search in all.
 
     The decision sequence is property-tested against the seed's
     from-scratch rebuild — a per-call [(rate, weight)] list through the
@@ -82,7 +84,9 @@ type stats = {
   decision_hash : int;
       (** order-sensitive hash of the admit/deny sequence; equal hashes
           across runs mean identical decision sequences *)
-  batch_hits : int;  (** decisions served from the tick cache *)
+  batch_hits : int;
+      (** decisions answered from the stored bounds on the admission
+          limit, with no probe and no search *)
   solver : Rcbr_effbw.Chernoff.Solver.stats;
 }
 

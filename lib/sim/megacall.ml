@@ -4,10 +4,9 @@
    struct-of-arrays session store (no per-call heap records), the
    {!Rcbr_queue.Wheel} calendar queue driven directly with integer
    session handles (no per-event closures), the admission controller
-   (one solver load and one Chernoff probe per decision after a
-   mutation, the cached verdict for a repeat decision in the same tick),
-   and link-sharding across the
-   Domain {!Rcbr_util.Pool}.
+   (its decision cache is keyed on the loaded weights, so a tick's
+   arrival burst costs one Chernoff probe and one warm search), and
+   link-sharding across the Domain {!Rcbr_util.Pool}.
 
    Sharding model: each shard owns a disjoint [rows x cols] grid mesh
    (its own links, store, controller, wheel and pre-split RNG) and

@@ -3,11 +3,11 @@
 
     Combines the {!Rcbr_net.Store} struct-of-arrays session store, the
     {!Rcbr_queue.Wheel} calendar queue driven with integer handles (no
-    per-event closures), the tick-cached {!Rcbr_admission.Controller}
-    and link-sharded
-    parallel runs over the Domain {!Rcbr_util.Pool}.  Each shard owns
-    a disjoint {!Rcbr_net.Topology.grid} mesh and a pre-split RNG; the
-    merge is an ordered reduction, so every metric — including
+    per-event closures), the {!Rcbr_admission.Controller} with its
+    weight-keyed decision cache and link-sharded parallel runs over
+    the Domain {!Rcbr_util.Pool}.  Each shard owns a disjoint
+    {!Rcbr_net.Topology.grid} mesh and a pre-split RNG; the merge is
+    an ordered reduction, so every metric — including
     {!metrics.outcome_hash} — is bit-identical for any [-j]
     (the PR 2/3 determinism invariant; checked in CI at [-j1] vs
     [-j4]). *)
@@ -66,7 +66,9 @@ type shard_metrics = {
   peak_concurrent : int;
   final_concurrent : int;
   decision_hash : int;  (** the controller's admit/deny sequence hash *)
-  batch_hits : int;  (** decisions served from the batched-tick cache *)
+  batch_hits : int;
+      (** decisions the controller answered from its stored bounds on
+          the admission limit, with no probe and no search *)
   audit_violations : int;  (** conservation check over the final store *)
   shard_hash : int;  (** FNV over link demands and the counters above *)
 }
@@ -84,10 +86,10 @@ type metrics = {
   total_upgrades : int;
   concurrent_calls : int;  (** sum of final per-shard populations *)
   peak_concurrent : int;  (** sum of per-shard peaks *)
-  total_batch_hits : int;  (** decisions served from the batched-tick cache *)
+  total_batch_hits : int;  (** sum of the shards' [batch_hits] *)
   total_memo_hits : int;
-      (** always 0: the controller decides with one Chernoff probe and
-          caches the verdict, so no solver answer is memoized any more.
+      (** always 0: the Chernoff solver keeps no memo (the controller
+          keeps bounds on the admission limit instead).
           Kept because the end-to-end benchmark (bench/e2e) reads it. *)
   audit_violations : int;
   outcome_hash : int;  (** ordered FNV fold of the shard hashes *)

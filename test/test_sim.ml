@@ -327,13 +327,14 @@ let test_megacall_jobs_invariant () =
    the downgrade ladder is the sorted rate levels, the MTS profile a
    3-scale ladder from the mean to the top level.  The pins cover the
    outcome hash (every admit/deny, link demand and counter), the
-   admitted population and the tick-cache hits; every pinned hit count
-   is above 0, so the cache's hit path runs under all three models. *)
+   admitted population and the batch hits, the decisions the controller
+   answered from its stored bounds on the admission limit; every pinned
+   hit count is above 0, so that path runs under all three models. *)
 let megacall_golden =
   [
-    ("renegotiate", (2268865991550272918, 7_697, 485));
-    ("downgrade", (1704212796314529142, 6_325, 1_847));
-    ("mts", (627595711395470038, 7_697, 485));
+    ("renegotiate", (2268865991550272918, 7_697, 6_960));
+    ("downgrade", (1704212796314529142, 6_325, 6_980));
+    ("mts", (627595711395470038, 7_697, 6_960));
   ]
 
 let test_megacall_golden_outcomes () =

@@ -275,6 +275,39 @@ let mbac_grid ctx ~seed make_controller =
            capacities)
        loads)
 
+(* Order-sensitive checksum over the bits of every run's metric floats
+   and its window count; joins the [result_checksum] identity field, so
+   a moved failure or utilization estimate trips compare.exe even where
+   the admit/deny sequence (the decision hashes) holds. *)
+let mbac_checksum ms =
+  let mix h v = ((h * 1_000_003) + v) land max_int in
+  Array.fold_left
+    (fun h (m : Mbac.metrics) ->
+      let h =
+        List.fold_left
+          (fun h x -> mix h (Int64.to_int (Int64.bits_of_float x)))
+          h
+          [
+            m.failure_probability;
+            m.failure_halfwidth;
+            m.utilization;
+            m.utilization_halfwidth;
+            m.call_blocking;
+            m.denial_fraction;
+            m.mean_calls_in_system;
+          ]
+      in
+      mix h m.windows)
+    0 ms
+
+let emit_decision_hashes ctx ms =
+  emit ctx "decision_hashes"
+    (Json.List
+       (Array.to_list
+          (Array.map
+             (fun m -> Json.Int m.Mbac.admission.Controller.decision_hash)
+             ms)))
+
 let print_grid cell =
   List.iteri
     (fun i load ->
@@ -300,12 +333,8 @@ let fig7 ctx =
   emit ctx "grid_points" (Json.Int (Array.length ms));
   emit ctx "total_windows"
     (Json.Int (Array.fold_left (fun acc m -> acc + m.Mbac.windows) 0 ms));
-  emit ctx "decision_hashes"
-    (Json.List
-       (Array.to_list
-          (Array.map
-             (fun m -> Json.Int m.Mbac.admission.Controller.decision_hash)
-             ms)))
+  emit_decision_hashes ctx ms;
+  emit ctx "result_checksum" (Json.Int (mbac_checksum ms))
 
 let fig8 ctx =
   section "Fig. 8 -- memoryless MBAC: utilization normalized to perfect knowledge";
@@ -361,7 +390,9 @@ let fig9 ctx =
       pf "%11.0fx %16.2e %16.2e %14.3f %14.3f@." cap_mult
         ml.Mbac.failure_probability mem.Mbac.failure_probability
         ml.Mbac.utilization mem.Mbac.utilization)
-    cap_mults
+    cap_mults;
+  emit_decision_hashes ctx ms;
+  emit ctx "result_checksum" (Json.Int (mbac_checksum ms))
 
 (* --- Admission kernel --------------------------------------------------- *)
 
@@ -393,12 +424,7 @@ let mbac_admit ctx =
   pf "solver work: %d log-MGF evals, %d fit probes@." mgf_evals fits_evals;
   emit ctx "grid_points" (Json.Int (Array.length runs));
   emit ctx "decisions" (Json.Int decisions);
-  emit ctx "decision_hashes"
-    (Json.List
-       (Array.to_list
-          (Array.map
-             (fun m -> Json.Int m.Mbac.admission.Controller.decision_hash)
-             runs)));
+  emit_decision_hashes ctx runs;
   emit ctx "solver_mgf_evals" (Json.Int mgf_evals);
   emit ctx "solver_fits_evals" (Json.Int fits_evals)
 
@@ -1477,6 +1503,7 @@ let smoke_set =
     "fig2";
     "fig6";
     "fig7";
+    "fig9";
     "mbac-admit";
     "chernoff-sweep";
     "megacall";

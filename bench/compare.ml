@@ -9,7 +9,8 @@
    - a baseline experiment has no fresh counterpart,
    - a fresh wall_s exceeds max-ratio (default 1.5) times the baseline
      (sub-10ms baselines are skipped — pure noise), or
-   - any decision/identity field present in both records differs:
+   - a decision/identity field is in one record and not the other, or
+     differs between them:
      [decision_hashes], [result_checksum], [schedule_checksums],
      [decisions], [results_identical],
      [grid_points], [queries], [concurrent_calls],
@@ -70,7 +71,9 @@ let compare_experiment ~max_ratio name baseline fresh =
           if compare b f <> 0 then
             fail "%s: %s differs (baseline %s, fresh %s)" name field
               (Json.to_string b) (Json.to_string f)
-      | _ -> ())
+      | Some _, None -> fail "%s: %s missing from the fresh record" name field
+      | None, Some _ -> fail "%s: %s missing from the baseline" name field
+      | None, None -> ())
     identity_fields
 
 let bench_files dir =

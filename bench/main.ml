@@ -1223,8 +1223,8 @@ let peak_rss_kb () =
       scan ()
 
 (* 2^20 concurrent calls on sharded grid meshes: the SoA session store,
-   the calendar-queue scheduler driven with integer handles, batched
-   admission and link-sharded Pool runs, all at once (DESIGN.md §12).
+   the event heap driven with integer handles, batched admission and
+   link-sharded Pool runs, all at once (DESIGN.md §12).
    The outcome hash is bit-identical for every -j; CI additionally
    diffs the rcbr_megacall CLI at -j1 vs -j4. *)
 let megacall ctx =

@@ -1,6 +1,6 @@
 module Trace = Rcbr_traffic.Trace
 module Schedule = Rcbr_core.Schedule
-module Heap = Rcbr_util.Heap
+module Wheel = Rcbr_queue.Wheel
 
 type source =
   | Paced of { schedule : Rcbr_core.Schedule.t; offset : float }
@@ -90,7 +90,7 @@ let burst_generator trace ~line_rate ~duration =
   { next }
 
 let arrivals ~sources ~duration =
-  let heap = Heap.create () in
+  let queue = Wheel.create () in
   List.iteri
     (fun i src ->
       let g =
@@ -101,15 +101,15 @@ let arrivals ~sources ~duration =
             burst_generator trace ~line_rate ~duration
       in
       match g.next () with
-      | Some t -> Heap.push heap ~priority:t (i, g)
+      | Some t -> ignore (Wheel.push queue ~time:t (i, g))
       | None -> ())
     sources;
   let rec seq () =
-    match Heap.pop heap with
+    match Wheel.pop queue with
     | None -> Seq.Nil
     | Some (t, (i, g)) ->
         (match g.next () with
-        | Some t' -> Heap.push heap ~priority:t' (i, g)
+        | Some t' -> ignore (Wheel.push queue ~time:t' (i, g))
         | None -> ());
         Seq.Cons ((t, i), seq)
   in
@@ -120,7 +120,7 @@ let simulate ~port_rate ?buffer_cells ~sources ~duration () =
   let service = Cell.service_time ~port_rate in
   let cap = match buffer_cells with None -> max_int | Some c -> c in
   assert (cap > 0);
-  let heap = Heap.create () in
+  let queue = Wheel.create () in
   let generators =
     List.map
       (fun src ->
@@ -133,7 +133,7 @@ let simulate ~port_rate ?buffer_cells ~sources ~duration () =
   List.iter
     (fun g ->
       match g.next () with
-      | Some t -> Heap.push heap ~priority:t g
+      | Some t -> ignore (Wheel.push queue ~time:t g)
       | None -> ())
     generators;
   (* Lindley recursion on the unfinished work: at an arrival at time t,
@@ -146,11 +146,11 @@ let simulate ~port_rate ?buffer_cells ~sources ~duration () =
   let histogram = Hashtbl.create 256 in
   let continue_ = ref true in
   while !continue_ do
-    match Heap.pop heap with
+    match Wheel.pop queue with
     | None -> continue_ := false
     | Some (t, g) ->
         (match g.next () with
-        | Some t' -> Heap.push heap ~priority:t' g
+        | Some t' -> ignore (Wheel.push queue ~time:t' g)
         | None -> ());
         incr cells;
         work := Float.max 0. (!work -. (t -. !last));

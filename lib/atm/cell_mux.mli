@@ -16,7 +16,7 @@
 type source =
   | Paced of { schedule : Rcbr_core.Schedule.t; offset : float }
       (** cells spaced [1 / cell_rate] apart at the schedule's current
-          rate; [offset] delays the first cell (decollision phase) *)
+          rate; [offset >= 0] delays the first cell (decollision phase) *)
   | Frame_burst of { trace : Rcbr_traffic.Trace.t; line_rate : float }
       (** each frame's cells emitted back-to-back at [line_rate] when
           the frame is produced *)

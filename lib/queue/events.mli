@@ -2,9 +2,8 @@
 
     Drives the call-level experiments (Poisson arrivals, renegotiation
     events, departures).  Events at equal times fire in scheduling order,
-    so simulations are deterministic.  Backed by the {!Wheel} calendar
-    queue, whose pop order is property-tested identical to the binary
-    {!Rcbr_util.Heap} it replaced. *)
+    so simulations are deterministic.  Backed by the {!Wheel} binary
+    heap, which pops in (time, push order). *)
 
 type t
 

@@ -1,285 +1,102 @@
-(* Calendar queue (a flat timing wheel with an adaptive day width).
+(* Binary min-heap on (time, seq).
 
-   Buckets partition time into equal-width "days"; day [d] covers
-   [d*width, (d+1)*width) and lives in bucket [d mod n_buckets].  Each
-   bucket keeps its pending entries sorted by (time, seq) in a packed
-   array with a head index, so the next event of the current day is the
-   bucket head.  A pop scans forward day by day from the cursor; a push
-   behind the cursor pulls it back.  The bucket count and width are
-   rebuilt from the live population when density drifts, which keeps
-   both the per-day scan and the per-bucket insertion O(1) amortized
-   for the event populations simulations produce.
-
-   Day membership is always decided by [floor (time / width)] — never
-   by comparing against a precomputed day boundary — so bucketing,
-   firing and cursor pull-back use the same rounding and cannot
-   disagree about which day an entry belongs to.  Ties fire in push
-   order via the global [seq], matching {!Rcbr_util.Heap}'s
-   (priority, seq) order exactly. *)
+   Every entry records its slot in the heap array, so [cancel] takes it
+   out in O(log n): the last entry fills the hole and sifts up or down,
+   and no cancelled entry stays behind.  Ties fire in push order via the
+   global [seq], so the pop order is a function of the pushed
+   (time, seq) pairs alone. *)
 
 type 'a entry = {
   time : float;
   seq : int;
-  mutable live : bool;
+  mutable pos : int;  (* slot in [heap]; -1 once popped or cancelled *)
   value : 'a;
 }
 
 type 'a handle = 'a entry
 
 type 'a t = {
-  mutable buckets : 'a entry array array;
-  mutable lens : int array;  (* entries occupy [heads.(b), lens.(b)) *)
-  mutable heads : int array;
-  mutable width : float;  (* day length in time units, > 0 *)
-  mutable vday : float;  (* cursor: current day index (integer-valued) *)
-  mutable cur : int;  (* vday's bucket: vday mod n_buckets *)
-  mutable size : int;  (* live entries *)
-  mutable dead : int;  (* cancelled entries still buried in buckets *)
+  mutable heap : 'a entry array;  (* pending entries occupy [0, size) *)
+  mutable size : int;
   mutable next_seq : int;
 }
 
-let min_width = 1e-9
-let min_buckets = 16
-
-let create () =
-  {
-    buckets = Array.make min_buckets [||];
-    lens = Array.make min_buckets 0;
-    heads = Array.make min_buckets 0;
-    width = 1.;
-    vday = 0.;
-    cur = 0;
-    size = 0;
-    dead = 0;
-    next_seq = 0;
-  }
-
+let create () = { heap = [||]; size = 0; next_seq = 0 }
 let length t = t.size
 let is_empty t = t.size = 0
 
-let entry_before a b =
+let before a b =
   a.time < b.time || (Float.equal a.time b.time && a.seq < b.seq)
 
-let day_of t time = Float.floor (time /. t.width)
+let place t i e =
+  t.heap.(i) <- e;
+  e.pos <- i
 
-let bucket_of_day t vd =
-  (* vd is a nonnegative integer-valued float and the bucket count is a
-     power of two, so the remainder is exact. *)
-  int_of_float (Float.rem vd (float_of_int (Array.length t.buckets)))
-
-let set_cursor t time =
-  let vd = day_of t time in
-  t.vday <- vd;
-  t.cur <- bucket_of_day t vd
-
-(* Drop cancelled entries buried at the head of bucket [b]. *)
-let purge_head t b =
-  let data = t.buckets.(b) in
-  let h = ref t.heads.(b) in
-  let len = t.lens.(b) in
-  while !h < len && not data.(!h).live do
-    incr h;
-    t.dead <- t.dead - 1
-  done;
-  if !h = len then begin
-    t.heads.(b) <- 0;
-    t.lens.(b) <- 0
-  end
-  else t.heads.(b) <- !h
-
-let insert_bucket t b e =
-  let h = t.heads.(b) and len = t.lens.(b) in
-  (* Lower bound: first position in [h, len) holding an entry that
-     fires after [e].  [e]'s seq is the largest so far, so among equal
-     times it lands last — FIFO. *)
-  let lo = ref h and hi = ref len in
-  let data = ref t.buckets.(b) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if entry_before e !data.(mid) then hi := mid else lo := mid + 1
-  done;
-  let pos = !lo in
-  if pos = h && h > 0 then begin
-    (* Slot before the head is free (already popped): O(1) insert. *)
-    !data.(h - 1) <- e;
-    t.heads.(b) <- h - 1
-  end
-  else begin
-    if len = Array.length !data then begin
-      let ndata = Array.make (max 8 (2 * len)) e in
-      Array.blit !data 0 ndata 0 len;
-      t.buckets.(b) <- ndata;
-      data := ndata
-    end;
-    Array.blit !data pos !data (pos + 1) (len - pos);
-    !data.(pos) <- e;
-    t.lens.(b) <- len + 1
-  end
-
-let next_pow2 n =
-  let p = ref 1 in
-  while !p < n do
-    p := !p * 2
-  done;
-  !p
-
-(* Rebuild the bucket array from the live population: new bucket count
-   ~ size, new width ~ 3x the mean gap between live entries.  Also
-   flushes cancelled entries.  Deterministic: depends only on the live
-   (time, seq) multiset and the old width. *)
-let rebuild t =
-  let pending = Array.make t.size None in
-  let k = ref 0 in
-  Array.iteri
-    (fun b data ->
-      for i = t.heads.(b) to t.lens.(b) - 1 do
-        let e = data.(i) in
-        if e.live then begin
-          pending.(!k) <- Some e;
-          incr k
-        end
-      done)
-    t.buckets;
-  assert (!k = t.size);
-  let entries =
-    Array.map (function Some e -> e | None -> assert false) pending
-  in
-  Array.sort
-    (fun a b ->
-      let c = Float.compare a.time b.time in
-      if c <> 0 then c else Int.compare a.seq b.seq)
-    entries;
-  let n = Array.length entries in
-  let nb = min (1 lsl 22) (next_pow2 (max min_buckets n)) in
-  let width =
-    if n >= 2 then begin
-      let span = entries.(n - 1).time -. entries.(0).time in
-      let w = 3. *. span /. float_of_int n in
-      if Float.is_finite w && w > min_width then w else t.width
+(* Settle [e] into the hole at slot [i], moving the parents that fire
+   after it down one level each. *)
+let rec sift_up t i e =
+  if i = 0 then place t 0 e
+  else
+    let parent = t.heap.((i - 1) / 2) in
+    if before e parent then begin
+      place t i parent;
+      sift_up t ((i - 1) / 2) e
     end
-    else t.width
-  in
-  t.buckets <- Array.make nb [||];
-  t.lens <- Array.make nb 0;
-  t.heads <- Array.make nb 0;
-  t.width <- width;
-  t.dead <- 0;
-  (* Entries arrive globally sorted, so per-bucket appends stay
-     sorted. *)
-  Array.iter
-    (fun e ->
-      let b = bucket_of_day t (day_of t e.time) in
-      let len = t.lens.(b) in
-      let data = t.buckets.(b) in
-      if len = Array.length data then begin
-        let ndata = Array.make (max 8 (2 * len)) e in
-        Array.blit data 0 ndata 0 len;
-        t.buckets.(b) <- ndata
-      end;
-      t.buckets.(b).(len) <- e;
-      t.lens.(b) <- len + 1)
-    entries;
-  if n > 0 then set_cursor t entries.(0).time
+    else place t i e
+
+(* Settle [e] into the hole at slot [i], moving the earlier child up
+   one level each step. *)
+let rec sift_down t i e =
+  let l = (2 * i) + 1 in
+  if l >= t.size then place t i e
+  else
+    let c =
+      if l + 1 < t.size && before t.heap.(l + 1) t.heap.(l) then l + 1 else l
+    in
+    let child = t.heap.(c) in
+    if before child e then begin
+      place t i child;
+      sift_down t c e
+    end
+    else place t i e
 
 let push t ~time value =
   if not (Float.is_finite time && time >= 0.) then
     invalid_arg "Wheel.push: time must be finite and non-negative";
-  let e = { time; seq = t.next_seq; live = true; value } in
+  let e = { time; seq = t.next_seq; pos = -1; value } in
   t.next_seq <- t.next_seq + 1;
-  if t.size + t.dead + 1 > 2 * Array.length t.buckets then rebuild t;
-  let b = bucket_of_day t (day_of t time) in
-  insert_bucket t b e;
+  if t.size = Array.length t.heap then begin
+    let grown = Array.make (max 16 (2 * t.size)) e in
+    Array.blit t.heap 0 grown 0 t.size;
+    t.heap <- grown
+  end;
   t.size <- t.size + 1;
-  if t.size = 1 || day_of t time < t.vday then set_cursor t time;
+  sift_up t (t.size - 1) e;
   e
 
-(* Find the bucket whose head is the global minimum, advancing the
-   cursor to it.  Scans at most one full lap day by day; if a lap
-   finds nothing (entries far in the future, or a cursor day index too
-   large for float increments) it locates the minimum directly. *)
-let locate t =
-  if t.size = 0 then None
-  else begin
-    let nb = Array.length t.buckets in
-    let steps = ref 0 in
-    let found = ref (-1) in
-    while !found < 0 do
-      if !steps > nb then begin
-        let best = ref (-1) in
-        for b = 0 to nb - 1 do
-          purge_head t b;
-          if t.heads.(b) < t.lens.(b) then
-            let e = t.buckets.(b).(t.heads.(b)) in
-            if
-              !best < 0
-              || entry_before e t.buckets.(!best).(t.heads.(!best))
-            then best := b
-        done;
-        assert (!best >= 0);
-        set_cursor t t.buckets.(!best).(t.heads.(!best)).time;
-        found := !best
-      end
-      else begin
-        let b = t.cur in
-        purge_head t b;
-        if
-          t.heads.(b) < t.lens.(b)
-          && day_of t t.buckets.(b).(t.heads.(b)).time <= t.vday
-        then found := b
-        else begin
-          let vd = t.vday +. 1. in
-          t.vday <- vd;
-          t.cur <- bucket_of_day t vd;
-          incr steps
-        end
-      end
-    done;
-    Some !found
-  end
+(* Take the entry at slot [i] out of the heap. *)
+let remove t i =
+  let e = t.heap.(i) in
+  e.pos <- -1;
+  t.size <- t.size - 1;
+  if i < t.size then begin
+    let last = t.heap.(t.size) in
+    if i > 0 && before last t.heap.((i - 1) / 2) then sift_up t i last
+    else sift_down t i last
+  end;
+  e
 
 let peek t =
-  match locate t with
-  | None -> None
-  | Some b ->
-      let e = t.buckets.(b).(t.heads.(b)) in
-      Some (e.time, e.value)
+  if t.size = 0 then None
+  else
+    let e = t.heap.(0) in
+    Some (e.time, e.value)
 
 let pop t =
-  match locate t with
-  | None -> None
-  | Some b ->
-      let h = t.heads.(b) in
-      let e = t.buckets.(b).(h) in
-      let h = h + 1 in
-      if h = t.lens.(b) then begin
-        t.heads.(b) <- 0;
-        t.lens.(b) <- 0
-      end
-      else t.heads.(b) <- h;
-      e.live <- false;
-      t.size <- t.size - 1;
-      if
-        Array.length t.buckets > min_buckets
-        && 4 * (t.size + t.dead) < Array.length t.buckets
-      then rebuild t;
-      Some (e.time, e.value)
+  if t.size = 0 then None
+  else
+    let e = remove t 0 in
+    Some (e.time, e.value)
 
-let cancel t e =
-  if e.live then begin
-    e.live <- false;
-    t.size <- t.size - 1;
-    t.dead <- t.dead + 1;
-    if t.dead > 64 && t.dead > t.size then rebuild t
-  end
-
-let live e = e.live
-
-let clear t =
-  let nb = Array.length t.buckets in
-  t.buckets <- Array.make nb [||];
-  Array.fill t.lens 0 nb 0;
-  Array.fill t.heads 0 nb 0;
-  t.size <- 0;
-  t.dead <- 0;
-  t.vday <- 0.;
-  t.cur <- 0
+let cancel t e = if e.pos >= 0 then ignore (remove t e.pos)
+let live e = e.pos >= 0

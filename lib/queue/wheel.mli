@@ -1,19 +1,16 @@
-(** Calendar-queue priority queue (flat timing wheel with an adaptive
-    day width) for massive event populations.
+(** The event queue of every simulator: a binary min-heap keyed by a
+    float time, with cancellable entries.
 
-    Drop-in order-compatible with {!Rcbr_util.Heap}: entries are keyed
-    by a float time, ties fire in push order (a global sequence
-    number), and the (time, seq) pop order is identical to the heap's
-    — property-tested in [test/test_queue.ml].  Unlike the heap it
-    hands out a {!handle} per entry, so pending events can be
-    cancelled in O(1) without tombstone closures; cancelled entries
-    are skipped lazily and flushed when they outnumber live ones.
+    Ties fire in push order (a global sequence number), so the pop
+    order is the (time, seq) order of the pushed entries — checked
+    against a linear-scan model in [test/test_queue.ml].  Each entry
+    knows its slot in the heap, so {!cancel} removes it in O(log n)
+    and leaves nothing behind; push and pop are O(log n) too.  Times
+    must be finite and non-negative.
 
-    Push and pop are O(1) amortized when the population's event times
-    are spread over the active window (the calendar-queue regime);
-    the structure rebuilds its bucket count and day width from the
-    live population as it grows or drains.  Times must be finite and
-    non-negative. *)
+    The module keeps the name it had as a calendar queue (a timing
+    wheel) because the end-to-end benchmark's per-layer probes call
+    it by that name. *)
 
 type 'a t
 
@@ -27,8 +24,9 @@ val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val push : 'a t -> time:float -> 'a -> 'a handle
-(** Schedule a value.  Requires a finite [time >= 0].  Entries pushed
-    at equal times pop in push order. *)
+(** Schedule a value.  Raises [Invalid_argument] unless [time] is
+    finite and [>= 0].  Entries pushed at equal times pop in push
+    order. *)
 
 val peek : 'a t -> (float * 'a) option
 (** Earliest live entry without removing it. *)
@@ -42,5 +40,3 @@ val cancel : 'a t -> 'a handle -> unit
 
 val live : 'a handle -> bool
 (** Whether the entry is still pending (not popped, not cancelled). *)
-
-val clear : 'a t -> unit

@@ -2,8 +2,8 @@
 
    Scale comes from four pieces working together: the {!Rcbr_net.Store}
    struct-of-arrays session store (no per-call heap records), the
-   {!Rcbr_queue.Wheel} calendar queue driven directly with integer
-   session handles (no per-event closures), the admission controller
+   {!Rcbr_queue.Wheel} event heap driven directly with integer session
+   handles (no per-event closures), the admission controller
    (its decision cache is keyed on the loaded weights, so a tick's
    arrival burst costs one Chernoff probe and one warm search), and
    link-sharding across the Domain {!Rcbr_util.Pool}.

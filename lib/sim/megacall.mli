@@ -2,7 +2,7 @@
     meshes.
 
     Combines the {!Rcbr_net.Store} struct-of-arrays session store, the
-    {!Rcbr_queue.Wheel} calendar queue driven with integer handles (no
+    {!Rcbr_queue.Wheel} event heap driven with integer handles (no
     per-event closures), the {!Rcbr_admission.Controller} with its
     weight-keyed decision cache and link-sharded parallel runs over
     the Domain {!Rcbr_util.Pool}.  Each shard owns a disjoint

@@ -4,7 +4,6 @@ module Fluid = Rcbr_queue.Fluid
 module Sigma_rho = Rcbr_queue.Sigma_rho
 module Events = Rcbr_queue.Events
 module Wheel = Rcbr_queue.Wheel
-module Heap = Rcbr_util.Heap
 module Trace = Rcbr_traffic.Trace
 
 let check_close eps = Alcotest.(check (float eps))
@@ -267,7 +266,7 @@ let test_events_cancel_token () =
   (* cancelling after the pop is a no-op too *)
   Alcotest.(check (list int)) "log unchanged" [ 1; 3 ] (List.rev !log)
 
-(* --- Wheel: the calendar queue behind Events --- *)
+(* --- Wheel: the event queue behind Events, Megacall and Cell_mux --- *)
 
 let test_wheel_order_and_ties () =
   let w = Wheel.create () in
@@ -316,8 +315,8 @@ let test_wheel_rejects_bad_times () =
     (raises (fun () -> Wheel.push w ~time:(-1.) ()))
 
 let test_wheel_grow_shrink () =
-  (* Push enough to force several rebuilds, drain through the shrink
-     path, and verify global order the whole way. *)
+  (* Push enough to grow the heap array many times, drain it to empty,
+     and verify global order the whole way. *)
   let rng = Rcbr_util.Rng.create 11 in
   let w = Wheel.create () in
   let n = 50_000 in
@@ -387,84 +386,10 @@ let prop_infinite_buffer_no_loss =
       let r = Fluid.run_constant ~capacity:infinity ~rate:5. t in
       Float.equal r.Fluid.bits_lost 0.)
 
-(* Times drawn from a mix of a continuum and a coarse lattice, so
-   duplicate timestamps (the FIFO tie case) occur constantly. *)
-(* Wheel and heap pops are (time, payload) pairs. *)
-let same_entry (t1, v1) (t2, v2) = Float.equal t1 t2 && v1 = v2
-let same_pop = Option.equal same_entry
-
-let times_gen =
-  QCheck.Gen.(
-    list_size (int_range 0 300)
-      (oneof
-         [
-           float_range 0. 100.;
-           map (fun i -> float_of_int i /. 4.) (int_range 0 64);
-         ]))
-
-let prop_wheel_equals_heap =
-  QCheck.Test.make ~name:"wheel pop order = heap pop order" ~count:300
-    (QCheck.make times_gen) (fun times ->
-      let w = Wheel.create () and h = Heap.create () in
-      List.iteri
-        (fun i t ->
-          ignore (Wheel.push w ~time:t i);
-          Heap.push h ~priority:t i)
-        times;
-      let rec drain ok =
-        match (Wheel.pop w, Heap.pop h) with
-        | None, None -> ok
-        | Some a, Some b -> drain (ok && same_entry a b)
-        | _ -> false
-      in
-      drain true)
-
-(* Interleaved schedule/step: pops happen mid-stream, so the wheel's
-   cursor has to chase the population backward and forward. *)
-let ops_gen =
-  QCheck.Gen.(
-    list_size (int_range 0 300)
-      (pair (int_range 0 3)
-         (oneof
-            [
-              float_range 0. 50.;
-              map (fun i -> float_of_int i /. 2.) (int_range 0 32);
-            ])))
-
-let prop_wheel_equals_heap_interleaved =
-  QCheck.Test.make ~name:"wheel = heap under interleaved push/pop" ~count:300
-    (QCheck.make ops_gen) (fun ops ->
-      let w = Wheel.create () and h = Heap.create () in
-      let seq = ref 0 in
-      let ok =
-        List.for_all
-          (fun (kind, t) ->
-            if kind < 3 then begin
-              (* The event-engine invariant: never schedule before the
-                 current minimum (the engine clock). *)
-              let t =
-                match Wheel.peek w with
-                | Some (front, _) when t < front -> front
-                | _ -> t
-              in
-              incr seq;
-              ignore (Wheel.push w ~time:t !seq);
-              Heap.push h ~priority:t !seq;
-              true
-            end
-            else same_pop (Wheel.pop w) (Heap.pop h))
-          ops
-      in
-      let rec drain ok =
-        match (Wheel.pop w, Heap.pop h) with
-        | None, None -> ok
-        | Some a, Some b -> drain (ok && same_entry a b)
-        | _ -> false
-      in
-      drain ok)
-
 (* Cancellation against a naive model: a list of (time, seq, alive)
-   entries popped by linear minimum search. *)
+   entries popped by linear minimum search.  Times are drawn from a mix
+   of a continuum and a coarse lattice, so duplicate timestamps (the
+   FIFO tie case) occur constantly. *)
 let cancel_ops_gen =
   QCheck.Gen.(
     list_size (int_range 0 300)
@@ -475,6 +400,10 @@ let cancel_ops_gen =
               map (fun i -> float_of_int i /. 2.) (int_range 0 32);
             ])
          (int_range 0 1000)))
+
+(* Wheel pops are (time, payload) pairs. *)
+let same_pop =
+  Option.equal (fun (t1, v1) (t2, v2) -> Float.equal t1 t2 && v1 = v2)
 
 let prop_wheel_cancel_model =
   QCheck.Test.make ~name:"wheel cancel = naive model" ~count:300
@@ -499,6 +428,15 @@ let prop_wheel_cancel_model =
             alive := false;
             Some (t, s)
       in
+      (* After every op the queue's length is the model's live count and
+         each handle is live exactly when its model entry is. *)
+      let agrees () =
+        Wheel.length w
+        = List.length (List.filter (fun (_, _, alive) -> !alive) !model)
+        && List.for_all
+             (fun (_, s, alive) -> Bool.equal (Wheel.live !handles.(s)) !alive)
+             !model
+      in
       let ok = ref true in
       List.iter
         (fun (kind, t, k) ->
@@ -517,11 +455,12 @@ let prop_wheel_cancel_model =
             alive := false
           end
           else if kind = 4 then
-            if not (same_pop (Wheel.pop w) (model_pop ())) then ok := false)
+            if not (same_pop (Wheel.pop w) (model_pop ())) then ok := false;
+          if not (agrees ()) then ok := false)
         ops;
       let rec drain () =
         let a = Wheel.pop w and b = model_pop () in
-        if not (same_pop a b) then ok := false;
+        if not (same_pop a b && agrees ()) then ok := false;
         if a <> None || b <> None then drain ()
       in
       drain ();
@@ -578,11 +517,7 @@ let () =
           Alcotest.test_case "grow and shrink" `Quick test_wheel_grow_shrink;
         ]
         @ q
-            [
-              prop_wheel_equals_heap;
-              prop_wheel_equals_heap_interleaved;
-              prop_wheel_cancel_model;
-            ] );
+            [ prop_wheel_cancel_model ] );
       ( "properties",
         q
           [

@@ -5,7 +5,6 @@ module Stats = Rcbr_util.Stats
 module Histogram = Rcbr_util.Histogram
 module Numeric = Rcbr_util.Numeric
 module Matrix = Rcbr_util.Matrix
-module Heap = Rcbr_util.Heap
 module Pool = Rcbr_util.Pool
 module Json = Rcbr_util.Json
 module Tables = Rcbr_util.Tables
@@ -391,37 +390,6 @@ let test_scale_rows () =
   check_float "row 0" 4. (Matrix.get s 0 1);
   check_float "row 1" 30. (Matrix.get s 1 0)
 
-(* --- Heap --- *)
-
-let test_heap_ordering () =
-  let h = Heap.create () in
-  List.iter (fun p -> Heap.push h ~priority:p p) [ 5.; 1.; 4.; 2.; 3. ];
-  let order = List.init 5 (fun _ -> fst (Option.get (Heap.pop h))) in
-  Alcotest.(check (list (float 0.))) "sorted" [ 1.; 2.; 3.; 4.; 5. ] order;
-  Alcotest.(check bool) "empty after" true (Heap.is_empty h)
-
-let test_heap_fifo_ties () =
-  let h = Heap.create () in
-  Heap.push h ~priority:1. "a";
-  Heap.push h ~priority:1. "b";
-  Heap.push h ~priority:1. "c";
-  let order = List.init 3 (fun _ -> snd (Option.get (Heap.pop h))) in
-  Alcotest.(check (list string)) "insertion order" [ "a"; "b"; "c" ] order
-
-let test_heap_peek_clear () =
-  let h = Heap.create () in
-  Alcotest.(check bool) "peek empty" true (Heap.peek h = None);
-  Heap.push h ~priority:2. 0;
-  Heap.push h ~priority:1. 1;
-  (match Heap.peek h with
-  | Some (p, v) ->
-      check_float "peek priority" 1. p;
-      Alcotest.(check int) "peek value" 1 v
-  | None -> Alcotest.fail "expected peek");
-  Alcotest.(check int) "length" 2 (Heap.length h);
-  Heap.clear h;
-  Alcotest.(check int) "cleared" 0 (Heap.length h)
-
 (* --- Pool --- *)
 
 let test_pool_map_order () =
@@ -553,17 +521,6 @@ let test_interrupt_flag () =
     (Rcbr_util.Interrupt.requested ())
 
 (* --- Properties --- *)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap pops sorted" ~count:200
-    QCheck.(list (float_range 0. 1000.))
-    (fun xs ->
-      let h = Heap.create () in
-      List.iter (fun x -> Heap.push h ~priority:x x) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
-      in
-      List.equal Float.equal (drain []) (List.sort Float.compare xs))
 
 let prop_quantile_bounds =
   QCheck.Test.make ~name:"quantile within min/max" ~count:200
@@ -699,12 +656,6 @@ let () =
           Alcotest.test_case "perron diagonal" `Quick test_perron_diagonal;
           Alcotest.test_case "scale rows" `Quick test_scale_rows;
         ] );
-      ( "heap",
-        [
-          Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
-          Alcotest.test_case "peek/clear" `Quick test_heap_peek_clear;
-        ] );
       ( "pool",
         [
           Alcotest.test_case "map order" `Quick test_pool_map_order;
@@ -725,7 +676,6 @@ let () =
       ( "properties",
         q
           [
-            prop_heap_sorts;
             prop_quantile_bounds;
             prop_log_sum_exp_ge_max;
             prop_solve_inverts;

@@ -34,10 +34,9 @@ let service_of_spec spec schedule =
   | Error msg -> Fmt.failwith "%s" msg
 
 (* The non-trivial topologies run the Section III-C call-level
-   experiment on the shared network core: transit calls spread across
-   the topology's routes, local cross traffic on every link.  On
-   [linear:H] this reproduces [Multihop.run]'s denial fractions bit for
-   bit (same engine, same draw order). *)
+   experiment on the shared network core ([Multihop.run_net]): transit
+   calls spread across the topology's routes, local cross traffic on
+   every link.  [linear:H] is the bench hop sweep's network. *)
 let run_net_experiment ~schedule ~seed ~transit_calls ~local_calls ~rm_drop
     ~rm_timeout ~rm_max_retx ~service topology =
   let horizon = 4. *. Schedule.duration schedule in

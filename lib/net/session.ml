@@ -31,7 +31,6 @@ type counters = {
   mutable retransmits : int;
   mutable abandoned : int;
   mutable superseded : int;
-  mutable crash_denials : int;
   mutable invariant_failures : int;
 }
 
@@ -56,7 +55,6 @@ let plane ~drop faults =
         retransmits = 0;
         abandoned = 0;
         superseded = 0;
-        crash_denials = 0;
         invariant_failures = 0;
       };
     armed = [||];

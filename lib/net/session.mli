@@ -12,11 +12,11 @@
     newer change for the same call (or its departure) bumps the call's
     {!Store.gen} and cancels the pending retransmission.
 
-    The experiment-specific float expressions — how delivery updates
-    link demand, what counts as a denial — live in the {!driver} hooks
-    so the historical simulators stay bit-identical to their
-    pre-refactor behaviour (DESIGN.md §10); the machine itself (fault
-    draws, retransmit scheduling, generation bookkeeping) is shared.
+    What a delivered change does to the call — the engine's counting,
+    its controller callbacks, its audit cadence — lives in the
+    {!driver} hooks, which run the shared call steps and settle link
+    demand through {!Store.settle}; the machine itself (fault draws,
+    retransmit scheduling, generation bookkeeping) is shared.
     Per-call state and the route queries are {!Store}'s. *)
 
 (** {1 Faults} *)
@@ -55,7 +55,6 @@ type counters = {
   mutable retransmits : int;
   mutable abandoned : int;  (** changes applied only after give-up *)
   mutable superseded : int;  (** retransmissions cancelled by a newer change *)
-  mutable crash_denials : int;  (** denials caused purely by a crashed link *)
   mutable invariant_failures : int;  (** 0 unless there is a bookkeeping bug *)
 }
 

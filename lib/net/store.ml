@@ -7,9 +7,8 @@
    nothing, even at 10^6 concurrent calls.
 
    The route queries ([fits]/[blocked]/[settle]/[audit]) fix the float
-   expressions and their evaluation order; drivers that owe bit-identity
-   to a historical expression (MBAC's verbatim demand update, DESIGN.md
-   §10) write [applied] through {!set_applied} instead. *)
+   expressions and their evaluation order, and [settle] is the only
+   writer of [applied]: every engine moves link demand through it. *)
 
 module Service_model = Rcbr_policy.Service_model
 module Mts = Rcbr_policy.Mts
@@ -161,7 +160,6 @@ let release t h =
 
 let id t h = t.id.(h)
 let applied t h = t.applied.(h)
-let set_applied t h r = t.applied.(h) <- r
 let demanded t h = t.demanded.(h)
 let set_demanded t h r = t.demanded.(h) <- r
 let level t h = t.level.(h)

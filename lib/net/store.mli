@@ -45,11 +45,6 @@ val release : t -> handle -> unit
 val id : t -> handle -> int
 val applied : t -> handle -> float
 
-val set_applied : t -> handle -> float -> unit
-(** Overwrite [applied] without touching the links — for drivers that
-    update link demand with their own float expression (MBAC,
-    DESIGN.md §10).  Everyone else uses {!settle}. *)
-
 val demanded : t -> handle -> float
 (** The rate the source currently wants; exceeds [applied] while the
     call is downgraded (service models, DESIGN.md §15). *)
@@ -90,8 +85,9 @@ val decide :
     links; [Downgrade] runs the ladder walk against {!fits};
     [Mts_profile] polices against the call's bucket ladder (attached
     at [now] on first use unless {!attach_mts} ran) and returns
-    [Police_to] when it clips.  Records [demanded]; the caller then
-    counts the decision ({!Rcbr_policy.Service_model.downgraded},
+    [Police_to] when it clips.  Records [demanded]; the caller (the
+    engines' shared rate-change step) then counts the decision
+    ({!Rcbr_policy.Service_model.downgraded},
     {!Rcbr_policy.Service_model.denial}, probing {!fits} only when
     asked) and settles the granted rate. *)
 

@@ -108,9 +108,7 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
   let store = Store.create () in
   let route = [| 0 |] in
   let next_call_id = ref 0 in
-  let arrivals = ref 0 and blocked = ref 0 in
-  let reneg_up = ref 0 and reneg_denied = ref 0 in
-  let downgrades = ref 0 and upgrades = ref 0 in
+  let k = Call_step.counts () in
   let failure_stats = Stats.Online.create () in
   let util_stats = Stats.Online.create () in
   let calls_stats = Stats.Online.create () in
@@ -125,36 +123,14 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
      [applied] is the rate the link currently accounts for it; with a
      reliable signalling plane it always equals the previous piece's
      granted rate, but a dropped rate-change cell leaves it behind
-     until the retransmission (or the give-up) lands.  Every service
-     model runs this one path; the demand update and the overflow
-     probe are the seed's float expressions (DESIGN.md §10).  Piece 0
-     is the call's setup, which the arrival already counted. *)
+     until the retransmission (or the give-up) lands.  Piece 0 is the
+     call's setup, which the arrival already placed and settled. *)
   let deliver h ~now ~idx ~rate =
-    let applied = Store.applied store h in
-    let decision = Store.decide c.service ~links store h ~now ~demanded:rate in
-    let granted = Service_model.granted_rate decision ~demanded:rate in
-    let new_demand = link.Link.demand -. applied +. granted in
     if idx > 0 then begin
-      if Service_model.downgraded decision then incr downgrades;
-      let increase = rate > applied in
-      if increase then incr reneg_up;
-      let denied =
-        match Service_model.denial decision ~increase with
-        | Service_model.Not_denied -> false
-        | Service_model.Denied -> true
-        | Service_model.Denied_unless_fits ->
-            new_demand > link.Link.capacity || Link.down link ~now
-      in
-      if denied then begin
-        incr reneg_denied;
-        if Link.down link ~now then
-          counters.Session.crash_denials <- counters.Session.crash_denials + 1
-      end;
+      let d = Call_step.change c.service ~links store h ~now ~demanded:rate k in
       Controller.on_renegotiate controller ~now ~call:(Store.id store h)
-        ~rate:granted
+        ~rate:(Service_model.granted_rate d ~demanded:rate)
     end;
-    link.Link.demand <- new_demand;
-    Store.set_applied store h granted;
     if audit_enabled then begin
       incr applies;
       if !applies mod 64 = 0 then record_audit ()
@@ -163,16 +139,13 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
   let depart h ~now =
     (* Departure: release whatever rate the link believes.  A change
        still in retransmission simply never applies. *)
-    link.Link.demand <- link.Link.demand -. Store.applied store h;
+    Store.settle ~links store h ~rate:0.;
     link.Link.n_calls <- link.Link.n_calls - 1;
     Controller.on_depart controller ~now ~call:(Store.id store h);
     Store.release store h;
     (* Spare capacity just appeared: restore downgraded calls. *)
     Store.upgrade_scan c.service ~links store ~now (fun h r ->
-        incr upgrades;
-        Store.settle ~links store h ~rate:r;
-        Controller.on_renegotiate controller ~now ~call:(Store.id store h)
-          ~rate:r)
+        Call_step.upgrade controller ~links store h ~now ~rate:r k)
   in
   let driver =
     {
@@ -191,30 +164,25 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
   let rec arrival_event engine =
     let now = Events.now engine in
     Link.advance link ~now;
-    incr arrivals;
     (* The Chernoff gate runs first and the call is drawn only when it
-       admits, as in the seed; the service model then places it. *)
+       admits, as in the seed; the shared arrival step then places it. *)
     (if Controller.admit controller ~now then begin
        let pieces = make_pieces rng in
-       let demanded = snd pieces.(0) in
-       let id = !next_call_id in
-       let h = Store.acquire store ~id ~route ~transit:false in
-       match
-         Controller.place controller c.service ~demanded ~fits:(fun r ->
-             Store.fits ~links store h ~rate:r ~now)
-       with
-       | Service_model.Settle_floor _ ->
-           Store.release store h;
-           incr blocked
-       | decision ->
-           if Service_model.downgraded decision then incr downgrades;
-           incr next_call_id;
-           link.Link.n_calls <- link.Link.n_calls + 1;
-           Controller.on_admit controller ~now ~call:id
-             ~rate:(Service_model.granted_rate decision ~demanded);
-           Session.play driver h pieces 0 engine
+       let h = Store.acquire store ~id:!next_call_id ~route ~transit:false in
+       if
+         Call_step.arrive controller c.service ~links store h ~now
+           ~demanded:(snd pieces.(0)) k
+       then begin
+         incr next_call_id;
+         link.Link.n_calls <- link.Link.n_calls + 1;
+         (* Calls are policed from admission on. *)
+         (match c.service with
+         | Service_model.Mts_profile p -> Store.attach_mts store h p ~now
+         | _ -> ());
+         Session.play driver h pieces 0 engine
+       end
      end
-     else incr blocked);
+     else k.blocked <- k.blocked + 1);
     if not !stop then
       Events.schedule_after engine
         ~delay:(Rng.exponential rng c.arrival_rate)
@@ -267,19 +235,19 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
     utilization = Stats.Online.mean util_stats;
     utilization_halfwidth = Stats.Online.confidence_halfwidth util_stats;
     call_blocking =
-      (if !arrivals = 0 then 0.
-       else float_of_int !blocked /. float_of_int !arrivals);
+      (if k.admitted + k.blocked = 0 then 0.
+       else float_of_int k.blocked /. float_of_int (k.admitted + k.blocked));
     denial_fraction =
-      (if !reneg_up = 0 then 0.
-       else float_of_int !reneg_denied /. float_of_int !reneg_up);
+      (if k.attempts = 0 then 0.
+       else float_of_int k.denied /. float_of_int k.attempts);
     mean_calls_in_system = Stats.Online.mean calls_stats;
     windows = Stats.Online.count failure_stats;
     signalling_dropped = counters.Session.rm_lost;
     signalling_retransmits = counters.Session.retransmits;
     signalling_abandoned = counters.Session.abandoned;
     invariant_failures = counters.Session.invariant_failures;
-    downgrades = !downgrades;
-    upgrades = !upgrades;
+    downgrades = k.downgrades;
+    upgrades = k.upgrades;
     admission = Controller.stats controller;
   }
 

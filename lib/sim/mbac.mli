@@ -14,8 +14,10 @@
     Since the [lib/net] refactor this module is a thin driver: the link
     state is an {!Rcbr_net.Link} on a {!Rcbr_net.Topology.single_link}
     and each call is an {!Rcbr_net.Store} handle played by the
-    {!Rcbr_net.Session} signalling machine on the shared event engine; only the MBAC-specific accounting (controller callbacks,
-    denial counting, window sampling) lives here.
+    {!Rcbr_net.Session} signalling machine on the shared event engine,
+    through the call steps every engine shares ({!Call_step}); only the
+    MBAC-specific accounting (controller callbacks, window sampling)
+    lives here.
 
     Sampling follows the paper: every interval of one schedule duration
     yields one sample of the renegotiation-failure probability (the
@@ -51,12 +53,10 @@ type config = {
           §15).  [Renegotiate] (the default) is the seed's settle
           semantics; [Downgrade] grants the highest fitting ladder tier
           and upgrades opportunistically on departures; [Mts_profile]
-          polices each change against a per-call token-bucket ladder.
-          Every model runs one arrival path (Chernoff gate, then the
-          draw, then {!Rcbr_admission.Controller.place}) and one
-          rate-change path, with the seed's demand update and overflow
-          probe and {!Rcbr_policy.Service_model.denial}'s counting
-          rule. *)
+          polices each change against a per-call token-bucket ladder
+          attached at admission.  Every model runs one arrival path
+          (Chernoff gate, then the draw, then {!Call_step.arrive}) and
+          one rate-change path ({!Call_step.change}). *)
 }
 
 val default_config :

@@ -112,13 +112,6 @@ type metrics = {
   outcome_hash : int;  (** ordered FNV fold of the shard hashes *)
 }
 
-(* Both mixers are registered determinism sinks (T001) in the typed
-   lint's repo config (DESIGN.md §14) — tainted values must not reach
-   them, directly or folded (List.fold_left fnv ...); renaming or
-   moving them must update [Tlint.repo_config]. *)
-let fnv h v = (h lxor v) * 0x100000001b3 land max_int
-let fnv_float h x = fnv h (Int64.to_int (Int64.bits_of_float x) land max_int)
-
 let mean_level levels =
   Array.fold_left ( +. ) 0. levels /. float_of_int (Array.length levels)
 
@@ -148,15 +141,9 @@ let run_shard cfg rng =
       ~target:cfg.target
   in
   let wheel : Store.handle Wheel.t = Wheel.create () in
-  let arrivals = ref 0
-  and admitted = ref 0
-  and admission_denied = ref 0
-  and reneg_attempts = ref 0
-  and reneg_denied = ref 0
-  and departures = ref 0
+  let k = Call_step.counts () in
+  let departures = ref 0
   and events_fired = ref 0
-  and downgrades = ref 0
-  and upgrades = ref 0
   and peak = ref 0
   and next_id = ref 0
   and replacements = ref 0 in
@@ -183,9 +170,7 @@ let run_shard cfg rng =
           match Store.try_upgrade cfg.service ~links store h ~now with
           | None -> () (* head-of-line blocking keeps the order fair *)
           | Some r ->
-              incr upgrades;
-              Store.settle ~links store h ~rate:r;
-              Controller.on_renegotiate ctrl ~now ~call:id0 ~rate:r;
+              Call_step.upgrade ctrl ~links store h ~now ~rate:r k;
               if Store.demanded store h <= r then begin
                 ignore (Queue.pop upq);
                 drain_upgrades now
@@ -194,47 +179,33 @@ let run_shard cfg rng =
                  next spare-capacity event climbs further *)
         end
   in
-  (* One arrival path for every service model: the Chernoff gate first,
-     then the route and level draws only when it admits (the seed's
-     draw order), then the model places the call. *)
+  (* The Chernoff gate first, then the route and level draws only when
+     it admits (the seed's draw order), then the shared arrival step. *)
   let try_arrival now =
-    incr arrivals;
     if Controller.admit ctrl ~now then begin
       let id = !next_id in
       let route = routes.(Rng.int rng n_routes) in
       let h = Store.acquire store ~id ~route ~transit:(Array.length route > 1) in
       let lvl = Rng.int rng n_levels in
       let demanded = cfg.levels.(lvl) in
-      match
-        Controller.place ctrl cfg.service ~demanded ~fits:(fun r ->
-            Store.fits ~links store h ~rate:r ~now)
-      with
-      | Service_model.Settle_floor _ ->
-          Store.release store h;
-          incr admission_denied
-      | decision ->
-          let granted = Service_model.granted_rate decision ~demanded in
-          incr admitted;
-          incr next_id;
-          Store.set_level store h lvl;
-          Store.set_demanded store h demanded;
-          Store.settle ~links store h ~rate:granted;
-          Controller.on_admit ctrl ~now ~call:id ~rate:granted;
-          (* Calls are policed from admission on. *)
-          (match cfg.service with
-          | Service_model.Mts_profile p -> Store.attach_mts store h p ~now
-          | _ -> ());
-          if Service_model.downgraded decision then begin
-            incr downgrades;
-            Queue.push (h, id) upq
-          end;
-          if Store.live_count store > !peak then peak := Store.live_count store;
-          ignore
-            (Wheel.push wheel
-               ~time:(now +. Rng.exponential rng (1. /. cfg.mean_hold))
-               h)
+      if Call_step.arrive ctrl cfg.service ~links store h ~now ~demanded k
+      then begin
+        incr next_id;
+        Store.set_level store h lvl;
+        (* Calls are policed from admission on. *)
+        (match cfg.service with
+        | Service_model.Mts_profile p -> Store.attach_mts store h p ~now
+        | _ -> ());
+        (* Placed below its demand: wait for spare capacity. *)
+        if Store.applied store h < demanded then Queue.push (h, id) upq;
+        if Store.live_count store > !peak then peak := Store.live_count store;
+        ignore
+          (Wheel.push wheel
+             ~time:(now +. Rng.exponential rng (1. /. cfg.mean_hold))
+             h)
+      end
     end
-    else incr admission_denied
+    else k.blocked <- k.blocked + 1
   in
   let fire h now =
     incr events_fired;
@@ -252,30 +223,16 @@ let run_shard cfg rng =
       drain_upgrades now
     end
     else begin
-      (* One rate-change path for every service model: decide, count
-         by the shared rule, then settle — settle semantics, as
-         everywhere in this repo: the demand moves whether or not it
-         fits; overload shows up in the accounting. *)
       let lvl = Rng.int rng n_levels in
       let demanded = cfg.levels.(lvl) in
-      let increase = demanded > Store.applied store h in
-      if increase then incr reneg_attempts;
-      let d = Store.decide cfg.service ~links store h ~now ~demanded in
-      let granted = Service_model.granted_rate d ~demanded in
-      if Service_model.downgraded d then incr downgrades;
-      (match Service_model.denial d ~increase with
-      | Service_model.Not_denied -> ()
-      | Service_model.Denied -> incr reneg_denied
-      | Service_model.Denied_unless_fits ->
-          if not (Store.fits ~links store h ~rate:granted ~now) then
-            incr reneg_denied);
+      let d = Call_step.change cfg.service ~links store h ~now ~demanded k in
       (match d with
       | Service_model.Downgrade_to _ | Service_model.Settle_floor _ ->
           Queue.push (h, Store.id store h) upq
       | Service_model.Grant | Service_model.Police_to _ -> ());
       Store.set_level store h lvl;
-      Store.settle ~links store h ~rate:granted;
-      Controller.on_renegotiate ctrl ~now ~call:(Store.id store h) ~rate:granted;
+      Controller.on_renegotiate ctrl ~now ~call:(Store.id store h)
+        ~rate:(Service_model.granted_rate d ~demanded);
       ignore
         (Wheel.push wheel
            ~time:(now +. Rng.exponential rng (1. /. cfg.mean_hold))
@@ -314,7 +271,7 @@ let run_shard cfg rng =
   let audit_violations = Store.audit ~links store in
   let stats = Controller.stats ctrl in
   let demand_hash =
-    Array.fold_left (fun h l -> fnv_float h l.Link.demand) 0 links
+    Array.fold_left (fun h l -> Call_step.fnv_float h l.Link.demand) 0 links
   in
   let shard_hash =
     (* The seed fold list is extended with the downgrade/upgrade
@@ -323,9 +280,9 @@ let run_shard cfg rng =
     let folded =
       [
         stats.Controller.decision_hash;
-        !arrivals;
-        !admitted;
-        !reneg_denied;
+        k.admitted + k.blocked;
+        k.admitted;
+        k.denied;
         !departures;
         !events_fired;
         Store.live_count store;
@@ -333,20 +290,20 @@ let run_shard cfg rng =
       @
       match cfg.service with
       | Service_model.Renegotiate -> []
-      | _ -> [ !downgrades; !upgrades ]
+      | _ -> [ k.downgrades; k.upgrades ]
     in
-    List.fold_left fnv demand_hash folded
+    List.fold_left Call_step.fnv demand_hash folded
   in
   {
-    arrivals = !arrivals;
-    admitted = !admitted;
-    admission_denied = !admission_denied;
-    reneg_attempts = !reneg_attempts;
-    reneg_denied = !reneg_denied;
+    arrivals = k.admitted + k.blocked;
+    admitted = k.admitted;
+    admission_denied = k.blocked;
+    reneg_attempts = k.attempts;
+    reneg_denied = k.denied;
     departures = !departures;
     events_fired = !events_fired;
-    downgrades = !downgrades;
-    upgrades = !upgrades;
+    downgrades = k.downgrades;
+    upgrades = k.upgrades;
     peak_concurrent = !peak;
     final_concurrent = Store.live_count store;
     decision_hash = stats.Controller.decision_hash;
@@ -383,5 +340,5 @@ let run ?pool cfg =
     total_memo_hits = 0;
     audit_violations = sum (fun s -> s.audit_violations);
     outcome_hash =
-      Array.fold_left (fun h s -> fnv h s.shard_hash) 0 shards_;
+      Array.fold_left (fun h s -> Call_step.fnv h s.shard_hash) 0 shards_;
   }

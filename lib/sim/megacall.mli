@@ -37,12 +37,10 @@ type config = {
           polices each change against a per-call token-bucket ladder,
           attached at admission.  Every model runs one arrival path
           (Chernoff gate, then the route and level draws, then
-          {!Rcbr_admission.Controller.place}) and one rate-change path
-          ({!Rcbr_net.Store.decide}, the
-          {!Rcbr_policy.Service_model.denial} rule probed with
-          {!Rcbr_net.Store.fits}, then {!Rcbr_net.Store.settle}).  The
-          shard hash folds the downgrade and upgrade counters only for
-          the other models, which keeps the [Renegotiate] hash. *)
+          {!Call_step.arrive}) and one rate-change path
+          ({!Call_step.change}).  The shard hash folds the downgrade
+          and upgrade counters only for the other models, which keeps
+          the [Renegotiate] hash. *)
 }
 
 val default : concurrent:int -> unit -> config

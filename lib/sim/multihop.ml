@@ -7,22 +7,6 @@ module Session = Rcbr_net.Session
 module Store = Rcbr_net.Store
 module Service_model = Rcbr_policy.Service_model
 
-type config = {
-  schedule : Rcbr_core.Schedule.t;
-  hops : int;
-  capacity_per_hop : float;
-  transit_calls : int;
-  local_calls_per_hop : int;
-  horizon : float;
-  seed : int;
-}
-
-type balanced_config = {
-  base : config;
-  routes : int;  (** parallel alternative paths, each [hops] long *)
-  balance : bool;  (** least-loaded route choice vs uniform random *)
-}
-
 type net_config = {
   schedule : Rcbr_core.Schedule.t;
   topology : Topology.t;
@@ -71,22 +55,9 @@ let run_net (nc : net_config) fc =
   let engine = Events.create () in
   let links = Link.of_topology ~crashes:fc.Session.crashes topo in
   let store = Store.create () in
-  let util_integral = ref 0. and last = ref 0. in
-  let advance now =
-    let dt = now -. !last in
-    if dt > 0. then begin
-      let acc = ref 0. in
-      Array.iter
-        (fun l ->
-          acc := !acc +. Float.min 1. (l.Link.demand /. l.Link.capacity))
-        links;
-      util_integral := !util_integral +. (!acc /. float_of_int n_links *. dt);
-      last := now
-    end
-  in
-  let transit_attempts = ref 0 and transit_denials = ref 0 in
-  let local_attempts = ref 0 and local_denials = ref 0 in
-  let downgrades = ref 0 in
+  let util = Call_step.utilization links in
+  let transit = Call_step.counts () and local = Call_step.counts () in
+  let counts_of h = if Store.transit store h then transit else local in
   let applies = ref 0 in
   let n_slots = Schedule.n_slots nc.schedule in
   let check_invariant () =
@@ -94,33 +65,7 @@ let run_net (nc : net_config) fc =
       counters.Session.invariant_failures
       + Store.audit ~links store
   in
-  (* Demand is the *desired* rate (settle semantics): a denied increase
-     is counted and the demand still rises — the overload shows up in
-     the utilization cap.  Every service model runs this one path; a
-     call's setup ([count = false]) is a decision too, but not a
-     renegotiation attempt. *)
-  let apply_change h rate ~now ~count =
-    let applied = Store.applied store h in
-    let decision = Store.decide nc.service ~links store h ~now ~demanded:rate in
-    let granted = Service_model.granted_rate decision ~demanded:rate in
-    if Service_model.downgraded decision then incr downgrades;
-    if count && rate > applied then begin
-      let transit = Store.transit store h in
-      if transit then incr transit_attempts else incr local_attempts;
-      let denied =
-        match Service_model.denial decision ~increase:true with
-        | Service_model.Not_denied -> false
-        | Service_model.Denied -> true
-        | Service_model.Denied_unless_fits ->
-            not (Store.fits ~links store h ~rate:granted ~now)
-      in
-      if denied then begin
-        if transit then incr transit_denials else incr local_denials;
-        if Store.blocked ~links store h ~now then
-          counters.Session.crash_denials <- counters.Session.crash_denials + 1
-      end
-    end;
-    Store.settle ~links store h ~rate:granted;
+  let audit_tick () =
     if fc.Session.check_invariants then begin
       incr applies;
       if !applies mod 64 = 0 then check_invariant ()
@@ -132,17 +77,21 @@ let run_net (nc : net_config) fc =
       plane;
       reliable_setup = false;
       lifetime = Session.Hold_until nc.horizon;
-      before = (fun ~now -> advance now);
+      before = (fun ~now -> Call_step.advance util ~now);
       on_attempt = (fun ~now:_ -> ());
       retry =
         (fun ~now ->
           now <= nc.horizon
           && begin
-               advance now;
+               Call_step.advance util ~now;
                true
              end);
       deliver =
-        (fun h ~now ~idx:_ ~rate -> apply_change h rate ~now ~count:true);
+        (fun h ~now ~idx:_ ~rate ->
+          ignore
+            (Call_step.change nc.service ~links store h ~now ~demanded:rate
+               (counts_of h));
+          audit_tick ());
     }
   in
   let start_call ~route ~transit =
@@ -151,9 +100,16 @@ let run_net (nc : net_config) fc =
     let h = Store.acquire store ~id:(Store.live_count store) ~route ~transit in
     (* Reserve the setup rate immediately so later placement decisions
        (the load balancer) see it; the first piece event is then a
-       no-op rate-wise.  Call setup is signalled reliably and is not a
-       renegotiation attempt. *)
-    apply_change h (snd pieces.(0)) ~now:0. ~count:false;
+       no-op rate-wise.  Nothing admits here, so the setup is the
+       model's decision and the settle, not a renegotiation attempt. *)
+    let demanded = snd pieces.(0) in
+    let d = Store.decide nc.service ~links store h ~now:0. ~demanded in
+    if Service_model.downgraded d then begin
+      let k = counts_of h in
+      k.Call_step.downgrades <- k.Call_step.downgrades + 1
+    end;
+    Store.settle ~links store h ~rate:(Service_model.granted_rate d ~demanded);
+    audit_tick ();
     (* Desynchronize call starts within the first pieces. *)
     let offset = Rng.float rng in
     Events.schedule engine ~at:offset (Session.play driver h pieces 0)
@@ -190,60 +146,26 @@ let run_net (nc : net_config) fc =
      the horizon rather than the last fired event; the utilization
      integral below closes its own window with [advance]. *)
   Events.advance_to engine ~at:nc.horizon;
-  advance nc.horizon;
+  Call_step.advance util ~now:nc.horizon;
   if fc.Session.check_invariants then check_invariant ();
   ( {
-      transit_attempts = !transit_attempts;
-      transit_denials = !transit_denials;
-      local_attempts = !local_attempts;
-      local_denials = !local_denials;
-      downgrades = !downgrades;
-      mean_hop_utilization = !util_integral /. nc.horizon;
+      transit_attempts = transit.Call_step.attempts;
+      transit_denials = transit.Call_step.denied;
+      local_attempts = local.Call_step.attempts;
+      local_denials = local.Call_step.denied;
+      downgrades = transit.Call_step.downgrades + local.Call_step.downgrades;
+      mean_hop_utilization = Call_step.integral util /. nc.horizon;
     },
     {
       rm_lost = counters.Session.rm_lost;
       retransmits = counters.Session.retransmits;
       abandoned = counters.Session.abandoned;
       superseded = counters.Session.superseded;
-      crash_denials = counters.Session.crash_denials;
+      crash_denials =
+        transit.Call_step.crash_denials + local.Call_step.crash_denials;
       invariant_failures = counters.Session.invariant_failures;
     } )
 
-let run_faulty bc fc =
-  let c = bc.base in
-  assert (c.hops >= 1 && c.capacity_per_hop > 0. && c.horizon > 0.);
-  assert (c.transit_calls >= 1 && c.local_calls_per_hop >= 0);
-  assert (bc.routes >= 1);
-  let topology =
-    Topology.parallel_routes ~routes:bc.routes ~hops:c.hops
-      ~capacity:c.capacity_per_hop
-  in
-  (* The historical fault record names hops; the blackout applies to
-     that hop on every route.  Expand to link ids for the general core
-     (the historical hop-range filter included). *)
-  let crashes =
-    List.concat_map
-      (fun (h, a, r) ->
-        if h >= 0 && h < c.hops then
-          List.init bc.routes (fun rt -> ((rt * c.hops) + h, a, r))
-        else [])
-      fc.Session.crashes
-  in
-  run_net
-    {
-      schedule = c.schedule;
-      topology;
-      transit_calls = c.transit_calls;
-      local_calls_per_link = c.local_calls_per_hop;
-      horizon = c.horizon;
-      seed = c.seed;
-      balance = bc.balance;
-      service = Service_model.Renegotiate;
-    }
-    { fc with crashes }
-
-let run_balanced bc = fst (run_faulty bc Session.no_faults)
-let run c = run_balanced { base = c; routes = 1; balance = false }
-
 (* Hop-sweep batch: each config is an independent seeded simulation. *)
-let run_many ?pool configs = Rcbr_util.Pool.map ?pool run configs
+let run_many ?pool configs =
+  Rcbr_util.Pool.map ?pool (fun nc -> fst (run_net nc Session.no_faults)) configs

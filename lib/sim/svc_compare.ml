@@ -117,9 +117,6 @@ let models c =
          ~mean:(mean_level c) ~peak:hi);
   |]
 
-let fnv h v = (h lxor v) * 0x100000001b3 land max_int
-let fnv_float h x = fnv h (Int64.to_int (Int64.bits_of_float x) land max_int)
-
 let jain xs =
   let n = Array.length xs in
   if n = 0 then 1.
@@ -135,7 +132,6 @@ let run_model c model =
   let topo = Topology.grid ~rows:c.rows ~cols:c.cols ~capacity:c.capacity in
   let calls = workload c ~n_routes:(Topology.n_routes topo) in
   let links = Link.of_topology topo in
-  let n_links = Topology.n_links topo in
   let descriptor =
     let sorted =
       List.sort_uniq Float.compare (Array.to_list c.levels) |> Array.of_list
@@ -150,26 +146,12 @@ let run_model c model =
       ~target:c.target
   in
   let engine = Events.create () in
-  let admitted = ref 0 and blocked = ref 0 in
-  let reneg_attempts = ref 0 and reneg_denied = ref 0 in
-  let downgrades = ref 0 and upgrades = ref 0 and departures = ref 0 in
+  let k = Call_step.counts () and departures = ref 0 in
   let granted_bits = Array.make c.calls 0. in
   let demanded_bits = Array.make c.calls 0. in
   let last = Array.make c.calls 0. in
   let store = Store.create () in
-  let util_integral = ref 0. and util_last = ref 0. in
-  let advance now =
-    let dt = now -. !util_last in
-    if dt > 0. then begin
-      let acc = ref 0. in
-      Array.iter
-        (fun l ->
-          acc := !acc +. Float.min 1. (l.Link.demand /. l.Link.capacity))
-        links;
-      util_integral := !util_integral +. (!acc /. float_of_int n_links *. dt);
-      util_last := now
-    end
-  in
+  let util = Call_step.utilization links in
   (* Per-flow fairness accounting: integrate granted (applied) and
      demanded bits between rate-change points. *)
   let accrue i h ~now =
@@ -184,86 +166,60 @@ let run_model c model =
   in
   let depart h i engine =
     let now = Events.now engine in
-    advance now;
+    Call_step.advance util ~now;
     accrue i h ~now;
     Store.settle ~links store h ~rate:0.;
     Store.release store h;
     Controller.on_depart ctrl ~now ~call:i;
     incr departures;
     Store.upgrade_scan model ~links store ~now (fun h r ->
-        let i = Store.id store h in
-        accrue i h ~now;
-        Store.settle ~links store h ~rate:r;
-        Controller.on_renegotiate ctrl ~now ~call:i ~rate:r;
-        incr upgrades)
+        accrue (Store.id store h) h ~now;
+        Call_step.upgrade ctrl ~links store h ~now ~rate:r k)
   in
   let change h i rate engine =
     let now = Events.now engine in
-    advance now;
+    Call_step.advance util ~now;
     accrue i h ~now;
-    let increase = rate > Store.applied store h in
-    if increase then incr reneg_attempts;
-    let decision = Store.decide model ~links store h ~now ~demanded:rate in
-    let granted = Service_model.granted_rate decision ~demanded:rate in
-    if Service_model.downgraded decision then incr downgrades;
-    (* Renegotiation failure (the paper's headline price), by the rule
-       every engine shares: an increase settled at the ladder floor, or
-       granted in full where the route cannot absorb it (the overload
-       then shows in the utilization cap). *)
-    (match Service_model.denial decision ~increase with
-    | Service_model.Not_denied -> ()
-    | Service_model.Denied -> incr reneg_denied
-    | Service_model.Denied_unless_fits ->
-        if not (Store.fits ~links store h ~rate:granted ~now) then
-          incr reneg_denied);
-    Store.settle ~links store h ~rate:granted;
-    Controller.on_renegotiate ctrl ~now ~call:i ~rate:granted
+    let d = Call_step.change model ~links store h ~now ~demanded:rate k in
+    Controller.on_renegotiate ctrl ~now ~call:i
+      ~rate:(Service_model.granted_rate d ~demanded:rate)
   in
   let arrival i engine =
     let now = Events.now engine in
-    advance now;
-    if not (Controller.admit ctrl ~now) then incr blocked
+    Call_step.advance util ~now;
+    if not (Controller.admit ctrl ~now) then k.blocked <- k.blocked + 1
     else begin
       let cw = calls.(i) in
       let h =
         Store.acquire store ~id:i ~route:topo.Topology.routes.(cw.route)
           ~transit:true
       in
-      let rate0 = snd cw.pieces.(0) in
-      match
-        Controller.place ctrl model ~demanded:rate0 ~fits:(fun r ->
-            Store.fits ~links store h ~rate:r ~now)
-      with
-      | Service_model.Settle_floor _ ->
-          Store.release store h;
-          incr blocked
-      | decision ->
-          let granted = Service_model.granted_rate decision ~demanded:rate0 in
-          incr admitted;
-          Store.set_demanded store h rate0;
-          if Service_model.downgraded decision then incr downgrades;
-          Store.settle ~links store h ~rate:granted;
-          Controller.on_admit ctrl ~now ~call:i ~rate:granted;
-          last.(i) <- now;
-          let t = ref now in
-          Array.iteri
-            (fun idx (duration, _) ->
-              t := !t +. duration;
-              if idx < Array.length cw.pieces - 1 then
-                let rate = snd cw.pieces.(idx + 1) in
-                Events.schedule engine ~at:!t (change h i rate)
-              else Events.schedule engine ~at:!t (depart h i))
-            cw.pieces
+      if
+        Call_step.arrive ctrl model ~links store h ~now
+          ~demanded:(snd cw.pieces.(0)) k
+      then begin
+        last.(i) <- now;
+        let t = ref now in
+        Array.iteri
+          (fun idx (duration, _) ->
+            t := !t +. duration;
+            if idx < Array.length cw.pieces - 1 then
+              let rate = snd cw.pieces.(idx + 1) in
+              Events.schedule engine ~at:!t (change h i rate)
+            else Events.schedule engine ~at:!t (depart h i))
+          cw.pieces
+      end
     end
   in
   Array.iteri
     (fun i cw -> Events.schedule engine ~at:cw.at (arrival i))
     calls;
   Events.run engine;
-  advance (Events.now engine);
+  Call_step.advance util ~now:(Events.now engine);
   let audit_violations = Store.audit ~links store in
   let mean_utilization =
-    if Events.now engine > 0. then !util_integral /. Events.now engine else 0.
+    if Events.now engine > 0. then Call_step.integral util /. Events.now engine
+    else 0.
   in
   let xs =
     Array.init c.calls (fun i ->
@@ -273,28 +229,29 @@ let run_model c model =
   let decision_hash = (Controller.stats ctrl).Controller.decision_hash in
   let outcome_hash =
     let h =
-      List.fold_left fnv 0
+      List.fold_left Call_step.fnv 0
         [
-          c.calls; !admitted; !blocked; !reneg_attempts; !reneg_denied;
-          !downgrades; !upgrades; !departures; decision_hash; audit_violations;
+          c.calls; k.admitted; k.blocked; k.attempts; k.denied; k.downgrades;
+          k.upgrades; !departures; decision_hash; audit_violations;
         ]
     in
-    Array.fold_left (fun h l -> fnv_float h l.Link.demand) h links
+    Array.fold_left (fun h l -> Call_step.fnv_float h l.Link.demand) h links
   in
   {
     model = Service_model.name model;
     arrivals = c.calls;
-    admitted = !admitted;
-    blocked = !blocked;
-    reneg_attempts = !reneg_attempts;
-    reneg_denied = !reneg_denied;
-    downgrades = !downgrades;
-    upgrades = !upgrades;
+    admitted = k.admitted;
+    blocked = k.blocked;
+    reneg_attempts = k.attempts;
+    reneg_denied = k.denied;
+    downgrades = k.downgrades;
+    upgrades = k.upgrades;
     departures = !departures;
-    blocking_probability = float_of_int !blocked /. float_of_int c.calls;
+    blocking_probability = float_of_int k.blocked /. float_of_int c.calls;
     downgrade_probability =
-      (if !admitted = 0 then 0.
-       else float_of_int !downgrades /. float_of_int (!admitted + !reneg_attempts));
+      (if k.admitted = 0 then 0.
+       else
+         float_of_int k.downgrades /. float_of_int (k.admitted + k.attempts));
     mean_utilization;
     smg = mean_utilization *. peak_level c /. mean_level c;
     jain_fairness = jain xs;

@@ -475,30 +475,31 @@ let test_niu_retry_beats_no_retry () =
 
 (* --- Multihop --- *)
 
-let multihop_config hops =
+let multihop_config ?(capacity = 8. *. Trace.mean_rate trace) hops =
   {
     Multihop.schedule;
-    hops;
-    capacity_per_hop = 8. *. Trace.mean_rate trace;
+    topology = Rcbr_net.Topology.linear ~hops ~capacity;
     transit_calls = 3;
-    local_calls_per_hop = 4;
+    local_calls_per_link = 4;
     horizon = 1200.;
     seed = 5;
+    balance = false;
+    service = Rcbr_policy.Service_model.Renegotiate;
   }
 
+let run_multihop nc = fst (Multihop.run_net nc Rcbr_net.Session.no_faults)
+
 let test_multihop_denial_grows_with_hops () =
-  let d h = Multihop.denial_fraction (Multihop.run (multihop_config h)) in
+  let d h = Multihop.denial_fraction (run_multihop (multihop_config h)) in
   let d1 = d 1 and d4 = d 4 and d8 = d 8 in
   Alcotest.(check bool) "1 < 4 hops" true (d1 < d4);
   Alcotest.(check bool) "4 < 8 hops" true (d4 < d8);
   Alcotest.(check bool) "fractions" true (d1 >= 0. && d8 <= 1.)
 
 let test_multihop_uncontended_no_denials () =
-  let cfg =
-    { (multihop_config 4) with
-      Multihop.capacity_per_hop = 100. *. Trace.mean_rate trace }
+  let m =
+    run_multihop (multihop_config ~capacity:(100. *. Trace.mean_rate trace) 4)
   in
-  let m = Multihop.run cfg in
   Alcotest.(check int) "no denials with huge capacity" 0
     m.Multihop.transit_denials;
   Alcotest.(check bool) "renegotiations happened" true
@@ -507,28 +508,24 @@ let test_multihop_uncontended_no_denials () =
 let test_multihop_balanced_no_worse () =
   (* Same network, 4 alternate routes: least-loaded placement cannot
      deny more transit renegotiations than random placement. *)
-  let base =
-    { (multihop_config 6) with Rcbr_sim.Multihop.transit_calls = 8 }
-  in
   let run balance =
     Multihop.denial_fraction
-      (Multihop.run_balanced { Rcbr_sim.Multihop.base; routes = 4; balance })
+      (run_multihop
+         {
+           (multihop_config 6) with
+           Multihop.topology =
+             Rcbr_net.Topology.parallel_routes ~routes:4 ~hops:6
+               ~capacity:(8. *. Trace.mean_rate trace);
+           transit_calls = 8;
+           balance;
+         })
   in
   Alcotest.(check bool) "balancing helps (or ties)" true
     (run true <= run false +. 1e-9)
 
-let test_multihop_balanced_single_route_matches_run () =
-  let cfg = multihop_config 3 in
-  let a = Multihop.run cfg in
-  let b =
-    Multihop.run_balanced { Rcbr_sim.Multihop.base = cfg; routes = 1; balance = false }
-  in
-  Alcotest.(check int) "identical" a.Multihop.transit_denials
-    b.Multihop.transit_denials
-
 let test_multihop_deterministic () =
-  let a = Multihop.run (multihop_config 3) in
-  let b = Multihop.run (multihop_config 3) in
+  let a = run_multihop (multihop_config 3) in
+  let b = run_multihop (multihop_config 3) in
   Alcotest.(check int) "same denials" a.Multihop.transit_denials
     b.Multihop.transit_denials
 
@@ -826,8 +823,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_multihop_deterministic;
           Alcotest.test_case "balanced no worse" `Quick
             test_multihop_balanced_no_worse;
-          Alcotest.test_case "routes=1 is run" `Quick
-            test_multihop_balanced_single_route_matches_run;
         ] );
       ( "interactive",
         [

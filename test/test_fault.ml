@@ -550,24 +550,32 @@ let test_online_unbounded_loses_nothing () =
 
 (* --- Faulty call-level simulators --- *)
 
-let multihop_config hops =
+let multihop_config ?(routes = 1) ?(balance = false) hops =
+  let capacity = 8. *. Trace.mean_rate trace in
   {
     Multihop.schedule =
       Rcbr_core.Optimal.solve
         (Rcbr_core.Optimal.default_params ~cost_ratio:3e5 trace)
         trace;
-    hops;
-    capacity_per_hop = 8. *. Trace.mean_rate trace;
+    topology = Rcbr_net.Topology.parallel_routes ~routes ~hops ~capacity;
     transit_calls = 3;
-    local_calls_per_hop = 4;
+    local_calls_per_link = 4;
     horizon = 600.;
     seed = 5;
+    balance;
+    service = Rcbr_policy.Service_model.Renegotiate;
   }
 
 let test_multihop_null_faults_identical () =
-  let bc = { Multihop.base = multihop_config 3; routes = 2; balance = true } in
-  let a = Multihop.run_balanced bc in
-  let m, f = Multihop.run_faulty bc Session.no_faults in
+  (* A plane with no loss and no crashes never draws, whatever its
+     fault seed, and the audit only reads: the fault-free run bit for
+     bit. *)
+  let nc = multihop_config ~routes:2 ~balance:true 3 in
+  let a, _ = Multihop.run_net nc Session.no_faults in
+  let m, f =
+    Multihop.run_net nc
+      { Session.no_faults with Session.fault_seed = 9; check_invariants = true }
+  in
   Alcotest.(check int) "attempts" a.Multihop.transit_attempts
     m.Multihop.transit_attempts;
   Alcotest.(check int) "denials" a.Multihop.transit_denials
@@ -577,10 +585,10 @@ let test_multihop_null_faults_identical () =
   check_close 1e-12 "utilization" a.Multihop.mean_hop_utilization
     m.Multihop.mean_hop_utilization;
   Alcotest.(check int) "nothing lost" 0 f.Multihop.rm_lost;
-  Alcotest.(check int) "nothing retransmitted" 0 f.Multihop.retransmits
+  Alcotest.(check int) "nothing retransmitted" 0 f.Multihop.retransmits;
+  Alcotest.(check int) "audit clean" 0 f.Multihop.invariant_failures
 
 let test_multihop_lossy_signalling () =
-  let bc = { Multihop.base = multihop_config 3; routes = 1; balance = false } in
   let fc =
     {
       Session.no_faults with
@@ -589,7 +597,7 @@ let test_multihop_lossy_signalling () =
       check_invariants = true;
     }
   in
-  let _, f = Multihop.run_faulty bc fc in
+  let _, f = Multihop.run_net (multihop_config 3) fc in
   Alcotest.(check bool) "cells lost" true (f.Multihop.rm_lost > 0);
   Alcotest.(check bool) "retransmissions happened" true
     (f.Multihop.retransmits > 0);
@@ -597,11 +605,11 @@ let test_multihop_lossy_signalling () =
     f.Multihop.invariant_failures
 
 let test_multihop_crash_denies () =
-  let bc = { Multihop.base = multihop_config 3; routes = 1; balance = false } in
+  (* On one route link ids are hop numbers: hop 1 goes dark. *)
   let fc =
     { Session.no_faults with Session.crashes = [ (1, 50., 300.) ] }
   in
-  let m, f = Multihop.run_faulty bc fc in
+  let m, f = Multihop.run_net (multihop_config 3) fc in
   Alcotest.(check bool) "blackout denies increases" true
     (f.Multihop.crash_denials > 0);
   Alcotest.(check bool) "denials include crash denials" true

@@ -364,6 +364,31 @@ let test_t001_allow_grant () =
     {|let fnv h x = (h * 16777619) lxor x
 let bad () = fnv 0 (int_of_float (Sys.time ()))|}
 
+let test_t001_dead_sink () =
+  (* The mixer was renamed and the sink list still names the old one:
+     no hash is guarded, so the gate fails at the sink list. *)
+  match
+    T.check_sources ~config:sink_cfg
+      [
+        ( "Fix",
+          "lib/fix.ml",
+          {|let mix h x = (h * 16777619) lxor x
+let ok () = mix 0 42|} );
+      ]
+  with
+  | [ v ] ->
+      Alcotest.(check string) "reports as SINK" "SINK" v.C.rule;
+      Alcotest.(check string) "at the sink list" "tools/lint/tlint.ml" v.C.file;
+      let m = v.C.message and name = "Fix.fnv" in
+      let rec mentions i =
+        i + String.length name <= String.length m
+        && (String.sub m i (String.length name) = name || mentions (i + 1))
+      in
+      Alcotest.(check bool) "names the sink" true (mentions 0)
+  | other ->
+      Alcotest.failf "expected exactly one SINK finding, got %d"
+        (List.length other)
+
 (* --- T002: address-based hash of a closure ---------------------------- *)
 
 let test_t002_fires () =
@@ -756,6 +781,7 @@ let () =
           t "random exemption" test_t001_random_exempt;
           t "source-line suppression" test_t001_source_suppression;
           t "allowlist grant" test_t001_allow_grant;
+          t "dead sink" test_t001_dead_sink;
         ] );
       ( "t002",
         [

@@ -507,7 +507,7 @@ let test_store_matches_sessions () =
         (Store.applied store h));
   Alcotest.(check int) "store conservation" 0 (Store.audit ~links:links_s store)
 
-(* --- run_net vs the historical entry points ------------------------- *)
+(* --- run_net ---------------------------------------------------------- *)
 
 let trace = Rcbr_traffic.Synthetic.star_wars ~frames:2_000 ~seed:42 ()
 let schedule = Optimal.solve (Optimal.default_params ~cost_ratio:3e5 trace) trace
@@ -524,63 +524,6 @@ let check_metrics tag (a : Multihop.metrics) (b : Multihop.metrics) =
     b.Multihop.local_denials;
   check_exact (tag ^ " utilization bit-identical")
     a.Multihop.mean_hop_utilization b.Multihop.mean_hop_utilization
-
-let base_config hops =
-  {
-    Multihop.schedule;
-    hops;
-    capacity_per_hop = capacity;
-    transit_calls = 3;
-    local_calls_per_hop = 4;
-    horizon = 2. *. Schedule.duration schedule;
-    seed = 11;
-  }
-
-let test_run_net_linear_equivalence () =
-  let c = base_config 3 in
-  let reference = Multihop.run c in
-  let m, f =
-    Multihop.run_net
-      {
-        Multihop.schedule;
-        topology = Topology.linear ~hops:3 ~capacity;
-        transit_calls = c.Multihop.transit_calls;
-        local_calls_per_link = c.Multihop.local_calls_per_hop;
-        horizon = c.Multihop.horizon;
-        seed = c.Multihop.seed;
-        balance = false;
-        service = Rcbr_policy.Service_model.Renegotiate;
-      }
-      Session.no_faults
-  in
-  check_metrics "linear" reference m;
-  Alcotest.(check int) "no faults recorded" 0
-    (f.Multihop.rm_lost + f.Multihop.crash_denials)
-
-let test_run_net_parallel_equivalence () =
-  let bc =
-    {
-      Multihop.base = { (base_config 2) with Multihop.transit_calls = 6 };
-      routes = 3;
-      balance = true;
-    }
-  in
-  let reference = Multihop.run_balanced bc in
-  let m, _ =
-    Multihop.run_net
-      {
-        Multihop.schedule;
-        topology = Topology.parallel_routes ~routes:3 ~hops:2 ~capacity;
-        transit_calls = 6;
-        local_calls_per_link = bc.Multihop.base.Multihop.local_calls_per_hop;
-        horizon = bc.Multihop.base.Multihop.horizon;
-        seed = bc.Multihop.base.Multihop.seed;
-        balance = true;
-        service = Rcbr_policy.Service_model.Renegotiate;
-      }
-      Session.no_faults
-  in
-  check_metrics "parallel" reference m
 
 let test_run_net_mesh_faulty () =
   (* The new capability: routes of different lengths sharing a link,
@@ -677,10 +620,6 @@ let () =
         ] );
       ( "run_net",
         [
-          Alcotest.test_case "linear = Multihop.run" `Quick
-            test_run_net_linear_equivalence;
-          Alcotest.test_case "parallel = run_balanced" `Quick
-            test_run_net_parallel_equivalence;
           Alcotest.test_case "mesh under faults" `Quick test_run_net_mesh_faulty;
         ] );
     ]

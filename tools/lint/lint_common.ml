@@ -38,6 +38,7 @@ let meta_rules =
     ("PARSE", "source failed to parse or type");
     ("SUPP", "suppression comment references an unknown rule id");
     ("GRANT", "allowlist grant is dead (matches no occurrence) or invalid");
+    ("SINK", "configured T001 sink names no definition in the analysed units");
   ]
 
 let all_rule_ids = List.map fst (rules @ meta_rules)

@@ -19,7 +19,8 @@ val rules : (string * string) list
     measure). *)
 
 val meta_rules : (string * string) list
-(** PARSE / SUPP / GRANT — harness diagnostics, not suppressible. *)
+(** PARSE / SUPP / GRANT / SINK — harness diagnostics, not
+    suppressible. *)
 
 val all_rule_ids : string list
 (** Every rule id plus the meta ids; the vocabulary suppression

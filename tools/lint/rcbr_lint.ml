@@ -9,8 +9,8 @@
    alias [@lint] makes _build/default), runs every rule over the whole
    program, and exits 1 on any unsuppressed finding.  A .ml under
    lib/ bin/ bench/ test/ (relative to the current directory) with no
-   loaded typed tree is a finding too, and so is an allowlist grant that
-   absorbed nothing. *)
+   loaded typed tree is a finding too, and so are an allowlist grant that
+   absorbed nothing and a T001 sink that names no definition. *)
 
 module C = Rcbr_lint_core.Lint_common
 module T = Rcbr_lint_core.Tlint

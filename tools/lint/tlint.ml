@@ -257,8 +257,8 @@ let repo_config ?(units = []) ?(allow_grants = []) () =
     sinks =
       [
         "Rcbr_wire.Loadgen.outcome_hash";
-        "Rcbr_sim.Megacall.fnv";
-        "Rcbr_sim.Megacall.fnv_float";
+        "Rcbr_sim.Call_step.fnv";
+        "Rcbr_sim.Call_step.fnv_float";
         "Rcbr_util.Json.to_string";
         "Rcbr_util.Json.save";
       ];
@@ -1441,6 +1441,24 @@ let analyze ~config (units : unit_info list) : C.reporter =
     units;
   List.iter (check_def st) defs;
   List.iter (check_idents st) units;
+  (* A sink that names no definition guards nothing: a renamed or
+     moved mixer would drop out of T001 without a word. *)
+  List.iter
+    (fun sink ->
+      if not (Hashtbl.mem st.by_name sink) then
+        C.raw st.rep
+          {
+            C.file = "tools/lint/tlint.ml";
+            line = 1;
+            rule = "SINK";
+            message =
+              Printf.sprintf
+                "T001 sink %s names no definition in the analysed units — \
+                 point the sink list (Tlint.repo_config) at the mixer's \
+                 new name"
+                sink;
+          })
+    config.sinks;
   st.rep
 
 let make_unit ~modname ~filename ~source (str : Typedtree.structure) =

@@ -94,9 +94,10 @@ val repo_config :
   unit ->
   config
 (** The repo policy: [Rng] may use [Random], [bench/] may read the
-    clock, order matters in [lib/ bin/ bench/], sinks are the FNV
-    outcome hashes and Json emission, spawn points are the [Pool] entry
-    points and [Domain.spawn]. *)
+    clock, order matters in [lib/ bin/ bench/], sinks are the engines'
+    FNV mixers ([Rcbr_sim.Call_step.fnv]/[fnv_float]), the load
+    generator's outcome hash and Json emission, spawn points are the
+    [Pool] entry points and [Domain.spawn]. *)
 
 (** {1 Entry points} *)
 
@@ -107,7 +108,8 @@ val check_sources :
 (** [(modname, filename, source)] units are typed in memory against
     the stdlib environment plus [Unix] ([Compmisc]/[Typemod]) and analyzed
     together, so fixtures exercise the cross-definition machinery.
-    Typing failures become PARSE violations; results are sorted. *)
+    Typing failures become PARSE violations, and a configured sink that
+    names no definition a SINK violation; results are sorted. *)
 
 type result = {
   violations : Lint_common.violation list;

@@ -313,6 +313,7 @@ let place t (model : Service_model.t) ~demanded ~fits =
 
 (* --- debug: incremental aggregate vs from-scratch rebuild ----------- *)
 
+(* lint: allow R001 — probe: tests check the aggregates against a rebuild *)
 let debug_aggregate_deviation t ~now =
   let rebuilt = Array.make (max 1 t.n_levels) 0. in
   (* Iterate calls in sorted-id order so the rebuilt aggregate — a float

@@ -27,21 +27,6 @@ let of_schedule sched =
   let fractions = Array.map fst marg in
   create ~levels ~fractions
 
-let levels t = Array.copy t.levels
-let fractions t = Array.copy t.fractions
-
-let mean_rate t =
-  let acc = ref 0. in
-  Array.iteri (fun i f -> acc := !acc +. (f *. t.levels.(i))) t.fractions;
-  !acc
-
-let peak_rate t =
-  let top = ref 0. in
-  Array.iteri
-    (fun i f -> if f > 0. then top := Float.max !top t.levels.(i))
-    t.fractions;
-  !top
-
 let to_marginal t =
   Array.init (Array.length t.levels) (fun i -> (t.fractions.(i), t.levels.(i)))
 

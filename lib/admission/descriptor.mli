@@ -15,11 +15,6 @@ val of_schedule : Rcbr_core.Schedule.t -> t
 (** Empirical distribution of a schedule's rate levels — exact for
     stored video (the paper notes interactivity blurs it). *)
 
-val levels : t -> float array
-val fractions : t -> float array
-val mean_rate : t -> float
-val peak_rate : t -> float
-
 val to_marginal : t -> Rcbr_effbw.Chernoff.marginal
 
 val max_admissible : t -> capacity:float -> target:float -> int

@@ -1,4 +1,3 @@
-let cell_bytes = 53
 let payload_bits = 384.
 let wire_bits = 424.
 

@@ -4,9 +4,6 @@
     [b] bits occupies [ceil (b / 384)] cells.  Only the accounting
     matters to the simulations, not the byte layout. *)
 
-val cell_bytes : int
-(** 53. *)
-
 val payload_bits : float
 (** 384 — 48 bytes of payload. *)
 

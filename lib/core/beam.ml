@@ -121,60 +121,3 @@ let solve_with_stats ?lemma_pruning ?buffer_quantum ?frontier_cap ?prior_weight
       dropped_by_beam = c.Optimal.dropped_by_beam;
       prior_hits = c.Optimal.prior_hits;
     } )
-
-let solve ?lemma_pruning ?buffer_quantum ?frontier_cap ?prior_weight
-    ?start_level ~beam_width ~prior params trace =
-  fst
-    (solve_with_stats ?lemma_pruning ?buffer_quantum ?frontier_cap
-       ?prior_weight ?start_level ~beam_width ~prior params trace)
-
-let sweep ?lemma_pruning ?buffer_quantum ?frontier_cap ?prior_weight
-    ?start_level ~widths ~prior params trace =
-  let rec ascending = function
-    | a :: (b :: _ as rest) -> a < b && ascending rest
-    | [ _ ] | [] -> true
-  in
-  (match widths with
-  | [] -> invalid_arg "Beam.sweep: empty width list"
-  | w :: _ when w < 1 -> invalid_arg "Beam.sweep: beam_width < 1"
-  | _ when not (ascending widths) ->
-      invalid_arg "Beam.sweep: widths must be strictly ascending"
-  | _ -> ());
-  let prior_weight =
-    match prior_weight with
-    | Some w -> w
-    | None -> default_prior_weight params trace
-  in
-  (* One compilation serves every width: only the cutoff differs. *)
-  let opts = compile ~grid:params.Optimal.grid ~beam_width:1 ~prior_weight prior in
-  let cost s =
-    Schedule.cost s ~reneg_cost:params.Optimal.reneg_cost
-      ~bandwidth_cost:params.Optimal.bandwidth_cost
-  in
-  let best = ref None in
-  List.map
-    (fun w ->
-      let schedule, base, c =
-        Optimal.solve_raw ?lemma_pruning ?buffer_quantum ?frontier_cap
-          ~beam:{ opts with Optimal.width = w } ?start_level params trace
-      in
-      let stats =
-        {
-          base;
-          kept = c.Optimal.kept;
-          dropped_by_beam = c.Optimal.dropped_by_beam;
-          prior_hits = c.Optimal.prior_hits;
-        }
-      in
-      (* Anytime semantics: report the cheapest schedule found at any
-         width up to this one.  Raw beam selection is not nested across
-         widths — a wider beam can genuinely lose a path a narrower one
-         kept (measured in ~60% of random instances, DESIGN.md §13) —
-         so only the running best is monotone in the width. *)
-      let c_new = cost schedule in
-      (match !best with
-      | Some (c_best, _) when c_best <= c_new -> ()
-      | _ -> best := Some (c_new, schedule));
-      let _, best_schedule = Option.get !best in
-      (w, best_schedule, stats))
-    widths

@@ -89,37 +89,3 @@ val solve_with_stats :
     force (every other initial level pays one renegotiation) for
     receding-horizon use.  May raise {!Optimal.Infeasible} — exactly
     when the exact solver would. *)
-
-val solve :
-  ?lemma_pruning:bool ->
-  ?buffer_quantum:float ->
-  ?frontier_cap:int ->
-  ?prior_weight:float ->
-  ?start_level:int ->
-  beam_width:int ->
-  prior:prior ->
-  Optimal.params ->
-  Rcbr_traffic.Trace.t ->
-  Schedule.t
-(** {!solve_with_stats} without the diagnostics. *)
-
-val sweep :
-  ?lemma_pruning:bool ->
-  ?buffer_quantum:float ->
-  ?frontier_cap:int ->
-  ?prior_weight:float ->
-  ?start_level:int ->
-  widths:int list ->
-  prior:prior ->
-  Optimal.params ->
-  Rcbr_traffic.Trace.t ->
-  (int * Schedule.t * stats) list
-(** Solve once per width (strictly ascending, all >= 1) against one
-    compiled prior, with {e anytime} semantics: the schedule reported at
-    width [w] is the cheapest found at any width up to [w], so its cost
-    is non-increasing in the width {e by construction} (enforced by a
-    qcheck property).  The raw per-width schedules are not monotone:
-    beam selection is score-ranked per stage, so the kept sets of two
-    widths are not nested and a wider beam can genuinely lose a path a
-    narrower one kept — measured in ~60% of random instances (DESIGN.md
-    §13).  The [stats] are the raw run's at that width. *)

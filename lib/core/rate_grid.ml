@@ -5,6 +5,7 @@ let uniform ~lo ~hi ~levels =
   let step = (hi -. lo) /. float_of_int (levels - 1) in
   { rates = Array.init levels (fun i -> lo +. (float_of_int i *. step)) }
 
+(* lint: allow R001 — fixture: the trellis tests build hand-made grids *)
 let of_rates rates =
   assert (Array.length rates > 0);
   let prev = ref neg_infinity in
@@ -15,15 +16,12 @@ let of_rates rates =
     rates;
   { rates = Array.copy rates }
 
-let paper_default = uniform ~lo:48_000. ~hi:2_400_000. ~levels:20
-
 let covering t ~peak =
   let top = t.rates.(Array.length t.rates - 1) in
   if top >= peak then t
   else { rates = Array.append t.rates [| peak |] }
 
 let levels t = Array.length t.rates
-let rates t = Array.copy t.rates
 let rate t i = t.rates.(i)
 let top t = t.rates.(Array.length t.rates - 1)
 

@@ -15,15 +15,11 @@ val uniform : lo:float -> hi:float -> levels:int -> t
 val of_rates : float array -> t
 (** Arbitrary ascending positive rates. *)
 
-val paper_default : t
-(** 20 levels uniform within 48 kb/s and 2.4 Mb/s (Section IV-A). *)
-
 val covering : t -> peak:float -> t
 (** Ensure the grid can serve a workload with the given peak demand:
     appends [peak] as a top level if the current top is below it. *)
 
 val levels : t -> int
-val rates : t -> float array
 val rate : t -> int -> float
 val top : t -> float
 

@@ -80,21 +80,3 @@ let schedule ~buffer trace =
       !segments
   in
   Schedule.create ~fps ~n_slots:n segs
-
-let minimal_peak_rate ~buffer trace =
-  (* Quadratic scan; intended for validation on short traces.  For long
-     traces the taut-string schedule's peak rate equals this bound. *)
-  assert (buffer >= 0.);
-  let n = Trace.length trace in
-  let a = cumulative trace in
-  let best = ref 0. in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n do
-      (* S(j) >= A(j) - B in general, but the delivery pin makes the
-         final constraint S(n) = A(n) with no buffer credit. *)
-      let slack = if j = n then 0. else buffer in
-      let need = (a.(j) -. a.(i) -. slack) /. float_of_int (j - i) in
-      if need > !best then best := need
-    done
-  done;
-  !best *. Trace.fps trace

@@ -22,10 +22,3 @@ val schedule :
     backlog never exceeds [buffer] and all bits are delivered by the end
     of the trace.  Requires [buffer >= 0] (with 0 the schedule follows
     the arrivals exactly). *)
-
-val minimal_peak_rate : buffer:float -> Rcbr_traffic.Trace.t -> float
-(** The smallest peak rate any feasible schedule can have:
-    [max over windows (A(j) - A(i) - B) / (j - i)] — with no buffer
-    credit for windows ending at the delivery deadline — in b/s.  The
-    taut-string schedule attains it.  Quadratic in the trace length;
-    intended for validation on short traces. *)

@@ -23,15 +23,10 @@ type totals = {
   reordered : int;
 }
 
-val no_totals : totals
-
 type t
 
 val create : Plan.t -> t
 (** Validates the plan.  Equal plans give equal fate streams. *)
-
-val plan : t -> Plan.t
-val hops : t -> int
 
 val fate : t -> hop:int -> fate
 (** Decide the fate of one cell crossing [hop].  Consumes randomness

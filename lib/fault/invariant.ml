@@ -33,8 +33,3 @@ let check ?(eps = 1e-6) ?(check_capacity = true) views =
                  sum))
     views;
   List.rev !out
-
-let total_reserved views =
-  Array.fold_left (fun acc v -> acc +. v.reserved) 0. views
-
-let pp_violation ppf v = Format.fprintf ppf "port %d: %s" v.port v.what

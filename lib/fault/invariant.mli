@@ -28,7 +28,3 @@ val check : ?eps:float -> ?check_capacity:bool -> port_view array -> violation l
     [check_capacity] (default true) may be disabled for bookkeeping
     that intentionally tracks demand beyond capacity (settle
     semantics). *)
-
-val total_reserved : port_view array -> float
-
-val pp_violation : Format.formatter -> violation -> unit

@@ -48,36 +48,6 @@ let stationary t =
   let s = Array.fold_left ( +. ) 0. pi in
   Array.map (fun x -> x /. s) pi
 
-let reachable p from =
-  let n = Array.length p in
-  let seen = Array.make n false in
-  let stack = ref [ from ] in
-  seen.(from) <- true;
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | s :: rest ->
-        stack := rest;
-        for j = 0 to n - 1 do
-          if (not seen.(j)) && p.(s).(j) > 0. then begin
-            seen.(j) <- true;
-            stack := j :: !stack
-          end
-        done
-  done;
-  seen
-
-let is_irreducible t =
-  let n = n_states t in
-  let fwd = reachable t.p 0 in
-  let transpose = Array.init n (fun i -> Array.init n (fun j -> t.p.(j).(i))) in
-  let bwd = reachable transpose 0 in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    if not (fwd.(i) && bwd.(i)) then ok := false
-  done;
-  !ok
-
 let step t rng s = Rng.choose rng t.p.(s)
 
 let simulate t rng ~init ~steps =
@@ -87,26 +57,3 @@ let simulate t rng ~init ~steps =
     out.(i) <- step t rng out.(i - 1)
   done;
   out
-
-let occupancy states ~n_states =
-  let counts = Array.make n_states 0. in
-  Array.iter (fun s -> counts.(s) <- counts.(s) +. 1.) states;
-  let total = float_of_int (Array.length states) in
-  Array.map (fun c -> c /. total) counts
-
-let uniformize q ~rate =
-  let n = Array.length q in
-  let p =
-    Array.init n (fun i ->
-        Array.init n (fun j ->
-            let qij = q.(i).(j) in
-            if i = j then begin
-              assert (rate >= Float.abs qij);
-              1. +. (qij /. rate)
-            end
-            else begin
-              assert (qij >= 0.);
-              qij /. rate
-            end))
-  in
-  create p

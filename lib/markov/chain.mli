@@ -20,20 +20,9 @@ val stationary : t -> float array
     by a direct linear solve.  Requires an irreducible chain for the
     result to be the unique stationary law. *)
 
-val is_irreducible : t -> bool
-(** True iff the transition graph is strongly connected. *)
-
 val step : t -> Rcbr_util.Rng.t -> int -> int
 (** One transition from the given state. *)
 
 val simulate : t -> Rcbr_util.Rng.t -> init:int -> steps:int -> int array
 (** State sequence of length [steps], starting from [init] (the initial
     state is included as element 0). *)
-
-val occupancy : int array -> n_states:int -> float array
-(** Empirical fraction of time in each state. *)
-
-val uniformize : float array array -> rate:float -> t
-(** [uniformize q ~rate] converts a continuous-time generator matrix [q]
-    (rows summing to 0, nonnegative off-diagonal) into the discrete
-    uniformized chain [I + Q/rate].  Requires [rate >= max_i |q_ii|]. *)

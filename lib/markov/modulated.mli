@@ -13,7 +13,6 @@ val create : Chain.t -> rates:float array -> t
 
 val chain : t -> Chain.t
 val rates : t -> float array
-val n_states : t -> int
 
 val mean_rate : t -> float
 (** Stationary mean data per slot. *)

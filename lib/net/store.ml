@@ -18,7 +18,6 @@ type handle = int
 type t = {
   mutable applied : float array;
   mutable demanded : float array;  (* source-wanted rate (service models) *)
-  mutable level : int array;  (* current rate-level id *)
   mutable cursor : int array;  (* schedule cursor (piece index) *)
   mutable gen : int array;
   mutable id : int array;
@@ -44,7 +43,6 @@ let create ?(capacity_hint = 16) () =
   {
     applied = Array.make cap 0.;
     demanded = Array.make cap 0.;
-    level = Array.make cap 0;
     cursor = Array.make cap 0;
     gen = Array.make cap 0;
     id = Array.make cap 0;
@@ -63,7 +61,6 @@ let create ?(capacity_hint = 16) () =
   }
 
 let live_count t = t.live
-let high_water t = t.hwm
 let is_live t h = Char.code (Bytes.get t.flags h) land 1 <> 0
 
 let grow_handles t =
@@ -76,7 +73,6 @@ let grow_handles t =
   in
   t.applied <- gf t.applied 0.;
   t.demanded <- gf t.demanded 0.;
-  t.level <- gf t.level 0;
   t.cursor <- gf t.cursor 0;
   t.gen <- gf t.gen 0;
   t.id <- gf t.id 0;
@@ -141,7 +137,6 @@ let acquire t ~id ~route ~transit =
   t.routes_len <- t.routes_len + rlen;
   t.applied.(h) <- 0.;
   t.demanded.(h) <- 0.;
-  t.level.(h) <- 0;
   t.cursor.(h) <- 0;
   t.gen.(h) <- 0;
   t.id.(h) <- id;
@@ -162,8 +157,6 @@ let id t h = t.id.(h)
 let applied t h = t.applied.(h)
 let demanded t h = t.demanded.(h)
 let set_demanded t h r = t.demanded.(h) <- r
-let level t h = t.level.(h)
-let set_level t h l = t.level.(h) <- l
 let cursor t h = t.cursor.(h)
 let set_cursor t h c = t.cursor.(h) <- c
 let gen t h = t.gen.(h)

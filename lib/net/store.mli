@@ -3,10 +3,10 @@
     of the switch daemon.
 
     Per-call state lives in packed parallel arrays indexed by an
-    integer {!handle} — applied and demanded rate, rate-level id,
-    schedule cursor, generation counter, caller id — with routes stored
-    as slices of a shared int arena and freed handles recycled through
-    a stack, so the steady-state hot loop allocates nothing.  The MTS
+    integer {!handle} — applied and demanded rate, schedule cursor,
+    generation counter, caller id — with routes stored as slices of a
+    shared int arena and freed handles recycled through a stack, so
+    the steady-state hot loop allocates nothing.  The MTS
     policer ladder of the [Mts_profile] service model lives here too,
     allocated on first use.  Signalling over an unreliable plane is
     {!Session}'s job; it drives calls of this store by handle.
@@ -25,13 +25,10 @@ val create : ?capacity_hint:int -> unit -> t
 val live_count : t -> int
 (** Currently acquired handles. *)
 
-val high_water : t -> int
-(** Handles ever touched; valid handles are [< high_water]. *)
-
 val is_live : t -> handle -> bool
 
 val acquire : t -> id:int -> route:int array -> transit:bool -> handle
-(** Fresh call with [applied = 0], level/cursor/gen zeroed and no MTS
+(** Fresh call with [applied = 0], cursor/gen zeroed and no MTS
     ladder attached; the route (non-empty, link ids in hop order) is
     copied into the arena.  [gen] restarting at 0 on a recycled handle
     is why {!Session.cancel_pending} must run before a signalled call
@@ -50,8 +47,6 @@ val demanded : t -> handle -> float
     call is downgraded (service models, DESIGN.md §15). *)
 
 val set_demanded : t -> handle -> float -> unit
-val level : t -> handle -> int
-val set_level : t -> handle -> int -> unit
 val cursor : t -> handle -> int
 val set_cursor : t -> handle -> int -> unit
 val gen : t -> handle -> int

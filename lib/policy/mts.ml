@@ -7,8 +7,6 @@ type profile = {
   quantum : float;
 }
 
-let scales p = Array.length p.rates
-
 let validate p =
   assert (Array.length p.rates >= 1);
   assert (Array.length p.rates = Array.length p.depths);

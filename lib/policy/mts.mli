@@ -23,8 +23,6 @@ type profile = {
           rate as [tokens / quantum] *)
 }
 
-val scales : profile -> int
-
 val validate : profile -> unit
 (** Asserts equal ladder lengths, a positive quantum and nonnegative
     rates/depths. *)

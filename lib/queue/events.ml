@@ -15,6 +15,7 @@ let schedule_after t ~delay f =
   schedule t ~at:(t.clock +. delay) f
 
 let cancel tok = Wheel.cancel tok.q tok.h
+(* lint: allow R001 — probe: the event tests check cancellation *)
 let cancelled tok = not (Wheel.live tok.h)
 
 let step t =
@@ -40,4 +41,5 @@ let advance_to t ~at =
   run ~until:at t;
   if at > t.clock then t.clock <- at
 
+(* lint: allow R001 — probe: the event tests check the live count *)
 let pending t = Wheel.length t.queue

@@ -1,7 +1,5 @@
 module Trace = Rcbr_traffic.Trace
 
-type t = { cap : float; mutable backlog : float }
-
 type result = {
   bits_offered : float;
   bits_lost : float;
@@ -11,26 +9,6 @@ type result = {
 
 let loss_fraction r =
   if Float.equal r.bits_offered 0. then 0. else r.bits_lost /. r.bits_offered
-
-let create ~capacity =
-  assert (capacity >= 0.);
-  { cap = capacity; backlog = 0. }
-
-let capacity t = t.cap
-let backlog t = t.backlog
-
-let offer t bits =
-  assert (bits >= 0.);
-  let room = t.cap -. t.backlog in
-  let accepted = Float.min bits room in
-  t.backlog <- t.backlog +. accepted;
-  bits -. accepted
-
-let drain t bits =
-  assert (bits >= 0.);
-  t.backlog <- Float.max 0. (t.backlog -. bits)
-
-let reset t = t.backlog <- 0.
 
 let run_per_slot ~capacity ~slots ~arrival ~drain_per_slot =
   (* Paper convention (formula (3)): arrivals and service within a slot

@@ -6,8 +6,6 @@
     out before the buffer bound is applied (the paper's formula (3)), so
     a backlog equal to the capacity is legal at every slot boundary. *)
 
-type t
-
 type result = {
   bits_offered : float;
   bits_lost : float;
@@ -17,20 +15,6 @@ type result = {
 
 val loss_fraction : result -> float
 (** [bits_lost / bits_offered]; 0 when nothing was offered. *)
-
-val create : capacity:float -> t
-(** Empty queue.  [capacity] in bits; [infinity] is allowed. *)
-
-val capacity : t -> float
-val backlog : t -> float
-
-val offer : t -> float -> float
-(** [offer q bits] enqueues up to capacity, returning the bits {e lost}. *)
-
-val drain : t -> float -> unit
-(** [drain q bits] removes up to [bits] from the buffer. *)
-
-val reset : t -> unit
 
 val run_constant : capacity:float -> rate:float -> Rcbr_traffic.Trace.t -> result
 (** Feed a whole trace through a buffer drained at constant [rate]

@@ -21,8 +21,6 @@ val create : unit -> 'a t
 val length : 'a t -> int
 (** Live (not cancelled, not yet popped) entries. *)
 
-val is_empty : 'a t -> bool
-
 val push : 'a t -> time:float -> 'a -> 'a handle
 (** Schedule a value.  Raises [Invalid_argument] unless [time] is
     finite and [>= 0].  Entries pushed at equal times pop in push

@@ -10,8 +10,6 @@ let create ~capacity =
   assert (capacity > 0.);
   { capacity; deltas = [] }
 
-let capacity t = t.capacity
-
 let add_delta t at delta =
   let rec insert = function
     | [] -> [ (at, delta) ]

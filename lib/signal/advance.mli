@@ -13,8 +13,6 @@ val create : capacity:float -> t
 (** Empty calendar for a link of [capacity] b/s.  Requires a positive
     capacity. *)
 
-val capacity : t -> float
-
 val reserved_at : t -> float -> float
 (** Total bandwidth booked at the given instant. *)
 

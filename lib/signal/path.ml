@@ -87,8 +87,6 @@ let request t ~id target =
     undo = Rm_cell.delta ~vci:t.vci (t.rate -. target);
   }
 
-let request_target r = r.target
-
 (* One traversal of the link into [hop]; [apply] is run once for a
    delivered cell and again, immediately behind it, for a duplicated
    one.  Returns the extra delivery delay, or None if the cell (or the

@@ -58,8 +58,6 @@ val request : t -> id:int -> float -> request
     Ids must be fresh per logical request (never reused across
     different targets on the same path). *)
 
-val request_target : request -> float
-
 val transmit :
   t ->
   inj:Rcbr_fault.Injector.t ->

@@ -191,7 +191,6 @@ let run_shard cfg rng =
       if Call_step.arrive ctrl cfg.service ~links store h ~now ~demanded k
       then begin
         incr next_id;
-        Store.set_level store h lvl;
         (* Calls are policed from admission on. *)
         (match cfg.service with
         | Service_model.Mts_profile p -> Store.attach_mts store h p ~now
@@ -230,7 +229,6 @@ let run_shard cfg rng =
       | Service_model.Downgrade_to _ | Service_model.Settle_floor _ ->
           Queue.push (h, Store.id store h) upq
       | Service_model.Grant | Service_model.Police_to _ -> ());
-      Store.set_level store h lvl;
       Controller.on_renegotiate ctrl ~now ~call:(Store.id store h)
         ~rate:(Service_model.granted_rate d ~demanded);
       ignore

@@ -12,12 +12,6 @@ let make ~kinds ~weight_i ~weight_p ~weight_b =
   assert (weight_i > 0. && weight_p > 0. && weight_b > 0.);
   { kinds = Array.copy kinds; weight_i; weight_p; weight_b }
 
-let mpeg1_default =
-  make
-    ~kinds:[| I; B; B; P; B; B; P; B; B; P; B; B |]
-    ~weight_i:2.5 ~weight_p:1.2 ~weight_b:0.6
-
-let gop_length p = Array.length p.kinds
 let kind_at p i = p.kinds.(i mod Array.length p.kinds)
 
 let weight_of p = function
@@ -30,5 +24,3 @@ let weight_at p i = weight_of p (kind_at p i)
 let mean_weight p =
   let acc = Array.fold_left (fun a k -> a +. weight_of p k) 0. p.kinds in
   acc /. float_of_int (Array.length p.kinds)
-
-let kind_to_string = function I -> "I" | P -> "P" | B -> "B"

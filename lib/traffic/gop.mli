@@ -14,12 +14,6 @@ type pattern
 val make : kinds:kind array -> weight_i:float -> weight_p:float -> weight_b:float -> pattern
 (** Requires a non-empty kind sequence and positive weights. *)
 
-val mpeg1_default : pattern
-(** The classical IBBPBBPBBPBB pattern (GOP size 12, I-to-I distance 12,
-    P spacing 3), with weights I:P:B = 2.5 : 1.2 : 0.6 — representative
-    of MPEG-1 size ratios. *)
-
-val gop_length : pattern -> int
 val kind_at : pattern -> int -> kind
 (** Frame kind at (global) frame index [i], repeating the pattern. *)
 
@@ -29,5 +23,3 @@ val weight_at : pattern -> int -> float
 val mean_weight : pattern -> float
 (** Average multiplier over one GOP; dividing by it normalizes the
     pattern to unit mean so the scene process controls the rate. *)
-
-val kind_to_string : kind -> string

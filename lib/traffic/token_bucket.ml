@@ -5,7 +5,6 @@ let create ~rate ~depth =
   { rate; depth; tokens = depth }
 
 let rate t = t.rate
-let depth t = t.depth
 let tokens t = t.tokens
 
 let refill t ~dt =

@@ -11,7 +11,6 @@ val create : rate:float -> depth:float -> t
 (** Requires [rate >= 0] and [depth >= 0].  The bucket starts full. *)
 
 val rate : t -> float
-val depth : t -> float
 val tokens : t -> float
 
 val refill : t -> dt:float -> unit

@@ -15,13 +15,11 @@ val create : fps:float -> float array -> t
 val fps : t -> float
 val length : t -> int
 val frame : t -> int -> float
-val frames : t -> float array
-(** A fresh copy of the frame-size array. *)
 
 val raw_frames : t -> float array
 (** The trace's own frame array, {e not} a copy — read-only access for
-    hot loops (the fluid-queue kernel) that cannot afford the copy of
-    {!frames}.  Mutating it is undefined behaviour. *)
+    hot loops (the fluid-queue kernel) that cannot afford a copy.
+    Mutating it is undefined behaviour. *)
 
 val prefix_sums : t -> float array
 (** Cumulative arrivals: element [i] is the total bits of frames

@@ -5,13 +5,12 @@
     distributions are built and manipulated here.  Levels are identified
     by integer index into some external level table.
 
-    Histograms grow on demand: {!add}/{!set} on a level index beyond the
-    current size extend the histogram (new levels start at weight 0), so
-    one histogram can track a level table that is discovered
+    Histograms grow on demand: {!add} on a level index beyond the
+    current size extends the histogram (new levels start at weight 0),
+    so one histogram can track a level table that is discovered
     incrementally.  The admission fast path relies on the in-place
-    operations ({!add}, {!sub}, {!add_weighted}, {!iter_support}) being
-    allocation-free once the backing array has reached its high-water
-    size. *)
+    operations ({!add}, {!sub}, {!iter_support}) being allocation-free
+    once the backing array has reached its high-water size. *)
 
 type t
 (** Mutable histogram: weight per level index. *)
@@ -34,16 +33,10 @@ val sub : t -> int -> float -> unit
     The result may drift a few ulp below zero through float
     cancellation; consumers treat [<= 0] as empty. *)
 
-val set : t -> int -> float -> unit
-(** [set h level w] overwrites the weight (growing if needed). *)
-
 val weight : t -> int -> float
 (** 0 for out-of-range levels. *)
 
 val total : t -> float
-
-val clear : t -> unit
-(** Reset every weight to 0 without releasing storage. *)
 
 val merge : t -> t -> t
 (** Pointwise sum; the two histograms must have equal [levels].  Fresh
@@ -72,9 +65,6 @@ val log_mass : ?floor:float -> t -> int -> float
     (0, 1].  This is the soft-decision trellis idiom: unseen transitions
     stay expandable, merely expensive. *)
 
-val of_distribution : float array -> t
-(** Histogram holding the given nonnegative weights. *)
-
 val mean_level_value : t -> values:float array -> float
 (** Expectation of [values.(level)] under the normalized histogram. *)
 
@@ -82,9 +72,3 @@ val iter_support : t -> (int -> float -> unit) -> unit
 (** [iter_support h f] calls [f level weight] for every level with
     strictly positive weight, in ascending level order, without
     allocating. *)
-
-val support : t -> int list
-(** Level indices with strictly positive weight, ascending.  Allocates a
-    list; hot paths use {!iter_support}. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,9 +1,5 @@
 type t = { data : float array array }
 
-let create ~rows ~cols v =
-  assert (rows > 0 && cols > 0);
-  { data = Array.init rows (fun _ -> Array.make cols v) }
-
 let of_rows rows =
   assert (Array.length rows > 0);
   let cols = Array.length rows.(0) in
@@ -12,39 +8,10 @@ let of_rows rows =
 
 let rows t = Array.length t.data
 let cols t = Array.length t.data.(0)
-let get t i j = t.data.(i).(j)
-
-let identity n =
-  let m = create ~rows:n ~cols:n 0. in
-  for i = 0 to n - 1 do
-    m.data.(i).(i) <- 1.
-  done;
-  m
-
-let transpose t =
-  let r = rows t and c = cols t in
-  { data = Array.init c (fun j -> Array.init r (fun i -> t.data.(i).(j))) }
-
-let map f t = { data = Array.map (Array.map f) t.data }
 
 let scale_rows t d =
   assert (Array.length d = rows t);
   { data = Array.mapi (fun i row -> Array.map (fun x -> d.(i) *. x) row) t.data }
-
-let mul a b =
-  assert (cols a = rows b);
-  let n = rows a and m = cols b and k = cols a in
-  let out = create ~rows:n ~cols:m 0. in
-  for i = 0 to n - 1 do
-    for j = 0 to m - 1 do
-      let acc = ref 0. in
-      for l = 0 to k - 1 do
-        acc := !acc +. (a.data.(i).(l) *. b.data.(l).(j))
-      done;
-      out.data.(i).(j) <- !acc
-    done
-  done;
-  out
 
 let mat_vec t v =
   assert (Array.length v = cols t);
@@ -54,16 +21,6 @@ let mat_vec t v =
       Array.iteri (fun j x -> acc := !acc +. (x *. v.(j))) row;
       !acc)
     t.data
-
-let vec_mat v t =
-  assert (Array.length v = rows t);
-  let out = Array.make (cols t) 0. in
-  for i = 0 to rows t - 1 do
-    for j = 0 to cols t - 1 do
-      out.(j) <- out.(j) +. (v.(i) *. t.data.(i).(j))
-    done
-  done;
-  out
 
 let solve a b =
   let n = rows a in
@@ -134,13 +91,3 @@ let perron_root ?(tol = 1e-12) ?(max_iter = 10_000) t =
     end
   done;
   Float.max 0. (!lambda -. (eps *. float_of_int n))
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  Array.iter
-    (fun row ->
-      Format.fprintf fmt "@[<h>|";
-      Array.iter (fun x -> Format.fprintf fmt " %10.4g" x) row;
-      Format.fprintf fmt " |@]@,")
-    t.data;
-  Format.fprintf fmt "@]"

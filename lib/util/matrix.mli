@@ -8,23 +8,16 @@
 type t
 (** Immutable-by-convention dense matrix. *)
 
-val create : rows:int -> cols:int -> float -> t
 val of_rows : float array array -> t
 (** Copies its argument; all rows must have equal length. *)
 
 val rows : t -> int
 val cols : t -> int
-val get : t -> int -> int -> float
-val identity : int -> t
-val transpose : t -> t
-val map : (float -> float) -> t -> t
 val scale_rows : t -> float array -> t
 (** [scale_rows m d] multiplies row i of [m] by [d.(i)] — i.e.
     [diag d * m]. *)
 
-val mul : t -> t -> t
 val mat_vec : t -> float array -> float array
-val vec_mat : float array -> t -> float array
 
 val solve : t -> float array -> float array
 (** [solve a b] solves [a x = b] by Gaussian elimination with partial
@@ -35,5 +28,3 @@ val perron_root : ?tol:float -> ?max_iter:int -> t -> float
     power (power iteration on an added tiny regularizer keeps reducible
     inputs from stalling).  Requires a square matrix with nonnegative
     entries. *)
-
-val pp : Format.formatter -> t -> unit

@@ -8,11 +8,6 @@
 val mean : float array -> float
 (** Arithmetic mean.  Requires a non-empty array. *)
 
-val variance : float array -> float
-(** Unbiased sample variance (denominator n-1); 0 for singleton arrays. *)
-
-val stddev : float array -> float
-
 val quantile : float array -> float -> float
 (** [quantile xs q] for [0 <= q <= 1], linear interpolation between order
     statistics.  Does not mutate its argument. *)

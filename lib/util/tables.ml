@@ -20,6 +20,3 @@ let sorted_bindings ?compare tbl =
 
 let iter_sorted ?compare f tbl =
   List.iter (fun (k, v) -> f k v) (sorted_bindings ?compare tbl)
-
-let fold_sorted ?compare f tbl init =
-  List.fold_left (fun acc (k, v) -> f k v acc) init (sorted_bindings ?compare tbl)

@@ -20,10 +20,3 @@ val sorted_bindings :
 
 val iter_sorted :
   ?compare:('a -> 'a -> int) -> ('a -> 'b -> unit) -> ('a, 'b) Hashtbl.t -> unit
-
-val fold_sorted :
-  ?compare:('a -> 'a -> int) ->
-  ('a -> 'b -> 'acc -> 'acc) ->
-  ('a, 'b) Hashtbl.t ->
-  'acc ->
-  'acc

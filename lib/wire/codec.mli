@@ -58,12 +58,6 @@ val req : t -> int option
 (** The request id carried by request/reply messages; [None] for the
     fire-and-forget RM cells. *)
 
-val equal : t -> t -> bool
-(** Structural equality with floats compared by their IEEE-754 bits, so
-    round-trip checks are exact (and [-0.] distinct from [0.]). *)
-
-val pp : Format.formatter -> t -> unit
-
 (** {1 Validity}
 
     Encodable messages satisfy: ids ([vci], [req], [call], [sessions],
@@ -118,11 +112,3 @@ val max_frame : int
 val frame : t -> string
 (** [encode m] behind a 4-byte big-endian length prefix — the unit of
     transmission. *)
-
-(** {1 RM-cell bridge} *)
-
-val of_rm_cell : Rcbr_signal.Rm_cell.t -> t
-(** [Delta]/[Resync] carrying the cell's VCI and payload. *)
-
-val to_rm_cell : t -> Rcbr_signal.Rm_cell.t option
-(** The inverse on RM-cell messages; [None] on session signalling. *)

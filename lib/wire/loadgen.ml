@@ -8,14 +8,6 @@ type op =
   | Op_resync of { call : int; rate : float }
   | Op_teardown of { call : int }
 
-let op_call = function
-  | Op_setup { call; _ }
-  | Op_reneg { call; _ }
-  | Op_delta { call; _ }
-  | Op_resync { call; _ }
-  | Op_teardown { call } ->
-      call
-
 let message_of_op ~req = function
   | Op_setup { call; route; transit; rate } ->
       Codec.Setup { req; call; route; transit; rate }
@@ -85,21 +77,6 @@ type outcome =
   | Denied of Codec.deny_reason
   | Gave_up
   | Sent
-
-let pp_outcome ppf = function
-  | Acked r -> Format.fprintf ppf "acked %g" r
-  | Denied reason ->
-      Format.fprintf ppf "denied(%s)"
-        (match reason with
-        | Codec.Capacity -> "capacity"
-        | Codec.Blackout -> "blackout"
-        | Codec.Unknown_call -> "unknown-call"
-        | Codec.Duplicate_call -> "duplicate-call"
-        | Codec.Bad_route -> "bad-route"
-        | Codec.Draining -> "draining"
-        | Codec.Downgraded -> "downgraded")
-  | Gave_up -> Format.pp_print_string ppf "gave-up"
-  | Sent -> Format.pp_print_string ppf "sent"
 
 (* FNV-1a over the (req, outcome) stream in request-id order.  The mix
    stays inside OCaml's 63-bit int; masking keeps the printed digest

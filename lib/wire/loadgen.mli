@@ -14,8 +14,6 @@ type op =
   | Op_resync of { call : int; rate : float }  (** fire-and-forget *)
   | Op_teardown of { call : int }
 
-val op_call : op -> int
-
 val message_of_op : req:int -> op -> Codec.t
 (** The wire message for one attempt of [op]; [req] is ignored by the
     fire-and-forget cells. *)
@@ -48,8 +46,6 @@ type outcome =
   | Denied of Codec.deny_reason
   | Gave_up  (** retransmit budget exhausted with no reply *)
   | Sent  (** fire-and-forget cell: offered to the wire, nothing more *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
 
 val outcome_hash : (int * outcome) list -> int
 (** Order-insensitive digest: the pairs are sorted by request id before

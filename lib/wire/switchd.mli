@@ -50,8 +50,6 @@ val links : t -> Rcbr_net.Link.t array
 val sessions : t -> int
 (** Live call count. *)
 
-val draining : t -> bool
-
 (** {1 Connections} *)
 
 type conn

@@ -145,7 +145,7 @@ let test_of_spec () =
   | _ -> Alcotest.fail "downgrade:list");
   (match parse "mts" with
   | Ok (Service_model.Mts_profile p) ->
-      Alcotest.(check int) "profile scales" 2 (Mts.scales p)
+      Alcotest.(check int) "profile scales" 2 (Array.length p.Mts.rates)
   | _ -> Alcotest.fail "mts");
   let is_error s = match parse s with Error _ -> true | Ok _ -> false in
   Alcotest.(check bool) "unknown model" true (is_error "settle");
@@ -172,7 +172,7 @@ let test_mts_police () =
 
 let test_mts_ladder () =
   let p = Mts.ladder ~scales:3 ~quantum:1. ~mean:10. ~peak:40. in
-  Alcotest.(check int) "scales" 3 (Mts.scales p);
+  Alcotest.(check int) "scales" 3 (Array.length p.Mts.rates);
   checkf "scale 0 polices the peak" 40. p.Mts.rates.(0);
   checkf "last scale polices the mean" 10. p.Mts.rates.(2);
   Alcotest.(check bool) "depths grow with the time scale" true

@@ -11,18 +11,18 @@ let check_close eps = Alcotest.(check (float eps))
 (* --- Fluid primitives --- *)
 
 let test_fluid_offer_drain () =
-  let q = Fluid.create ~capacity:100. in
-  check_close 1e-9 "no loss under capacity" 0. (Fluid.offer q 60.);
-  check_close 1e-9 "backlog" 60. (Fluid.backlog q);
-  check_close 1e-9 "overflow lost" 10. (Fluid.offer q 50.);
-  check_close 1e-9 "full" 100. (Fluid.backlog q);
-  Fluid.drain q 30.;
-  check_close 1e-9 "drained" 70. (Fluid.backlog q);
-  Fluid.drain q 1000.;
-  check_close 1e-9 "clamped at zero" 0. (Fluid.backlog q);
-  Fluid.offer q 10. |> ignore;
-  Fluid.reset q;
-  check_close 1e-9 "reset" 0. (Fluid.backlog q)
+  (* Offer 60 then 50 bits into 100 bits of buffer with no drain, then
+     drain 30 and 1000 bits: 10 bits overflow, the backlog peaks at the
+     capacity and the last drain clamps it at zero. *)
+  let t = Trace.create ~fps:1. [| 60.; 50.; 0.; 0. |] in
+  let drain = [| 0.; 0.; 30.; 1000. |] in
+  let r =
+    Fluid.run_schedule ~capacity:100. ~rate_per_slot:(Array.get drain) t
+  in
+  check_close 1e-9 "offered" 110. r.Fluid.bits_offered;
+  check_close 1e-9 "overflow lost" 10. r.Fluid.bits_lost;
+  check_close 1e-9 "full" 100. r.Fluid.max_backlog;
+  check_close 1e-9 "clamped at zero" 0. r.Fluid.final_backlog
 
 let test_run_constant_no_loss () =
   (* 10 bits per slot at 1 fps drained at 10 b/s: zero backlog. *)
@@ -282,7 +282,7 @@ let test_wheel_order_and_ties () =
     "time order, FIFO within ties"
     [ (1., "t1-a"); (1., "t1-b"); (2., "t2-a"); (2., "t2-b") ]
     popped;
-  Alcotest.(check bool) "drained" true (Wheel.is_empty w)
+  Alcotest.(check int) "drained" 0 (Wheel.length w)
 
 let test_wheel_cancel () =
   let w = Wheel.create () in

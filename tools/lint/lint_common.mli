@@ -16,7 +16,7 @@ val rules : (string * string) list
 (** [(id, one-line description)] for every rule, in report order:
     D001–D003, F001–F002, P001 (per occurrence), then T001–T002
     (determinism taint), E001 (Pool escape), U001–U002 (units of
-    measure). *)
+    measure), R001 (library code no program reaches). *)
 
 val meta_rules : (string * string) list
 (** PARSE / SUPP / GRANT / SINK — harness diagnostics, not

@@ -4,18 +4,19 @@
      rcbr_lint.exe [--allowlist FILE] [--units FILE] [--json[=FILE]]
                    [--sarif FILE] [--summary] [--list-rules] [DIR]
 
-   Loads the .cmt files dune produced under DIR/lib, DIR/bin, DIR/bench
-   and DIR/test (DIR defaults to the current directory, which the dune
-   alias [@lint] makes _build/default), runs every rule over the whole
-   program, and exits 1 on any unsuppressed finding.  A .ml under
-   lib/ bin/ bench/ test/ (relative to the current directory) with no
-   loaded typed tree is a finding too, and so are an allowlist grant that
-   absorbed nothing and a T001 sink that names no definition. *)
+   Loads the .cmt files dune produced under DIR/lib, DIR/bin,
+   DIR/bench, DIR/test and DIR/examples (DIR defaults to the current
+   directory, which the dune alias [@lint] makes _build/default), runs
+   every rule over the whole program, and exits 1 on any unsuppressed
+   finding.  A .ml under lib/ bin/ bench/ test/ examples/ (relative to
+   the current directory) with no loaded typed tree is a finding too,
+   and so are an allowlist grant that absorbed nothing and a T001 sink
+   that names no definition. *)
 
 module C = Rcbr_lint_core.Lint_common
 module T = Rcbr_lint_core.Tlint
 
-let roots = [ "lib"; "bin"; "bench"; "test" ]
+let roots = [ "lib"; "bin"; "bench"; "test"; "examples" ]
 
 let rec find_cmts acc dir =
   match Sys.readdir dir with

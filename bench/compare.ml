@@ -14,9 +14,13 @@
      [decision_hashes], [result_checksum], [schedule_checksums],
      [decisions], [results_identical],
      [grid_points], [queries], [concurrent_calls],
-     [audit_violations].  These capture
+     [audit_violations], [solver_fits_evals].  These capture
      the admit/deny sequences and solver answers, so a mismatch means
-     the numerics changed, not just the machine.
+     the numerics changed, not just the machine.  [solver_fits_evals]
+     is exact for any -j (each mbac-admit point owns its controller and
+     chernoff-sweep runs one solver in sequence) and depends only on the
+     verdicts, so it pins which admission probes run; the informational
+     [solver_mgf_evals] and [solver_fallbacks] say what each one cost.
 
    Timing fields other than wall_s (bechamel ns, per-sweep wall_s
    inside extras) are informational and not gated. *)
@@ -34,6 +38,7 @@ let identity_fields =
     "queries";
     "concurrent_calls";
     "audit_violations";
+    "solver_fits_evals";
   ]
 
 let failures = ref 0

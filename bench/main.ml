@@ -421,13 +421,18 @@ let mbac_admit ctx =
   let fits_evals =
     admission_total (fun a -> a.Controller.solver.Chernoff.Solver.fits_evals)
   in
+  let fallbacks =
+    admission_total (fun a -> a.Controller.solver.Chernoff.Solver.fallbacks)
+  in
   pf "grid: %d points, %d admission decisions@." (Array.length runs) decisions;
-  pf "solver work: %d log-MGF evals, %d fit probes@." mgf_evals fits_evals;
+  pf "solver work: %d log-MGF evals, %d fit probes (%d fallbacks)@." mgf_evals
+    fits_evals fallbacks;
   emit ctx "grid_points" (Json.Int (Array.length runs));
   emit ctx "decisions" (Json.Int decisions);
   emit_decision_hashes ctx runs;
   emit ctx "solver_mgf_evals" (Json.Int mgf_evals);
-  emit ctx "solver_fits_evals" (Json.Int fits_evals)
+  emit ctx "solver_fits_evals" (Json.Int fits_evals);
+  emit ctx "solver_fallbacks" (Json.Int fallbacks)
 
 (* --- Chernoff sweep: shared warm-started solver vs cold queries ------ *)
 
@@ -496,8 +501,9 @@ let chernoff_sweep ctx =
   pf "marginal: %d levels; %d queries (%d reps of n/target/capacity sweeps)@."
     (Array.length marginal) queries reps;
   pf "cold path: %.3f s@." cold_wall;
-  pf "warm solver: %.3f s  (%d log-MGF evals, %d fit probes)@." warm_wall
-    st.Chernoff.Solver.mgf_evals st.Chernoff.Solver.fits_evals;
+  pf "warm solver: %.3f s  (%d log-MGF evals, %d fit probes, %d fallbacks)@."
+    warm_wall st.Chernoff.Solver.mgf_evals st.Chernoff.Solver.fits_evals
+    st.Chernoff.Solver.fallbacks;
   pf "speedup:   %.2fx@." (cold_wall /. warm_wall);
   pf "all %d results bit-identical: %b@." queries identical;
   emit ctx "queries" (Json.Int queries);
@@ -507,7 +513,8 @@ let chernoff_sweep ctx =
   emit ctx "warm_wall_s" (Json.Float warm_wall);
   emit ctx "speedup" (Json.Float (cold_wall /. warm_wall));
   emit ctx "solver_mgf_evals" (Json.Int st.Chernoff.Solver.mgf_evals);
-  emit ctx "solver_fits_evals" (Json.Int st.Chernoff.Solver.fits_evals)
+  emit ctx "solver_fits_evals" (Json.Int st.Chernoff.Solver.fits_evals);
+  emit ctx "solver_fallbacks" (Json.Int st.Chernoff.Solver.fallbacks)
 
 (* --- Analysis: Section V-A / Fig. 4 model --------------------------- *)
 

@@ -181,11 +181,13 @@ let run seed frames cost_ratio capacity_mult load target controller_name
     Format.printf
       "@[<v>admission decisions: %d (%d admitted), hash %x@,\
        batch hits:          %d@,\
-       solver work:         %d log-MGF evals, %d fit probes, %d queries@]@."
+       solver work:         %d log-MGF evals, %d fit probes (%d fallbacks), \
+       %d queries@]@."
       a.Controller.decisions a.Controller.admits a.Controller.decision_hash
       a.Controller.batch_hits
       a.Controller.solver.Rcbr_effbw.Chernoff.Solver.mgf_evals
       a.Controller.solver.Rcbr_effbw.Chernoff.Solver.fits_evals
+      a.Controller.solver.Rcbr_effbw.Chernoff.Solver.fallbacks
       a.Controller.solver.Rcbr_effbw.Chernoff.Solver.queries
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED")

@@ -120,9 +120,10 @@ let run seed frames cost_ratio buffer target replications streams jobs chernoff
         Format.printf "%6d  %14.3f  %22d@." n (c /. mean) calls)
       streams rcbr;
     let st = Chernoff.Solver.stats solver in
-    Format.printf "(solver: %d log-MGF evals, %d fit probes, %d queries)@."
+    Format.printf
+      "(solver: %d log-MGF evals, %d fit probes (%d fallbacks), %d queries)@."
       st.Chernoff.Solver.mgf_evals st.Chernoff.Solver.fits_evals
-      st.Chernoff.Solver.queries
+      st.Chernoff.Solver.fallbacks st.Chernoff.Solver.queries
   end
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED")

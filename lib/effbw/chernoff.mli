@@ -15,9 +15,6 @@ type marginal = (float * float) array
 (** [(probability, bandwidth)] pairs.  Probabilities must be
     nonnegative and sum to 1 (within 1e-6). *)
 
-val validate : marginal -> unit
-(** Raises [Invalid_argument] on a malformed marginal. *)
-
 val mean : marginal -> float
 val max_level : marginal -> float
 
@@ -54,8 +51,23 @@ val max_calls : marginal -> capacity:float -> target:float -> int
     A solver owns a quantized log-MGF table (per-level bandwidth and
     cached log-probability in flat arrays, refilled in place), an
     allocation-free {!Solver.log_mgf}, warm-start state for the theta*
-    bracket and the {!Solver.max_calls} integer search, and the
-    one-probe admission test {!Solver.admits}.
+    bracket, the certificate's theta and the {!Solver.max_calls} integer
+    search, and the one-probe admission test {!Solver.admits}.
+
+    Every admission probe ("do [n] calls fit?") is first put to a
+    certificate, which decides it without maximizing the rate
+    function.  With f(theta) = theta c - log_mgf theta, c = capacity /
+    n and L = -log target / n, the calls fit iff sup f >= L.  Newton
+    steps on f', started from the previous probe's theta* and each one
+    allocation-free pass over the levels, find either a theta with
+    f(theta) above L, or a bracket around theta* whose two tangents meet
+    below L (f is concave, so the meeting value bounds sup f).  Both
+    tests clear L by a proven margin that covers the rounding of both
+    paths and the shortfall of golden section (derived in
+    [chernoff.ml]); inside that band, and in the cases the proof does not
+    cover, the probe falls back to golden section and counts a
+    {!Solver.stats} [fallbacks].  A certified probe costs 1-3 passes; a
+    golden-section solve costs about 48 log-MGF evaluations.
 
     Numerical contract: for the same marginal, every solver query
     returns the {e exact} float (and hence the exact admit/deny
@@ -63,10 +75,11 @@ val max_calls : marginal -> capacity:float -> target:float -> int
     The warm starts only change which intermediate points are probed:
     the theta bracket walks to the same minimal power of two the cold
     doubling scan finds (the set of decreasing-objective powers of two
-    is upward closed for a concave objective), and the integer search
-    gallops out from the previous answer before bisecting the same
-    monotone predicate.  When a hint is wrong the search degrades to the
-    cold scan, never to a different answer.
+    is upward closed for a concave objective), the certificate's start
+    changes only the Newton path, and the integer search gallops out
+    from the previous answer before bisecting the same monotone
+    predicate.  When a hint is wrong the search degrades to the cold
+    scan, never to a different answer.
 
     Typical uses: an admission controller loads the current aggregate
     histogram into its solver and decides each arrival with one
@@ -114,20 +127,31 @@ module Solver : sig
       [target].  Equal to [calls + 1 <= max_calls t ~capacity ~target]
       for every [calls >= 0], but decided with one admission-predicate
       probe instead of a search (the predicate is monotone in the
-      number of calls).  [true] when the mean is [<= 0]. *)
+      number of calls).  The probe is decided by the certificate, or by
+      golden section inside its band; either way the verdict is the
+      cold estimate's.  [true] when the mean is [<= 0]. *)
 
   val max_calls : t -> capacity:float -> target:float -> int
   (** Warm-started admission limit; equal to {!val:max_calls} on the
       loaded distribution for every (capacity, target).  Gallops out
-      from the previous answer, then bisects.  For capacity sweeps and
-      the SMG; an admission decision needs only {!admits}. *)
+      from the previous answer, then bisects; each probe goes through the
+      same certificate as {!admits}.  For capacity sweeps and the SMG; an
+      admission decision needs only {!admits}. *)
 
   type stats = {
-    mgf_evals : int;  (** log-MGF evaluations (the innermost kernel) *)
+    mgf_evals : int;
+        (** log-MGF evaluations (the innermost kernel); a certificate pass
+            counts as one *)
     fits_evals : int;  (** admission-predicate probes, {!admits} and searches *)
     queries : int;  (** rate-function queries *)
+    fallbacks : int;
+        (** probes with mean < c <= top that the certificate left to
+            golden section *)
   }
 
   val stats : t -> stats
-  (** Cumulative counters since {!create}; cheap to read. *)
+  (** Cumulative counters since {!create}; cheap to read.  [fits_evals]
+      depends only on the verdicts, so the certificate leaves it as
+      golden section alone would; [mgf_evals] and [fallbacks] show what
+      the probes cost. *)
 end

@@ -1,5 +1,4 @@
 module Matrix = Rcbr_util.Matrix
-module Numeric = Rcbr_util.Numeric
 module Modulated = Rcbr_markov.Modulated
 module Multiscale = Rcbr_markov.Multiscale
 module Chain = Rcbr_markov.Chain
@@ -37,21 +36,3 @@ let subchain_equivalent_bandwidths ms ~buffer ~target_loss =
 let multiscale_equivalent_bandwidth ms ~buffer ~target_loss =
   Array.fold_left Float.max 0.
     (subchain_equivalent_bandwidths ms ~buffer ~target_loss)
-
-(* lint: allow R001 — test-only; delete with "effective_bandwidth decay rate
-   extremes" and "effective_bandwidth decay rate inverse" *)
-let decay_rate source ~rate =
-  let mean = Modulated.mean_rate source in
-  let peak = Modulated.peak_rate source in
-  if rate >= peak then infinity
-  else if rate <= mean then 0.
-  else begin
-    (* effective_bandwidth is nondecreasing in theta; bracket then
-       bisect on EB(theta) - rate. *)
-    let f theta = effective_bandwidth source ~theta -. rate in
-    let hi = ref 1. in
-    while f !hi < 0. && !hi < 1e12 do
-      hi := !hi *. 2.
-    done;
-    Numeric.bisect ~f 1e-12 !hi
-  end

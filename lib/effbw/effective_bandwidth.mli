@@ -39,9 +39,3 @@ val subchain_equivalent_bandwidths :
 (** The per-subchain values whose max is formula (9); also the rates an
     ideal RCBR source renegotiates to on entering each subchain
     (Section V-A, RCBR scenario). *)
-
-val decay_rate : Rcbr_markov.Modulated.t -> rate:float -> float
-(** [theta_star] such that [effective_bandwidth theta_star = rate]: the
-    exponential decay rate of the overflow probability in the buffer
-    size.  Requires [mean < rate < peak]; returns [infinity] when
-    [rate >= peak] and 0 when [rate <= mean]. *)

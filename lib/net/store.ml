@@ -192,11 +192,15 @@ let blocked ~(links : Link.t array) t h ~now =
   done;
   !hit
 
+(* Not [route_iter]: its closure would allocate, and box [delta], on
+   every settle. *)
 let settle ~(links : Link.t array) t h ~rate =
   let delta = rate -. t.applied.(h) in
-  route_iter t h (fun lid ->
-      let l = links.(lid) in
-      l.Link.demand <- l.Link.demand +. delta);
+  let off = t.route_off.(h) in
+  for i = off to off + t.route_len.(h) - 1 do
+    let l = links.(t.routes.(i)) in
+    l.Link.demand <- l.Link.demand +. delta
+  done;
   t.applied.(h) <- rate
 
 (* --- service models (DESIGN.md §15) ---------------------------------- *)

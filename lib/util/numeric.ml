@@ -1,30 +1,3 @@
-let bisect ?(tol = 1e-9) ?(max_iter = 200) ~f lo hi =
-  let flo = f lo and fhi = f hi in
-  assert (flo *. fhi <= 0.);
-  if Float.equal flo 0. then lo
-  else if Float.equal fhi 0. then hi
-  else begin
-    let lo = ref lo and hi = ref hi and flo = ref flo in
-    let iter = ref 0 in
-    let width () = !hi -. !lo in
-    let scale = Float.max 1. (Float.max (Float.abs !lo) (Float.abs !hi)) in
-    while width () > tol *. scale && !iter < max_iter do
-      incr iter;
-      let mid = 0.5 *. (!lo +. !hi) in
-      let fmid = f mid in
-      if Float.equal fmid 0. then begin
-        lo := mid;
-        hi := mid
-      end
-      else if !flo *. fmid < 0. then hi := mid
-      else begin
-        lo := mid;
-        flo := fmid
-      end
-    done;
-    0.5 *. (!lo +. !hi)
-  end
-
 let find_min_such_that ?(tol = 1e-9) ?(max_iter = 200) ~pred lo hi =
   if pred lo then lo
   else if not (pred hi) then hi

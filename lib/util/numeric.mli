@@ -5,12 +5,6 @@
     (Legendre transforms); these small, dependency-free solvers cover
     those cases. *)
 
-val bisect :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> float -> float -> float
-(** [bisect ~f lo hi] finds a root of [f] in [\[lo, hi\]] by bisection.
-    Requires [f lo] and [f hi] to have opposite signs (zero counts as
-    either).  [tol] bounds the bracket width (default 1e-9 relative). *)
-
 val find_min_such_that :
   ?tol:float -> ?max_iter:int -> pred:(float -> bool) -> float -> float -> float
 (** [find_min_such_that ~pred lo hi] assumes [pred] is monotone

@@ -323,14 +323,6 @@ let test_histogram_log_mass () =
 
 (* --- Numeric --- *)
 
-let test_bisect_sqrt () =
-  let f x = (x *. x) -. 2. in
-  check_close 1e-7 "sqrt 2" (sqrt 2.) (Numeric.bisect ~f 0. 2.)
-
-let test_bisect_endpoint_root () =
-  let f x = x in
-  check_float "root at lo" 0. (Numeric.bisect ~f 0. 1.)
-
 let test_find_min_such_that () =
   let pred x = x >= 3.25 in
   check_close 1e-6 "threshold" 3.25 (Numeric.find_min_such_that ~pred 0. 10.);
@@ -649,8 +641,6 @@ let () =
         ] );
       ( "numeric",
         [
-          Alcotest.test_case "bisect sqrt" `Quick test_bisect_sqrt;
-          Alcotest.test_case "bisect endpoint" `Quick test_bisect_endpoint_root;
           Alcotest.test_case "find_min_such_that" `Quick test_find_min_such_that;
           Alcotest.test_case "golden max" `Quick test_golden_max;
           Alcotest.test_case "log_sum_exp" `Quick test_log_sum_exp;

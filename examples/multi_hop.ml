@@ -1,9 +1,12 @@
 (* Lightweight renegotiation signaling across a multi-hop ATM-like path
    (Section III).
 
-   RM cells carry rate *deltas* so switches keep no per-VCI state; the
-   price is drift when cells are lost, repaired by periodic resync
-   cells.  This example walks a connection across three switches,
+   RM cells carry rate *deltas* so that, in the paper's design, switches
+   need no per-VCI state; the price is drift when cells are lost,
+   repaired by periodic resync cells.  This port keeps per-VCI rates
+   anyway, so that a resync can snap a VCI back to its absolute rate and
+   retransmitted requests stay idempotent.  This example walks a
+   connection across three switches over a lossless signalling plane,
    exercises denial + rollback, and demonstrates the drift/resync
    tradeoff.
 
@@ -12,6 +15,7 @@
 module Port = Rcbr_signal.Port
 module Path = Rcbr_signal.Path
 module Rm_cell = Rcbr_signal.Rm_cell
+module Injector = Rcbr_fault.Injector
 module Rng = Rcbr_util.Rng
 
 let () =
@@ -28,17 +32,20 @@ let () =
     (Path.rate path /. 1e3);
 
   (* Renegotiate up and down; a request beyond the bottleneck is denied
-     mid-path and rolled back everywhere. *)
+     mid-path and rolled back everywhere.  A lossless plane never loses
+     a cell. *)
+  let inj = Injector.create (Rcbr_fault.Plan.null ~hops:(Path.hops path)) in
   List.iter
     (fun rate ->
-      match Path.renegotiate path rate with
-      | `Granted ->
+      match Path.transmit path ~inj (Path.request path rate) with
+      | `Granted _ ->
           Format.printf "renegotiate to %7.0f kb/s: granted@." (rate /. 1e3)
-      | `Denied_at hop ->
+      | `Denied (hop, _) ->
           Format.printf
             "renegotiate to %7.0f kb/s: denied at hop %d (rate stays %.0f kb/s)@."
             (rate /. 1e3) hop
-            (Path.rate path /. 1e3))
+            (Path.rate path /. 1e3)
+      | `Lost -> assert false)
     [ 800e3; 1.6e6; 3e6; 1.2e6; 200e3 ];
   List.iteri
     (fun i p ->

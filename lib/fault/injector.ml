@@ -80,13 +80,6 @@ let jitter t n =
   assert (n >= 0);
   if n = 0 then 0 else Rng.int t.source_rng (n + 1)
 
-(* lint: allow R001 — test-only; delete with "injector crash window" *)
-let down t ~hop ~slot =
-  List.exists
-    (fun c ->
-      c.Plan.hop = hop && slot >= c.Plan.at_slot && slot < c.Plan.recover_slot)
-    t.plan.Plan.crashes
-
 let totals t =
   {
     sent = t.sent;

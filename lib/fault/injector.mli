@@ -38,9 +38,6 @@ val jitter : t -> int -> int
     desynchronizing retransmission timers.  [jitter t 0 = 0] without
     consuming randomness. *)
 
-val down : t -> hop:int -> slot:int -> bool
-(** Whether the plan has [hop]'s port crashed during [slot]. *)
-
 val totals : t -> totals
 (** Snapshot of the faults injected so far. *)
 

@@ -2,7 +2,7 @@ type port_view = {
   index : int;
   capacity : float;
   reserved : float;
-  vci_rates : (int * float) list option;
+  vci_rates : (int * float) list;
 }
 
 type violation = { port : int; what : string }
@@ -18,18 +18,15 @@ let check ?(eps = 1e-6) ?(check_capacity = true) views =
       if check_capacity && v.reserved > v.capacity +. tol then
         flag v.index
           (Printf.sprintf "reserved %g exceeds capacity %g" v.reserved v.capacity);
-      match v.vci_rates with
-      | None -> ()
-      | Some rates ->
-          List.iter
-            (fun (vci, r) ->
-              if r < -.tol then
-                flag v.index (Printf.sprintf "VCI %d at negative rate %g" vci r))
-            rates;
-          let sum = List.fold_left (fun acc (_, r) -> acc +. r) 0. rates in
-          if Float.abs (sum -. v.reserved) > tol then
-            flag v.index
-              (Printf.sprintf "aggregate %g != sum of per-VCI rates %g" v.reserved
-                 sum))
+      List.iter
+        (fun (vci, r) ->
+          if r < -.tol then
+            flag v.index (Printf.sprintf "VCI %d at negative rate %g" vci r))
+        v.vci_rates;
+      let sum = List.fold_left (fun acc (_, r) -> acc +. r) 0. v.vci_rates in
+      if Float.abs (sum -. v.reserved) > tol then
+        flag v.index
+          (Printf.sprintf "aggregate %g != sum of per-VCI rates %g" v.reserved
+             sum))
     views;
   List.rev !out

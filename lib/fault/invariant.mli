@@ -5,8 +5,7 @@
 
     - its aggregate reservation is nonnegative,
     - it never exceeds the port capacity, and
-    - (when per-VCI state is kept) it equals the sum of the per-VCI
-      rates the port believes.
+    - it equals the sum of the per-VCI rates the port believes.
 
     The checker works on plain {!port_view} data so that any layer —
     real {!Rcbr_signal} ports, or the abstract demand bookkeeping of the
@@ -16,8 +15,7 @@ type port_view = {
   index : int;  (** caller's label for the port (hop number, link id) *)
   capacity : float;
   reserved : float;  (** aggregate reservation the port believes *)
-  vci_rates : (int * float) list option;
-      (** per-VCI beliefs, or [None] for stateless bookkeeping *)
+  vci_rates : (int * float) list;  (** per-VCI beliefs *)
 }
 
 type violation = { port : int; what : string }

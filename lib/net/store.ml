@@ -291,7 +291,7 @@ let audit ~(links : Link.t array) t =
           Rcbr_fault.Invariant.index = i;
           capacity = links.(i).Link.capacity;
           reserved = links.(i).Link.demand;
-          vci_rates = Some [ (0, expect.(i)) ];
+          vci_rates = [ (0, expect.(i)) ];
         })
   in
   List.length (Rcbr_fault.Invariant.check ~check_capacity:false views)

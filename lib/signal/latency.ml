@@ -1,5 +1,4 @@
 module Schedule = Rcbr_core.Schedule
-module Fluid = Rcbr_queue.Fluid
 module Tables = Rcbr_util.Tables
 
 let remap f sched =
@@ -47,10 +46,3 @@ let align_to_refresh sched ~period_s =
     (fun s ->
       int_of_float (Float.ceil (float_of_int s /. period_slots) *. period_slots))
     sched
-
-(* lint: allow R001 — test-only; delete with "latency delay penalty" *)
-let backlog_penalty ~original ~modified ~trace ~capacity =
-  let base = Schedule.simulate_buffer original ~trace ~capacity:infinity in
-  let got = Schedule.simulate_buffer modified ~trace ~capacity in
-  ( got.Fluid.max_backlog -. base.Fluid.max_backlog,
-    Fluid.loss_fraction got )

@@ -22,12 +22,3 @@ val align_to_refresh :
     next refresh instant (multiples of [period_s], starting at 0).
     Changes mapping to the same refresh collapse to the latest request.
     Requires [period_s > 0]. *)
-
-val backlog_penalty :
-  original:Rcbr_core.Schedule.t ->
-  modified:Rcbr_core.Schedule.t ->
-  trace:Rcbr_traffic.Trace.t ->
-  capacity:float ->
-  float * float
-(** [(extra_max_backlog_bits, loss_fraction)] of the modified schedule
-    against the trace, relative to the original's peak backlog. *)

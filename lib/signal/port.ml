@@ -1,5 +1,3 @@
-type mode = Stateless | Tracked
-
 (* The last request id seen for a VCI and whether its delta is currently
    applied: retransmitted or duplicated RM cells of the same request
    must not double-apply, and a rolled-back request may legitimately be
@@ -7,7 +5,6 @@ type mode = Stateless | Tracked
 type req_state = { id : int; mutable applied : bool }
 
 type t = {
-  mode : mode;
   capacity : float;
   mutable reserved : float;
   rates : (int, float) Hashtbl.t;
@@ -15,10 +12,9 @@ type t = {
   mutable up : bool;
 }
 
-let create ?(mode = Tracked) ~capacity () =
+let create ~capacity () =
   assert (capacity > 0.);
   {
-    mode;
     capacity;
     reserved = 0.;
     rates = Hashtbl.create 64;
@@ -28,29 +24,16 @@ let create ?(mode = Tracked) ~capacity () =
 
 let capacity t = t.capacity
 let reserved t = t.reserved
-let mode t = t.mode
 let is_up t = t.up
-
-let vci_rate t vci =
-  match t.mode with
-  | Stateless -> 0.
-  | Tracked -> ( try Hashtbl.find t.rates vci with Not_found -> 0.)
+let vci_rate t vci = try Hashtbl.find t.rates vci with Not_found -> 0.
 
 let process t cell =
   let vci = cell.Rm_cell.vci in
-  let change =
-    match (t.mode, cell.Rm_cell.payload) with
-    | Stateless, Rm_cell.Resync _ -> 0.
-    | Stateless, Rm_cell.Delta d -> d
-    | Tracked, _ ->
-        Rm_cell.payload_rate_change cell ~current:(vci_rate t vci)
-  in
+  let change = Rm_cell.payload_rate_change cell ~current:(vci_rate t vci) in
   if not t.up then `Denied
   else if change <= 0. || t.reserved +. change <= t.capacity then begin
     t.reserved <- Float.max 0. (t.reserved +. change);
-    (match t.mode with
-    | Stateless -> ()
-    | Tracked -> Hashtbl.replace t.rates vci (Float.max 0. (vci_rate t vci +. change)));
+    Hashtbl.replace t.rates vci (Float.max 0. (vci_rate t vci +. change));
     `Granted
   end
   else `Denied
@@ -80,19 +63,14 @@ let rollback_request t ~req_id cell =
       r.applied <- false
   | _ -> ()
 
-let release t ~vci ~rate =
-  assert (rate >= 0.);
-  (* In Tracked mode return what this port actually believes the VCI
-     holds — under signalling faults the caller's view and the port's
-     may have drifted, and releasing the caller's figure would corrupt
-     the other VCIs' share of the aggregate. *)
-  let freed = match t.mode with Stateless -> rate | Tracked -> vci_rate t vci in
-  t.reserved <- Float.max 0. (t.reserved -. freed);
-  match t.mode with
-  | Stateless -> ()
-  | Tracked ->
-      Hashtbl.remove t.rates vci;
-      Hashtbl.remove t.last_req vci
+let release t ~vci =
+  (* Return what this port believes the VCI holds: under signalling
+     faults the source's view and the port's may have drifted, and
+     releasing the source's figure would corrupt the other VCIs' share
+     of the aggregate. *)
+  t.reserved <- Float.max 0. (t.reserved -. vci_rate t vci);
+  Hashtbl.remove t.rates vci;
+  Hashtbl.remove t.last_req vci
 
 let crash t =
   t.up <- false;
@@ -109,8 +87,5 @@ let view t ~index =
     Rcbr_fault.Invariant.index;
     capacity = t.capacity;
     reserved = t.reserved;
-    vci_rates =
-      (match t.mode with
-      | Stateless -> None
-      | Tracked -> Some (Rcbr_util.Tables.sorted_bindings t.rates));
+    vci_rates = Rcbr_util.Tables.sorted_bindings t.rates;
   }

@@ -5,10 +5,11 @@
     modify the ER field with RCBR is simpler than that required for
     fair-share computation in ABR".
 
-    Two bookkeeping modes demonstrate the delta-signaling tradeoff:
-    [Stateless] tracks only the aggregate reservation (no per-VCI state;
-    lost RM cells make the aggregate drift), while [Tracked] keeps a
-    per-VCI rate so [Resync] cells can repair drift.
+    The paper's delta cells would let a port keep only its aggregate
+    reservation.  This port also keeps each VCI's believed rate, so that
+    [Resync] cells can repair the drift lost cells cause and teardown
+    frees exactly what the port holds, and each VCI's last request id,
+    so that requests are idempotent.
 
     For fault injection the port also models failure: it can {!crash}
     (losing every reservation, like a real switch losing soft state)
@@ -17,28 +18,22 @@
     retransmitted or duplicated RM cells of the same request never
     double-apply a delta. *)
 
-type mode = Stateless | Tracked
-
 type t
 
-val create : ?mode:mode -> capacity:float -> unit -> t
-(** Empty port.  Default mode [Tracked]. *)
+val create : capacity:float -> unit -> t
+(** Empty port. *)
 
 val capacity : t -> float
 val reserved : t -> float
 (** Aggregate reservation the controller believes is in force. *)
 
-val mode : t -> mode
-
 val vci_rate : t -> int -> float
-(** Believed rate of a VCI; 0 if unknown or in [Stateless] mode. *)
+(** Believed rate of a VCI; 0 if unknown. *)
 
 val process : t -> Rm_cell.t -> [ `Granted | `Denied ]
 (** Apply an RM cell: compute the implied rate change, grant it iff
     [reserved + change <= capacity] (decreases always succeed), and
-    update the bookkeeping.  In [Stateless] mode a [Resync] cell cannot
-    be interpreted (no per-VCI memory) and is treated as [Delta 0].
-    A crashed port denies everything. *)
+    update the bookkeeping.  A crashed port denies everything. *)
 
 val process_request : t -> req_id:int -> Rm_cell.t -> [ `Granted | `Denied ]
 (** Idempotent {!process}: if this VCI's most recent request has the
@@ -52,12 +47,11 @@ val rollback_request : t -> req_id:int -> Rm_cell.t -> unit
     only if that request's change is currently applied here, making
     duplicated rollback cells harmless too. *)
 
-val release : t -> vci:int -> rate:float -> unit
-(** Tear-down: return the VCI's reservation to the pool (and forget the
-    VCI when tracked).  In [Tracked] mode the amount freed is what the
-    {e port} believes the VCI holds — exact even when signalling faults
-    have made the caller's view drift; [rate] is used only in
-    [Stateless] mode. *)
+val release : t -> vci:int -> unit
+(** Tear-down: return the VCI's reservation to the pool and forget the
+    VCI.  The amount freed is what the {e port} believes the VCI holds —
+    exact even when signalling faults have made the source's view
+    drift. *)
 
 val crash : t -> unit
 (** The port fails: it loses every reservation and all per-VCI state,

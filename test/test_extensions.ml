@@ -479,7 +479,8 @@ let test_niu_retry_beats_no_retry () =
     let cross = Path.create_exn [ bottleneck ] ~vci:2 ~initial_rate:600_000. in
     let path = Path.create_exn [ bottleneck ] ~vci:1 ~initial_rate:300_000. in
     (* Shrink the cross call after setup so capacity appears. *)
-    ignore (Path.renegotiate cross 100_000.);
+    let inj = Rcbr_fault.Injector.create (Rcbr_fault.Plan.null ~hops:1) in
+    ignore (Path.transmit cross ~inj (Path.request cross 100_000.));
     let r =
       Niu.stream { Niu.default_params with Niu.retry_slots } ~path trace
     in

@@ -19,6 +19,7 @@ module Controller = Rcbr_admission.Controller
 module Descriptor = Rcbr_admission.Descriptor
 module Port = Rcbr_signal.Port
 module Path = Rcbr_signal.Path
+module Injector = Rcbr_fault.Injector
 
 let trace = Synthetic.star_wars ~frames:8_000 ~seed:100 ()
 let buffer = 300_000.
@@ -102,6 +103,11 @@ let test_chernoff_consistent_with_simulation () =
   in
   Alcotest.(check bool) "simulated loss below 10x target" true (loss <= 1e-2)
 
+(* One request over a lossless signalling plane. *)
+let renegotiate path target =
+  let inj = Injector.create (Rcbr_fault.Plan.null ~hops:(Path.hops path)) in
+  Path.transmit path ~inj (Path.request path target)
+
 (* 5. End-to-end signaling: play a schedule against a switch port and
    count denials; with capacity = schedule peak there are none. *)
 let test_schedule_through_port () =
@@ -112,9 +118,9 @@ let test_schedule_through_port () =
   Array.iter
     (fun seg ->
       if seg.Schedule.start_slot > 0 then
-        match Path.renegotiate path seg.Schedule.rate with
-        | `Granted -> ()
-        | `Denied_at _ -> incr denied)
+        match renegotiate path seg.Schedule.rate with
+        | `Granted _ -> ()
+        | `Denied _ | `Lost -> incr denied)
     (Schedule.segments schedule);
   Alcotest.(check int) "no denials at peak capacity" 0 !denied;
   Path.teardown path;
@@ -144,9 +150,9 @@ let test_two_schedules_share_port () =
   List.iter
     (fun (_, path_id, rate) ->
       let path = if path_id = 1 then p1 else p2 in
-      match Path.renegotiate path rate with
-      | `Granted -> incr granted
-      | `Denied_at _ -> incr denied)
+      match renegotiate path rate with
+      | `Granted _ -> incr granted
+      | `Denied _ | `Lost -> incr denied)
     events;
   Alcotest.(check bool) "most renegotiations succeed" true (!granted > !denied);
   (* Invariant: port reservation equals the sum of current path rates. *)

@@ -46,9 +46,11 @@ type suppressions = {
 }
 
 val scan_suppressions : file:string -> string -> suppressions
-(** Scan one source for [(* lint: allow RULE[, RULE...] — reason *)]
-    comments.  The reason is mandatory; multi-line comments anchor the
-    grant to the line holding the closing ["*)"]. *)
+(** Scan one source's comments, as the compiler's lexer reads them, for
+    [(* lint: allow RULE[, RULE...] — reason *)].  The reason is
+    mandatory; a multi-line comment anchors its grant to the line
+    holding the closing ["*)"].  Text inside a string literal is no
+    comment, so it grants nothing. *)
 
 (** {1 Allowlist} *)
 
@@ -68,11 +70,16 @@ val load_allowlist : string -> grant list
 
 type reporter = {
   mutable out : violation list;
-  mutable inline_suppressed : (string * string) list;  (** (file, rule) *)
+  mutable inline_suppressed : (string * int * string) list;
+      (** (file, grant line, rule) *)
   mutable grant_suppressed : (string * string) list;  (** (file, rule) *)
 }
 
 val make_reporter : unit -> reporter
+
+val inline_grant : (int * string) list -> line:int -> rule:string -> int option
+(** The line of the inline grant that absorbs a [rule] report at
+    [line] (a grant on the same line or the line above), if any. *)
 
 val report :
   reporter ->
@@ -97,6 +104,13 @@ val dead_grants :
   allowlist_file:string -> reporter -> grant list -> violation list
 (** [GRANT] violations for allowlist entries that absorbed nothing
     this run (dead grants rot silently otherwise). *)
+
+val dead_inline_grants :
+  reporter -> file:string -> (int * string) list -> violation list
+(** [GRANT] violations for the inline grants of [file] that absorbed
+    nothing this run — left in place, one would silently cover the
+    next occurrence of its rule on its lines.  R001 grants are the
+    reachability pass's to judge. *)
 
 (** {1 Output} *)
 

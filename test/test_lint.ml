@@ -91,6 +91,40 @@ let test_d002_out_of_scope () =
   check_hits ~config ~filename:"lib/fixture.ml" "result path still fires"
     [ (1, "D002") ] fold_fixture
 
+let test_d002_functor_table () =
+  (* A [Hashtbl.Make] / [MakeSeeded] instance visits its buckets in
+     history order too: its iter and fold are sources wherever the
+     instance is defined — at top level, nested, or as a local module —
+     and a grant absorbs them as it does the stdlib ones. *)
+  check_hits "Make instance fold and iter" [ (5, "D002"); (6, "D002") ]
+    {|module Ids = Hashtbl.Make (struct
+  type t = int
+  let equal = Int.equal
+  let hash x = x land max_int end)
+let keys h = Ids.fold (fun k _ acc -> k :: acc) h []
+let dump h = Ids.iter (fun k _ -> print_int k) h|};
+  check_hits "MakeSeeded, nested and reached from outside" [ (7, "D002") ]
+    {|module Inner = struct
+  module T = Hashtbl.MakeSeeded (struct
+    type t = int
+    let equal = Int.equal
+    let seeded_hash _ x = x end)
+end
+let n h = Inner.T.fold (fun _ _ n -> n + 1) h 0|};
+  check_hits "a local table module" [ (5, "D002") ]
+    {|let count l =
+  let module T = Hashtbl.Make (Int) in
+  let h = T.create 8 in
+  List.iter (fun k -> T.replace h k ()) l;
+  T.fold (fun _ () n -> n + 1) h 0|};
+  check_hits "point lookups on an instance are fine" []
+    {|module T = Hashtbl.Make (Int)
+let get h k = T.find_opt h k|};
+  check_hits "a grant covers an instance's fold" []
+    {|module T = Hashtbl.Make (Int)
+(* lint: allow D002 -- fixture: conjunction over all entries *)
+let all_pos h = T.fold (fun _ v acc -> acc && v > 0) h true|}
+
 let test_d002_suppressed () =
   check_hits "allow with reason" []
     ({|(* lint: allow D002 -- fixture: order-independent traversal *)
@@ -352,6 +386,13 @@ module Sorted = struct
     Hashtbl.fold (fun k _ a -> a + k) h 0
 end
 let digest h = fnv 0 (Sorted.total h)|}
+
+let test_t001_functor_table () =
+  check_hits ~config:sink_cfg "an instance's bucket order feeds the sink"
+    [ (3, "D002"); (3, "T001") ]
+    {|let fnv h x = (h * 16777619) lxor x
+module T = Hashtbl.Make (Int)
+let digest h = fnv 0 (T.fold (fun k _ a -> a + k) h 0)|}
 
 let test_t001_random_exempt () =
   let fixture =
@@ -820,6 +861,7 @@ let () =
           t "clean" test_d002_clean;
           t "out of scope" test_d002_out_of_scope;
           t "suppressed" test_d002_suppressed;
+          t "functor tables" test_d002_functor_table;
         ] );
       ( "suppression grammar",
         [
@@ -871,6 +913,7 @@ let () =
           t "interprocedural" test_t001_interprocedural;
           t "higher-order sink" test_t001_hof_sink;
           t "bucket-order source" test_t001_order_source;
+          t "functor-table source" test_t001_functor_table;
           t "random exemption" test_t001_random_exempt;
           t "source-line suppression" test_t001_source_suppression;
           t "allowlist grant" test_t001_allow_grant;

@@ -290,6 +290,8 @@ type unit_info = {
   u_supps : C.suppressions;
   u_aliases : (string, Path.t) Hashtbl.t;  (* Ident stamp -> target *)
   u_stamps : (string, def) Hashtbl.t;  (* Ident stamp -> definition *)
+  u_tables : (string, unit) Hashtbl.t;
+      (* Ident stamps of Hashtbl.Make/MakeSeeded instances *)
   u_str : Typedtree.structure;
 }
 
@@ -309,6 +311,9 @@ and def = {
 type state = {
   cfg : config;
   by_name : (string, def) Hashtbl.t;
+  tables : (string, unit) Hashtbl.t;
+      (* canonical names of structure-level Hashtbl.Make/MakeSeeded
+         instances, for references from other units *)
   units_tbl : (string, dtype) Hashtbl.t;
   rep : C.reporter;
   mutable checking : bool;  (* false during fixpoints: no reports *)
@@ -432,7 +437,17 @@ let rec peel_mod (me : module_expr) =
   | Tmod_ident (p, _) -> `Alias p
   | Tmod_structure s -> `Structure s
   | Tmod_constraint (inner, _, _, _) -> peel_mod inner
+  | Tmod_apply (f, _, _) -> `Apply f
   | _ -> `Other
+
+(* A hash-table functor instance: its iter/fold visit buckets in an
+   order that depends on the table's history, like the stdlib ones. *)
+let is_table_functor u (f : module_expr) =
+  match peel_mod f with
+  | `Alias p ->
+      List.mem (strip_stdlib (canon_name u p))
+        [ "Hashtbl.Make"; "Hashtbl.MakeSeeded" ]
+  | _ -> false
 
 let add_def st u ~prefix ~name ~line ~ids (body : expression) =
   let params, _ = peel_params body in
@@ -496,9 +511,12 @@ let collect_defs st u =
     | Some id, `Alias p ->
         Hashtbl.replace u.u_aliases (Ident.unique_name id) p
     | Some id, `Structure s -> items (prefix ^ "." ^ Ident.name id) s.str_items
+    | Some id, `Apply f when is_table_functor u f ->
+        Hashtbl.replace u.u_tables (Ident.unique_name id) ();
+        Hashtbl.replace st.tables (prefix ^ "." ^ Ident.name id) ()
     | _ -> ()
   in
-  (* let-module aliases anywhere in the unit *)
+  (* let-module aliases and table instances anywhere in the unit *)
   let it =
     {
       Tast_iterator.default_iterator with
@@ -509,6 +527,8 @@ let collect_defs st u =
               match peel_mod me with
               | `Alias p ->
                   Hashtbl.replace u.u_aliases (Ident.unique_name id) p
+              | `Apply f when is_table_functor u f ->
+                  Hashtbl.replace u.u_tables (Ident.unique_name id) ()
               | _ -> ())
           | _ -> ());
           Tast_iterator.default_iterator.expr self e);
@@ -552,25 +572,39 @@ let wall_clocks =
   [ "Sys.time"; "Unix.gettimeofday"; "Unix.time"; "Unix.gmtime";
     "Unix.localtime" ]
 
+(* [iter]/[fold] of a Hashtbl.Make/MakeSeeded instance: one of this
+   unit's (by stamp, at any nesting) or a structure-level one anywhere
+   (by canonical name). *)
+let table_traversal st u (p : Path.t) =
+  match p with
+  | Path.Pdot (m, ("fold" | "iter")) -> (
+      match m with
+      | Path.Pident id when Hashtbl.mem u.u_tables (Ident.unique_name id) ->
+          true
+      | _ ->
+          let n = canon_name u m in
+          Hashtbl.mem st.tables n || Hashtbl.mem st.tables (u.u_mod ^ "." ^ n))
+  | _ -> false
+
 (* The determinism sources, by canonical name and the file's scope:
    (the D rule reporting each occurrence, if any; what the source is).
    Every one of them is a T001 taint source. *)
-let classify_source st u (n : string) =
-  let sn = strip_stdlib n in
+let classify_source st u (p : Path.t) =
+  let sn = strip_stdlib (canon_name u p) in
   if C.has_prefix ~prefix:"Random." sn && not (st.cfg.random_exempt u.u_file)
   then Some (Some "D001", "Random source " ^ sn)
   else if List.mem sn wall_clocks && not (st.cfg.clock_exempt u.u_file) then
     Some (Some "D003", "wall-clock read " ^ sn)
   else if
-    List.mem sn [ "Hashtbl.fold"; "Hashtbl.iter" ]
+    (List.mem sn [ "Hashtbl.fold"; "Hashtbl.iter" ] || table_traversal st u p)
     && st.cfg.order_scope u.u_file
   then Some (Some "D002", "bucket-order-dependent " ^ sn)
   else if sn = "Domain.self" then Some (None, "Domain.self")
   else None
 
 (* Suppressing T001 at the source line kills the taint itself. *)
-let source_of st u ~line (n : string) : string option =
-  match classify_source st u n with
+let source_of st u ~line (p : Path.t) : string option =
+  match classify_source st u p with
   | Some (_, what) when not (absorbed_at st u ~line ~rule:"T001") ->
       Some (Printf.sprintf "%s (%s:%d)" what u.u_file line)
   | _ -> None
@@ -603,7 +637,7 @@ let rec taint st u env (e : expression) : string option =
           | Some d ->
               Option.map (fun w -> w ^ " via " ^ d.d_name) d.d_taint
           | None ->
-              source_of st u ~line:(line_of e.exp_loc) (canon_name u p)))
+              source_of st u ~line:(line_of e.exp_loc) p))
   | Texp_apply (f, args) -> taint_apply st u env e f args
   | Texp_let (_, vbs, body) ->
       List.iter
@@ -731,7 +765,7 @@ and taint_apply st u env e f args =
             | Some d ->
                 Option.map (fun w -> w ^ " via " ^ d.d_name) d.d_taint
             | None ->
-                source_of st u ~line:(line_of e.exp_loc) (canon_name u p)))
+                source_of st u ~line:(line_of e.exp_loc) p))
     | _ -> self f
   in
   join t002 (join from_f from_args)
@@ -784,7 +818,7 @@ let check_idents st u =
   let ident ~at (f : expression) p args =
     let n = canon_name u p in
     let sn = strip_stdlib n in
-    (match classify_source st u n with
+    (match classify_source st u p with
     | Some (Some rule, what) ->
         report f.exp_loc rule (what ^ " " ^ d_advice rule)
     | _ -> ());
@@ -1518,6 +1552,7 @@ let analyze ~config (units : unit_info list) : C.reporter =
     {
       cfg = config;
       by_name = Hashtbl.create 512;
+      tables = Hashtbl.create 16;
       units_tbl = Hashtbl.create 64;
       rep = C.make_reporter ();
       checking = false;
@@ -1565,6 +1600,7 @@ let make_unit ~modname ~filename ~source (str : Typedtree.structure) =
     u_supps = C.scan_suppressions ~file:(C.normalize filename) source;
     u_aliases = Hashtbl.create 16;
     u_stamps = Hashtbl.create 64;
+    u_tables = Hashtbl.create 4;
     u_str = str;
   }
 

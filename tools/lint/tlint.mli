@@ -11,10 +11,11 @@
       occurrence.  D001–D003 report the determinism sources T001
       starts from, one recogniser for both: [Random.*] outside
       [Rcbr_util.Rng] (D001), bucket-order-dependent
-      [Hashtbl.iter]/[fold] in result-producing code (D002), wall-clock
-      reads outside [bench/] (D003).  F001 fires on [Stdlib]
-      [=]/[<>]/[compare]/[min]/[max] whose instantiated operand type is
-      [float] or a tuple or type application containing [float] —
+      [Hashtbl.iter]/[fold], or the [iter]/[fold] of a
+      [Hashtbl.Make]/[MakeSeeded] instance, in result-producing code
+      (D002), wall-clock reads outside [bench/] (D003).  F001 fires on
+      [Stdlib] [=]/[<>]/[compare]/[min]/[max] whose instantiated operand
+      type is [float] or a tuple or type application containing [float] —
       applied or passed as a value — unless an operand is a constant
       constructor ([[]], [None]); type abbreviations are not expanded
       (a [.cmt] keeps only environment summaries).

@@ -1,5 +1,4 @@
 module Chernoff = Rcbr_effbw.Chernoff
-module Histogram = Rcbr_util.Histogram
 module Service_model = Rcbr_policy.Service_model
 
 (* The admission fast path (DESIGN.md §7).
@@ -8,8 +7,9 @@ module Service_model = Rcbr_policy.Service_model
    bandwidth-level distribution; the paper's observation that the
    aggregate is the running sum of per-call histograms makes that state
    incrementally maintainable.  Rates are interned into a dense level
-   table (exact float match, as the seed's hashtable keys were), and the
-   controller maintains, per level index
+   table (matched with [Float.compare], the seed's hashtable equality,
+   so -0. and 0. share a level, as do all NaNs), and the controller
+   maintains, per level index
 
      hist       — finalized history seconds of all calls in the system
      cur_count  — number of calls currently reserving this level
@@ -32,6 +32,12 @@ module Service_model = Rcbr_policy.Service_model
    memory scheme's weights unchanged, so a whole arrival burst at one
    tick is decided by one probe and one warm [max_calls] search.
 
+   The three aggregates are plain float arrays grown together with the
+   level table, and calls sit in an int-keyed table: no update boxes a
+   float or hashes a key through the polymorphic primitives.  A call's
+   own history array is allocated at its first finalized segment, so a
+   call that departs before renegotiating never gets one.
+
    The decision sequence is property-tested against a from-scratch
    oracle that rebuilds the [(rate, weight)] list from per-call records
    on every decision and runs the cold [Chernoff.max_calls]
@@ -41,9 +47,18 @@ module Service_model = Rcbr_policy.Service_model
 type call_state = {
   mutable level : int;
   mutable since : float;
-  history : Histogram.t;  (* finalized seconds per level, this call *)
+  mutable history : float array;
+      (* finalized seconds per level, this call; [||] until its first
+         finalized segment *)
   mutable segments : int;  (* finalized history segments (weight > 0) *)
 }
+
+module Calls = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash id = id land max_int
+end)
 
 type kind =
   | Perfect of { max_calls : int }
@@ -62,15 +77,14 @@ type stats = {
 type t = {
   name : string;
   kind : kind;
-  calls : (int, call_state) Hashtbl.t;
+  calls : call_state Calls.t;
   (* Level table: rate values interned in first-seen order. *)
   mutable values : float array;
   mutable n_levels : int;
-  level_of : (float, int) Hashtbl.t;
-  (* Incremental aggregates (level-indexed). *)
-  hist : Histogram.t;
-  cur_count : Histogram.t;
-  since_sum : Histogram.t;
+  (* Incremental aggregates, level-indexed, as long as [values]. *)
+  mutable hist : float array;
+  mutable cur_count : float array;
+  mutable since_sum : float array;
   mutable hist_segments : int;  (* total finalized segments in [hist] *)
   (* Lower bound on the minimum [since] over active calls (infinity
      when none was ever admitted; never raised by departures, so it can
@@ -92,7 +106,7 @@ type t = {
 }
 
 let name t = t.name
-let n_in_system t = Hashtbl.length t.calls
+let n_in_system t = Calls.length t.calls
 
 let stats t =
   {
@@ -103,75 +117,92 @@ let stats t =
     solver = Chernoff.Solver.stats t.solver;
   }
 
+let grown a n =
+  let b = Array.make n 0. in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* A scan, not a hash: the level table stays short (a schedule's
+   distinct rates), and [Float.compare] is the equality the seed's
+   polymorphic table keyed on. *)
 let level_of t rate =
-  match Hashtbl.find_opt t.level_of rate with
-  | Some l -> l
-  | None ->
-      let l = t.n_levels in
-      if l >= Array.length t.values then begin
-        let values = Array.make (2 * Array.length t.values) 0. in
-        Array.blit t.values 0 values 0 l;
-        t.values <- values
-      end;
-      t.values.(l) <- rate;
-      Hashtbl.add t.level_of rate l;
-      t.n_levels <- l + 1;
-      l
+  let n = t.n_levels in
+  let l = ref 0 in
+  while !l < n && Float.compare t.values.(!l) rate <> 0 do
+    incr l
+  done;
+  if !l < n then !l
+  else begin
+    if n >= Array.length t.values then begin
+      let cap = 2 * Array.length t.values in
+      t.values <- grown t.values cap;
+      t.hist <- grown t.hist cap;
+      t.cur_count <- grown t.cur_count cap;
+      t.since_sum <- grown t.since_sum cap
+    end;
+    t.values.(n) <- rate;
+    t.n_levels <- n + 1;
+    n
+  end
 
 (* --- state maintenance ---------------------------------------------- *)
 
 let accumulate t state ~now =
   let elapsed = now -. state.since in
   if elapsed > 0. then begin
-    Histogram.add state.history state.level elapsed;
-    Histogram.add t.hist state.level elapsed;
+    let l = state.level in
+    if l >= Array.length state.history then
+      state.history <- grown state.history (max (l + 1) t.n_levels);
+    state.history.(l) <- state.history.(l) +. elapsed;
+    t.hist.(l) <- t.hist.(l) +. elapsed;
     state.segments <- state.segments + 1;
     t.hist_segments <- t.hist_segments + 1
   end;
   state.since <- now
 
+(* Open a segment at [level] from [now] / close the one [st] holds. *)
+let enter t level ~now =
+  t.cur_count.(level) <- t.cur_count.(level) +. 1.;
+  t.since_sum.(level) <- t.since_sum.(level) +. now
+
+let leave t st =
+  t.cur_count.(st.level) <- t.cur_count.(st.level) -. 1.;
+  t.since_sum.(st.level) <- t.since_sum.(st.level) -. st.since
+
 let on_admit t ~now ~call ~rate =
-  assert (not (Hashtbl.mem t.calls call));
+  assert (not (Calls.mem t.calls call));
   let level = level_of t rate in
-  let state =
-    {
-      level;
-      since = now;
-      history = Histogram.create ~levels:(max 1 t.n_levels);
-      segments = 0;
-    }
-  in
-  Hashtbl.replace t.calls call state;
+  Calls.replace t.calls call
+    { level; since = now; history = [||]; segments = 0 };
   if now < t.since_floor then t.since_floor <- now;
-  Histogram.add t.cur_count level 1.;
-  Histogram.add t.since_sum level now
+  enter t level ~now
 
 let on_renegotiate t ~now ~call ~rate =
-  match Hashtbl.find_opt t.calls call with
-  | None -> ()
-  | Some st ->
+  match Calls.find t.calls call with
+  | exception Not_found -> ()
+  | st ->
       (* Close the ongoing segment at the old level... *)
-      Histogram.sub t.cur_count st.level 1.;
-      Histogram.sub t.since_sum st.level st.since;
+      leave t st;
       accumulate t st ~now;
       (* ...and open one at the new. *)
       let level = level_of t rate in
       st.level <- level;
-      Histogram.add t.cur_count level 1.;
-      Histogram.add t.since_sum level now
+      enter t level ~now
 
 let on_depart t ~now ~call =
   ignore now;
-  match Hashtbl.find_opt t.calls call with
-  | None -> ()
-  | Some st ->
-      Hashtbl.remove t.calls call;
+  match Calls.find t.calls call with
+  | exception Not_found -> ()
+  | st ->
+      Calls.remove t.calls call;
       (* The departing call takes its history with it, exactly as the
          seed's per-call table did: the ongoing tail is dropped, not
          finalized. *)
-      Histogram.sub t.cur_count st.level 1.;
-      Histogram.sub t.since_sum st.level st.since;
-      Histogram.iter_support st.history (fun l w -> Histogram.sub t.hist l w);
+      leave t st;
+      let h = st.history in
+      for l = 0 to Array.length h - 1 do
+        if h.(l) > 0. then t.hist.(l) <- t.hist.(l) -. h.(l)
+      done;
       t.hist_segments <- t.hist_segments - st.segments
 
 (* --- decision path ---------------------------------------------------- *)
@@ -194,7 +225,7 @@ let all_fresh t ~now =
       now <= t.since_floor
      (* lint: allow D002, T001 — conjunction over all calls, so the
         result is invariant under bucket order and taints nothing *)
-     || Hashtbl.fold (fun _ st acc -> acc && now -. st.since <= 0.) t.calls true)
+     || Calls.fold (fun _ st acc -> acc && now -. st.since <= 0.) t.calls true)
 
 (* Load the decision's weights: per level, the calls' instantaneous
    counts or the memory scheme's time-weighted aggregate.  Equal to
@@ -216,12 +247,10 @@ let load t ~now =
     Chernoff.Solver.reset t.solver
   end;
   for l = 0 to n - 1 do
-    let count = Histogram.weight t.cur_count l in
+    let count = t.cur_count.(l) in
     let w =
       if instantaneous then count
-      else
-        Histogram.weight t.hist l
-        +. ((count *. now) -. Histogram.weight t.since_sum l)
+      else t.hist.(l) +. ((count *. now) -. t.since_sum.(l))
     in
     if !hit && not (Float.equal w t.key.(l)) then begin
       hit := false;
@@ -316,22 +345,27 @@ let place t (model : Service_model.t) ~demanded ~fits =
 (* lint: allow R001 — probe: tests check the aggregates against a rebuild *)
 let debug_aggregate_deviation t ~now =
   let rebuilt = Array.make (max 1 t.n_levels) 0. in
-  (* Iterate calls in sorted-id order so the rebuilt aggregate — a float
-     sum — is a pure function of the controller state, not of the
-     hashtable's bucket history. *)
-  Rcbr_util.Tables.iter_sorted
-    (fun _ st ->
-      Histogram.iter_support st.history (fun l w ->
-          rebuilt.(l) <- rebuilt.(l) +. w);
+  (* Rebuild in sorted-id order so the aggregate — a float sum — is a
+     pure function of the controller state, not of the table's bucket
+     history. *)
+  let ids =
+    (* lint: allow D002, T001 — key collection only; the sort below
+       restores a canonical order *)
+    List.sort Int.compare (Calls.fold (fun id _ acc -> id :: acc) t.calls [])
+  in
+  List.iter
+    (fun id ->
+      let st = Calls.find t.calls id in
+      Array.iteri
+        (fun l w -> if w > 0. then rebuilt.(l) <- rebuilt.(l) +. w)
+        st.history;
       let ongoing = now -. st.since in
       if ongoing > 0. then rebuilt.(st.level) <- rebuilt.(st.level) +. ongoing)
-    t.calls;
+    ids;
   let dev = ref 0. in
   for l = 0 to t.n_levels - 1 do
     let incremental =
-      Histogram.weight t.hist l
-      +. (Histogram.weight t.cur_count l *. now)
-      -. Histogram.weight t.since_sum l
+      t.hist.(l) +. (t.cur_count.(l) *. now) -. t.since_sum.(l)
     in
     let scale = Float.max 1. (Float.max (Float.abs rebuilt.(l)) now) in
     dev := Float.max !dev (Float.abs (incremental -. rebuilt.(l)) /. scale)
@@ -344,13 +378,12 @@ let make ~name ~kind () =
   {
     name;
     kind;
-    calls = Hashtbl.create 64;
+    calls = Calls.create 64;
     values = Array.make 16 0.;
     n_levels = 0;
-    level_of = Hashtbl.create 32;
-    hist = Histogram.create ~levels:16;
-    cur_count = Histogram.create ~levels:16;
-    since_sum = Histogram.create ~levels:16;
+    hist = Array.make 16 0.;
+    cur_count = Array.make 16 0.;
+    since_sum = Array.make 16 0.;
     hist_segments = 0;
     since_floor = infinity;
     solver = Chernoff.Solver.create ();

@@ -1,12 +1,19 @@
-type t = {
-  capacity : float;
-  blackouts : (float * float) array;
+(* The accounting floats live in a record of floats only, which OCaml
+   stores flat: updating one writes the float in place, with no box and
+   no write barrier. *)
+type acct = {
   mutable demand : float;
   mutable last : float;
   mutable offered_bits : float;
   mutable lost_bits : float;
   mutable granted_bits : float;
   mutable call_seconds : float;
+}
+
+type t = {
+  capacity : float;
+  blackouts : (float * float) array;
+  acct : acct;
   mutable n_calls : int;
 }
 
@@ -15,32 +22,37 @@ let create ?(blackouts = [||]) ~capacity () =
   {
     capacity;
     blackouts;
-    demand = 0.;
-    last = 0.;
-    offered_bits = 0.;
-    lost_bits = 0.;
-    granted_bits = 0.;
-    call_seconds = 0.;
+    acct =
+      {
+        demand = 0.;
+        last = 0.;
+        offered_bits = 0.;
+        lost_bits = 0.;
+        granted_bits = 0.;
+        call_seconds = 0.;
+      };
     n_calls = 0;
   }
 
 let advance link ~now =
-  let dt = now -. link.last in
+  let a = link.acct in
+  let dt = now -. a.last in
   if dt > 0. then begin
-    link.offered_bits <- link.offered_bits +. (link.demand *. dt);
-    link.granted_bits <-
-      link.granted_bits +. (Float.min link.demand link.capacity *. dt);
-    link.lost_bits <-
-      link.lost_bits +. (Float.max 0. (link.demand -. link.capacity) *. dt);
-    link.call_seconds <- link.call_seconds +. (float_of_int link.n_calls *. dt);
-    link.last <- now
+    a.offered_bits <- a.offered_bits +. (a.demand *. dt);
+    a.granted_bits <-
+      a.granted_bits +. (Float.min a.demand link.capacity *. dt);
+    a.lost_bits <-
+      a.lost_bits +. (Float.max 0. (a.demand -. link.capacity) *. dt);
+    a.call_seconds <- a.call_seconds +. (float_of_int link.n_calls *. dt);
+    a.last <- now
   end
 
 let reset_window link =
-  link.offered_bits <- 0.;
-  link.lost_bits <- 0.;
-  link.granted_bits <- 0.;
-  link.call_seconds <- 0.
+  let a = link.acct in
+  a.offered_bits <- 0.;
+  a.lost_bits <- 0.;
+  a.granted_bits <- 0.;
+  a.call_seconds <- 0.
 
 let down link ~now =
   let windows = link.blackouts in

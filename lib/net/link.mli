@@ -7,18 +7,29 @@
     fields are exposed because the experiment drivers update them with
     driver-specific float expressions that must stay bit-identical to
     the historical code (see DESIGN.md §10); treat them as owned by the
-    driver that created the link. *)
+    driver that created the link.
 
-type t = {
-  capacity : float;  (** b/s *)
-  blackouts : (float * float) array;
-      (** merged, start-sorted [at, recover) crash windows; see {!down} *)
+    The six mutable accounting floats sit in their own all-float record
+    {!acct}, which OCaml stores unboxed: {!advance} and [Store.settle],
+    which run on every event of every engine, update them in place
+    without allocating or running the write barrier.  In a record that
+    mixes them with [blackouts] and [n_calls], each write would box its
+    float. *)
+
+type acct = {
   mutable demand : float;  (** sum of the crossing calls' demanded rates *)
   mutable last : float;  (** time of last {!advance} *)
   mutable offered_bits : float;
   mutable lost_bits : float;
   mutable granted_bits : float;
   mutable call_seconds : float;  (** integral of [n_calls], for the mean *)
+}
+
+type t = {
+  capacity : float;  (** b/s *)
+  blackouts : (float * float) array;
+      (** merged, start-sorted [at, recover) crash windows; see {!down} *)
+  acct : acct;
   mutable n_calls : int;
 }
 

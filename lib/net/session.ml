@@ -115,70 +115,79 @@ let dropped p store h =
 
 (* One transmission attempt of the rate-change cell across the call's
    route; a drop loses it and arms a retransmission, which a newer
-   change (or the departure) cancels out of the queue. *)
+   change (or the departure) cancels out of the queue.  The timer's
+   closure is built only then: a delivered cell allocates none. *)
+let rec attempt d h ~idx ~rate ~gen ~bound retx engine =
+  let now = Events.now engine in
+  d.on_attempt ~now;
+  let p = d.plane in
+  if (idx > 0 || not d.reliable_setup) && dropped p d.store h then begin
+    p.counters.rm_lost <- p.counters.rm_lost + 1;
+    if retx >= p.faults.max_retransmits then begin
+      (* Give up signalling and settle on the desired demand anyway:
+         the overload shows up in the demand accounting, as for a
+         denied increase. *)
+      p.counters.abandoned <- p.counters.abandoned + 1;
+      d.deliver h ~now ~idx ~rate
+    end
+    else begin
+      let at = now +. p.faults.retx_timeout in
+      let tok =
+        Events.schedule_token engine ~at (fun engine ->
+            p.armed.(h) <- None;
+            (* Newer changes and departures cancel the token eagerly,
+               so a firing timer is never stale; the guard is pure
+               defence. *)
+            if Store.gen d.store h = gen then begin
+              let now = Events.now engine in
+              if d.retry ~now then begin
+                p.counters.retransmits <- p.counters.retransmits + 1;
+                attempt d h ~idx ~rate ~gen ~bound (retx + 1) engine
+              end
+            end)
+      in
+      arm p h { tok; at; bound }
+    end
+  end
+  else d.deliver h ~now ~idx ~rate
+
 let signal d h ~idx ~rate engine =
   cancel_pending d h;
-  let gen = Store.gen d.store h in
   let bound =
     match d.lifetime with
     | Hold_until horizon -> horizon
     | Depart_after_pieces _ -> infinity
   in
-  let rec attempt retx engine =
-    let now = Events.now engine in
-    d.on_attempt ~now;
-    let p = d.plane in
-    if (idx > 0 || not d.reliable_setup) && dropped p d.store h then begin
-      p.counters.rm_lost <- p.counters.rm_lost + 1;
-      if retx >= p.faults.max_retransmits then begin
-        (* Give up signalling and settle on the desired demand anyway:
-           the overload shows up in the demand accounting, as for a
-           denied increase. *)
-        p.counters.abandoned <- p.counters.abandoned + 1;
-        d.deliver h ~now ~idx ~rate
-      end
-      else begin
-        let at = now +. p.faults.retx_timeout in
-        let tok =
-          Events.schedule_token engine ~at (fun engine ->
-              p.armed.(h) <- None;
-              (* Newer changes and departures cancel the token
-                 eagerly, so a firing timer is never stale; the guard
-                 is pure defence. *)
-              if Store.gen d.store h = gen then begin
-                let now = Events.now engine in
-                if d.retry ~now then begin
-                  p.counters.retransmits <- p.counters.retransmits + 1;
-                  attempt (retx + 1) engine
-                end
-              end)
-        in
-        arm p h { tok; at; bound }
-      end
-    end
-    else d.deliver h ~now ~idx ~rate
-  in
-  attempt 0 engine
+  attempt d h ~idx ~rate ~gen:(Store.gen d.store h) ~bound 0 engine
 
-let rec play d h pieces idx engine =
-  let now = Events.now engine in
-  match d.lifetime with
-  | Hold_until horizon ->
-      if now <= horizon then begin
+(* The call's piece event: one closure per call, rescheduled after each
+   piece, with the next piece's index in [Store.cursor]. *)
+let play d h pieces =
+  let rec piece engine =
+    let now = Events.now engine in
+    let idx = Store.cursor d.store h in
+    match d.lifetime with
+    | Hold_until horizon ->
+        if now <= horizon then begin
+          d.before ~now;
+          let idx = if idx >= Array.length pieces then 0 else idx in
+          let duration, rate = pieces.(idx) in
+          signal d h ~idx ~rate engine;
+          Store.set_cursor d.store h (idx + 1);
+          Events.schedule_after engine ~delay:duration piece
+        end
+    | Depart_after_pieces depart ->
         d.before ~now;
-        let idx = if idx >= Array.length pieces then 0 else idx in
-        let duration, rate = pieces.(idx) in
-        signal d h ~idx ~rate engine;
-        Events.schedule_after engine ~delay:duration (play d h pieces (idx + 1))
-      end
-  | Depart_after_pieces depart ->
-      d.before ~now;
-      if idx >= Array.length pieces then begin
-        cancel_pending d h;
-        depart h ~now
-      end
-      else begin
-        let duration, rate = pieces.(idx) in
-        signal d h ~idx ~rate engine;
-        Events.schedule_after engine ~delay:duration (play d h pieces (idx + 1))
-      end
+        if idx >= Array.length pieces then begin
+          cancel_pending d h;
+          depart h ~now
+        end
+        else begin
+          let duration, rate = pieces.(idx) in
+          signal d h ~idx ~rate engine;
+          Store.set_cursor d.store h (idx + 1);
+          Events.schedule_after engine ~delay:duration piece
+        end
+  in
+  Store.set_cursor d.store h 0;
+  piece

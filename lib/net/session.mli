@@ -17,7 +17,13 @@
     {!driver} hooks, which run the shared call steps and settle link
     demand through {!Store.settle}; the machine itself (fault draws,
     retransmit scheduling, generation bookkeeping) is shared.
-    Per-call state and the route queries are {!Store}'s. *)
+    Per-call state and the route queries are {!Store}'s.
+
+    Session owns {!Store.cursor} for the calls it drives: the cursor
+    holds the index of the call's next piece.  A call's piece event is
+    one closure, built once by {!play} and rescheduled after every
+    piece; a signalled change builds no closure unless its cell is
+    dropped, when the retransmission timer needs one. *)
 
 (** {1 Faults} *)
 
@@ -123,12 +129,14 @@ val cancel_pending : driver -> Store.handle -> unit
     otherwise pass the generation guard of the handle's next call. *)
 
 val play :
-  driver -> Store.handle -> (float * float) array -> int ->
-  Rcbr_queue.Events.t -> unit
-(** [play d h pieces idx engine] is the piece event: fire piece [idx]
-    (signal its rate, schedule the next piece after its duration), or
-    depart / stop at the horizon per [d.lifetime].  Partially applied,
-    it is the [Events] callback for the call's next piece. *)
+  driver -> Store.handle -> (float * float) array -> Rcbr_queue.Events.t ->
+  unit
+(** [play d h pieces] sets the call's cursor to piece 0 and returns its
+    piece event, the [Events] callback that fires the piece under the
+    cursor (signal its rate, advance the cursor, schedule itself again
+    after the piece's duration), or departs / stops at the horizon per
+    [d.lifetime].  Apply it to the engine to fire piece 0 now, or
+    schedule it to start the call later. *)
 
 val signal :
   driver -> Store.handle -> idx:int -> rate:float -> Rcbr_queue.Events.t ->

@@ -177,7 +177,8 @@ let fits ~(links : Link.t array) t h ~rate ~now =
   while !ok && !i < off + len do
     let l = links.(t.routes.(!i)) in
     ok :=
-      (not (Link.down l ~now)) && l.Link.demand +. delta <= l.Link.capacity +. 1e-9;
+      (not (Link.down l ~now))
+      && l.Link.acct.demand +. delta <= l.Link.capacity +. 1e-9;
     incr i
   done;
   !ok
@@ -193,13 +194,14 @@ let blocked ~(links : Link.t array) t h ~now =
   !hit
 
 (* Not [route_iter]: its closure would allocate, and box [delta], on
-   every settle. *)
+   every settle.  [Link.acct] is an all-float record, so the demand
+   update writes in place: no box, no write barrier. *)
 let settle ~(links : Link.t array) t h ~rate =
   let delta = rate -. t.applied.(h) in
   let off = t.route_off.(h) in
   for i = off to off + t.route_len.(h) - 1 do
-    let l = links.(t.routes.(i)) in
-    l.Link.demand <- l.Link.demand +. delta
+    let a = links.(t.routes.(i)).Link.acct in
+    a.Link.demand <- a.Link.demand +. delta
   done;
   t.applied.(h) <- rate
 
@@ -290,7 +292,7 @@ let audit ~(links : Link.t array) t =
         {
           Rcbr_fault.Invariant.index = i;
           capacity = links.(i).Link.capacity;
-          reserved = links.(i).Link.demand;
+          reserved = links.(i).Link.acct.demand;
           vci_rates = [ (0, expect.(i)) ];
         })
   in

@@ -48,6 +48,10 @@ val demanded : t -> handle -> float
 
 val set_demanded : t -> handle -> float -> unit
 val cursor : t -> handle -> int
+(** The call's schedule cursor: the index of its next piece.  Whoever
+    walks the call's pieces owns it — {!Session} for the calls it
+    drives, [Megacall] for its own. *)
+
 val set_cursor : t -> handle -> int -> unit
 val gen : t -> handle -> int
 val bump_gen : t -> handle -> unit

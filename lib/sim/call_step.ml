@@ -84,7 +84,8 @@ let advance u ~now =
   if dt > 0. then begin
     let acc = ref 0. in
     Array.iter
-      (fun l -> acc := !acc +. Float.min 1. (l.Link.demand /. l.Link.capacity))
+      (fun l ->
+        acc := !acc +. Float.min 1. (l.Link.acct.demand /. l.Link.capacity))
       u.links;
     u.integral <-
       u.integral +. (!acc /. float_of_int (Array.length u.links) *. dt);

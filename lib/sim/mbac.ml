@@ -74,19 +74,32 @@ let shifted_pieces schedule ~shift =
   while !j + 1 < m && segs.(!j + 1).Schedule.start_slot <= shift do
     incr j
   done;
-  let pieces = ref [] in
-  let push slots rate =
-    if slots > 0 then pieces := (float_of_int slots /. fps, rate) :: !pieces
+  let j = !j in
+  (* Play order: the tail of segment [j] from the shift, the segments
+     after it, those before it, then the head of [j] up to the shift;
+     empty pieces are dropped. *)
+  let slots k =
+    if k = 0 then seg_end j - shift
+    else if k = m then shift - segs.(j).Schedule.start_slot
+    else
+      let i = (j + k) mod m in
+      seg_end i - segs.(i).Schedule.start_slot
   in
-  push (seg_end !j - shift) segs.(!j).Schedule.rate;
-  for i = !j + 1 to m - 1 do
-    push (seg_end i - segs.(i).Schedule.start_slot) segs.(i).Schedule.rate
+  let n_pieces = ref 0 in
+  for k = 0 to m do
+    if slots k > 0 then incr n_pieces
   done;
-  for i = 0 to !j - 1 do
-    push (seg_end i - segs.(i).Schedule.start_slot) segs.(i).Schedule.rate
+  let pieces = Array.make !n_pieces (0., 0.) in
+  let p = ref 0 in
+  for k = 0 to m do
+    let s = slots k in
+    if s > 0 then begin
+      let rate = segs.((j + k) mod m).Schedule.rate in
+      pieces.(!p) <- (float_of_int s /. fps, rate);
+      incr p
+    end
   done;
-  push (shift - segs.(!j).Schedule.start_slot) segs.(!j).Schedule.rate;
-  Array.of_list (List.rev !pieces)
+  pieces
 
 let run_with_pieces (c : config) ~make_pieces ~controller =
   assert (c.capacity > 0. && c.arrival_rate > 0.);
@@ -179,7 +192,7 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
          (match c.service with
          | Service_model.Mts_profile p -> Store.attach_mts store h p ~now
          | _ -> ());
-         Session.play driver h pieces 0 engine
+         Session.play driver h pieces engine
        end
      end
      else k.blocked <- k.blocked + 1);
@@ -194,14 +207,14 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
     incr windows_done;
     if !windows_done > c.warmup_windows then begin
       let failure =
-        if link.Link.offered_bits > 0. then
-          link.Link.lost_bits /. link.Link.offered_bits
+        if link.Link.acct.offered_bits > 0. then
+          link.Link.acct.lost_bits /. link.Link.acct.offered_bits
         else 0.
       in
       Stats.Online.add failure_stats failure;
       Stats.Online.add util_stats
-        (link.Link.granted_bits /. (c.capacity *. window));
-      Stats.Online.add calls_stats (link.Link.call_seconds /. window)
+        (link.Link.acct.granted_bits /. (c.capacity *. window));
+      Stats.Online.add calls_stats (link.Link.acct.call_seconds /. window)
     end;
     Link.reset_window link;
     let samples = Stats.Online.count failure_stats in

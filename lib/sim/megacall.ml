@@ -239,13 +239,13 @@ let run_shard cfg rng =
   in
   let fire_until bound =
     let continue_ = ref true in
-    while !continue_ do
-      match Wheel.peek wheel with
-      | Some (at, _) when at <= bound -> (
-          match Wheel.pop wheel with
-          | Some (at, h) -> fire h at
-          | None -> continue_ := false)
-      | _ -> continue_ := false
+    while !continue_ && Wheel.length wheel > 0 do
+      let at = Wheel.min_time wheel in
+      if at <= bound then begin
+        let h = Wheel.pop_min wheel in
+        fire h at
+      end
+      else continue_ := false
     done
   in
   let quota = (cfg.calls_per_shard + cfg.ramp_ticks - 1) / cfg.ramp_ticks in
@@ -269,7 +269,9 @@ let run_shard cfg rng =
   let audit_violations = Store.audit ~links store in
   let stats = Controller.stats ctrl in
   let demand_hash =
-    Array.fold_left (fun h l -> Call_step.fnv_float h l.Link.demand) 0 links
+    Array.fold_left
+      (fun h l -> Call_step.fnv_float h l.Link.acct.demand)
+      0 links
   in
   let shard_hash =
     (* The seed fold list is extended with the downgrade/upgrade

@@ -112,10 +112,10 @@ let run_net (nc : net_config) fc =
     audit_tick ();
     (* Desynchronize call starts within the first pieces. *)
     let offset = Rng.float rng in
-    Events.schedule engine ~at:offset (Session.play driver h pieces 0)
+    Events.schedule engine ~at:offset (Session.play driver h pieces)
   in
   let route_load route =
-    Array.fold_left (fun acc id -> acc +. links.(id).Link.demand) 0. route
+    Array.fold_left (fun acc id -> acc +. links.(id).Link.acct.demand) 0. route
   in
   let pick_route () =
     if not nc.balance then Rng.int rng (Topology.n_routes topo)

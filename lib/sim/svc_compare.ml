@@ -235,7 +235,9 @@ let run_model c model =
           k.upgrades; !departures; decision_hash; audit_violations;
         ]
     in
-    Array.fold_left (fun h l -> Call_step.fnv_float h l.Link.demand) h links
+    Array.fold_left
+      (fun h l -> Call_step.fnv_float h l.Link.acct.demand)
+      h links
   in
   {
     model = Service_model.name model;

@@ -26,10 +26,6 @@ let add t level x =
   ensure t ~levels:(level + 1);
   t.w.(level) <- t.w.(level) +. x
 
-let sub t level x =
-  assert (x >= 0. && level < t.levels);
-  t.w.(level) <- t.w.(level) -. x
-
 let weight t level = if level < t.levels then t.w.(level) else 0.
 
 let total t =
@@ -85,8 +81,3 @@ let mean_level_value t ~values =
     acc := !acc +. (t.w.(i) /. s *. values.(i))
   done;
   !acc
-
-let iter_support t f =
-  for i = 0 to t.levels - 1 do
-    if t.w.(i) > 0. then f i t.w.(i)
-  done

@@ -1,16 +1,14 @@
 (** Weighted histograms over discrete levels.
 
-    The admission-control machinery (Section VI) describes a call by the
-    fraction of time it spends at each bandwidth level; those empirical
-    distributions are built and manipulated here.  Levels are identified
-    by integer index into some external level table.
-
-    Histograms grow on demand: {!add} on a level index beyond the
-    current size extends the histogram (new levels start at weight 0),
-    so one histogram can track a level table that is discovered
-    incrementally.  The admission fast path relies on the in-place
-    operations ({!add}, {!sub}, {!iter_support}) being allocation-free
-    once the backing array has reached its high-water size. *)
+    A histogram holds a weight per level, identified by integer index
+    into some external level table; the beam search learns its
+    trellis priors in them ({!log_mass}).  Histograms grow on demand:
+    {!add} on a level index beyond the current size extends the
+    histogram (new levels start at weight 0), so one histogram can
+    track a level table that is discovered incrementally.  (The
+    admission controller keeps its level-indexed aggregates in plain
+    float arrays instead: under separate compilation each call here
+    boxes a float.) *)
 
 type t
 (** Mutable histogram: weight per level index. *)
@@ -27,11 +25,6 @@ val ensure : t -> levels:int -> unit
 val add : t -> int -> float -> unit
 (** [add h level w] accumulates weight [w >= 0] on [level], growing the
     histogram if [level] is new. *)
-
-val sub : t -> int -> float -> unit
-(** [sub h level w] removes weight [w >= 0] from an existing [level].
-    The result may drift a few ulp below zero through float
-    cancellation; consumers treat [<= 0] as empty. *)
 
 val weight : t -> int -> float
 (** 0 for out-of-range levels. *)
@@ -67,8 +60,3 @@ val log_mass : ?floor:float -> t -> int -> float
 
 val mean_level_value : t -> values:float array -> float
 (** Expectation of [values.(level)] under the normalized histogram. *)
-
-val iter_support : t -> (int -> float -> unit) -> unit
-(** [iter_support h f] calls [f level weight] for every level with
-    strictly positive weight, in ascending level order, without
-    allocating. *)

@@ -1,28 +1,35 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state is 8 bytes read and written as a raw int64, so
+   advancing it boxes nothing; [mix] and [bits64] are inlined into every
+   draw, so the intermediate int64s stay unboxed too, and the draws
+   that retry loop instead of building a local recursive closure. *)
+type t = Bytes.t
 
 let gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-(* lint: allow R001 — test-only; delete with "rng copy" *)
-let copy t = { state = t.state }
+let create seed = of_state (mix (Int64.of_int seed))
 
-let bits64 t =
-  t.state <- Int64.add t.state gamma;
-  mix t.state
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
 
 let split t =
   (* A second avalanche on an independent draw decorrelates the child
      stream from the parent continuation. *)
   let s = bits64 t in
-  { state = mix (Int64.logxor s 0xD1B54A32D192ED03L) }
+  of_state (mix (Int64.logxor s 0xD1B54A32D192ED03L))
 
-let float t =
+let[@inline] float t =
   (* 53 uniform bits scaled to [0,1). *)
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. 0x1p-53
@@ -37,68 +44,52 @@ let int t n =
      and irrelevant for simulation workloads, but we still reject the
      biased tail to keep the generator exact. *)
   let n64 = Int64.of_int n in
-  let rec draw () =
-    let r = Int64.shift_right_logical (bits64 t) 1 in
-    let v = Int64.rem r n64 in
-    if Int64.sub r v > Int64.sub Int64.max_int (Int64.sub n64 1L) then draw ()
-    else Int64.to_int v
-  in
-  draw ()
+  let limit = Int64.sub Int64.max_int (Int64.sub n64 1L) in
+  let r = ref (Int64.shift_right_logical (bits64 t) 1) in
+  let v = ref (Int64.rem !r n64) in
+  while Int64.sub !r !v > limit do
+    r := Int64.shift_right_logical (bits64 t) 1;
+    v := Int64.rem !r n64
+  done;
+  Int64.to_int !v
 
 let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
 
+(* A uniform draw in (0, 1): redraw the zeros [log] cannot take. *)
+let[@inline] positive t =
+  let u = ref (float t) in
+  while not (!u > 0.) do
+    u := float t
+  done;
+  !u
+
 let exponential t rate =
   assert (rate > 0.);
-  let rec positive () =
-    let u = float t in
-    if u > 0. then u else positive ()
-  in
-  -.log (positive ()) /. rate
+  -.log (positive t) /. rate
 
 let normal t ~mu ~sigma =
-  let rec positive () =
-    let u = float t in
-    if u > 0. then u else positive ()
-  in
-  let u1 = positive () and u2 = float t in
+  let u1 = positive t in
+  let u2 = float t in
   mu +. (sigma *. sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2))
-
-(* lint: allow R001 — test-only; delete with "rng poisson mean" and "rng
-   poisson large" *)
-let poisson t lambda =
-  assert (lambda >= 0.);
-  if Float.equal lambda 0. then 0
-  else if lambda > 500. then
-    (* Normal approximation with continuity correction. *)
-    let x = normal t ~mu:lambda ~sigma:(sqrt lambda) in
-    max 0 (int_of_float (Float.round x))
-  else
-    let limit = exp (-.lambda) in
-    let rec loop k prod =
-      let prod = prod *. float t in
-      if prod <= limit then k else loop (k + 1) prod
-    in
-    loop 0 1.
 
 let geometric t p =
   assert (p > 0. && p <= 1.);
   if p >= 1. then 0
-  else
-    let rec positive () =
-      let u = float t in
-      if u > 0. then u else positive ()
-    in
-    int_of_float (Float.floor (log (positive ()) /. log (1. -. p)))
+  else int_of_float (Float.floor (log (positive t) /. log (1. -. p)))
 
 let choose t weights =
-  let total = Array.fold_left ( +. ) 0. weights in
-  assert (total > 0.);
-  let target = float t *. total in
   let n = Array.length weights in
-  let rec scan i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if target < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.
+  let total = ref 0. in
+  for i = 0 to n - 1 do
+    total := !total +. weights.(i)
+  done;
+  assert (!total > 0.);
+  let target = float t *. !total in
+  (* The first index whose running sum passes [target]; the last one
+     takes the rounding slack. *)
+  let i = ref 0 and acc = ref 0. and found = ref false in
+  while (not !found) && !i < n - 1 do
+    acc := !acc +. weights.(!i);
+    if target < !acc then found := true else incr i
+  done;
+  !i

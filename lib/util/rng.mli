@@ -9,14 +9,12 @@
     source, replication, ...). *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the 64-bit splitmix state in 8 bytes, so
+    a draw that returns an [int] allocates nothing. *)
 
 val create : int -> t
 (** [create seed] returns a fresh generator.  Equal seeds give equal
     streams. *)
-
-val copy : t -> t
-(** Independent copy sharing no state with the original. *)
 
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
@@ -41,10 +39,6 @@ val exponential : t -> float -> float
 
 val normal : t -> mu:float -> sigma:float -> float
 (** Gaussian sample by Box-Muller. *)
-
-val poisson : t -> float -> int
-(** [poisson t lambda] samples a Poisson count; inversion for small
-    [lambda], normal approximation above 500.  Requires [lambda >= 0]. *)
 
 val geometric : t -> float -> int
 (** [geometric t p] is the number of failures before the first success of

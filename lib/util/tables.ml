@@ -17,6 +17,3 @@ let sorted_bindings ?compare tbl =
   (* For tables maintained with [replace] (one binding per key); with
      [add]-stacked bindings only the most recent one is returned. *)
   List.map (fun k -> (k, Hashtbl.find tbl k)) (sorted_keys ?compare tbl)
-
-let iter_sorted ?compare f tbl =
-  List.iter (fun (k, v) -> f k v) (sorted_bindings ?compare tbl)

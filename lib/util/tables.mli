@@ -17,6 +17,3 @@ val sorted_bindings :
     one [Hashtbl.find] would. A qcheck property in [test/test_util.ml]
     pins these semantics against a reference model under forced bucket
     collisions and mixed [add]/[replace]/[remove] histories. *)
-
-val iter_sorted :
-  ?compare:('a -> 'a -> int) -> ('a -> 'b -> unit) -> ('a, 'b) Hashtbl.t -> unit

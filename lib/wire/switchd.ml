@@ -68,7 +68,7 @@ let sessions t = Store.live_count t.store
 let audit t = Store.audit ~links:t.links t.store
 
 let total_demand t =
-  Array.fold_left (fun acc l -> acc +. l.Link.demand) 0. t.links
+  Array.fold_left (fun acc l -> acc +. l.Link.acct.demand) 0. t.links
 
 (* --- connections ------------------------------------------------------ *)
 

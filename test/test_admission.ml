@@ -161,6 +161,35 @@ let test_departure_bookkeeping () =
   Controller.on_renegotiate ctl ~now:2. ~call:99 ~rate:50.;
   Alcotest.(check int) "still one" 1 (Controller.n_in_system ctl)
 
+(* A known call's renegotiation writes the level-indexed float arrays
+   and the call's history in place: once every call has its history
+   array, nothing is allocated.  The updates come from a list, so their
+   floats are boxed already; [Gc.minor_words] counts its own result. *)
+let test_renegotiate_allocation () =
+  let ctl = Controller.memory ~capacity:1e7 ~target:1e-3 in
+  let rates = [| 1e5; 2e5; 4e5 |] in
+  for call = 0 to 99 do
+    Controller.on_admit ctl ~now:0. ~call ~rate:rates.(call mod 3)
+  done;
+  (* Every call's first finalized segment allocates its history. *)
+  for call = 0 to 99 do
+    Controller.on_renegotiate ctl ~now:1. ~call ~rate:rates.((call + 1) mod 3)
+  done;
+  let steps =
+    List.init 10_000 (fun i ->
+        (2. +. (float_of_int i *. 1e-3), i mod 100, rates.(i mod 3)))
+  in
+  let renegotiate (now, call, rate) =
+    Controller.on_renegotiate ctl ~now ~call ~rate
+  in
+  let before = Gc.minor_words () in
+  List.iter renegotiate steps;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all still in" 100 (Controller.n_in_system ctl);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words over 10 000 renegotiations" words)
+    true (words < 16.)
+
 (* --- Fast path: stats and controller-vs-oracle identity --------------- *)
 
 let test_stats_counting () =
@@ -494,6 +523,8 @@ let () =
           Alcotest.test_case "memory fresh fallback" `Quick
             test_memory_fresh_calls_fallback;
           Alcotest.test_case "always admit" `Quick test_always_admit;
+          Alcotest.test_case "renegotiation allocation" `Quick
+            test_renegotiate_allocation;
           Alcotest.test_case "departure bookkeeping" `Quick
             test_departure_bookkeeping;
         ] );

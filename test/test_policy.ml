@@ -208,7 +208,7 @@ let test_settle_at_floor_audits_clean () =
       Alcotest.(check int) "floor tier" 0 tier;
       Store.settle ~links store b ~rate:granted
   | _ -> Alcotest.fail "expected Settle_floor");
-  checkf "link demand" 10_500. links.(0).Link.demand;
+  checkf "link demand" 10_500. links.(0).Link.acct.demand;
   Alcotest.(check int) "audit clean" 0 (Store.audit ~links store);
   checkf "demand tracked" 6_000. (Store.demanded store b)
 
@@ -339,9 +339,9 @@ let prop_downgrade_capacity =
       let links = single_link ~capacity in
       let store = Store.create () and next_id = ref 0 in
       let check_cap () =
-        if links.(0).Link.demand > capacity +. 1e-6 then
+        if links.(0).Link.acct.demand > capacity +. 1e-6 then
           QCheck.Test.fail_reportf "demand %.1f > capacity %.1f"
-            links.(0).Link.demand capacity
+            links.(0).Link.acct.demand capacity
       in
       let pick v =
         let live = ref [] in

@@ -275,8 +275,7 @@ let test_wheel_order_and_ties () =
   ignore (Wheel.push w ~time:2. "t2-b");
   ignore (Wheel.push w ~time:1. "t1-b");
   Alcotest.(check int) "length" 4 (Wheel.length w);
-  Alcotest.(check (option (pair (float 0.) string))) "peek" (Some (1., "t1-a"))
-    (Wheel.peek w);
+  Alcotest.(check (float 0.)) "min_time" 1. (Wheel.min_time w);
   let popped = List.init 4 (fun _ -> Option.get (Wheel.pop w)) in
   Alcotest.(check (list (pair (float 0.) string)))
     "time order, FIFO within ties"
@@ -290,14 +289,14 @@ let test_wheel_cancel () =
   let b = Wheel.push w ~time:2. "b" in
   let c = Wheel.push w ~time:3. "c" in
   Wheel.cancel w b;
-  Alcotest.(check bool) "b dead" false (Wheel.live b);
-  Alcotest.(check bool) "a live" true (Wheel.live a);
+  Alcotest.(check bool) "b dead" false (Wheel.live w b);
+  Alcotest.(check bool) "a live" true (Wheel.live w a);
   Alcotest.(check int) "length skips cancelled" 2 (Wheel.length w);
   Wheel.cancel w b;
   Alcotest.(check int) "double cancel no-op" 2 (Wheel.length w);
   Alcotest.(check (option (pair (float 0.) string))) "pop a" (Some (1., "a"))
     (Wheel.pop w);
-  Alcotest.(check bool) "popped is no longer live" false (Wheel.live a);
+  Alcotest.(check bool) "popped is no longer live" false (Wheel.live w a);
   Alcotest.(check (option (pair (float 0.) string))) "pop skips b"
     (Some (3., "c"))
     (Wheel.pop w);
@@ -337,6 +336,73 @@ let test_wheel_grow_shrink () =
   drain ();
   Alcotest.(check bool) "non-decreasing" true !ok;
   Alcotest.(check int) "all popped" n !count
+
+(* The event path's allocation.  Times come from a list, so each is
+   already a boxed float and the call boxes nothing; [Gc.minor_words]
+   counts its own boxed result, hence the small constant slack. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_wheel_push_pop_allocation () =
+  (* A warm heap (its arrays at the peak population, ids recycling)
+     pushes and pops without allocating. *)
+  let w = Wheel.create () in
+  let rng = Rcbr_util.Rng.create 5 in
+  let times = List.init 1_000 (fun _ -> 100. *. Rcbr_util.Rng.float rng) in
+  List.iter (fun time -> ignore (Wheel.push w ~time 0)) times;
+  let sum = ref 0 in
+  let push_pop time =
+    ignore (Wheel.push w ~time 1);
+    sum := !sum + Wheel.pop_min w
+  in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 10 do
+          List.iter push_pop times
+        done)
+  in
+  Alcotest.(check int) "population kept" 1_000 (Wheel.length w);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words over 10 000 push + pop" words)
+    true (words < 16.)
+
+let test_events_step_allocation () =
+  (* A step costs at most the clock: [Wheel.min_time] returns the
+     event's time boxed, and the engine keeps that box as [now]. *)
+  let e = Events.create () in
+  let fired = ref 0 in
+  let f _ = incr fired in
+  for i = 1 to 10_000 do
+    Events.schedule e ~at:(float_of_int (i mod 97)) f
+  done;
+  let words = minor_words (fun () -> while Events.step e do () done) in
+  Alcotest.(check int) "every event fired" 10_000 !fired;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words over 10 000 steps" words)
+    true (words <= 20_016.)
+
+let test_wheel_stale_handles () =
+  (* A handle outlives its entry: once the entry has popped or been
+     cancelled, its id is reused by the next push, and the old handle
+     must neither read as live nor cancel the entry that reuses it. *)
+  let w = Wheel.create () in
+  let a = Wheel.push w ~time:1. "a" in
+  Alcotest.(check string) "a pops" "a" (Wheel.pop_min w);
+  let b = Wheel.push w ~time:2. "b" in
+  Alcotest.(check bool) "popped handle dead" false (Wheel.live w a);
+  Alcotest.(check bool) "reusing entry live" true (Wheel.live w b);
+  Wheel.cancel w a;
+  Alcotest.(check int) "stale cancel leaves b queued" 1 (Wheel.length w);
+  Wheel.cancel w b;
+  let c = Wheel.push w ~time:3. "c" in
+  Alcotest.(check bool) "cancelled handle dead" false (Wheel.live w b);
+  Wheel.cancel w b;
+  Wheel.cancel w a;
+  Alcotest.(check bool) "c still live" true (Wheel.live w c);
+  Alcotest.(check (option (pair (float 0.) string)))
+    "c pops" (Some (3., "c")) (Wheel.pop w)
 
 (* --- Properties --- *)
 
@@ -434,7 +500,8 @@ let prop_wheel_cancel_model =
         Wheel.length w
         = List.length (List.filter (fun (_, _, alive) -> !alive) !model)
         && List.for_all
-             (fun (_, s, alive) -> Bool.equal (Wheel.live !handles.(s)) !alive)
+             (fun (_, s, alive) ->
+               Bool.equal (Wheel.live w !handles.(s)) !alive)
              !model
       in
       let ok = ref true in
@@ -507,6 +574,8 @@ let () =
             test_events_past_rejected;
           Alcotest.test_case "advance_to" `Quick test_events_advance_to;
           Alcotest.test_case "cancel token" `Quick test_events_cancel_token;
+          Alcotest.test_case "step allocation" `Quick
+            test_events_step_allocation;
         ] );
       ( "wheel",
         [
@@ -515,6 +584,10 @@ let () =
           Alcotest.test_case "bad times rejected" `Quick
             test_wheel_rejects_bad_times;
           Alcotest.test_case "grow and shrink" `Quick test_wheel_grow_shrink;
+          Alcotest.test_case "push and pop allocation" `Quick
+            test_wheel_push_pop_allocation;
+          Alcotest.test_case "stale handles stay dead" `Quick
+            test_wheel_stale_handles;
         ]
         @ q
             [ prop_wheel_cancel_model ] );

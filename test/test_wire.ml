@@ -338,12 +338,13 @@ let test_switchd_setup_and_idempotency () =
   (match expect_reply t conn ~now:0. setup with
   | Codec.Ack { req = 1; applied } -> check_exact "applied" 4e5 applied
   | r -> Alcotest.failf "expected Ack, got %a" pp_msg r);
-  check_exact "demand accounted" 4e5 (Switchd.links t).(0).Link.demand;
+  check_exact "demand accounted" 4e5 (Switchd.links t).(0).Link.acct.demand;
   (* a retransmitted duplicate re-answers from cache without re-applying *)
   (match expect_reply t conn ~now:1. setup with
   | Codec.Ack { req = 1; applied } -> check_exact "cached ack" 4e5 applied
   | r -> Alcotest.failf "expected cached Ack, got %a" pp_msg r);
-  check_exact "demand NOT double-applied" 4e5 (Switchd.links t).(0).Link.demand;
+  check_exact "demand NOT double-applied" 4e5
+    (Switchd.links t).(0).Link.acct.demand;
   Alcotest.(check int) "duplicate counted" 1 (Switchd.stats t).Switchd.duplicates;
   Alcotest.(check int) "one setup applied" 1 (Switchd.sessions t);
   (* same call, fresh req: a real duplicate call, denied *)
@@ -398,14 +399,14 @@ let test_switchd_rm_cells_and_audit () =
   (* deltas apply with settle semantics, below zero clamps *)
   Alcotest.(check bool) "delta is fire-and-forget" true
     (Switchd.handle t conn ~now:0.1 (Codec.Delta { vci = 3; delta = -6e5 }) = None);
-  check_exact "clamped at zero" 0. (Switchd.links t).(0).Link.demand;
+  check_exact "clamped at zero" 0. (Switchd.links t).(0).Link.acct.demand;
   Alcotest.(check int) "underflow counted" 1 (Switchd.stats t).Switchd.underflows;
   ignore (Switchd.handle t conn ~now:0.2 (Codec.Resync { vci = 3; rate = 2e5 }));
-  check_exact "resync repairs" 2e5 (Switchd.links t).(0).Link.demand;
+  check_exact "resync repairs" 2e5 (Switchd.links t).(0).Link.acct.demand;
   (* stray cells for unknown VCIs are counted, not applied *)
   ignore (Switchd.handle t conn ~now:0.3 (Codec.Delta { vci = 99; delta = 1e5 }));
   Alcotest.(check int) "stray counted" 1 (Switchd.stats t).Switchd.stray_cells;
-  check_exact "stray not applied" 2e5 (Switchd.links t).(0).Link.demand;
+  check_exact "stray not applied" 2e5 (Switchd.links t).(0).Link.acct.demand;
   (match expect_reply t conn ~now:0.4 (Codec.Audit_request { req = 2 }) with
   | Codec.Audit_reply { sessions = 1; violations = 0; demand; _ } ->
       check_exact "audited demand" 2e5 demand

@@ -117,14 +117,14 @@ let table_a ctx =
   pf "measured: mean %.0f kb/s; 3-frame burst %.0f kb@." (ctx.mean /. 1e3)
     (Trace.window_max_bits ctx.trace 3 /. 1e3);
   let rho300 =
-    Sigma_rho.min_rate ~trace:ctx.trace ~buffer:ctx.buffer ~target_loss:1e-6 ()
+    Sigma_rho.min_rate ~trace:ctx.trace ~buffer:ctx.buffer ~target_loss:1e-6
   in
   pf "@.paper: static CBR with 300 kb buffer and 1e-6 loss needs 4.06x mean@.";
   pf "measured: rho(300 kb) = %.0f kb/s = %.2fx mean@." (rho300 /. 1e3)
     (rho300 /. ctx.mean);
   let b105 =
     Sigma_rho.min_buffer ~trace:ctx.trace ~rate:(1.05 *. ctx.mean)
-      ~target_loss:1e-6 ()
+      ~target_loss:1e-6
   in
   pf "@.paper: serving at 1.05x mean without renegotiation needs ~100 Mb of buffer@.";
   pf "measured: %.1f Mb   (vs RCBR's 300 kb -- a %.0fx reduction)@."
@@ -209,7 +209,7 @@ let fig5 ctx =
   let buffers = [| 3e4; 1e5; 3e5; 1e6; 3e6; 1e7; 3e7; 1e8; 2e8 |] in
   Array.iter
     (fun (b, r) -> pf "%14.0f %14.1f %10.3f@." b (r /. 1e3) (r /. ctx.mean))
-    (Sigma_rho.curve ~trace:ctx.trace ~buffers ~target_loss:1e-6 ())
+    (Sigma_rho.curve ~trace:ctx.trace ~buffers ~target_loss:1e-6)
 
 (* --- Fig. 6: statistical multiplexing gain ------------------------- *)
 
@@ -539,7 +539,7 @@ let analysis _ctx =
      predicted rate must meet the overflow target. *)
   let flat = Multiscale.flatten ms in
   let rng = Rng.create 3 in
-  let data = Modulated.simulate flat rng ~steps:500_000 () in
+  let data = Modulated.simulate flat rng ~steps:500_000 in
   let t = Trace.create ~fps:1. data in
   let loss r = Fluid.loss_fraction (Fluid.run_constant ~capacity:b ~rate:r t) in
   pf "@.simulated loss at the predicted rate: %.2e (target %.0e)@." (loss total)
@@ -580,7 +580,7 @@ let micro ctx =
   List.iter
     (fun m ->
       let needed =
-        Sigma_rho.min_rate ~trace ~buffer:300_000. ~target_loss:0. ()
+        Sigma_rho.min_rate ~trace ~buffer:300_000. ~target_loss:0.
       in
       let grid =
         Rate_grid.covering
@@ -1444,7 +1444,7 @@ let svc_compare ctx =
   let cfg = SC.default () in
   let cfg = if ctx.smoke then { cfg with SC.calls = 256 } else cfg in
   pf "%dx%d mesh (%.0f b/s links), %d calls x %d pieces, one seeded workload@."
-    cfg.SC.rows cfg.SC.cols cfg.SC.capacity cfg.SC.calls cfg.SC.pieces_per_call;
+    SC.rows SC.cols cfg.SC.capacity cfg.SC.calls SC.pieces_per_call;
   let m = SC.run ?pool:ctx.pool cfg in
   pf "@.%-12s %8s %8s %6s %6s %8s %8s %7s %7s@." "model" "admitted" "blocked"
     "dngr" "upgr" "block_p" "dngr_p" "util" "jain";

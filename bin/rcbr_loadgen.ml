@@ -24,8 +24,6 @@ module Frame = Rcbr_wire.Frame
 module Mangle = Rcbr_wire.Mangle
 module Loadgen = Rcbr_wire.Loadgen
 
-type topo_spec = Single | Linear of int | Mesh of string
-
 type conn = {
   fd : Unix.file_descr;
   reader : Frame.Reader.t;
@@ -116,15 +114,11 @@ let run socket_path topo_spec capacity calls rounds rate_max rm_fraction seed
     conns_n timeout max_retx drop duplicate reorder delay corrupt
     max_extra_slots =
   let topology =
-    match topo_spec with
-    | Single -> Topology.single_link ~capacity
-    | Linear hops -> Topology.linear ~hops ~capacity
-    | Mesh file -> (
-        match Topology.load file with
-        | Ok t -> t
-        | Error msg ->
-            Format.eprintf "rcbr_loadgen: %s@." msg;
-            exit 2)
+    match Topology.of_spec ~capacity topo_spec with
+    | Ok t -> t
+    | Error msg ->
+        Format.eprintf "rcbr_loadgen: %s@." msg;
+        exit 2
   in
   let ops =
     Loadgen.storm ~topology ~calls ~rounds ~rate_max ~rm_fraction ~seed
@@ -259,31 +253,10 @@ let socket_arg =
     & opt (some string) None
     & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket of rcbr_switchd.")
 
-let topo_conv =
-  let parse s =
-    match String.split_on_char ':' s with
-    | [ "single" ] -> Ok Single
-    | [ "linear"; h ] -> (
-        match int_of_string_opt h with
-        | Some hops when hops >= 1 -> Ok (Linear hops)
-        | _ -> Error (`Msg (Printf.sprintf "bad hop count in %S" s)))
-    | "mesh" :: (_ :: _ as rest) -> Ok (Mesh (String.concat ":" rest))
-    | _ ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "topology %S is not single, linear:HOPS or mesh:FILE" s))
-  in
-  let print ppf = function
-    | Single -> Format.pp_print_string ppf "single"
-    | Linear h -> Format.fprintf ppf "linear:%d" h
-    | Mesh f -> Format.fprintf ppf "mesh:%s" f
-  in
-  Arg.conv (parse, print)
-
 let topology_arg =
   Arg.(
-    value & opt topo_conv Single
+    value
+    & opt (conv' (Topology.spec_of_string, Topology.pp_spec)) Topology.Single
     & info [ "topology" ] ~docv:"TOPO"
         ~doc:"Must match the daemon's topology so route link ids line up.")
 

@@ -16,8 +16,6 @@ module Descriptor = Rcbr_admission.Descriptor
 module Service_model = Rcbr_policy.Service_model
 module Mts = Rcbr_policy.Mts
 
-type topo_spec = Single | Linear of int | Mesh of string
-
 (* The service spec is resolved against the computed schedule: the
    default downgrade ladder picks tiers among the schedule's own
    segment rates, and the default MTS profile is the one the schedule
@@ -106,19 +104,15 @@ let run seed frames cost_ratio capacity_mult load target controller_name
   let capacity = capacity_mult *. mean in
   let service = service_of_spec service_spec schedule in
   match topo_spec with
-  | Linear hops ->
-      run_net_experiment ~schedule ~seed ~transit_calls ~local_calls ~rm_drop
-        ~rm_timeout ~rm_max_retx ~service
-        (Topology.linear ~hops ~capacity)
-  | Mesh file -> (
-      match Topology.load file with
+  | Topology.Linear _ | Topology.Mesh _ -> (
+      match Topology.of_spec ~capacity topo_spec with
       | Ok topology ->
           run_net_experiment ~schedule ~seed ~transit_calls ~local_calls
             ~rm_drop ~rm_timeout ~rm_max_retx ~service topology
       | Error msg ->
           Format.eprintf "rcbr_mbac: %s@." msg;
           exit 2)
-  | Single ->
+  | Topology.Single ->
   let arrival_rate =
     load *. capacity /. (Schedule.mean_rate schedule *. Schedule.duration schedule)
   in
@@ -237,31 +231,10 @@ let rm_max_retx_arg =
     & info [ "rm-max-retx" ] ~docv:"N"
         ~doc:"Retransmissions before a change is applied anyway.")
 
-let topo_conv =
-  let parse s =
-    match String.split_on_char ':' s with
-    | [ "single" ] -> Ok Single
-    | [ "linear"; h ] -> (
-        match int_of_string_opt h with
-        | Some hops when hops >= 1 -> Ok (Linear hops)
-        | _ -> Error (`Msg (Printf.sprintf "bad hop count in %S" s)))
-    | "mesh" :: (_ :: _ as rest) -> Ok (Mesh (String.concat ":" rest))
-    | _ ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "topology %S is not single, linear:HOPS or mesh:FILE" s))
-  in
-  let print ppf = function
-    | Single -> Format.pp_print_string ppf "single"
-    | Linear h -> Format.fprintf ppf "linear:%d" h
-    | Mesh f -> Format.fprintf ppf "mesh:%s" f
-  in
-  Arg.conv (parse, print)
-
 let topology_arg =
   Arg.(
-    value & opt topo_conv Single
+    value
+    & opt (conv' (Topology.spec_of_string, Topology.pp_spec)) Topology.Single
     & info [ "topology" ] ~docv:"TOPO"
         ~doc:
           "Network shape: $(b,single) (one bottleneck link, the classic \

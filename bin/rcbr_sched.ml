@@ -13,47 +13,6 @@ module Beam = Rcbr_core.Beam
 module Online = Rcbr_core.Online
 module Fluid = Rcbr_queue.Fluid
 
-(* Beam prior selection, shared by the [optimal] and [receding]
-   consumers of the beam solver: learn from the trace itself, from the
-   Star Wars Markov traffic model (Section V-A), or keep it uniform. *)
-type beam_prior_kind = Prior_trace | Prior_chain | Prior_uniform
-
-let beam_prior_conv =
-  let parse = function
-    | "trace" -> Ok Prior_trace
-    | "chain" -> Ok Prior_chain
-    | "uniform" -> Ok Prior_uniform
-    | s -> Error (`Msg (Printf.sprintf "unknown prior %S (trace|chain|uniform)" s))
-  in
-  let print ppf k =
-    Format.pp_print_string ppf
-      (match k with
-      | Prior_trace -> "trace"
-      | Prior_chain -> "chain"
-      | Prior_uniform -> "uniform")
-  in
-  Arg.conv (parse, print)
-
-let make_prior ~grid ~trace kind =
-  match kind with
-  | Prior_uniform -> Beam.Uniform
-  | Prior_trace -> Beam.of_trace ~grid trace
-  | Prior_chain ->
-      (* The calibrated multiple time-scale model of the synthetic
-         source, flattened to a single chain; per-state rates are
-         data/slot, scaled by fps to b/s. *)
-      let ms =
-        Rcbr_traffic.Synthetic.to_multiscale
-          Rcbr_traffic.Synthetic.star_wars_params
-      in
-      let flat = Rcbr_markov.Multiscale.flatten ms in
-      let rates =
-        Array.map
-          (fun r -> r *. Trace.fps trace)
-          (Rcbr_markov.Modulated.rates flat)
-      in
-      Beam.of_chain ~grid ~rates (Rcbr_markov.Modulated.chain flat)
-
 let trace_file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE")
 
@@ -99,7 +58,9 @@ let optimal file cost_ratio buffer levels delay_slots beam beam_prior segments =
           stats.Optimal.pruned_by_lemma stats.Optimal.pruned_by_cap;
         sched
     | Some beam_width ->
-        let prior = make_prior ~grid:params.Optimal.grid ~trace beam_prior in
+        let prior =
+          Beam.prior_of_spec ~grid:params.Optimal.grid trace beam_prior
+        in
         let sched, st =
           Beam.solve_with_stats ~beam_width ~prior params trace
         in
@@ -143,7 +104,9 @@ let beam_arg =
 let beam_prior_arg =
   Arg.(
     value
-    & opt beam_prior_conv Prior_trace
+    & opt
+        (conv' (Beam.prior_spec_of_string, Beam.pp_prior_spec))
+        Beam.Prior_trace
     & info [ "beam-prior" ] ~docv:"PRIOR"
         ~doc:
           "Beam ranking prior: trace (level-transition histograms of the \

@@ -15,41 +15,6 @@ module Schedule = Rcbr_core.Schedule
 module Smg = Rcbr_sim.Smg
 module Chernoff = Rcbr_effbw.Chernoff
 
-type beam_prior_kind = Prior_trace | Prior_chain | Prior_uniform
-
-let beam_prior_conv =
-  let parse = function
-    | "trace" -> Ok Prior_trace
-    | "chain" -> Ok Prior_chain
-    | "uniform" -> Ok Prior_uniform
-    | s ->
-        Error (`Msg (Printf.sprintf "unknown prior %S (trace|chain|uniform)" s))
-  in
-  let print ppf k =
-    Format.pp_print_string ppf
-      (match k with
-      | Prior_trace -> "trace"
-      | Prior_chain -> "chain"
-      | Prior_uniform -> "uniform")
-  in
-  Arg.conv (parse, print)
-
-let make_prior ~grid ~trace = function
-  | Prior_uniform -> Beam.Uniform
-  | Prior_trace -> Beam.of_trace ~grid trace
-  | Prior_chain ->
-      let ms =
-        Rcbr_traffic.Synthetic.to_multiscale
-          Rcbr_traffic.Synthetic.star_wars_params
-      in
-      let flat = Rcbr_markov.Multiscale.flatten ms in
-      let rates =
-        Array.map
-          (fun r -> r *. Trace.fps trace)
-          (Rcbr_markov.Modulated.rates flat)
-      in
-      Beam.of_chain ~grid ~rates (Rcbr_markov.Modulated.chain flat)
-
 let run seed frames cost_ratio buffer target replications streams jobs chernoff
     beam beam_prior =
   (* Ctrl-C mid-sweep: flush whatever rows are already printed so the
@@ -67,7 +32,9 @@ let run seed frames cost_ratio buffer target replications streams jobs chernoff
     match beam with
     | None -> Optimal.solve params trace
     | Some beam_width ->
-        let prior = make_prior ~grid:params.Optimal.grid ~trace beam_prior in
+        let prior =
+          Beam.prior_of_spec ~grid:params.Optimal.grid trace beam_prior
+        in
         let s, st = Beam.solve_with_stats ~beam_width ~prior params trace in
         Format.printf
           "beam width %d: %d nodes expanded, dropped %d, prior hits %d@."
@@ -175,7 +142,9 @@ let beam_arg =
 let beam_prior_arg =
   Arg.(
     value
-    & opt beam_prior_conv Prior_trace
+    & opt
+        (conv' (Beam.prior_spec_of_string, Beam.pp_prior_spec))
+        Beam.Prior_trace
     & info [ "beam-prior" ] ~docv:"PRIOR"
         ~doc:
           "Beam ranking prior: trace (level-transition histograms of the \

@@ -19,21 +19,15 @@ module Codec = Rcbr_wire.Codec
 module Switchd = Rcbr_wire.Switchd
 module Interrupt = Rcbr_util.Interrupt
 
-type topo_spec = Single | Linear of int | Mesh of string
-
 type client = { fd : Unix.file_descr; conn : Switchd.conn; out : Buffer.t }
 
 let run socket_path topo_spec capacity controller_name target grace =
   let topology =
-    match topo_spec with
-    | Single -> Topology.single_link ~capacity
-    | Linear hops -> Topology.linear ~hops ~capacity
-    | Mesh file -> (
-        match Topology.load file with
-        | Ok t -> t
-        | Error msg ->
-            Format.eprintf "rcbr_switchd: %s@." msg;
-            exit 2)
+    match Topology.of_spec ~capacity topo_spec with
+    | Ok t -> t
+    | Error msg ->
+        Format.eprintf "rcbr_switchd: %s@." msg;
+        exit 2
   in
   let controller =
     match controller_name with
@@ -176,31 +170,10 @@ let socket_arg =
     & info [ "socket" ] ~docv:"PATH"
         ~doc:"Unix-domain socket path to listen on.")
 
-let topo_conv =
-  let parse s =
-    match String.split_on_char ':' s with
-    | [ "single" ] -> Ok Single
-    | [ "linear"; h ] -> (
-        match int_of_string_opt h with
-        | Some hops when hops >= 1 -> Ok (Linear hops)
-        | _ -> Error (`Msg (Printf.sprintf "bad hop count in %S" s)))
-    | "mesh" :: (_ :: _ as rest) -> Ok (Mesh (String.concat ":" rest))
-    | _ ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "topology %S is not single, linear:HOPS or mesh:FILE" s))
-  in
-  let print ppf = function
-    | Single -> Format.pp_print_string ppf "single"
-    | Linear h -> Format.fprintf ppf "linear:%d" h
-    | Mesh f -> Format.fprintf ppf "mesh:%s" f
-  in
-  Arg.conv (parse, print)
-
 let topology_arg =
   Arg.(
-    value & opt topo_conv Single
+    value
+    & opt (conv' (Topology.spec_of_string, Topology.pp_spec)) Topology.Single
     & info [ "topology" ] ~docv:"TOPO"
         ~doc:
           "Network shape: $(b,single), $(b,linear:HOPS) or $(b,mesh:FILE) — \

@@ -68,7 +68,7 @@ let sigma_rho file target =
   Format.printf "buffer_bits  min_rate_bps  rate/mean@.";
   Array.iter
     (fun (b, r) -> Format.printf "%11.0f  %12.0f  %9.3f@." b r (r /. mean))
-    (Sigma_rho.curve ~trace:t ~buffers ~target_loss:target ())
+    (Sigma_rho.curve ~trace:t ~buffers ~target_loss:target)
 
 let sigma_rho_cmd =
   Cmd.v
@@ -93,41 +93,6 @@ module Online = Rcbr_core.Online
 module Predictor = Rcbr_core.Predictor
 module Schedule = Rcbr_core.Schedule
 
-type beam_prior_kind = Prior_trace | Prior_chain | Prior_uniform
-
-let beam_prior_conv =
-  let parse = function
-    | "trace" -> Ok Prior_trace
-    | "chain" -> Ok Prior_chain
-    | "uniform" -> Ok Prior_uniform
-    | s ->
-        Error (`Msg (Printf.sprintf "unknown prior %S (trace|chain|uniform)" s))
-  in
-  let print ppf k =
-    Format.pp_print_string ppf
-      (match k with
-      | Prior_trace -> "trace"
-      | Prior_chain -> "chain"
-      | Prior_uniform -> "uniform")
-  in
-  Arg.conv (parse, print)
-
-let make_prior ~grid ~trace = function
-  | Prior_uniform -> Beam.Uniform
-  | Prior_trace -> Beam.of_trace ~grid trace
-  | Prior_chain ->
-      (* The calibrated multiple time-scale model behind the generator,
-         flattened to one chain; per-state rates are data/slot, scaled
-         by fps to b/s. *)
-      let ms = Synthetic.to_multiscale Synthetic.star_wars_params in
-      let flat = Rcbr_markov.Multiscale.flatten ms in
-      let rates =
-        Array.map
-          (fun r -> r *. Trace.fps trace)
-          (Rcbr_markov.Modulated.rates flat)
-      in
-      Beam.of_chain ~grid ~rates (Rcbr_markov.Modulated.chain flat)
-
 let receding file seed frames beam_width beam_prior horizon levels cost_ratio
     buffer plan_bound delay_slots every_slot =
   let trace =
@@ -139,7 +104,7 @@ let receding file seed frames beam_width beam_prior horizon levels cost_ratio
     let p = Optimal.default_params ~levels ~buffer ~cost_ratio trace in
     { p with Optimal.constraint_ = Optimal.Buffer_bound plan_bound }
   in
-  let prior = make_prior ~grid:opt.Optimal.grid ~trace beam_prior in
+  let prior = Beam.prior_of_spec ~grid:opt.Optimal.grid trace beam_prior in
   let p = Online.default_params in
   let predictor ~initial = Predictor.ar1 ~eta:p.Online.ar_coefficient ~initial in
   let cost s =
@@ -186,7 +151,9 @@ let receding_cmd =
   let beam_prior_arg =
     Arg.(
       value
-      & opt beam_prior_conv Prior_trace
+      & opt
+          (conv' (Beam.prior_spec_of_string, Beam.pp_prior_spec))
+          Beam.Prior_trace
       & info [ "beam-prior" ] ~docv:"PRIOR"
           ~doc:
             "Beam ranking prior: trace (level-transition histograms of the \

@@ -59,7 +59,7 @@ let () =
      same sources through the same buffer would need the zero-loss CBR
      rate each. *)
   let static t =
-    Rcbr_queue.Sigma_rho.min_rate ~trace:t ~buffer:300_000. ~target_loss:0. ()
+    Rcbr_queue.Sigma_rho.min_rate ~trace:t ~buffer:300_000. ~target_loss:0.
   in
   Format.printf
     "@.static CBR for the same service: %.0f + %.0f = %.0f kb/s -- more than@.\

@@ -38,7 +38,7 @@ let () =
   (* 4. Contrast with a static CBR reservation: to lose nothing with
      the same buffer, a one-shot reservation must run near the peak. *)
   let static_rate =
-    Rcbr_queue.Sigma_rho.min_rate ~trace ~buffer ~target_loss:0. ()
+    Rcbr_queue.Sigma_rho.min_rate ~trace ~buffer ~target_loss:0.
   in
   Format.printf "@.--- static CBR comparison ---@.";
   Format.printf "static CBR needs %.0f kb/s = %.1fx the mean;@."

@@ -1,4 +1,4 @@
-type t = { mutable increment : float; cdvt : float; mutable tat : float }
+type t = { increment : float; cdvt : float; mutable tat : float }
 
 let create ~rate ?cdvt () =
   assert (rate > 0.);
@@ -7,17 +7,9 @@ let create ~rate ?cdvt () =
   assert (cdvt >= 0.);
   { increment; cdvt; tat = 0. }
 
-(* lint: allow R001 — test-only; delete with "gcra update rate" *)
-let increment t = t.increment
-
 let conforming t at =
   if at < t.tat -. t.cdvt then false
   else begin
     t.tat <- Float.max at t.tat +. t.increment;
     true
   end
-
-(* lint: allow R001 — test-only; delete with "gcra update rate" *)
-let update_rate t rate =
-  assert (rate > 0.);
-  t.increment <- 1. /. Cell.cell_rate ~rate

@@ -14,14 +14,7 @@ val create : rate:float -> ?cdvt:float -> unit -> t
     one nominal inter-cell time.  Requires [rate > 0] and
     [cdvt >= 0]. *)
 
-val increment : t -> float
-(** The nominal inter-cell time T, seconds. *)
-
 val conforming : t -> float -> bool
 (** [conforming t at] tests (and accounts) a cell arriving at time
     [at].  Nonconforming cells do not advance the theoretical arrival
     time.  Arrival times must be nondecreasing. *)
-
-val update_rate : t -> float -> unit
-(** Renegotiation support: change the policed rate in place (the
-    theoretical arrival time is kept).  Requires a positive rate. *)

@@ -10,11 +10,6 @@ type prior =
       trans : Histogram.t array;
     }
 
-(* Smoothing floor for unseen transitions: a path through an unobserved
-   transition pays log(1e-9) ~ -20.7 nats, steep but finite, so the beam
-   can still follow the traffic off the prior's support. *)
-let log_floor = 1e-9
-
 let level_of grid tau trace t =
   Rate_grid.index_up grid (Trace.frame trace t /. tau)
 
@@ -52,6 +47,39 @@ let of_chain ~grid ~rates chain =
   done;
   Table { levels = m; init; trans }
 
+type prior_spec = Prior_trace | Prior_chain | Prior_uniform
+
+let prior_spec_of_string = function
+  | "trace" -> Ok Prior_trace
+  | "chain" -> Ok Prior_chain
+  | "uniform" -> Ok Prior_uniform
+  | s -> Error (Printf.sprintf "unknown prior %S (trace|chain|uniform)" s)
+
+let pp_prior_spec ppf k =
+  Format.pp_print_string ppf
+    (match k with
+    | Prior_trace -> "trace"
+    | Prior_chain -> "chain"
+    | Prior_uniform -> "uniform")
+
+let prior_of_spec ~grid trace = function
+  | Prior_uniform -> Uniform
+  | Prior_trace -> of_trace ~grid trace
+  | Prior_chain ->
+      (* The calibrated multiple time-scale model behind the synthetic
+         generator, flattened to one chain; per-state rates are
+         data/slot, scaled by the trace's fps to b/s. *)
+      let module Synthetic = Rcbr_traffic.Synthetic in
+      let module Modulated = Rcbr_markov.Modulated in
+      let flat =
+        Rcbr_markov.Multiscale.flatten
+          (Synthetic.to_multiscale Synthetic.star_wars_params)
+      in
+      let rates =
+        Array.map (fun r -> r *. Trace.fps trace) (Modulated.rates flat)
+      in
+      of_chain ~grid ~rates (Modulated.chain flat)
+
 let compile ~grid ~beam_width ~prior_weight prior =
   if beam_width < 1 then invalid_arg "Beam.compile: beam_width < 1";
   let m = Rate_grid.levels grid in
@@ -73,12 +101,10 @@ let compile ~grid ~beam_width ~prior_weight prior =
         invalid_arg "Beam.compile: prior trained on a different grid size";
       {
         Optimal.width = beam_width;
-        log_init =
-          Array.init m (fun l -> Histogram.log_mass ~floor:log_floor init l);
+        log_init = Array.init m (fun l -> Histogram.log_mass init l);
         log_trans =
           Array.init m (fun a ->
-              Array.init m (fun b ->
-                  Histogram.log_mass ~floor:log_floor trans.(a) b));
+              Array.init m (fun b -> Histogram.log_mass trans.(a) b));
         observed =
           Array.init m (fun a ->
               Array.init m (fun b -> Histogram.weight trans.(a) b > 0.));
@@ -102,18 +128,10 @@ type stats = {
   prior_hits : int;
 }
 
-let solve_with_stats ?lemma_pruning ?buffer_quantum ?frontier_cap ?prior_weight
-    ?start_level ~beam_width ~prior params trace =
-  let prior_weight =
-    match prior_weight with
-    | Some w -> w
-    | None -> default_prior_weight params trace
-  in
+let solve_with_stats ~beam_width ~prior params trace =
+  let prior_weight = default_prior_weight params trace in
   let beam = compile ~grid:params.Optimal.grid ~beam_width ~prior_weight prior in
-  let schedule, base, c =
-    Optimal.solve_raw ?lemma_pruning ?buffer_quantum ?frontier_cap ~beam
-      ?start_level params trace
-  in
+  let schedule, base, c = Optimal.solve_raw ~beam params trace in
   ( schedule,
     {
       base;

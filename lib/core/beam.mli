@@ -46,6 +46,29 @@ val of_chain :
     [pi(s) * P(s, s')].  Raises [Invalid_argument] if [rates] and the
     chain disagree on the state count. *)
 
+(** {2 The [--beam-prior] flag}
+
+    One grammar for every CLI that picks a prior:
+    [trace | chain | uniform]. *)
+
+type prior_spec =
+  | Prior_trace  (** {!of_trace} on the trace being solved *)
+  | Prior_chain
+      (** {!of_chain} on the Star Wars Markov model (Section V-A) that
+          {!Rcbr_traffic.Synthetic} calibrates, flattened to one chain *)
+  | Prior_uniform  (** {!Uniform} *)
+
+val prior_spec_of_string : string -> (prior_spec, string) result
+(** Parse a [--beam-prior] value; the [Error] is the message a CLI
+    shows for an unknown name. *)
+
+val pp_prior_spec : Format.formatter -> prior_spec -> unit
+(** Inverse of {!prior_spec_of_string}. *)
+
+val prior_of_spec :
+  grid:Rate_grid.t -> Rcbr_traffic.Trace.t -> prior_spec -> prior
+(** The prior a spec names, for solving [trace] on [grid]. *)
+
 val compile :
   grid:Rate_grid.t ->
   beam_width:int ->
@@ -74,18 +97,13 @@ type stats = {
 }
 
 val solve_with_stats :
-  ?lemma_pruning:bool ->
-  ?buffer_quantum:float ->
-  ?frontier_cap:int ->
-  ?prior_weight:float ->
-  ?start_level:int ->
   beam_width:int ->
   prior:prior ->
   Optimal.params ->
   Rcbr_traffic.Trace.t ->
   Schedule.t * stats
-(** Beam-searched {!Optimal.solve_with_stats}.  [prior_weight] defaults
-    to {!default_prior_weight}; [start_level] marks the rate already in
-    force (every other initial level pays one renegotiation) for
-    receding-horizon use.  May raise {!Optimal.Infeasible} — exactly
-    when the exact solver would. *)
+(** Beam-searched {!Optimal.solve_with_stats}, ranked at
+    {!default_prior_weight}.  May raise {!Optimal.Infeasible} — exactly
+    when the exact solver would.  (The receding-horizon controller
+    compiles its prior once and calls {!Optimal.solve_raw} with a
+    [start_level] instead.) *)

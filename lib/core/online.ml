@@ -150,8 +150,8 @@ type receding_stats = {
 }
 
 let run_receding ?(delay_slots = 0) ?buffer ?(resolve_every_slot = false)
-    ?(beam_width = 16) ?(prior = Beam.Uniform) ?prior_weight p ~opt ~horizon
-    ~predictor trace =
+    ?(beam_width = 16) ?(prior = Beam.Uniform) p ~opt ~horizon ~predictor
+    trace =
   assert (p.b_low >= 0. && p.b_high > p.b_low);
   assert (horizon >= 1);
   assert (delay_slots >= 0);
@@ -160,11 +160,7 @@ let run_receding ?(delay_slots = 0) ?buffer ?(resolve_every_slot = false)
   let tau = Trace.slot_duration trace in
   let fps = Trace.fps trace in
   let grid = opt.Optimal.grid in
-  let prior_weight =
-    match prior_weight with
-    | Some w -> w
-    | None -> Beam.default_prior_weight opt trace
-  in
+  let prior_weight = Beam.default_prior_weight opt trace in
   (* The caller's bound is the planning headroom (e.g. half the physical
      buffer): windows are solved against it so forecast error has room
      to land, and it is raised to the live backlog when the buffer is

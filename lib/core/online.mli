@@ -147,7 +147,6 @@ val run_receding :
   ?resolve_every_slot:bool ->
   ?beam_width:int ->
   ?prior:Beam.prior ->
-  ?prior_weight:float ->
   params ->
   opt:Optimal.params ->
   horizon:int ->
@@ -160,8 +159,8 @@ val run_receding :
     [resolve_every_slot] (default false) or the backlog sits outside
     [b_low, b_high] — build a [horizon]-slot workload of forecast-rate
     arrivals with the live backlog folded into the first slot, solve it
-    through {!Optimal.solve_raw} at [beam_width] (default 16) starting
-    from the rate in force ([start_level], so staying is free and
+    through {!Optimal.solve_raw} at [beam_width] (default 16) and
+    {!Beam.default_prior_weight}, starting from the rate in force ([start_level], so staying is free and
     switching pays one renegotiation), and take the solution's first
     rate as the candidate request.  The request is issued under formula
     (8)'s direction rule (above [b_high] and the candidate is higher, or

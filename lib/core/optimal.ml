@@ -85,7 +85,7 @@ let fr_ensure f n =
    state.  Raw float equality here (the seed's behaviour) let paths
    differing only by rounding noise survive deduplication and bloat the
    frontier; the epsilon mirrors the NIU's grid-level comparison. *)
-let same_buffer a b = Numeric.approx_equal ~eps:1e-9 a b
+let same_buffer a b = Numeric.approx_equal a b
 
 (* Append (b, w, l, c) under the Pareto discipline: callers feed nodes
    in buffer-ascending order and only when [w] beats the running weight
@@ -123,9 +123,8 @@ let bound_function constraint_ trace =
       let prefix = Trace.prefix_sums trace in
       fun t -> prefix.(t + 1) -. prefix.(max 0 (t - d + 1))
 
-let solve_raw ?(lemma_pruning = true) ?buffer_quantum ?frontier_cap ?beam
-    ?start_level params trace =
-  (match buffer_quantum with Some q -> assert (q > 0.) | None -> ());
+let solve_raw ?(lemma_pruning = true) ?frontier_cap ?beam ?start_level params
+    trace =
   (match frontier_cap with Some c -> assert (c >= 2) | None -> ());
   let grid = params.grid in
   let m = Rate_grid.levels grid in
@@ -225,14 +224,6 @@ let solve_raw ?(lemma_pruning = true) ?buffer_quantum ?frontier_cap ?beam
     for i = 0 to src.len - 1 do
       let b = Float.max 0. (src.buf.(i) +. a -. d) in
       if b <= b_max then begin
-        (* Optional approximation: snap the occupancy up to a grid
-           point.  Rounding up keeps every kept path feasible while
-           collapsing near-identical nodes, bounding the frontier. *)
-        let b =
-          match buffer_quantum with
-          | None -> b
-          | Some q -> Float.min b_max (q *. Float.ceil (b /. q))
-        in
         incr expanded;
         let changes =
           if src.lvl.(i) = target_lvl && Float.equal extra 0. then src.chg.(i)
@@ -452,10 +443,8 @@ let solve_raw ?(lemma_pruning = true) ?buffer_quantum ?frontier_cap ?beam
       prior_hits = !prior_hits;
     } )
 
-let solve_with_stats ?lemma_pruning ?buffer_quantum ?frontier_cap params trace =
-  let schedule, stats, _ =
-    solve_raw ?lemma_pruning ?buffer_quantum ?frontier_cap params trace
-  in
+let solve_with_stats ?lemma_pruning ?frontier_cap params trace =
+  let schedule, stats, _ = solve_raw ?lemma_pruning ?frontier_cap params trace in
   (schedule, stats)
 
 let solve params trace = fst (solve_with_stats params trace)
@@ -481,7 +470,7 @@ let needed_rate ~trace ~buffer =
   | Some (_, _, r) -> r
   | None ->
       let r =
-        Rcbr_queue.Sigma_rho.min_rate ~trace ~buffer ~target_loss:0. ()
+        Rcbr_queue.Sigma_rho.min_rate ~trace ~buffer ~target_loss:0.
       in
       Mutex.lock needed_rate_mutex;
       let keep = List.filteri (fun i _ -> i < 15) !needed_rate_cache in

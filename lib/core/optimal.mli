@@ -51,23 +51,18 @@ val solve : params -> Rcbr_traffic.Trace.t -> Schedule.t
 
 val solve_with_stats :
   ?lemma_pruning:bool ->
-  ?buffer_quantum:float ->
   ?frontier_cap:int ->
   params ->
   Rcbr_traffic.Trace.t ->
   Schedule.t * stats
 (** [lemma_pruning] (default true) toggles the cross-level Lemma 1 rule;
     with it off only plain per-level Pareto pruning applies — same
-    optimum, larger frontiers.  [buffer_quantum] (default: exact) snaps
-    buffer occupancies {e up} to multiples of the given quantum, trading
-    a bounded amount of optimality (never feasibility) for a bounded
-    frontier — note the rounding error compounds across slots.
-    [frontier_cap] (default: unbounded) instead subsamples each level's
-    Pareto frontier down to the given size: retained paths keep exact
-    buffers and costs, so feasibility is never compromised and the error
-    does not compound; this is the recommended knob when small cost
-    ratios make the exact frontier explode (the paper reports the same
-    blowup).  All three knobs are exercised by the ablation
+    optimum, larger frontiers.  [frontier_cap] (default: unbounded)
+    subsamples each level's Pareto frontier down to the given size:
+    retained paths keep exact buffers and costs, so feasibility is never
+    compromised and the error does not compound; this is the knob for
+    small cost ratios that make the exact frontier explode (the paper
+    reports the same blowup).  Both knobs are exercised by the ablation
     benchmarks. *)
 
 (** {2 Beam-search internals}
@@ -98,7 +93,6 @@ type beam_counters = {
 
 val solve_raw :
   ?lemma_pruning:bool ->
-  ?buffer_quantum:float ->
   ?frontier_cap:int ->
   ?beam:beam_opts ->
   ?start_level:int ->

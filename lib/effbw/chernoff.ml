@@ -40,12 +40,15 @@ let overflow_estimate m ~n ~capacity_per_call =
   let i = rate_function m capacity_per_call in
   if Float.equal i infinity then 0. else exp (-.float_of_int n *. i)
 
-let capacity_for_target ?(tol = 1e-6) m ~n ~target =
+(* Relative tolerance of the capacity searches. *)
+let capacity_tol = 1e-6
+
+let capacity_for_target m ~n ~target =
   assert (target > 0. && target < 1.);
   let lo = mean m and hi = max_level m in
   if overflow_estimate m ~n ~capacity_per_call:lo <= target then lo
   else
-    Numeric.find_min_such_that ~tol
+    Numeric.find_min_such_that ~tol:capacity_tol
       ~pred:(fun c -> overflow_estimate m ~n ~capacity_per_call:c <= target)
       lo hi
 
@@ -329,12 +332,12 @@ module Solver = struct
     let i = rate_function t capacity_per_call in
     if Float.equal i infinity then 0. else exp (-.float_of_int n *. i)
 
-  let capacity_for_target ?(tol = 1e-6) t ~n ~target =
+  let capacity_for_target t ~n ~target =
     assert (target > 0. && target < 1.);
     let lo = t.mean and hi = t.top in
     if overflow_estimate t ~n ~capacity_per_call:lo <= target then lo
     else
-      Numeric.find_min_such_that ~tol
+      Numeric.find_min_such_that ~tol:capacity_tol
         ~pred:(fun c -> overflow_estimate t ~n ~capacity_per_call:c <= target)
         lo hi
 

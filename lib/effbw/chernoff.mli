@@ -32,10 +32,9 @@ val overflow_estimate : marginal -> n:int -> capacity_per_call:float -> float
 (** [exp (-n * rate_function m c)], the Chernoff estimate of
     [P(sum of n iid demands > n*c)].  Requires [n > 0]. *)
 
-val capacity_for_target :
-  ?tol:float -> marginal -> n:int -> target:float -> float
+val capacity_for_target : marginal -> n:int -> target:float -> float
 (** Smallest per-call capacity [c] whose {!overflow_estimate} is
-    [<= target].  Requires [0 < target < 1].  Returns [max_level] if even
+    [<= target], within a relative tolerance of 1e-6.  Requires [0 < target < 1].  Returns [max_level] if even
     that cannot meet the target (it always can, conservatively). *)
 
 val max_calls : marginal -> capacity:float -> target:float -> int
@@ -119,7 +118,7 @@ module Solver : sig
 
   val rate_function : t -> float -> float
   val overflow_estimate : t -> n:int -> capacity_per_call:float -> float
-  val capacity_for_target : ?tol:float -> t -> n:int -> target:float -> float
+  val capacity_for_target : t -> n:int -> target:float -> float
 
   val admits : t -> capacity:float -> target:float -> calls:int -> bool
   (** Section VI's admission test for one more call: whether the

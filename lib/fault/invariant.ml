@@ -7,12 +7,12 @@ type port_view = {
 
 type violation = { port : int; what : string }
 
-let check ?(eps = 1e-6) ?(check_capacity = true) views =
+let check ?(check_capacity = true) views =
   let out = ref [] in
   let flag port what = out := { port; what } :: !out in
   Array.iter
     (fun v ->
-      let tol = eps *. Float.max 1. v.capacity in
+      let tol = 1e-6 *. Float.max 1. v.capacity in
       if v.reserved < -.tol then
         flag v.index (Printf.sprintf "negative reservation %g" v.reserved);
       if check_capacity && v.reserved > v.capacity +. tol then

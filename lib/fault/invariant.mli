@@ -20,9 +20,9 @@ type port_view = {
 
 type violation = { port : int; what : string }
 
-val check : ?eps:float -> ?check_capacity:bool -> port_view array -> violation list
-(** All violations found, in port order.  [eps] (default [1e-6],
-    scaled by the port capacity) absorbs float rounding.
+val check : ?check_capacity:bool -> port_view array -> violation list
+(** All violations found, in port order.  A tolerance of [1e-6], scaled
+    by the port capacity, absorbs float rounding.
     [check_capacity] (default true) may be disabled for bookkeeping
     that intentionally tracks demand beyond capacity (settle
     semantics). *)

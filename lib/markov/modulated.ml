@@ -20,26 +20,10 @@ let mean_rate t =
 (* lint: allow R001 — probe: effective-bandwidth tests check against it *)
 let peak_rate t = Array.fold_left Float.max 0. t.rates
 
-let stationary_init t rng = Rng.choose rng (Chain.stationary t.chain)
-
-let simulate_states t rng ?init ~steps () =
-  let init = match init with Some s -> s | None -> stationary_init t rng in
+let simulate_states t rng ~steps =
+  let init = Rng.choose rng (Chain.stationary t.chain) in
   Chain.simulate t.chain rng ~init ~steps
 
-let simulate t rng ?init ~steps () =
-  let states = simulate_states t rng ?init ~steps () in
+let simulate t rng ~steps =
+  let states = simulate_states t rng ~steps in
   Array.map (fun s -> t.rates.(s)) states
-
-(* lint: allow R001 — test-only; delete with "modulated on/off" *)
-let on_off ~peak ~p_on_to_off ~p_off_to_on =
-  assert (peak >= 0.);
-  assert (p_on_to_off >= 0. && p_on_to_off <= 1.);
-  assert (p_off_to_on >= 0. && p_off_to_on <= 1.);
-  let chain =
-    Chain.create
-      [|
-        [| 1. -. p_off_to_on; p_off_to_on |];
-        [| p_on_to_off; 1. -. p_on_to_off |];
-      |]
-  in
-  create chain ~rates:[| 0.; peak |]

@@ -20,14 +20,8 @@ val mean_rate : t -> float
 val peak_rate : t -> float
 (** Maximum per-state rate. *)
 
-val simulate :
-  t -> Rcbr_util.Rng.t -> ?init:int -> steps:int -> unit -> float array
-(** Per-slot data volumes along a simulated state path.  [init] defaults
-    to a state drawn from the stationary distribution. *)
+val simulate : t -> Rcbr_util.Rng.t -> steps:int -> float array
+(** Per-slot data volumes along a simulated state path that starts in a
+    state drawn from the stationary distribution. *)
 
-val simulate_states :
-  t -> Rcbr_util.Rng.t -> ?init:int -> steps:int -> unit -> int array
-
-val on_off :
-  peak:float -> p_on_to_off:float -> p_off_to_on:float -> t
-(** Classical two-state on/off source: rate [peak] when on, 0 when off. *)
+val simulate_states : t -> Rcbr_util.Rng.t -> steps:int -> int array

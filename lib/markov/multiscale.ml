@@ -1,5 +1,3 @@
-module Rng = Rcbr_util.Rng
-
 type subchain = { chain : Chain.t; rates : float array }
 
 type t = {
@@ -67,12 +65,6 @@ let peak_rate t =
     (fun acc sc -> Float.max acc (Array.fold_left Float.max 0. sc.rates))
     0. t.subchains
 
-(* lint: allow R001 — test-only; delete with "multiscale marginal" *)
-let marginal t =
-  let occ = subchain_occupancy t in
-  let means = subchain_mean_rates t in
-  Array.init (n_subchains t) (fun k -> (occ.(k), means.(k)))
-
 let offsets t =
   let k = n_subchains t in
   let off = Array.make k 0 in
@@ -112,30 +104,6 @@ let flatten t =
       Array.iteri (fun s r -> rates.(off.(k) + s) <- r) sc.rates)
     t.subchains;
   Modulated.create chain ~rates
-
-(* lint: allow R001 — test-only; delete with "multiscale simulate" and
-   "multiscale sustained peaks" *)
-let simulate t rng ~steps =
-  assert (steps > 0);
-  let data = Array.make steps 0. in
-  let which = Array.make steps 0 in
-  let k = ref (Rng.choose rng (subchain_occupancy t)) in
-  let s = ref (Rng.choose rng t.stationaries.(!k)) in
-  for i = 0 to steps - 1 do
-    data.(i) <- t.subchains.(!k).rates.(!s);
-    which.(i) <- !k;
-    (* Jump decision, then the appropriate transition. *)
-    let u = Rng.float rng in
-    let leave = leave_probability t !k in
-    if u < leave then begin
-      (* Pick the target subchain proportionally to eps. *)
-      let j = Rng.choose rng t.eps.(!k) in
-      k := j;
-      s := Rng.choose rng t.stationaries.(j)
-    end
-    else s := Chain.step t.subchains.(!k).chain rng !s
-  done;
-  (data, which)
 
 let two_state_subchain ~low ~high ~p_up ~p_down =
   let chain =

@@ -44,20 +44,9 @@ val mean_rate : t -> float
 
 val peak_rate : t -> float
 
-val marginal : t -> (float * float) array
-(** [(p_k, m_k)] pairs: time fraction and mean rate per subchain — the
-    slow-time-scale marginal used in the Chernoff estimates (10)–(12). *)
-
 val flatten : t -> Modulated.t
 (** Exact single-chain representation over the union of states.  State
     [(k, s)] maps to index [offset_k + s]. *)
-
-val simulate :
-  t -> Rcbr_util.Rng.t -> steps:int -> float array * int array
-(** [(data, subchain_index)] per slot, simulated directly on the
-    two-level representation (no flattening).  Starts in a subchain drawn
-    from {!subchain_occupancy} and a state drawn from that subchain's
-    stationary law. *)
 
 val fig4_example : unit -> t
 (** The running example of the paper's Fig. 4: three subchains (quiet,

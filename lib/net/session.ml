@@ -76,12 +76,11 @@ type lifetime =
 type driver = {
   store : Store.t;
   plane : plane;
-  reliable_setup : bool;
   lifetime : lifetime;
   before : now:float -> unit;
   on_attempt : now:float -> unit;
   retry : now:float -> bool;
-  deliver : Store.handle -> now:float -> idx:int -> rate:float -> unit;
+  deliver : Store.handle -> now:float -> rate:float -> unit;
 }
 
 (* Cancelling an armed retransmission counts it as superseded exactly
@@ -117,18 +116,18 @@ let dropped p store h =
    route; a drop loses it and arms a retransmission, which a newer
    change (or the departure) cancels out of the queue.  The timer's
    closure is built only then: a delivered cell allocates none. *)
-let rec attempt d h ~idx ~rate ~gen ~bound retx engine =
+let rec attempt d h ~rate ~gen ~bound retx engine =
   let now = Events.now engine in
   d.on_attempt ~now;
   let p = d.plane in
-  if (idx > 0 || not d.reliable_setup) && dropped p d.store h then begin
+  if dropped p d.store h then begin
     p.counters.rm_lost <- p.counters.rm_lost + 1;
     if retx >= p.faults.max_retransmits then begin
       (* Give up signalling and settle on the desired demand anyway:
          the overload shows up in the demand accounting, as for a
          denied increase. *)
       p.counters.abandoned <- p.counters.abandoned + 1;
-      d.deliver h ~now ~idx ~rate
+      d.deliver h ~now ~rate
     end
     else begin
       let at = now +. p.faults.retx_timeout in
@@ -142,23 +141,23 @@ let rec attempt d h ~idx ~rate ~gen ~bound retx engine =
               let now = Events.now engine in
               if d.retry ~now then begin
                 p.counters.retransmits <- p.counters.retransmits + 1;
-                attempt d h ~idx ~rate ~gen ~bound (retx + 1) engine
+                attempt d h ~rate ~gen ~bound (retx + 1) engine
               end
             end)
       in
       arm p h { tok; at; bound }
     end
   end
-  else d.deliver h ~now ~idx ~rate
+  else d.deliver h ~now ~rate
 
-let signal d h ~idx ~rate engine =
+let signal d h ~rate engine =
   cancel_pending d h;
   let bound =
     match d.lifetime with
     | Hold_until horizon -> horizon
     | Depart_after_pieces _ -> infinity
   in
-  attempt d h ~idx ~rate ~gen:(Store.gen d.store h) ~bound 0 engine
+  attempt d h ~rate ~gen:(Store.gen d.store h) ~bound 0 engine
 
 (* The call's piece event: one closure per call, rescheduled after each
    piece, with the next piece's index in [Store.cursor]. *)
@@ -172,7 +171,7 @@ let play d h pieces =
           d.before ~now;
           let idx = if idx >= Array.length pieces then 0 else idx in
           let duration, rate = pieces.(idx) in
-          signal d h ~idx ~rate engine;
+          signal d h ~rate engine;
           Store.set_cursor d.store h (idx + 1);
           Events.schedule_after engine ~delay:duration piece
         end
@@ -184,10 +183,13 @@ let play d h pieces =
         end
         else begin
           let duration, rate = pieces.(idx) in
-          signal d h ~idx ~rate engine;
+          signal d h ~rate engine;
           Store.set_cursor d.store h (idx + 1);
           Events.schedule_after engine ~delay:duration piece
         end
   in
-  Store.set_cursor d.store h 0;
+  (* A departing call's piece 0 is its setup, which the caller settled
+     when it admitted the call. *)
+  Store.set_cursor d.store h
+    (match d.lifetime with Hold_until _ -> 0 | Depart_after_pieces _ -> 1);
   piece

@@ -105,9 +105,6 @@ type driver = {
       (** the signalling plane; one built from {!no_faults} (or any
           [rm_drop = 0.]) never draws and never drops, so it is the
           reliable plane *)
-  reliable_setup : bool;
-      (** piece 0 is signalled without loss (MBAC: admission already
-          happened at the arrival event) *)
   lifetime : lifetime;
   before : now:float -> unit;
       (** accounting hook at the top of every piece event *)
@@ -116,7 +113,7 @@ type driver = {
   retry : now:float -> bool;
       (** guard run when a retransmission timer fires (after the [gen]
           check); returning false drops the retransmission silently *)
-  deliver : Store.handle -> now:float -> idx:int -> rate:float -> unit;
+  deliver : Store.handle -> now:float -> rate:float -> unit;
       (** the change cell arrived (or the machine gave up): apply the
           rate — demand update, denial counting, controller callbacks *)
 }
@@ -131,16 +128,17 @@ val cancel_pending : driver -> Store.handle -> unit
 val play :
   driver -> Store.handle -> (float * float) array -> Rcbr_queue.Events.t ->
   unit
-(** [play d h pieces] sets the call's cursor to piece 0 and returns its
-    piece event, the [Events] callback that fires the piece under the
-    cursor (signal its rate, advance the cursor, schedule itself again
-    after the piece's duration), or departs / stops at the horizon per
-    [d.lifetime].  Apply it to the engine to fire piece 0 now, or
-    schedule it to start the call later. *)
+(** [play d h pieces] sets the call's cursor and returns its piece
+    event, the [Events] callback that fires the piece under the cursor
+    (signal its rate, advance the cursor, schedule itself again after
+    the piece's duration), or departs / stops at the horizon per
+    [d.lifetime].  A [Hold_until] call starts at piece 0: schedule the
+    event at the call's start.  A [Depart_after_pieces] call starts at
+    piece 1, because piece 0 is the setup the caller already settled at
+    admission: schedule the event when piece 0 ends. *)
 
 val signal :
-  driver -> Store.handle -> idx:int -> rate:float -> Rcbr_queue.Events.t ->
-  unit
+  driver -> Store.handle -> rate:float -> Rcbr_queue.Events.t -> unit
 (** One rate change: bump [gen] and run transmission attempts until
     the cell is delivered, abandoned (then delivered with settle
     semantics) or superseded.  Exposed for drivers that signal outside

@@ -185,3 +185,27 @@ let pp ppf t =
     (Array.length t.links) (Array.length t.routes)
     Fmt.(array ~sep:(any "/") int)
     (route_lengths t)
+
+type spec = Single | Linear of int | Mesh of string
+
+let spec_of_string s =
+  match String.split_on_char ':' s with
+  | [ "single" ] -> Ok Single
+  | [ "linear"; h ] -> (
+      match int_of_string_opt h with
+      | Some hops when hops >= 1 -> Ok (Linear hops)
+      | _ -> Error (Printf.sprintf "bad hop count in %S" s))
+  | "mesh" :: (_ :: _ as rest) -> Ok (Mesh (String.concat ":" rest))
+  | _ ->
+      Error
+        (Printf.sprintf "topology %S is not single, linear:HOPS or mesh:FILE" s)
+
+let pp_spec ppf = function
+  | Single -> Format.pp_print_string ppf "single"
+  | Linear h -> Format.fprintf ppf "linear:%d" h
+  | Mesh f -> Format.fprintf ppf "mesh:%s" f
+
+let of_spec ~capacity = function
+  | Single -> Ok (single_link ~capacity)
+  | Linear hops -> Ok (linear ~hops ~capacity)
+  | Mesh file -> load file

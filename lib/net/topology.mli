@@ -72,3 +72,24 @@ val load : string -> (t, string) result
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary: nodes, links, routes with their lengths. *)
+
+(** {1 The [--topology] flag}
+
+    One grammar for every CLI that takes a network shape:
+    [single | linear:HOPS | mesh:FILE]. *)
+
+type spec =
+  | Single  (** {!single_link} *)
+  | Linear of int  (** {!linear} with this many hops, at least 1 *)
+  | Mesh of string  (** a JSON file for {!load} *)
+
+val spec_of_string : string -> (spec, string) result
+(** Parse a [--topology] value; the [Error] is the message a CLI shows
+    for a malformed one. *)
+
+val pp_spec : Format.formatter -> spec -> unit
+(** Inverse of {!spec_of_string}. *)
+
+val of_spec : capacity:float -> spec -> (t, string) result
+(** The shape a spec names, every built-in link at [capacity] b/s;
+    [Mesh] loads its file ({!load}, whose errors it returns). *)

@@ -9,13 +9,16 @@ let loss_at ~trace ~buffer ~rate =
   if Float.equal r.Fluid.bits_offered 0. then 0.
   else (r.Fluid.bits_lost +. r.Fluid.final_backlog) /. r.Fluid.bits_offered
 
-let min_rate ?(tol = 1e-4) ~trace ~buffer ~target_loss () =
+(* Relative tolerance of both searches. *)
+let tol = 1e-4
+
+let min_rate ~trace ~buffer ~target_loss =
   assert (buffer >= 0. && target_loss >= 0.);
   let hi = Trace.peak_rate trace in
   let pred r = loss_at ~trace ~buffer ~rate:r <= target_loss in
   Numeric.find_min_such_that ~tol ~pred 0. hi
 
-let min_buffer ?(tol = 1e-4) ~trace ~rate ~target_loss () =
+let min_buffer ~trace ~rate ~target_loss =
   assert (rate >= 0. && target_loss >= 0.);
   (* The max backlog of an infinite buffer bounds the needed size. *)
   let unlimited = Fluid.run_constant ~capacity:infinity ~rate trace in
@@ -25,7 +28,5 @@ let min_buffer ?(tol = 1e-4) ~trace ~rate ~target_loss () =
     let pred b = loss_at ~trace ~buffer:b ~rate <= target_loss in
     Numeric.find_min_such_that ~tol ~pred 0. hi
 
-let curve ?tol ~trace ~buffers ~target_loss () =
-  Array.map
-    (fun buffer -> (buffer, min_rate ?tol ~trace ~buffer ~target_loss ()))
-    buffers
+let curve ~trace ~buffers ~target_loss =
+  Array.map (fun buffer -> (buffer, min_rate ~trace ~buffer ~target_loss)) buffers

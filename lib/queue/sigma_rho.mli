@@ -13,32 +13,21 @@
     source's mean. *)
 
 val min_rate :
-  ?tol:float ->
-  trace:Rcbr_traffic.Trace.t ->
-  buffer:float ->
-  target_loss:float ->
-  unit ->
-  float
-(** Smallest rate (b/s) with [loss_fraction <= target_loss].  [tol] is
-    the relative rate tolerance of the search (default 1e-4).  The search
-    bracket is [0, peak frame rate]. *)
+  trace:Rcbr_traffic.Trace.t -> buffer:float -> target_loss:float -> float
+(** Smallest rate (b/s) with [loss_fraction <= target_loss], within a
+    relative tolerance of 1e-4.  The search bracket is [0, peak frame
+    rate]. *)
 
 val min_buffer :
-  ?tol:float ->
-  trace:Rcbr_traffic.Trace.t ->
-  rate:float ->
-  target_loss:float ->
-  unit ->
-  float
+  trace:Rcbr_traffic.Trace.t -> rate:float -> target_loss:float -> float
 (** Dual: smallest buffer (bits) achieving the target loss at a fixed
     drain rate.  With [target_loss = 0.] this equals the maximum backlog
-    of the infinite buffer (cf {!Rcbr_traffic.Token_bucket.min_depth_for_trace}). *)
+    of the infinite buffer (cf {!Rcbr_traffic.Token_bucket.min_depth_for_trace}).
+    Same relative tolerance as {!min_rate}. *)
 
 val curve :
-  ?tol:float ->
   trace:Rcbr_traffic.Trace.t ->
   buffers:float array ->
   target_loss:float ->
-  unit ->
   (float * float) array
 (** [(buffer, min_rate)] pairs for each requested buffer size. *)

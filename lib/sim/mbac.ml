@@ -15,10 +15,8 @@ type config = {
   arrival_rate : float;
   target : float;
   seed : int;
-  warmup_windows : int;
   min_windows : int;
   max_windows : int;
-  relative_precision : float;
   faults : Session.faults;
   service : Service_model.t;
 }
@@ -30,13 +28,17 @@ let default_config ~schedule ~capacity ~arrival_rate ~target ~seed =
     arrival_rate;
     target;
     seed;
-    warmup_windows = 1;
     min_windows = 10;
     max_windows = 200;
-    relative_precision = 0.2;
     faults = Session.no_faults;
     service = Service_model.Renegotiate;
   }
+
+(* The first window is warm-up, never sampled; sampling stops once both
+   estimates' 95% confidence intervals are within this fraction of the
+   estimate (the paper's stopping rule, Section V-B). *)
+let warmup_windows = 1
+let relative_precision = 0.2
 
 let offered_load c =
   c.arrival_rate *. Schedule.duration c.schedule
@@ -103,8 +105,8 @@ let shifted_pieces schedule ~shift =
 
 let run_with_pieces (c : config) ~make_pieces ~controller =
   assert (c.capacity > 0. && c.arrival_rate > 0.);
-  assert (c.warmup_windows >= 0 && c.min_windows >= 1);
-  assert (c.max_windows >= c.warmup_windows + c.min_windows);
+  assert (c.min_windows >= 1);
+  assert (c.max_windows >= warmup_windows + c.min_windows);
   Session.validate c.faults;
   Service_model.validate c.service;
   let rng = Rng.create c.seed in
@@ -136,14 +138,11 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
      [applied] is the rate the link currently accounts for it; with a
      reliable signalling plane it always equals the previous piece's
      granted rate, but a dropped rate-change cell leaves it behind
-     until the retransmission (or the give-up) lands.  Piece 0 is the
-     call's setup, which the arrival already placed and settled. *)
-  let deliver h ~now ~idx ~rate =
-    if idx > 0 then begin
-      let d = Call_step.change c.service ~links store h ~now ~demanded:rate k in
-      Controller.on_renegotiate controller ~now ~call:(Store.id store h)
-        ~rate:(Service_model.granted_rate d ~demanded:rate)
-    end;
+     until the retransmission (or the give-up) lands. *)
+  let deliver h ~now ~rate =
+    let d = Call_step.change c.service ~links store h ~now ~demanded:rate k in
+    Controller.on_renegotiate controller ~now ~call:(Store.id store h)
+      ~rate:(Service_model.granted_rate d ~demanded:rate);
     if audit_enabled then begin
       incr applies;
       if !applies mod 64 = 0 then record_audit ()
@@ -164,9 +163,6 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
     {
       Session.store;
       plane;
-      (* Call setup (piece 0) is signalled reliably: admission already
-         happened at the arrival event. *)
-      reliable_setup = true;
       lifetime = Session.Depart_after_pieces depart;
       before = (fun ~now -> Link.advance link ~now);
       on_attempt = (fun ~now -> Link.advance link ~now);
@@ -192,7 +188,10 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
          (match c.service with
          | Service_model.Mts_profile p -> Store.attach_mts store h p ~now
          | _ -> ());
-         Session.play driver h pieces engine
+         (* Piece 0 is the setup the arrival step just settled, so the
+            walk starts at piece 1, once piece 0 has played. *)
+         Events.schedule_after engine ~delay:(fst pieces.(0))
+           (Session.play driver h pieces)
        end
      end
      else k.blocked <- k.blocked + 1);
@@ -205,7 +204,7 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
     let now = Events.now engine in
     Link.advance link ~now;
     incr windows_done;
-    if !windows_done > c.warmup_windows then begin
+    if !windows_done > warmup_windows then begin
       let failure =
         if link.Link.acct.offered_bits > 0. then
           link.Link.acct.lost_bits /. link.Link.acct.offered_bits
@@ -220,9 +219,8 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
     let samples = Stats.Online.count failure_stats in
     let enough_precision =
       samples >= c.min_windows
-      && Stats.Online.relative_precision failure_stats
-         <= c.relative_precision
-      && Stats.Online.relative_precision util_stats <= c.relative_precision
+      && Stats.Online.relative_precision failure_stats <= relative_precision
+      && Stats.Online.relative_precision util_stats <= relative_precision
     in
     let confidently_below_target =
       samples >= c.min_windows

@@ -23,9 +23,9 @@
     yields one sample of the renegotiation-failure probability (the
     fraction of demanded bits lost) and of the link utilization
     (granted bits / capacity); sampling stops when the 95% confidence
-    interval of both is within [relative_precision] of the estimate, or
-    when the failure estimate is confidently below [target], or at
-    [max_windows]. *)
+    interval of both is within 20% of the estimate, or when the failure
+    estimate is confidently below [target], or at [max_windows].  The
+    first window is warm-up and yields no sample. *)
 
 type config = {
   schedule : Rcbr_core.Schedule.t;  (** reference call schedule *)
@@ -33,10 +33,8 @@ type config = {
   arrival_rate : float;  (** Poisson call arrivals per second *)
   target : float;  (** QoS target given to the controller *)
   seed : int;
-  warmup_windows : int;
-  min_windows : int;
-  max_windows : int;
-  relative_precision : float;
+  min_windows : int;  (** samples before the stopping rule may fire *)
+  max_windows : int;  (** windows run at most, warm-up included *)
   faults : Rcbr_net.Session.faults;
       (** the signalling plane.  {!Rcbr_net.Session.no_faults} (the
           default) is reliable signalling, the historical behaviour: a
@@ -46,8 +44,8 @@ type config = {
           change for the same call, or its departure, cancels the
           pending retransmission, and a departing call releases the rate
           the link actually believes — bandwidth stays conserved under
-          any loss pattern.  Call setup cells are not subjected to loss
-          (admission already happened). *)
+          any loss pattern.  Call setup is not signalled: the arrival
+          settles it (admission already happened). *)
   service : Rcbr_policy.Service_model.t;
       (** what happens when a demanded rate does not fit (DESIGN.md
           §15).  [Renegotiate] (the default) is the seed's settle
@@ -66,8 +64,8 @@ val default_config :
   target:float ->
   seed:int ->
   config
-(** warmup 1, min 10, max 200 windows, precision 0.2, reliable
-    signalling, [Renegotiate] service. *)
+(** min 10, max 200 windows, reliable signalling, [Renegotiate]
+    service. *)
 
 val offered_load : config -> float
 (** Normalized offered load: [arrival_rate * duration * mean_rate

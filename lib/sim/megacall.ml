@@ -33,6 +33,14 @@ module Store = Rcbr_net.Store
 module Controller = Rcbr_admission.Controller
 module Service_model = Rcbr_policy.Service_model
 
+(* Controller capacity as a multiple of [calls * mean level]: generous,
+   so the ramp actually reaches its target population. *)
+let admit_margin = 1.1
+
+let target = 1e-6 (* admission overflow target *)
+let tick = 1. (* arrival-batch period, s *)
+let ramp_ticks = 8 (* ticks over which the ramp quota is spread *)
+
 type config = {
   shards : int;  (** independent sub-meshes, one Pool task each *)
   rows : int;
@@ -42,13 +50,8 @@ type config = {
   link_load_factor : float;
       (** per-link capacity as a multiple of the expected per-link load
           at the ramp target *)
-  admit_margin : float;
-      (** controller capacity as a multiple of [calls * mean level] *)
-  target : float;  (** admission overflow target *)
   mean_hold : float;  (** mean seconds between a call's rate changes *)
   pieces_per_call : int;  (** rate changes before departure *)
-  tick : float;  (** arrival-batch period, s *)
-  ramp_ticks : int;  (** ticks over which the ramp quota is spread *)
   horizon : float;  (** churn seconds simulated after the ramp *)
   seed : int;
   service : Service_model.t;  (** DESIGN.md §15 *)
@@ -64,12 +67,8 @@ let default ~concurrent () =
     calls_per_shard;
     levels = [| 64_000.; 256_000.; 1_024_000. |];
     link_load_factor = 1.05;
-    admit_margin = 1.1;
-    target = 1e-6;
     mean_hold = 50.;
     pieces_per_call = 4;
-    tick = 1.;
-    ramp_ticks = 8;
     horizon = 8.;
     seed = 42;
     service = Service_model.Renegotiate;
@@ -137,8 +136,8 @@ let run_shard cfg rng =
   let ctrl =
     Controller.memory
       ~capacity:
-        (cfg.admit_margin *. float_of_int cfg.calls_per_shard *. mean_rate)
-      ~target:cfg.target
+        (admit_margin *. float_of_int cfg.calls_per_shard *. mean_rate)
+      ~target
   in
   let wheel : Store.handle Wheel.t = Wheel.create () in
   let k = Call_step.counts () in
@@ -248,15 +247,15 @@ let run_shard cfg rng =
       else continue_ := false
     done
   in
-  let quota = (cfg.calls_per_shard + cfg.ramp_ticks - 1) / cfg.ramp_ticks in
+  let quota = (cfg.calls_per_shard + ramp_ticks - 1) / ramp_ticks in
   let n_ticks =
-    cfg.ramp_ticks + int_of_float (Float.ceil (cfg.horizon /. cfg.tick))
+    ramp_ticks + int_of_float (Float.ceil (cfg.horizon /. tick))
   in
   for k = 1 to n_ticks do
-    let now = float_of_int k *. cfg.tick in
+    let now = float_of_int k *. tick in
     fire_until now;
     let ramp =
-      if k <= cfg.ramp_ticks then
+      if k <= ramp_ticks then
         min quota (cfg.calls_per_shard - (quota * (k - 1)))
       else 0
     in
@@ -314,7 +313,7 @@ let run_shard cfg rng =
 
 let run ?pool cfg =
   assert (cfg.shards > 0 && cfg.calls_per_shard > 0);
-  assert (cfg.pieces_per_call >= 1 && cfg.ramp_ticks >= 1);
+  assert (cfg.pieces_per_call >= 1);
   assert (Array.length cfg.levels > 0);
   Service_model.validate cfg.service;
   (* Pre-split one RNG per shard *before* submission, so the streams —

@@ -21,13 +21,8 @@ type config = {
   link_load_factor : float;
       (** per-link capacity as a multiple of the expected per-link load
           at the ramp target *)
-  admit_margin : float;
-      (** controller capacity as a multiple of [calls * mean level] *)
-  target : float;  (** admission overflow target *)
   mean_hold : float;  (** mean seconds between a call's rate changes *)
   pieces_per_call : int;  (** rate changes before departure *)
-  tick : float;  (** arrival-batch period, s *)
-  ramp_ticks : int;  (** ticks over which the ramp quota is spread *)
   horizon : float;  (** churn seconds simulated after the ramp *)
   seed : int;
   service : Rcbr_policy.Service_model.t;
@@ -45,8 +40,11 @@ type config = {
 
 val default : concurrent:int -> unit -> config
 (** Sensible knobs for a target total concurrent population: 8 shards
-    of 8x8 meshes, three rate levels, generous admission margin so the
-    ramp actually reaches [concurrent] calls. *)
+    of 8x8 meshes, three rate levels.  Fixed for every run: arrivals
+    come in batches every 1 s, the ramp spread over 8 of them, and each
+    shard's controller admits at overflow target 1e-6 against 1.1x the
+    ramp's mean load — generous, so the ramp actually reaches
+    [concurrent] calls. *)
 
 type shard_metrics = {
   arrivals : int;

@@ -75,7 +75,6 @@ let run_net (nc : net_config) fc =
     {
       Session.store;
       plane;
-      reliable_setup = false;
       lifetime = Session.Hold_until nc.horizon;
       before = (fun ~now -> Call_step.advance util ~now);
       on_attempt = (fun ~now:_ -> ());
@@ -87,7 +86,7 @@ let run_net (nc : net_config) fc =
                true
              end);
       deliver =
-        (fun h ~now ~idx:_ ~rate ->
+        (fun h ~now ~rate ->
           ignore
             (Call_step.change nc.service ~links store h ~now ~demanded:rate
                (counts_of h));

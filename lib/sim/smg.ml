@@ -27,7 +27,7 @@ let validate c =
 let min_capacity_cbr c =
   validate c;
   Sigma_rho.min_rate ~trace:c.trace ~buffer:c.buffer
-    ~target_loss:c.target_loss ()
+    ~target_loss:c.target_loss
 
 (* Random phases for one replication: stream 0 keeps phase 0 so a single
    stream reproduces the unshifted workload. *)

@@ -4,34 +4,32 @@
     (DESIGN.md §15).
 
     A seeded workload — arrival times, route picks and per-call
-    (duration, rate) pieces — is drawn from [config.seed] and replayed
-    verbatim under [Renegotiate], [Downgrade] (ladder between the
-    lowest and highest workload level) and [Mts_profile] (token-bucket
-    ladder between the workload's mean and peak rates).  Each run reports the paper's
+    (duration, rate) pieces — is drawn from a fixed seed and replayed
+    verbatim under [Renegotiate], [Downgrade] (a 4-tier ladder between
+    the lowest and highest workload level) and [Mts_profile] (a 3-scale
+    token-bucket ladder between the workload's mean and peak rates, 4 s
+    quantum).  Calls demand 64 kb/s, 256 kb/s or 1 024 kb/s, and a
+    perfect-knowledge controller admits against 0.9x the workload's
+    mean load at overflow target 1e-6.  Each run reports the paper's
     statistical-multiplexing gain alongside the service-quality prices
     the models pay for it: blocking probability, downgrade probability,
     and Jain's fairness index over per-flow granted/demanded bit
-    ratios.  Everything is deterministic per [config.seed]; the
-    [bench] harness hashes {!model_metrics.decision_hash} and
+    ratios.  Everything is deterministic per [config]; the [bench]
+    harness hashes {!model_metrics.decision_hash} and
     {!model_metrics.outcome_hash} into its drift gate. *)
 
 type config = {
-  rows : int;
-  cols : int;  (** shared {!Rcbr_net.Topology.grid} mesh *)
   capacity : float;  (** per-link capacity, b/s *)
   calls : int;  (** workload size (arrivals generated) *)
-  levels : float array;  (** demanded-rate levels calls draw from, b/s *)
-  mean_hold : float;  (** mean piece duration, s *)
-  pieces_per_call : int;  (** rate changes before departure *)
   arrival_window : float;  (** arrivals land uniformly in [0, window] s *)
-  admit_margin : float;
-      (** controller capacity as a multiple of [calls x mean level] *)
-  target : float;  (** admission overflow target *)
-  tiers : int;  (** downgrade ladder size *)
-  mts_scales : int;  (** MTS token-bucket ladder depth *)
-  mts_quantum : float;  (** MTS base accounting window, s *)
-  seed : int;
 }
+
+val rows : int
+val cols : int
+(** The shared {!Rcbr_net.Topology.grid} mesh: 4x4. *)
+
+val pieces_per_call : int
+(** Rate pieces per call (6, of 5 s mean duration) before departure. *)
 
 val default : unit -> config
 (** A 4x4 mesh under enough load that the models actually diverge:

@@ -4,6 +4,7 @@ let create ~levels =
   assert (levels > 0);
   { w = Array.make levels 0.; levels }
 
+(* lint: allow R001 — probe: the histogram tests check ensure and add by it *)
 let levels t = t.levels
 
 let ensure t ~levels =
@@ -35,49 +36,11 @@ let total t =
   done;
   !acc
 
-(* lint: allow R001 — test-only; delete with "histogram merge/scale" and
-   "histogram add_weighted" *)
-let merge a b =
-  assert (levels a = levels b);
-  { w = Array.init a.levels (fun i -> a.w.(i) +. b.w.(i)); levels = a.levels }
+(* An unseen level costs log 1e-9 ~ -20.7 nats: steep but finite, so a
+   beam can still follow traffic off the prior's support. *)
+let log_floor = 1e-9
 
-(* lint: allow R001 — test-only; delete with "histogram add_weighted" *)
-let add_weighted ~into ?(scale = 1.) src =
-  assert (scale >= 0.);
-  ensure into ~levels:src.levels;
-  for i = 0 to src.levels - 1 do
-    into.w.(i) <- into.w.(i) +. (scale *. src.w.(i))
-  done
-
-(* lint: allow R001 — test-only; delete with "histogram merge/scale" *)
-let scale t k =
-  assert (k >= 0.);
-  { w = Array.init t.levels (fun i -> t.w.(i) *. k); levels = t.levels }
-
-(* lint: allow R001 — test-only; delete with "histogram distribution" *)
-let to_distribution t =
-  let s = total t in
-  assert (s > 0.);
-  Array.init t.levels (fun i -> t.w.(i) /. s)
-
-(* lint: allow R001 — test-only; delete with "histogram normalize" *)
-let normalize t =
-  let s = total t in
-  assert (s > 0.);
-  { w = Array.init t.levels (fun i -> t.w.(i) /. s); levels = t.levels }
-
-let log_mass ?(floor = 1e-9) t level =
-  assert (floor > 0. && floor <= 1.);
+let log_mass t level =
   let s = total t in
   let p = if s > 0. then weight t level /. s else 0. in
-  Float.log (Float.max floor p)
-
-(* lint: allow R001 — test-only; delete with "histogram mean value" *)
-let mean_level_value t ~values =
-  let s = total t in
-  assert (s > 0.);
-  let acc = ref 0. in
-  for i = 0 to t.levels - 1 do
-    acc := !acc +. (t.w.(i) /. s *. values.(i))
-  done;
-  !acc
+  Float.log (Float.max log_floor p)

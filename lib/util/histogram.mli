@@ -31,32 +31,9 @@ val weight : t -> int -> float
 
 val total : t -> float
 
-val merge : t -> t -> t
-(** Pointwise sum; the two histograms must have equal [levels].  Fresh
-    allocation — hot paths use {!add_weighted} instead. *)
-
-val add_weighted : into:t -> ?scale:float -> t -> unit
-(** [add_weighted ~into ~scale src] merges [scale * src] into [into] in
-    place, growing [into] as needed.  [scale] defaults to 1 and must be
-    nonnegative. *)
-
-val scale : t -> float -> t
-(** Pointwise multiplication by a nonnegative factor. *)
-
-val to_distribution : t -> float array
-(** Normalized probabilities (summing to 1).  Requires positive total. *)
-
-val normalize : t -> t
-(** Fresh histogram with the same shape and total mass 1 (each weight
-    divided by {!total}).  Requires positive total. *)
-
-val log_mass : ?floor:float -> t -> int -> float
+val log_mass : t -> int -> float
 (** [log_mass h level] is the log of the level's normalized mass,
-    floored at [log floor] so empty bins (and out-of-range levels) yield
+    floored at [log 1e-9] so empty bins (and out-of-range levels) yield
     a finite penalty instead of [-inf]; an all-zero histogram yields
-    [log floor] everywhere.  [floor] defaults to 1e-9 and must lie in
-    (0, 1].  This is the soft-decision trellis idiom: unseen transitions
-    stay expandable, merely expensive. *)
-
-val mean_level_value : t -> values:float array -> float
-(** Expectation of [values.(level)] under the normalized histogram. *)
+    [log 1e-9] everywhere.  This is the soft-decision trellis idiom:
+    unseen transitions stay expandable, merely expensive. *)

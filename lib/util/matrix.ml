@@ -61,7 +61,8 @@ let solve a b =
   done;
   x
 
-let perron_root ?(tol = 1e-12) ?(max_iter = 10_000) t =
+let perron_root t =
+  let tol = 1e-12 and max_iter = 10_000 in
   let n = rows t in
   assert (cols t = n);
   Array.iter (Array.iter (fun x -> assert (x >= 0.))) t.data;

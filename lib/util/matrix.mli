@@ -23,8 +23,9 @@ val solve : t -> float array -> float array
 (** [solve a b] solves [a x = b] by Gaussian elimination with partial
     pivoting.  Raises [Failure] on a (numerically) singular matrix. *)
 
-val perron_root : ?tol:float -> ?max_iter:int -> t -> float
+val perron_root : t -> float
 (** Dominant eigenvalue of a nonnegative matrix with a strictly positive
     power (power iteration on an added tiny regularizer keeps reducible
-    inputs from stalling).  Requires a square matrix with nonnegative
+    inputs from stalling), to a relative tolerance of 1e-12 or after
+    10 000 iterations.  Requires a square matrix with nonnegative
     entries. *)

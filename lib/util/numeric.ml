@@ -1,4 +1,7 @@
-let find_min_such_that ?(tol = 1e-9) ?(max_iter = 200) ~pred lo hi =
+(* Both searches stop after this many halvings or golden steps. *)
+let max_iter = 200
+
+let find_min_such_that ?(tol = 1e-9) ~pred lo hi =
   if pred lo then lo
   else if not (pred hi) then hi
   else begin
@@ -13,7 +16,8 @@ let find_min_such_that ?(tol = 1e-9) ?(max_iter = 200) ~pred lo hi =
     !hi
   end
 
-let golden_max ?(tol = 1e-9) ?(max_iter = 200) ~f lo hi =
+let golden_max ~f lo hi =
+  let tol = 1e-9 in
   let phi = (sqrt 5. -. 1.) /. 2. in
   let lo = ref lo and hi = ref hi in
   let x1 = ref (!hi -. (phi *. (!hi -. !lo))) in
@@ -48,6 +52,6 @@ let log_sum_exp xs =
     let s = Array.fold_left (fun a x -> a +. exp (x -. m)) 0. xs in
     m +. log s
 
-let approx_equal ?(eps = 1e-9) a b =
+let approx_equal a b =
   let scale = Float.max 1. (Float.max (Float.abs a) (Float.abs b)) in
-  Float.abs (a -. b) <= eps *. scale
+  Float.abs (a -. b) <= 1e-9 *. scale

@@ -6,20 +6,21 @@
     those cases. *)
 
 val find_min_such_that :
-  ?tol:float -> ?max_iter:int -> pred:(float -> bool) -> float -> float -> float
+  ?tol:float -> pred:(float -> bool) -> float -> float -> float
 (** [find_min_such_that ~pred lo hi] assumes [pred] is monotone
     (false ... false true ... true) on [\[lo, hi\]] and returns the
-    smallest argument satisfying it, within tolerance.  Returns [hi] if
-    even [hi] fails the predicate, [lo] if [lo] already satisfies it. *)
+    smallest argument satisfying it, within the relative tolerance [tol]
+    (default 1e-9) or after 200 halvings.  Returns [hi] if even [hi]
+    fails the predicate, [lo] if [lo] already satisfies it. *)
 
-val golden_max :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> float -> float -> float
+val golden_max : f:(float -> float) -> float -> float -> float
 (** [golden_max ~f lo hi] returns the argmax of a unimodal [f] on
-    [\[lo, hi\]] by golden-section search. *)
+    [\[lo, hi\]] by golden-section search, to a relative bracket of
+    1e-9 or after 200 steps. *)
 
 val log_sum_exp : float array -> float
 (** Numerically stable [log (sum_i exp x_i)].  Requires a non-empty
     array; [-infinity] entries are permitted. *)
 
-val approx_equal : ?eps:float -> float -> float -> bool
-(** Relative-or-absolute comparison with default [eps = 1e-9]. *)
+val approx_equal : float -> float -> bool
+(** Relative-or-absolute comparison: [|a - b| <= 1e-9 max (1, |a|, |b|)]. *)

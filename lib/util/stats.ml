@@ -1,42 +1,3 @@
-let mean xs =
-  assert (Array.length xs > 0);
-  Array.fold_left ( +. ) 0. xs /. float_of_int (Array.length xs)
-
-(* lint: allow R001 — test-only; delete with "stats quantile" and "properties
-   quantile within min/max" *)
-let quantile xs q =
-  assert (Array.length xs > 0 && q >= 0. && q <= 1.);
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
-  let n = Array.length sorted in
-  let pos = q *. float_of_int (n - 1) in
-  let lo = int_of_float (Float.floor pos) in
-  let hi = int_of_float (Float.ceil pos) in
-  if lo = hi then sorted.(lo)
-  else
-    let w = pos -. float_of_int lo in
-    ((1. -. w) *. sorted.(lo)) +. (w *. sorted.(hi))
-
-(* lint: allow R001 — test-only; delete with "stats min/max" *)
-let minimum xs = Array.fold_left min xs.(0) xs
-(* lint: allow R001 — test-only; delete with "stats min/max" *)
-let maximum xs = Array.fold_left max xs.(0) xs
-
-(* lint: allow R001 — test-only; delete with "stats autocorrelation" *)
-let autocorrelation xs lag =
-  let n = Array.length xs in
-  assert (lag >= 0 && lag < n);
-  let m = mean xs in
-  let var = Array.fold_left (fun a x -> a +. ((x -. m) *. (x -. m))) 0. xs in
-  if Float.equal var 0. then 0.
-  else begin
-    let cov = ref 0. in
-    for i = 0 to n - 1 - lag do
-      cov := !cov +. ((xs.(i) -. m) *. (xs.(i + lag) -. m))
-    done;
-    !cov /. var
-  end
-
 module Online = struct
   type t = { mutable n : int; mutable mean : float; mutable m2 : float }
 

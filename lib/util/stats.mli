@@ -2,22 +2,7 @@
 
     The simulation experiments in the paper stop sampling when the 95%
     confidence interval of an estimated probability is within 20% of the
-    estimate (Section V-B); {!Online} and {!confidence_interval} provide
-    exactly that machinery. *)
-
-val mean : float array -> float
-(** Arithmetic mean.  Requires a non-empty array. *)
-
-val quantile : float array -> float -> float
-(** [quantile xs q] for [0 <= q <= 1], linear interpolation between order
-    statistics.  Does not mutate its argument. *)
-
-val minimum : float array -> float
-val maximum : float array -> float
-
-val autocorrelation : float array -> int -> float
-(** [autocorrelation xs lag] is the sample autocorrelation at the given
-    lag; 0 when the series is constant.  Requires [0 <= lag < length]. *)
+    estimate (Section V-B); {!Online} provides exactly that machinery. *)
 
 (** Online (streaming) moments via Welford's algorithm. *)
 module Online : sig

@@ -1,13 +1,11 @@
 module Reader = struct
   type t = {
-    max_frame : int;
     buf : Buffer.t;
     mutable pos : int;  (* consumed prefix of [buf] *)
     mutable poisoned : Codec.error option;
   }
 
-  let create ?(max_frame = Codec.max_frame) () =
-    { max_frame; buf = Buffer.create 4096; pos = 0; poisoned = None }
+  let create () = { buf = Buffer.create 4096; pos = 0; poisoned = None }
 
   (* Shift the consumed prefix away once it dominates the buffer, so a
      long-lived connection does not grow without bound. *)
@@ -38,8 +36,8 @@ module Reader = struct
           let length =
             (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3
           in
-          if length > t.max_frame then begin
-            let e = Codec.Oversized { length; max = t.max_frame } in
+          if length > Codec.max_frame then begin
+            let e = Codec.Oversized { length; max = Codec.max_frame } in
             t.poisoned <- Some e;
             `Fatal e
           end

@@ -12,8 +12,7 @@
 module Reader : sig
   type t
 
-  val create : ?max_frame:int -> unit -> t
-  (** [max_frame] defaults to {!Codec.max_frame}. *)
+  val create : unit -> t
 
   val feed : t -> bytes -> off:int -> len:int -> unit
   (** Append [len] bytes of [b] starting at [off].  Raises

@@ -6,11 +6,9 @@ module Controller = Rcbr_admission.Controller
 type config = {
   topology : Topology.t;
   controller : Controller.t option;
-  max_frame : int;
 }
 
-let default_config topology =
-  { topology; controller = None; max_frame = Codec.max_frame }
+let default_config topology = { topology; controller = None }
 
 type stats = {
   mutable setups : int;
@@ -77,11 +75,7 @@ type conn = {
   seen : (int, Codec.t) Hashtbl.t;  (* request id -> cached reply *)
 }
 
-let connect t =
-  {
-    reader = Frame.Reader.create ~max_frame:t.config.max_frame ();
-    seen = Hashtbl.create 32;
-  }
+let connect (_ : t) = { reader = Frame.Reader.create (); seen = Hashtbl.create 32 }
 
 (* --- dispatch --------------------------------------------------------- *)
 

@@ -22,7 +22,6 @@ type config = {
   controller : Rcbr_admission.Controller.t option;
       (** admission gate applied to setups on top of the per-link
           capacity fit; [None] admits whatever fits *)
-  max_frame : int;
 }
 
 val default_config : Rcbr_net.Topology.t -> config

@@ -341,17 +341,34 @@ let trellis_golden_runs () =
   let params ?(levels = 20) ?(alpha = 2e5) () =
     Optimal.default_params ~levels ~cost_ratio:alpha trace
   in
-  let exact label ?lemma_pruning ?buffer_quantum ?frontier_cap p =
-    let s, st =
-      Optimal.solve_with_stats ?lemma_pruning ?buffer_quantum ?frontier_cap p
-        trace
-    in
+  let exact label ?lemma_pruning ?frontier_cap p =
+    let s, st = Optimal.solve_with_stats ?lemma_pruning ?frontier_cap p trace in
     (label, st, trellis_digest s st None)
   in
-  let beam label ?start_level ~beam_width p =
+  let beam label ~beam_width p =
     let prior = Beam.of_trace ~grid:p.Optimal.grid trace in
-    let s, st = Beam.solve_with_stats ?start_level ~beam_width ~prior p trace in
+    let s, st = Beam.solve_with_stats ~beam_width ~prior p trace in
     (label, st.Beam.base, trellis_digest s st.Beam.base (Some st))
+  in
+  (* The receding-horizon controller's call: a compiled prior and a
+     rate already in force. *)
+  let beam_from label ~start_level ~beam_width p =
+    let prior = Beam.of_trace ~grid:p.Optimal.grid trace in
+    let beam =
+      Beam.compile ~grid:p.Optimal.grid ~beam_width
+        ~prior_weight:(Beam.default_prior_weight p trace)
+        prior
+    in
+    let s, base, c = Optimal.solve_raw ~beam ~start_level p trace in
+    let st =
+      {
+        Beam.base;
+        kept = c.Optimal.kept;
+        dropped_by_beam = c.Optimal.dropped_by_beam;
+        prior_hits = c.Optimal.prior_hits;
+      }
+    in
+    (label, base, trellis_digest s base (Some st))
   in
   List.concat_map
     (fun levels ->
@@ -365,13 +382,12 @@ let trellis_golden_runs () =
   @ [
       exact "M20 cap 2" ~frontier_cap:2 (params ~alpha:1e4 ());
       exact "M20 cap 100" ~frontier_cap:100 (params ~alpha:1e4 ());
-      exact "M20 quantum 1000" ~buffer_quantum:1000. (params ());
       exact "M20 delay 12"
         { (params ()) with Optimal.constraint_ = Optimal.Delay_bound 12 };
       exact "M20 K 0" (params ~alpha:0. ());
       beam "M50 beam 2" ~beam_width:2 (params ~levels:50 ());
       beam "M50 beam 8" ~beam_width:8 (params ~levels:50 ());
-      beam "M50 beam 8 start 25" ~start_level:25 ~beam_width:8
+      beam_from "M50 beam 8 start 25" ~start_level:25 ~beam_width:8
         (params ~levels:50 ());
     ]
 
@@ -385,7 +401,6 @@ let trellis_golden =
     ("M20 lemma false", "9c00f8eceaa84b991445da3aede4ceb5");
     ("M20 cap 2", "bb805be9a51164b2ecddf2aa798f8c98");
     ("M20 cap 100", "c46ccb05703f460b6bcdf0c4acf86e29");
-    ("M20 quantum 1000", "155fb0fe1860cf120e2911974388752f");
     ("M20 delay 12", "b4abd822440061321f1baa271f5e9d2f");
     ("M20 K 0", "9adbcfce87893bbe8bd07181191d6538");
     ("M50 beam 2", "9cadcaa6b02a07f7fb9eb22ea31fa5f0");
@@ -573,19 +588,11 @@ let prop_optimal_schedule_feasible =
 
 (* --- Optimal: approximation knobs ----------------------------------- *)
 
-(* Both knobs must always return a feasible schedule whose cost is never
-   below the exact optimum.  Their upper bounds differ:
-
-   - [frontier_cap] keeps exact buffers and costs for the retained
-     paths, so the error does not compound; on these small traces even
-     cap = 2 stays within 2x the exact cost (empirically it is almost
-     always 1x).
-   - [buffer_quantum = q] snaps occupancies up by < q per slot and the
-     overestimate accumulates, so after n slots a schedule's quantized
-     trajectory exceeds its true one by < n*q.  Hence every schedule
-     that is exactly feasible for a buffer of B - n*q survives the
-     quantized pruning, giving the provable bound
-     quantized_cost(B) <= exact_cost(B - n*q). *)
+(* [frontier_cap] must always return a feasible schedule whose cost is
+   never below the exact optimum.  It keeps exact buffers and costs for
+   the retained paths, so the error does not compound; on these small
+   traces even cap = 2 stays within 2x the exact cost (empirically it
+   is almost always 1x). *)
 
 let approx_gen =
   QCheck.Gen.(
@@ -613,7 +620,7 @@ let approx_params reneg_cost =
 let schedule_cost ~reneg_cost s =
   Schedule.cost s ~reneg_cost ~bandwidth_cost:1.
 
-(* Shared harness: [knob params trace] runs the approximate solver;
+(* Harness: [knob params trace] runs the approximate solver;
    [upper params trace] returns the bound its cost must stay under
    (None: the bound's reference problem is itself infeasible, so only
    feasibility and cost >= exact are required). *)
@@ -650,21 +657,6 @@ let prop_frontier_cap_feasible_bounded =
     ~upper:(fun params trace ->
       match Optimal.solve params trace with
       | s -> Some (2. *. schedule_cost ~reneg_cost:params.Optimal.reneg_cost s)
-      | exception Optimal.Infeasible _ -> None)
-
-let prop_buffer_quantum_feasible_bounded =
-  (* q = B/(2n): the compounded overestimate stays under B/2, so the
-     exact optimum at buffer B/2 bounds the quantized cost. *)
-  let quantum trace = approx_buffer /. float_of_int (2 * Trace.length trace) in
-  check_knob ~name:"buffer_quantum=B/2n: feasible, exact <= cost <= exact(B/2)"
-    ~knob:(fun params trace ->
-      Optimal.solve_with_stats ~buffer_quantum:(quantum trace) params trace)
-    ~upper:(fun params trace ->
-      let tightened =
-        { params with Optimal.constraint_ = Optimal.Buffer_bound (approx_buffer /. 2.) }
-      in
-      match Optimal.solve tightened trace with
-      | s -> Some (schedule_cost ~reneg_cost:params.Optimal.reneg_cost s)
       | exception Optimal.Infeasible _ -> None)
 
 let test_frontier_cap_large_is_exact () =
@@ -747,6 +739,48 @@ let test_beam_trace_prior_gap () =
   Alcotest.(check bool) "within 25% of exact" true (c <= 1.25 *. ce);
   Alcotest.(check bool) "beam dropped nodes" true (st.Beam.dropped_by_beam > 0);
   Alcotest.(check bool) "prior hits" true (st.Beam.prior_hits > 0)
+
+(* The [--beam-prior] grammar every CLI shares: each name parses,
+   prints back and builds its prior; an unknown one is refused with the
+   message the CLIs show. *)
+let test_beam_prior_specs () =
+  let trace = Rcbr_traffic.Synthetic.star_wars ~frames:300 ~seed:5 () in
+  let grid =
+    (Optimal.default_params ~levels:30 ~cost_ratio:2e5 trace).Optimal.grid
+  in
+  let build name =
+    match Beam.prior_spec_of_string name with
+    | Error msg -> Alcotest.failf "%s rejected: %s" name msg
+    | Ok spec ->
+        Alcotest.(check string) (name ^ " prints back") name
+          (Format.asprintf "%a" Beam.pp_prior_spec spec);
+        Beam.prior_of_spec ~grid trace spec
+  in
+  let tables p =
+    let b = Beam.compile ~grid ~beam_width:1 ~prior_weight:1. p in
+    Array.append [| b.Optimal.log_init |] b.Optimal.log_trans
+  in
+  let same name expected got =
+    Alcotest.(check (array (array (float 0.))))
+      name (tables expected) (tables got)
+  in
+  (match build "uniform" with
+  | Beam.Uniform -> ()
+  | Beam.Table _ -> Alcotest.fail "uniform built a table");
+  same "trace learns the trace" (Beam.of_trace ~grid trace) (build "trace");
+  let flat =
+    Rcbr_markov.Multiscale.flatten
+      Rcbr_traffic.Synthetic.(to_multiscale star_wars_params)
+  in
+  let rates =
+    Array.map (fun r -> r *. Trace.fps trace) (Rcbr_markov.Modulated.rates flat)
+  in
+  same "chain learns the Star Wars model"
+    (Beam.of_chain ~grid ~rates (Rcbr_markov.Modulated.chain flat))
+    (build "chain");
+  Alcotest.(check (result reject string))
+    "unknown name" (Error {|unknown prior "Trace" (trace|chain|uniform)|})
+    (Result.map (fun _ -> ()) (Beam.prior_spec_of_string "Trace"))
 
 let test_receding_controller () =
   (* Structural invariants of the receding-horizon loop on a synthetic
@@ -921,6 +955,7 @@ let () =
       ( "beam",
         [
           Alcotest.test_case "trace prior gap" `Quick test_beam_trace_prior_gap;
+          Alcotest.test_case "prior specs" `Quick test_beam_prior_specs;
           Alcotest.test_case "receding controller" `Quick
             test_receding_controller;
         ] );
@@ -933,7 +968,6 @@ let () =
             prop_shift_marginal_invariant;
             prop_optimal_schedule_feasible;
             prop_frontier_cap_feasible_bounded;
-            prop_buffer_quantum_feasible_bounded;
             prop_beam_unbounded_is_exact;
           ] );
     ]

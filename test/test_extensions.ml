@@ -660,11 +660,6 @@ let test_gcra_cdvt_tolerance () =
   Alcotest.(check bool) "slightly early ok" true
     (Rcbr_atm.Gcra.conforming g 0.6e-3)
 
-let test_gcra_update_rate () =
-  let g = Rcbr_atm.Gcra.create ~rate:384_000. () in
-  Rcbr_atm.Gcra.update_rate g 768_000.;
-  check_close 1e-9 "increment halves" 5e-4 (Rcbr_atm.Gcra.increment g)
-
 (* --- Scheduler / protection --- *)
 
 let protection_setup () =
@@ -817,7 +812,6 @@ let () =
           Alcotest.test_case "conforming stream" `Quick test_gcra_conforming_stream;
           Alcotest.test_case "rejects burst" `Quick test_gcra_rejects_burst;
           Alcotest.test_case "cdvt tolerance" `Quick test_gcra_cdvt_tolerance;
-          Alcotest.test_case "update rate" `Quick test_gcra_update_rate;
         ] );
       ( "scheduler",
         [

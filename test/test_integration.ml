@@ -32,7 +32,7 @@ let test_small_buffer_vs_static () =
   let mean = Trace.mean_rate trace in
   (* Static service at 5% above the mean: how much buffer? *)
   let static_buffer =
-    Sigma_rho.min_buffer ~trace ~rate:(1.05 *. mean) ~target_loss:1e-6 ()
+    Sigma_rho.min_buffer ~trace ~rate:(1.05 *. mean) ~target_loss:1e-6
   in
   Alcotest.(check bool) "static service needs orders of magnitude more" true
     (static_buffer > 20. *. buffer);
@@ -70,7 +70,7 @@ let test_formula9_predicts_simulation () =
      tight but conservative for finite runs). *)
   let flat = Multiscale.flatten ms in
   let rng = Rcbr_util.Rng.create 5 in
-  let data = Modulated.simulate flat rng ~steps:400_000 () in
+  let data = Modulated.simulate flat rng ~steps:400_000 in
   let t = Trace.create ~fps:1. data in
   let r = Fluid.run_constant ~capacity:b ~rate:predicted t in
   Alcotest.(check bool) "loss below target at predicted rate" true

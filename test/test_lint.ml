@@ -679,6 +679,22 @@ let probe x = helper x
 let other x = x
 let () = ignore (probe 1)|}
 
+let test_r001_grant_kinds () =
+  (* An R001 grant names its kind (DESIGN.md §14): test-only code is no
+     reason for one, so a grant that is neither a probe nor a fixture is
+     reported and grants nothing. *)
+  check_hits ~config:reach_cfg "a test-only grant is reported"
+    [ (1, "SUPP"); (2, "R001") ]
+    {|(* lint: allow R001 — test-only; delete with "pinned" *)
+let pinned x = x + 1
+let () = ()|};
+  check_hits ~config:reach_cfg "probe and fixture grants are accepted" []
+    {|(* lint: allow R001 — probe: a test reads it *)
+let probe x = x + 1
+(* lint: allow R001 -- fixture: tests build their inputs with it *)
+let fixture x = x * 2
+let () = ()|}
+
 (* --- U001/U002: units of measure -------------------------------------- *)
 
 let units_cfg =
@@ -941,6 +957,7 @@ let () =
           t "clean" test_r001_clean;
           t "out of zone" test_r001_out_of_zone;
           t "suppressed" test_r001_suppressed;
+          t "grant kinds" test_r001_grant_kinds;
         ] );
       ( "u001",
         [ t "fires" test_u001_fires; t "clean" test_u001_clean ] );

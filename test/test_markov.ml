@@ -79,15 +79,10 @@ let test_modulated_mean_peak () =
   check_close 1e-9 "mean" 5. (Modulated.mean_rate m);
   check_close 1e-9 "peak" 11. (Modulated.peak_rate m)
 
-let test_on_off () =
-  let m = Modulated.on_off ~peak:10. ~p_on_to_off:0.3 ~p_off_to_on:0.2 in
-  (* on fraction = 0.2/(0.2+0.3) = 0.4 *)
-  check_close 1e-9 "on/off mean" 4. (Modulated.mean_rate m)
-
 let test_modulated_simulate_mean () =
   let m = Modulated.create (two_state 0.2 0.3) ~rates:[| 1.; 11. |] in
   let rng = Rng.create 9 in
-  let data = Modulated.simulate m rng ~steps:200_000 () in
+  let data = Modulated.simulate m rng ~steps:200_000 in
   let mean = Array.fold_left ( +. ) 0. data /. 200_000. in
   check_close 0.1 "simulated mean" 5. mean
 
@@ -123,11 +118,6 @@ let test_multiscale_mean_consistency () =
   check_close 1e-12 "mean = occupancy-weighted subchain means" !mix
     (Multiscale.mean_rate ms)
 
-let test_multiscale_marginal () =
-  let marg = Multiscale.marginal (example ()) in
-  let total = Array.fold_left (fun a (p, _) -> a +. p) 0. marg in
-  check_close 1e-9 "marginal sums to 1" 1. total
-
 let test_flatten_preserves_mean () =
   let ms = example () in
   let flat = Multiscale.flatten ms in
@@ -138,35 +128,6 @@ let test_flatten_preserves_peak () =
   let ms = example () in
   check_close 1e-12 "flattened peak" (Multiscale.peak_rate ms)
     (Modulated.peak_rate (Multiscale.flatten ms))
-
-let test_multiscale_simulate () =
-  let ms = example () in
-  let rng = Rng.create 17 in
-  let data, which = Multiscale.simulate ms rng ~steps:300_000 in
-  Alcotest.(check int) "lengths" (Array.length data) (Array.length which);
-  let mean = Array.fold_left ( +. ) 0. data /. 300_000. in
-  check_close 0.15 "simulated mean near analytic" (Multiscale.mean_rate ms) mean;
-  (* Subchain index occupancy should roughly match the slow stationary law. *)
-  let occ_sim = Array.make 3 0. in
-  Array.iter (fun k -> occ_sim.(k) <- occ_sim.(k) +. 1.) which;
-  let occ = Multiscale.subchain_occupancy ms in
-  Array.iteri
-    (fun k p -> check_close 0.15 "subchain occupancy" p (occ_sim.(k) /. 300_000.))
-    occ
-
-let test_multiscale_sustained_peak () =
-  (* A multi time-scale source should show long runs in one subchain. *)
-  let ms = example () in
-  let rng = Rng.create 23 in
-  let _, which = Multiscale.simulate ms rng ~steps:100_000 in
-  let best = ref 0 and run = ref 0 and prev = ref (-1) in
-  Array.iter
-    (fun k ->
-      if k = !prev then incr run else run := 1;
-      prev := k;
-      if !run > !best then best := !run)
-    which;
-  Alcotest.(check bool) "sojourns are long" true (!best > 200)
 
 let test_create_validates_eps () =
   let sc =
@@ -240,7 +201,6 @@ let () =
       ( "modulated",
         [
           Alcotest.test_case "mean/peak" `Quick test_modulated_mean_peak;
-          Alcotest.test_case "on/off" `Quick test_on_off;
           Alcotest.test_case "simulate mean" `Quick test_modulated_simulate_mean;
           Alcotest.test_case "rates copied" `Quick test_modulated_rates_copied;
         ] );
@@ -249,11 +209,8 @@ let () =
           Alcotest.test_case "structure" `Quick test_multiscale_structure;
           Alcotest.test_case "occupancy sums" `Quick test_multiscale_occupancy_sums;
           Alcotest.test_case "mean consistency" `Quick test_multiscale_mean_consistency;
-          Alcotest.test_case "marginal" `Quick test_multiscale_marginal;
           Alcotest.test_case "flatten mean" `Quick test_flatten_preserves_mean;
           Alcotest.test_case "flatten peak" `Quick test_flatten_preserves_peak;
-          Alcotest.test_case "simulate" `Quick test_multiscale_simulate;
-          Alcotest.test_case "sustained peaks" `Quick test_multiscale_sustained_peak;
           Alcotest.test_case "eps validation" `Quick test_create_validates_eps;
         ] );
       ("properties", q [ prop_stationary_fixed_point; prop_mean_rate_between ]);

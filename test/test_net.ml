@@ -137,6 +137,50 @@ let test_topology_json_errors () =
   | Ok _ -> Alcotest.fail "missing file accepted"
   | Error _ -> ()
 
+(* The [--topology] grammar every CLI shares: each spec parses, prints
+   back, and resolves to its shape; each malformed one is refused with
+   the message the CLIs show. *)
+let test_topology_specs () =
+  let spec = Alcotest.testable Topology.pp_spec ( = ) in
+  let parses s expected =
+    Alcotest.(check (result spec string)) s (Ok expected)
+      (Topology.spec_of_string s);
+    Alcotest.(check string) (s ^ " prints back") s
+      (Format.asprintf "%a" Topology.pp_spec expected)
+  in
+  let shape s =
+    match
+      Result.bind (Topology.spec_of_string s) (Topology.of_spec ~capacity:1e6)
+    with
+    | Ok t -> (Topology.n_links t, Topology.route_lengths t)
+    | Error msg -> Alcotest.failf "%s rejected: %s" s msg
+  in
+  let shapes = Alcotest.(pair int (array int)) in
+  parses "single" Topology.Single;
+  parses "linear:3" (Topology.Linear 3);
+  Alcotest.check shapes "single shape" (1, [| 1 |]) (shape "single");
+  Alcotest.check shapes "linear:3 shape" (3, [| 3 |]) (shape "linear:3");
+  let file = Filename.temp_file "rcbr_topo" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  let oc = open_out file in
+  output_string oc
+    {|{ "nodes": 3,
+        "links": [ {"src": 0, "dst": 1, "capacity": 1e6},
+                   {"src": 1, "dst": 2, "capacity": 2e6} ],
+        "routes": [ [0, 1], [1] ] }|};
+  close_out oc;
+  parses ("mesh:" ^ file) (Topology.Mesh file);
+  Alcotest.check shapes "mesh shape" (2, [| 2; 1 |]) (shape ("mesh:" ^ file));
+  List.iter
+    (fun (s, msg) ->
+      Alcotest.(check (result spec string)) s (Error msg)
+        (Topology.spec_of_string s))
+    [
+      ("linear:0", {|bad hop count in "linear:0"|});
+      ("linear:x", {|bad hop count in "linear:x"|});
+      ("ring", {|topology "ring" is not single, linear:HOPS or mesh:FILE|});
+    ]
+
 (* --- Link ----------------------------------------------------------- *)
 
 let test_link_advance () =
@@ -286,16 +330,15 @@ let test_session_blocked () =
 
 (* A driver that just settles on delivery — the minimal honest client of
    the state machine, no simulator accounting on top. *)
-let settle_driver ?(reliable_setup = false) ~links store plane lifetime =
+let settle_driver ~links store plane lifetime =
   {
     Session.store;
     plane;
-    reliable_setup;
     lifetime;
     before = (fun ~now:_ -> ());
     on_attempt = (fun ~now:_ -> ());
     retry = (fun ~now:_ -> true);
-    deliver = (fun h ~now:_ ~idx:_ ~rate -> Store.settle ~links store h ~rate);
+    deliver = (fun h ~now:_ ~rate -> Store.settle ~links store h ~rate);
   }
 
 let lossy_plane ~max_retransmits =
@@ -322,7 +365,7 @@ let test_session_give_up_at_cap () =
   let plane = lossy_plane ~max_retransmits:2 in
   let d = settle_driver ~links store plane (Session.Hold_until infinity) in
   let engine = Rcbr_queue.Events.create () in
-  Session.signal d s ~idx:0 ~rate:5e4 engine;
+  Session.signal d s ~rate:5e4 engine;
   Rcbr_queue.Events.run engine;
   let c = plane.Session.counters in
   Alcotest.(check int) "all three transmissions lost" 3 c.Session.rm_lost;
@@ -344,9 +387,9 @@ let test_session_superseded_resync () =
   (* t=0: change A (lost, retx armed for t=0.2).  t=0.1: change B
      supersedes it (lost, retx armed for t=0.3).  t=0.2: A's retx finds
      gen moved on.  t=0.3: B's retx is lost too -> give up, B lands. *)
-  Session.signal d s ~idx:0 ~rate:3e4 engine;
+  Session.signal d s ~rate:3e4 engine;
   Rcbr_queue.Events.schedule engine ~at:0.1 (fun engine ->
-      Session.signal d s ~idx:1 ~rate:8e4 engine);
+      Session.signal d s ~rate:8e4 engine);
   Rcbr_queue.Events.run engine;
   let c = plane.Session.counters in
   Alcotest.(check int) "A, B and B's retx lost" 3 c.Session.rm_lost;
@@ -364,7 +407,7 @@ let test_session_depart_with_retx_in_flight () =
   let plane = lossy_plane ~max_retransmits:3 in
   let d = settle_driver ~links store plane (Session.Hold_until infinity) in
   let engine = Rcbr_queue.Events.create () in
-  Session.signal d s ~idx:0 ~rate:6e4 engine;
+  Session.signal d s ~rate:6e4 engine;
   Rcbr_queue.Events.schedule engine ~at:0.1 (fun _ ->
       (* The departure path every simulator uses: kill the pending
          retransmission, then account the call down to zero. *)
@@ -387,22 +430,21 @@ let test_session_depart_with_retx_in_flight () =
 let test_session_recycled_handle_retx () =
   let links, store, a = single_call () in
   let plane = lossy_plane ~max_retransmits:3 in
-  let d =
-    settle_driver ~reliable_setup:true ~links store plane
-      (Session.Hold_until infinity)
-  in
+  let d = settle_driver ~links store plane (Session.Hold_until infinity) in
   let engine = Rcbr_queue.Events.create () in
   (* t=0: a's renegotiation is lost; its retx is armed for t=0.2 with
      the generation a's first change produced. *)
-  Session.signal d a ~idx:1 ~rate:6e4 engine;
+  Session.signal d a ~rate:6e4 engine;
   let b = ref (-1) in
-  Rcbr_queue.Events.schedule engine ~at:0.1 (fun engine ->
+  Rcbr_queue.Events.schedule engine ~at:0.1 (fun _ ->
       Session.cancel_pending d a;
       Store.settle ~links store a ~rate:0.;
       Store.release store a;
       b := Store.acquire store ~id:1 ~route:[| 0 |] ~transit:false;
-      (* Reliable setup: one change, so b's gen equals a's captured one. *)
-      Session.signal d !b ~idx:0 ~rate:2e4 engine);
+      (* b's setup settles unsignalled; one bump brings its gen to the
+         one a's timer captured. *)
+      Store.bump_gen store !b;
+      Store.settle ~links store !b ~rate:2e4);
   Rcbr_queue.Events.run engine;
   let c = plane.Session.counters in
   Alcotest.(check int) "slot recycled" a !b;
@@ -622,6 +664,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_topology_validation;
           Alcotest.test_case "json" `Quick test_topology_json;
           Alcotest.test_case "json errors" `Quick test_topology_json_errors;
+          Alcotest.test_case "specs" `Quick test_topology_specs;
           Alcotest.test_case "grid" `Quick test_grid_topology;
         ] );
       ( "store",

@@ -402,12 +402,7 @@ let test_megacall_downgrade_pool_identity () =
 
 let test_svc_compare_deterministic () =
   let cfg =
-    {
-      (Svc_compare.default ()) with
-      Svc_compare.calls = 96;
-      capacity = 2_000_000.;
-      arrival_window = 10.;
-    }
+    { Svc_compare.calls = 96; capacity = 2_000_000.; arrival_window = 10. }
   in
   let seq = Svc_compare.run cfg in
   let par = Pool.with_pool ~jobs:3 (fun pool -> Svc_compare.run ~pool cfg) in
@@ -608,14 +603,7 @@ let check_svc tag (a : Svc_compare.model_metrics) (b : Svc_compare.model_metrics
     b.Svc_compare.jain_fairness
 
 let test_svc_compare_differential () =
-  let cfg capacity =
-    {
-      (Svc_compare.default ()) with
-      Svc_compare.calls = 96;
-      capacity;
-      arrival_window = 10.;
-    }
-  in
+  let cfg capacity = { Svc_compare.calls = 96; capacity; arrival_window = 10. } in
   let reference = Svc_compare.run_model (cfg 2e6) Service_model.Renegotiate in
   Alcotest.(check bool) "renegotiate denies increases" true
     (reference.Svc_compare.reneg_denied > 0);

@@ -68,14 +68,14 @@ let sample_trace () =
 
 let test_min_rate_bounds () =
   let trace = sample_trace () in
-  let rate = Sigma_rho.min_rate ~trace ~buffer:300_000. ~target_loss:1e-6 () in
+  let rate = Sigma_rho.min_rate ~trace ~buffer:300_000. ~target_loss:1e-6 in
   Alcotest.(check bool) "above mean" true (rate > Trace.mean_rate trace);
   Alcotest.(check bool) "below peak" true (rate <= Trace.peak_rate trace)
 
 let test_min_rate_achieves_target () =
   let trace = sample_trace () in
   let buffer = 300_000. and target_loss = 1e-4 in
-  let rate = Sigma_rho.min_rate ~trace ~buffer ~target_loss () in
+  let rate = Sigma_rho.min_rate ~trace ~buffer ~target_loss in
   let r = Fluid.run_constant ~capacity:buffer ~rate trace in
   Alcotest.(check bool) "meets target" true (Fluid.loss_fraction r <= target_loss);
   (* 1% below the minimum must violate the target. *)
@@ -84,28 +84,28 @@ let test_min_rate_achieves_target () =
 
 let test_min_rate_monotone_in_buffer () =
   let trace = sample_trace () in
-  let r1 = Sigma_rho.min_rate ~trace ~buffer:100_000. ~target_loss:1e-6 () in
-  let r2 = Sigma_rho.min_rate ~trace ~buffer:1_000_000. ~target_loss:1e-6 () in
-  let r3 = Sigma_rho.min_rate ~trace ~buffer:10_000_000. ~target_loss:1e-6 () in
+  let r1 = Sigma_rho.min_rate ~trace ~buffer:100_000. ~target_loss:1e-6 in
+  let r2 = Sigma_rho.min_rate ~trace ~buffer:1_000_000. ~target_loss:1e-6 in
+  let r3 = Sigma_rho.min_rate ~trace ~buffer:10_000_000. ~target_loss:1e-6 in
   Alcotest.(check bool) "decreasing" true (r1 >= r2 && r2 >= r3)
 
 let test_min_buffer_dual () =
   let trace = sample_trace () in
   let buffer = 500_000. and target_loss = 1e-4 in
-  let rate = Sigma_rho.min_rate ~trace ~buffer ~target_loss () in
-  let buffer' = Sigma_rho.min_buffer ~trace ~rate ~target_loss () in
+  let rate = Sigma_rho.min_rate ~trace ~buffer ~target_loss in
+  let buffer' = Sigma_rho.min_buffer ~trace ~rate ~target_loss in
   (* The dual buffer at the computed min rate cannot exceed the original. *)
   Alcotest.(check bool) "dual consistent" true (buffer' <= buffer *. 1.01)
 
 let test_min_buffer_zero_loss_matches_backlog () =
   let trace = Trace.create ~fps:1. [| 0.; 30.; 0.; 0. |] in
-  let b = Sigma_rho.min_buffer ~trace ~rate:10. ~target_loss:0. () in
+  let b = Sigma_rho.min_buffer ~trace ~rate:10. ~target_loss:0. in
   check_close 1e-6 "peak backlog" 20. b
 
 let test_curve () =
   let trace = sample_trace () in
   let pts =
-    Sigma_rho.curve ~trace ~buffers:[| 1e5; 1e6; 1e7 |] ~target_loss:1e-6 ()
+    Sigma_rho.curve ~trace ~buffers:[| 1e5; 1e6; 1e7 |] ~target_loss:1e-6
   in
   Alcotest.(check int) "points" 3 (Array.length pts);
   let rates = Array.map snd pts in

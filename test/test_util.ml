@@ -141,7 +141,6 @@ let test_rng_choose_weights () =
 
 let test_stats_mean_var () =
   let xs = [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |] in
-  check_float "mean" 5. (Stats.mean xs);
   let o = Stats.Online.create () in
   Array.iter (Stats.Online.add o) xs;
   check_close 1e-9 "variance" (32. /. 7.) (Stats.Online.variance o);
@@ -149,34 +148,12 @@ let test_stats_mean_var () =
   Stats.Online.add one 3.;
   check_float "singleton variance" 0. (Stats.Online.variance one)
 
-let test_stats_quantile () =
-  let xs = [| 5.; 1.; 3.; 2.; 4. |] in
-  check_float "median" 3. (Stats.quantile xs 0.5);
-  check_float "min" 1. (Stats.quantile xs 0.);
-  check_float "max" 5. (Stats.quantile xs 1.);
-  check_float "interpolated" 1.5 (Stats.quantile xs 0.125);
-  (* quantile must not mutate *)
-  Alcotest.(check (array (float 0.))) "unchanged" [| 5.; 1.; 3.; 2.; 4. |] xs
-
-let test_stats_min_max () =
-  let xs = [| 3.; -1.; 7.; 0. |] in
-  check_float "min" (-1.) (Stats.minimum xs);
-  check_float "max" 7. (Stats.maximum xs)
-
-let test_stats_autocorrelation () =
-  let xs = Array.init 100 (fun i -> if i mod 2 = 0 then 1. else -1.) in
-  check_close 0.05 "lag-2 of alternating" 1.
-    (Stats.autocorrelation xs 2 /. (98. /. 100.));
-  Alcotest.(check bool) "lag-1 negative" true (Stats.autocorrelation xs 1 < 0.);
-  check_float "constant series" 0.
-    (Stats.autocorrelation (Array.make 10 5.) 1)
-
 let test_stats_online_matches_batch () =
   let rng = Rng.create 55 in
   let xs = Array.init 1000 (fun _ -> Rng.float rng) in
   let o = Stats.Online.create () in
   Array.iter (Stats.Online.add o) xs;
-  let m = Stats.mean xs in
+  let m = Array.fold_left ( +. ) 0. xs /. 1000. in
   let batch_variance =
     Array.fold_left (fun a x -> a +. ((x -. m) *. (x -. m))) 0. xs /. 999.
   in
@@ -199,11 +176,6 @@ let test_stats_online_precision () =
 
 (* --- Histogram --- *)
 
-let hist_of weights =
-  let h = Histogram.create ~levels:(Array.length weights) in
-  Array.iteri (Histogram.add h) weights;
-  h
-
 let support h =
   List.filter
     (fun level -> Histogram.weight h level > 0.)
@@ -217,29 +189,6 @@ let test_histogram_basic () =
   check_float "total" 4. (Histogram.total h);
   Alcotest.(check (list int)) "support" [ 0; 2 ] (support h)
 
-let test_histogram_distribution () =
-  let h = Histogram.create ~levels:3 in
-  Histogram.add h 0 1.;
-  Histogram.add h 1 1.;
-  Histogram.add h 1 2.;
-  let p = Histogram.to_distribution h in
-  check_float "p0" 0.25 p.(0);
-  check_float "p1" 0.75 p.(1);
-  check_float "p2" 0. p.(2)
-
-let test_histogram_merge_scale () =
-  let a = hist_of [| 1.; 2. |] in
-  let b = hist_of [| 3.; 0. |] in
-  let m = Histogram.merge a b in
-  check_float "merged 0" 4. (Histogram.weight m 0);
-  check_float "merged 1" 2. (Histogram.weight m 1);
-  let s = Histogram.scale a 2. in
-  check_float "scaled" 4. (Histogram.weight s 1)
-
-let test_histogram_mean_value () =
-  let h = hist_of [| 0.5; 0.5 |] in
-  check_float "mean value" 15. (Histogram.mean_level_value h ~values:[| 10.; 20. |])
-
 let test_histogram_grow_in_place () =
   let h = Histogram.create ~levels:1 in
   Histogram.ensure h ~levels:3;
@@ -252,32 +201,6 @@ let test_histogram_grow_in_place () =
   check_float "added" 2. (Histogram.weight h 5);
   check_float "out of range is 0" 0. (Histogram.weight h 100)
 
-let test_histogram_add_weighted () =
-  let into = hist_of [| 1.; 2. |] in
-  let src = hist_of [| 10.; 0.; 5. |] in
-  Histogram.add_weighted ~into ~scale:0.5 src;
-  check_float "scaled into 0" 6. (Histogram.weight into 0);
-  check_float "untouched level" 2. (Histogram.weight into 1);
-  check_float "into grew" 2.5 (Histogram.weight into 2);
-  (* Default scale is 1 and must match merge. *)
-  let a = hist_of [| 1.; 2. |] in
-  let b = hist_of [| 3.; 4. |] in
-  let m = Histogram.merge a b in
-  Histogram.add_weighted ~into:a b;
-  check_float "matches merge 0" (Histogram.weight m 0) (Histogram.weight a 0);
-  check_float "matches merge 1" (Histogram.weight m 1) (Histogram.weight a 1)
-
-let test_histogram_normalize () =
-  let h = Histogram.create ~levels:3 in
-  Histogram.add h 0 1.;
-  Histogram.add h 2 3.;
-  let n = Histogram.normalize h in
-  check_float "total mass 1" 1. (Histogram.total n);
-  check_float "p0" 0.25 (Histogram.weight n 0);
-  check_float "p2" 0.75 (Histogram.weight n 2);
-  (* The original is untouched. *)
-  check_float "source total" 4. (Histogram.total h)
-
 let test_histogram_log_mass () =
   let h = Histogram.create ~levels:3 in
   Histogram.add h 0 1.;
@@ -287,8 +210,6 @@ let test_histogram_log_mass () =
   (* Empty bins and out-of-range levels hit the floor, not -inf. *)
   check_float "empty bin floored" (Float.log 1e-9) (Histogram.log_mass h 2);
   check_float "out of range floored" (Float.log 1e-9) (Histogram.log_mass h 7);
-  check_float "custom floor" (Float.log 1e-3)
-    (Histogram.log_mass ~floor:1e-3 h 2);
   (* An all-zero histogram is the floor everywhere. *)
   let z = Histogram.create ~levels:2 in
   check_float "zero histogram floored" (Float.log 1e-9) (Histogram.log_mass z 0)
@@ -499,14 +420,6 @@ let test_interrupt_flag () =
 
 (* --- Properties --- *)
 
-let prop_quantile_bounds =
-  QCheck.Test.make ~name:"quantile within min/max" ~count:200
-    QCheck.(pair (list_of_size (Gen.int_range 1 50) (float_range (-100.) 100.)) (float_range 0. 1.))
-    (fun (xs, q) ->
-      let arr = Array.of_list xs in
-      let v = Stats.quantile arr q in
-      v >= Stats.minimum arr -. 1e-9 && v <= Stats.maximum arr +. 1e-9)
-
 let prop_log_sum_exp_ge_max =
   QCheck.Test.make ~name:"log_sum_exp >= max element" ~count:200
     QCheck.(list_of_size (Gen.int_range 1 20) (float_range (-50.) 50.))
@@ -584,9 +497,6 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "mean/var" `Quick test_stats_mean_var;
-          Alcotest.test_case "quantile" `Quick test_stats_quantile;
-          Alcotest.test_case "min/max" `Quick test_stats_min_max;
-          Alcotest.test_case "autocorrelation" `Quick test_stats_autocorrelation;
           Alcotest.test_case "online matches batch" `Quick
             test_stats_online_matches_batch;
           Alcotest.test_case "online precision" `Quick test_stats_online_precision;
@@ -594,12 +504,7 @@ let () =
       ( "histogram",
         [
           Alcotest.test_case "basic" `Quick test_histogram_basic;
-          Alcotest.test_case "distribution" `Quick test_histogram_distribution;
-          Alcotest.test_case "merge/scale" `Quick test_histogram_merge_scale;
-          Alcotest.test_case "mean value" `Quick test_histogram_mean_value;
           Alcotest.test_case "grow in place" `Quick test_histogram_grow_in_place;
-          Alcotest.test_case "add_weighted" `Quick test_histogram_add_weighted;
-          Alcotest.test_case "normalize" `Quick test_histogram_normalize;
           Alcotest.test_case "log_mass" `Quick test_histogram_log_mass;
         ] );
       ( "numeric",
@@ -640,7 +545,6 @@ let () =
       ( "properties",
         q
           [
-            prop_quantile_bounds;
             prop_log_sum_exp_ge_max;
             prop_solve_inverts;
             prop_pool_map_equals_sequential;

@@ -37,7 +37,7 @@ let rules =
 let meta_rules =
   [
     ("PARSE", "source failed to parse or type");
-    ("SUPP", "suppression comment references an unknown rule id");
+    ("SUPP", "suppression names an unknown rule id, or an R001 grant no kind");
     ("GRANT", "grant is dead (matches no occurrence) or invalid");
     ("SINK", "configured T001 sink names no definition in the analysed units");
   ]
@@ -88,7 +88,11 @@ let discover roots =
    itself.  An unknown rule id is an error ([SUPP]), never a
    silent no-op — a typo'd suppression that quietly grants nothing is
    worse than a loud one.  A grant is a comment: the compiler's own
-   lexer finds them, so a fixture quoted in a string grants nothing. *)
+   lexer finds them, so a fixture quoted in a string grants nothing.
+   An R001 grant names its kind first — [probe:] (read-only code a test
+   checks programs' code with) or [fixture:] (code a test builds its
+   inputs with), DESIGN.md §14 — because test-only code is no reason for
+   a grant; one that names neither is a [SUPP] error too. *)
 
 let is_upper c = c >= 'A' && c <= 'Z'
 let is_digit c = c >= '0' && c <= '9'
@@ -96,7 +100,8 @@ let is_alnum c = is_upper c || is_digit c || (c >= 'a' && c <= 'z')
 
 type suppressions = {
   grants : (int * string) list;  (** (line, rule) inline grants *)
-  supp_errors : violation list;  (** unknown rule ids ([SUPP]) *)
+  supp_errors : violation list;
+      (** unknown rule ids and kindless R001 grants ([SUPP]) *)
 }
 
 (* Every comment of [source] with the lines it starts and ends on.  A
@@ -126,6 +131,21 @@ let find_sub s sub from =
     else go (p + 1)
   in
   go from
+
+(* The reason proper: the comment's rest after the rule list, without
+   the dash ("—" or "--") that separates the two. *)
+let reason_at text p =
+  let len = String.length text in
+  let em_dash = "\xe2\x80\x94" in
+  let rec skip p =
+    if p < len && String.contains " \t\n-" text.[p] then skip (p + 1)
+    else if p + 3 <= len && String.sub text p 3 = em_dash then skip (p + 3)
+    else p
+  in
+  let p = skip p in
+  String.sub text p (len - p)
+
+let grant_kinds = [ "probe:"; "fixture:" ]
 
 (* One comment's grant: [lint:], [allow], a comma-separated rule list,
    then the reason — the rest of the comment, which must hold a letter
@@ -161,21 +181,28 @@ let scan_comment ~file ~out ~errors (text, first, last) =
         for p = 0 to marker - 1 do
           if text.[p] = '\n' then incr marker_line
         done;
+        let supp message =
+          errors :=
+            { file; line = !marker_line; rule = "SUPP"; message } :: !errors
+        in
+        let reason = reason_at text reason_start in
+        let kinded =
+          List.exists (fun prefix -> String.starts_with ~prefix reason)
+            grant_kinds
+        in
         List.iter
           (fun r ->
             if not (List.mem r all_rule_ids) then
-              errors :=
-                {
-                  file;
-                  line = !marker_line;
-                  rule = "SUPP";
-                  message =
-                    Printf.sprintf
-                      "suppression references unknown rule id %s, so it \
-                       would grant nothing"
-                      r;
-                }
-                :: !errors
+              supp
+                (Printf.sprintf
+                   "suppression references unknown rule id %s, so it would \
+                    grant nothing"
+                   r)
+            else if r = "R001" && !reasoned && not kinded then
+              supp
+                "R001 grant names no kind, so it grants nothing: start its \
+                 reason with probe: or fixture: (test-only code is no \
+                 reason for a grant; delete it with its tests)"
             else if !reasoned then out := (last, r) :: !out)
           found
       end

@@ -42,7 +42,8 @@ type suppressions = {
   grants : (int * string) list;  (** (line, rule) inline grants *)
   supp_errors : violation list;
       (** [SUPP] violations for unknown rule ids — a typo'd
-          suppression is an error, never a silent no-op *)
+          suppression is an error, never a silent no-op — and for R001
+          grants that name no kind *)
 }
 
 val scan_suppressions : file:string -> string -> suppressions
@@ -50,7 +51,9 @@ val scan_suppressions : file:string -> string -> suppressions
     [(* lint: allow RULE[, RULE...] — reason *)].  The reason is
     mandatory; a multi-line comment anchors its grant to the line
     holding the closing ["*)"].  Text inside a string literal is no
-    comment, so it grants nothing. *)
+    comment, so it grants nothing.  An R001 grant's reason must start
+    with its kind, [probe:] or [fixture:] (DESIGN.md §14); one that
+    does not grants nothing and is a [SUPP] violation. *)
 
 (** {1 Allowlist} *)
 

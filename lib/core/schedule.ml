@@ -142,7 +142,7 @@ let simulate_buffer t ~trace ~capacity =
 
 let pp fmt t =
   Format.fprintf fmt
-    "@[<v>schedule: %d slots @ %.0f fps, %d renegotiations@,\
+    "@[<v>schedule: %d slots @@ %.0f fps, %d renegotiations@,\
      mean rate %.1f kb/s, peak %.1f kb/s, mean interval %.2f s@]"
     t.n_slots t.fps (n_renegotiations t)
     (mean_rate t /. 1e3)

@@ -36,6 +36,9 @@ type t = {
      beyond the empty arrays.  An empty ladder means "not attached". *)
   mutable mts_buckets : Rcbr_traffic.Token_bucket.t array array;
   mutable mts_at : float array;  (* time of the last policing decision *)
+  upq : (handle * int) Queue.t;
+      (* downgraded calls awaiting spare capacity, oldest first, with
+         the call id that tells a recycled handle's stale entry apart *)
 }
 
 let create ?(capacity_hint = 16) () =
@@ -58,6 +61,7 @@ let create ?(capacity_hint = 16) () =
     live = 0;
     mts_buckets = [||];
     mts_at = [||];
+    upq = Queue.create ();
   }
 
 let live_count t = t.live
@@ -207,76 +211,83 @@ let settle ~(links : Link.t array) t h ~rate =
 
 (* --- service models (DESIGN.md §15) ---------------------------------- *)
 
-let attach_mts t h p ~now =
-  let n = Array.length t.mts_buckets in
-  if h >= n then begin
-    let nn = max 16 (max (2 * n) (h + 1)) in
-    let nb = Array.make nn [||] in
-    Array.blit t.mts_buckets 0 nb 0 n;
-    t.mts_buckets <- nb;
-    let na = Array.make nn 0. in
-    Array.blit t.mts_at 0 na 0 n;
-    t.mts_at <- na
-  end;
-  t.mts_buckets.(h) <- Mts.attach p;
-  t.mts_at.(h) <- now
+let attach_mts model t h ~now =
+  match (model : Service_model.t) with
+  | Service_model.Renegotiate | Service_model.Downgrade _ -> ()
+  | Service_model.Mts_profile p ->
+      let n = Array.length t.mts_buckets in
+      if h >= n then begin
+        let nn = max 16 (max (2 * n) (h + 1)) in
+        let nb = Array.make nn [||] in
+        Array.blit t.mts_buckets 0 nb 0 n;
+        t.mts_buckets <- nb;
+        let na = Array.make nn 0. in
+        Array.blit t.mts_at 0 na 0 n;
+        t.mts_at <- na
+      end;
+      t.mts_buckets.(h) <- Mts.attach p;
+      t.mts_at.(h) <- now
+
+let queue_upgrade t h = Queue.push (h, t.id.(h)) t.upq
 
 (* Renegotiate grants without probing the links; the other models
    probe [fits] / police the MTS ladder.  Every model hands the
    granted rate back for the driver to count and settle. *)
 let decide model ~(links : Link.t array) t h ~now ~demanded =
+  t.demanded.(h) <- demanded;
   match (model : Service_model.t) with
-  | Service_model.Renegotiate ->
-      t.demanded.(h) <- demanded;
-      Service_model.Grant
+  | Service_model.Renegotiate -> Service_model.Grant
   | Service_model.Downgrade { tiers } ->
-      t.demanded.(h) <- demanded;
-      Service_model.decide_tiers ~tiers ~demanded ~fits:(fun r ->
-          fits ~links t h ~rate:r ~now)
+      let d =
+        Service_model.decide_tiers ~tiers ~demanded ~fits:(fun r ->
+            fits ~links t h ~rate:r ~now)
+      in
+      if Service_model.downgraded d then queue_upgrade t h;
+      d
   | Service_model.Mts_profile p ->
-      if h >= Array.length t.mts_buckets || Array.length t.mts_buckets.(h) = 0
-      then attach_mts t h p ~now;
+      assert (
+        h < Array.length t.mts_buckets && Array.length t.mts_buckets.(h) > 0);
       let elapsed = Float.max 0. (now -. t.mts_at.(h)) in
       t.mts_at.(h) <- now;
-      t.demanded.(h) <- demanded;
       let granted =
         Mts.police p t.mts_buckets.(h) ~elapsed ~applied:t.applied.(h) ~demanded
       in
       if granted >= demanded then Service_model.Grant
       else Service_model.Police_to { granted }
 
-let try_upgrade model ~(links : Link.t array) t h ~now =
-  match (model : Service_model.t) with
-  | Service_model.Renegotiate | Service_model.Mts_profile _ -> None
-  | Service_model.Downgrade { tiers } ->
-      Service_model.upgrade ~tiers ~demanded:t.demanded.(h)
-        ~applied:t.applied.(h)
-        ~fits:(fun r -> fits ~links t h ~rate:r ~now)
+(* The queue head is the oldest downgrade still waiting.  An entry whose
+   handle died, was recycled (another call id) or was restored since is
+   dropped; a head that fits no higher rate blocks the rest, so no call
+   overtakes one downgraded before it; a head restored only part way
+   keeps its place for the next departure.  Top-level and recursive, so
+   a drain builds no closure of its own. *)
+let rec drain_upgrades model ~links t ~now f =
+  match ((model : Service_model.t), Queue.peek_opt t.upq) with
+  | (Service_model.Renegotiate | Service_model.Mts_profile _), _ | _, None -> ()
+  | Service_model.Downgrade { tiers }, Some (h, id) -> (
+      if
+        (not (is_live t h)) || t.id.(h) <> id || t.demanded.(h) <= t.applied.(h)
+      then begin
+        ignore (Queue.pop t.upq);
+        drain_upgrades model ~links t ~now f
+      end
+      else
+        match
+          Service_model.upgrade ~tiers ~demanded:t.demanded.(h)
+            ~applied:t.applied.(h) ~fits:(fun r -> fits ~links t h ~rate:r ~now)
+        with
+        | None -> ()
+        | Some r ->
+            f h r;
+            if t.demanded.(h) <= r then begin
+              ignore (Queue.pop t.upq);
+              drain_upgrades model ~links t ~now f
+            end)
 
 let iter_live t f =
   for h = 0 to t.hwm - 1 do
     if is_live t h then f h
   done
-
-(* Ascending call id, not handle order: recycled handles would otherwise
-   make the scan order (and with it who gets the spare capacity) depend
-   on the departure history.  The live set is snapshotted first, as the
-   settles in [f] may not add or remove calls. *)
-let upgrade_scan model ~links t ~now f =
-  match (model : Service_model.t) with
-  | Service_model.Renegotiate | Service_model.Mts_profile _ -> ()
-  | Service_model.Downgrade _ ->
-      let hs = Array.make t.live 0 and k = ref 0 in
-      iter_live t (fun h ->
-          hs.(!k) <- h;
-          incr k);
-      Array.sort (fun a b -> compare t.id.(a) t.id.(b)) hs;
-      Array.iter
-        (fun h ->
-          match try_upgrade model ~links t h ~now with
-          | None -> ()
-          | Some r -> f h r)
-        hs
 
 (* Every link's demand must equal the sum of the [applied] rates of the
    calls crossing it — conservation of (desired) bandwidth under any

@@ -6,10 +6,12 @@
     integer {!handle} — applied and demanded rate, schedule cursor,
     generation counter, caller id — with routes stored as slices of a
     shared int arena and freed handles recycled through a stack, so
-    the steady-state hot loop allocates nothing.  The MTS
-    policer ladder of the [Mts_profile] service model lives here too,
-    allocated on first use.  Signalling over an unreliable plane is
-    {!Session}'s job; it drives calls of this store by handle.
+    the steady-state hot loop allocates nothing.  The service models'
+    per-call state lives here too (DESIGN.md §15): the MTS policer
+    ladder of [Mts_profile], allocated on first use, and the one queue
+    of calls [Downgrade] granted below demand.  Signalling over an
+    unreliable plane is {!Session}'s job; it drives calls of this
+    store by handle.
 
     Handles are only valid between their {!acquire} and {!release};
     the store does not check for stale handles beyond the [is_live]
@@ -75,41 +77,46 @@ val settle : links:Link.t array -> t -> handle -> rate:float -> unit
 
 (** {1 Service models (DESIGN.md §15)} *)
 
+val attach_mts :
+  Rcbr_policy.Service_model.t -> t -> handle -> now:float -> unit
+(** Place the call under the model's policer: under [Mts_profile],
+    attach a full bucket ladder with its policing clock at [now];
+    under the other models, nothing.  Every engine runs it when it
+    places a call, so {!decide} polices everything the call has played
+    since. *)
+
 val decide :
   Rcbr_policy.Service_model.t -> links:Link.t array -> t -> handle ->
   now:float -> demanded:float -> Rcbr_policy.Service_model.decision
 (** What the service model grants for a demanded rate change on this
     call — the first step of every engine's one rate-change path, for
     every model.  [Renegotiate] returns [Grant] without probing the
-    links; [Downgrade] runs the ladder walk against {!fits};
-    [Mts_profile] polices against the call's bucket ladder (attached
-    at [now] on first use unless {!attach_mts} ran) and returns
-    [Police_to] when it clips.  Records [demanded]; the caller (the
-    engines' shared rate-change step) then counts the decision
-    ({!Rcbr_policy.Service_model.downgraded},
+    links; [Downgrade] runs the ladder walk against {!fits} and queues
+    a call it grants below demand ({!queue_upgrade}); [Mts_profile]
+    polices against the ladder {!attach_mts} attached (it asserts
+    one is) and returns [Police_to] when it clips.  Records [demanded];
+    the caller (the engines' shared rate-change step) then counts the
+    decision ({!Rcbr_policy.Service_model.downgraded},
     {!Rcbr_policy.Service_model.denial}, probing {!fits} only when
     asked) and settles the granted rate. *)
 
-val attach_mts : t -> handle -> Rcbr_policy.Mts.profile -> now:float -> unit
-(** Attach a full MTS ladder to the call with its policing clock at
-    [now] — for drivers whose calls start being policed at admission
-    rather than at their first {!decide}. *)
+val queue_upgrade : t -> handle -> unit
+(** Put the call at the tail of the store's one queue of downgraded
+    calls waiting for spare capacity.  {!decide} queues the changes it
+    grants below demand; the arrival step queues a call placed below
+    its demand. *)
 
-val try_upgrade :
-  Rcbr_policy.Service_model.t -> links:Link.t array -> t -> handle ->
-  now:float -> float option
-(** Spare-capacity upgrade for a downgraded call ([Downgrade] only):
-    the new granted rate if a higher tier (or the full demanded rate)
-    fits, [None] otherwise. *)
-
-val upgrade_scan :
+val drain_upgrades :
   Rcbr_policy.Service_model.t -> links:Link.t array -> t -> now:float ->
   (handle -> float -> unit) -> unit
-(** Spare capacity appeared: {!try_upgrade} every live call in
-    ascending call-id order (never handle order, which recycling
-    scrambles) and pass each granted rate to the callback, which must
-    settle it before the next probe.  A no-op except under
-    [Downgrade]. *)
+(** Spare capacity appeared (a departure): restore queued calls in the
+    order they were downgraded ([Downgrade] only; a no-op otherwise).
+    Each granted rate — the full demanded rate if it fits, else the
+    highest ladder tier that does — goes to the callback, which must
+    settle it before the next probe.  Entries of departed, recycled or
+    already restored calls are dropped; a head that fits nothing
+    higher blocks the rest, and one restored only part way keeps the
+    head for the next departure.  O(1) amortised per entry. *)
 
 (** {1 Population} *)
 

@@ -2,7 +2,7 @@
     demanded rate does not fit (DESIGN.md section 15).
 
     The admission controller ({!Rcbr_admission.Controller.place}), the
-    call store ({!Rcbr_net.Store.decide} / {!Rcbr_net.Store.try_upgrade})
+    call store ({!Rcbr_net.Store.decide} / {!Rcbr_net.Store.drain_upgrades})
     and every call-level simulator take a value of this type instead of
     hard-wiring settle semantics.  Each engine has one arrival path and
     one rate-change path that every model runs through, and one
@@ -20,11 +20,12 @@
       that does not fit walks a rate ladder downward and is granted at
       the highest tier that does; if nothing fits the call settles at
       the floor tier.  Downgraded calls are upgraded opportunistically
-      on spare-capacity (departure) events, in deterministic order.
+      on spare-capacity (departure) events, oldest downgrade first.
     - {!Mts_profile} — the demanded rate is policed per change against
-      a per-call multi-timescale token-bucket ladder ({!Mts}); the
-      granted (possibly clipped) rate settles.  Capacity overload is
-      prevented statistically by the profile, not per-link. *)
+      a per-call multi-timescale token-bucket ladder ({!Mts}), attached
+      when the call is placed; the granted (possibly clipped) rate
+      settles.  Capacity overload is prevented statistically by the
+      profile, not per-link. *)
 
 type t =
   | Renegotiate

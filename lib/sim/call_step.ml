@@ -36,9 +36,13 @@ let arrive ctrl model ~links store h ~now ~demanded k =
   | decision ->
       let granted = Service_model.granted_rate decision ~demanded in
       k.admitted <- k.admitted + 1;
-      if Service_model.downgraded decision then k.downgrades <- k.downgrades + 1;
+      if Service_model.downgraded decision then begin
+        k.downgrades <- k.downgrades + 1;
+        Store.queue_upgrade store h
+      end;
       Store.set_demanded store h demanded;
       Store.settle ~links store h ~rate:granted;
+      Store.attach_mts model store h ~now;
       Controller.on_admit ctrl ~now ~call:(Store.id store h) ~rate:granted;
       true
 

@@ -35,10 +35,11 @@ val arrive :
     handle: {!Rcbr_admission.Controller.place} under the model, probing
     {!Rcbr_net.Store.fits}.  On [Settle_floor] the handle is released
     and the call counted blocked; otherwise it is counted admitted (and
-    downgraded when placed below [demanded]), its demanded and granted
-    rates are recorded and settled, and the controller is told
-    ({!Rcbr_admission.Controller.on_admit}).  Returns whether the call
-    was placed. *)
+    downgraded, and queued for spare capacity, when placed below
+    [demanded]), its demanded and granted rates are recorded and
+    settled, its MTS ladder attached ({!Rcbr_net.Store.attach_mts}),
+    and the controller is told ({!Rcbr_admission.Controller.on_admit}).
+    Returns whether the call was placed. *)
 
 val change :
   Rcbr_policy.Service_model.t -> links:Rcbr_net.Link.t array ->
@@ -56,8 +57,8 @@ val upgrade :
   Rcbr_admission.Controller.t -> links:Rcbr_net.Link.t array ->
   Rcbr_net.Store.t -> Rcbr_net.Store.handle -> now:float -> rate:float ->
   counts -> unit
-(** A spare-capacity upgrade the engine's upgrade order chose: count
-    it, settle [rate] and tell the controller. *)
+(** A spare-capacity upgrade {!Rcbr_net.Store.drain_upgrades} chose:
+    count it, settle [rate] and tell the controller. *)
 
 (** {1 Link utilization} *)
 

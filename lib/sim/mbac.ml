@@ -156,7 +156,7 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
     Controller.on_depart controller ~now ~call:(Store.id store h);
     Store.release store h;
     (* Spare capacity just appeared: restore downgraded calls. *)
-    Store.upgrade_scan c.service ~links store ~now (fun h r ->
+    Store.drain_upgrades c.service ~links store ~now (fun h r ->
         Call_step.upgrade controller ~links store h ~now ~rate:r k)
   in
   let driver =
@@ -184,10 +184,6 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
        then begin
          incr next_call_id;
          link.Link.n_calls <- link.Link.n_calls + 1;
-         (* Calls are policed from admission on. *)
-         (match c.service with
-         | Service_model.Mts_profile p -> Store.attach_mts store h p ~now
-         | _ -> ());
          (* Piece 0 is the setup the arrival step just settled, so the
             walk starts at piece 1, once piece 0 has played. *)
          Events.schedule_after engine ~delay:(fst pieces.(0))

@@ -50,11 +50,13 @@ type config = {
       (** what happens when a demanded rate does not fit (DESIGN.md
           §15).  [Renegotiate] (the default) is the seed's settle
           semantics; [Downgrade] grants the highest fitting ladder tier
-          and upgrades opportunistically on departures; [Mts_profile]
-          polices each change against a per-call token-bucket ladder
-          attached at admission.  Every model runs one arrival path
-          (Chernoff gate, then the draw, then {!Call_step.arrive}) and
-          one rate-change path ({!Call_step.change}). *)
+          and restores downgraded calls on departures, in the order
+          they were downgraded ({!Rcbr_net.Store.drain_upgrades});
+          [Mts_profile] polices each change against a per-call
+          token-bucket ladder attached at admission.  Every model runs
+          one arrival path (Chernoff gate, then the draw, then
+          {!Call_step.arrive}) and one rate-change path
+          ({!Call_step.change}). *)
 }
 
 val default_config :

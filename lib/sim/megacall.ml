@@ -148,36 +148,6 @@ let run_shard cfg rng =
   and replacements = ref 0 in
   let n_levels = Array.length cfg.levels in
   let routes = (topo : Topology.t).routes in
-  (* Downgraded calls waiting for spare capacity, oldest first (only
-     [Downgrade] grants below demand at a tier, so only it queues).
-     Handles recycle, so entries carry the call id; stale or
-     already-restored entries are dropped at drain time. *)
-  let upq : (Store.handle * int) Queue.t = Queue.create () in
-  let rec drain_upgrades now =
-    match Queue.peek_opt upq with
-    | None -> ()
-    | Some (h, id0) ->
-        if
-          (not (Store.is_live store h))
-          || Store.id store h <> id0
-          || Store.demanded store h <= Store.applied store h
-        then begin
-          ignore (Queue.pop upq);
-          drain_upgrades now
-        end
-        else begin
-          match Store.try_upgrade cfg.service ~links store h ~now with
-          | None -> () (* head-of-line blocking keeps the order fair *)
-          | Some r ->
-              Call_step.upgrade ctrl ~links store h ~now ~rate:r k;
-              if Store.demanded store h <= r then begin
-                ignore (Queue.pop upq);
-                drain_upgrades now
-              end
-              (* else: partially restored — stays at the head, and the
-                 next spare-capacity event climbs further *)
-        end
-  in
   (* The Chernoff gate first, then the route and level draws only when
      it admits (the seed's draw order), then the shared arrival step. *)
   let try_arrival now =
@@ -190,12 +160,6 @@ let run_shard cfg rng =
       if Call_step.arrive ctrl cfg.service ~links store h ~now ~demanded k
       then begin
         incr next_id;
-        (* Calls are policed from admission on. *)
-        (match cfg.service with
-        | Service_model.Mts_profile p -> Store.attach_mts store h p ~now
-        | _ -> ());
-        (* Placed below its demand: wait for spare capacity. *)
-        if Store.applied store h < demanded then Queue.push (h, id) upq;
         if Store.live_count store > !peak then peak := Store.live_count store;
         ignore
           (Wheel.push wheel
@@ -218,16 +182,13 @@ let run_shard cfg rng =
       incr departures;
       incr replacements;
       (* Spare capacity just appeared: restore downgraded calls. *)
-      drain_upgrades now
+      Store.drain_upgrades cfg.service ~links store ~now (fun h r ->
+          Call_step.upgrade ctrl ~links store h ~now ~rate:r k)
     end
     else begin
       let lvl = Rng.int rng n_levels in
       let demanded = cfg.levels.(lvl) in
       let d = Call_step.change cfg.service ~links store h ~now ~demanded k in
-      (match d with
-      | Service_model.Downgrade_to _ | Service_model.Settle_floor _ ->
-          Queue.push (h, Store.id store h) upq
-      | Service_model.Grant | Service_model.Police_to _ -> ());
       Controller.on_renegotiate ctrl ~now ~call:(Store.id store h)
         ~rate:(Service_model.granted_rate d ~demanded);
       ignore

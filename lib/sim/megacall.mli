@@ -28,7 +28,8 @@ type config = {
   service : Rcbr_policy.Service_model.t;
       (** what a non-fitting rate gets (DESIGN.md §15).  [Renegotiate]
           is the default; [Downgrade] grants ladder tiers and restores
-          downgraded calls on departures in FIFO order; [Mts_profile]
+          downgraded calls on departures, in the order they were
+          downgraded ({!Rcbr_net.Store.drain_upgrades}); [Mts_profile]
           polices each change against a per-call token-bucket ladder,
           attached at admission.  Every model runs one arrival path
           (Chernoff gate, then the route and level draws, then

@@ -99,9 +99,11 @@ let run_net (nc : net_config) fc =
     let h = Store.acquire store ~id:(Store.live_count store) ~route ~transit in
     (* Reserve the setup rate immediately so later placement decisions
        (the load balancer) see it; the first piece event is then a
-       no-op rate-wise.  Nothing admits here, so the setup is the
-       model's decision and the settle, not a renegotiation attempt. *)
+       no-op rate-wise.  Nothing admits here, so the setup places the
+       call (its MTS ladder attaches now) and is the model's decision
+       and the settle, not a renegotiation attempt. *)
     let demanded = snd pieces.(0) in
+    Store.attach_mts nc.service store h ~now:0.;
     let d = Store.decide nc.service ~links store h ~now:0. ~demanded in
     if Service_model.downgraded d then begin
       let k = counts_of h in

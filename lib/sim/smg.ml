@@ -79,7 +79,7 @@ let shared_loss_of_aggregates c ~n aggregates capacity_per_stream =
   in
   total /. float_of_int (Array.length aggregates)
 
-(* lint: allow R001 — probe: tests check the loss behind min_capacity_shared *)
+(* lint: allow R001 — probe: tests check the loss behind min_capacities_shared *)
 let shared_loss ?pool c ~n ~capacity_per_stream =
   validate c;
   shared_loss_of_aggregates c ~n (shared_aggregates ?pool c ~n)
@@ -148,7 +148,7 @@ let rcbr_loss_of_profiles ~n profiles capacity_per_stream =
   in
   total /. float_of_int (Array.length profiles)
 
-(* lint: allow R001 — probe: tests check the loss behind min_capacity_rcbr *)
+(* lint: allow R001 — probe: tests check the loss behind min_capacities_rcbr *)
 let rcbr_loss ?pool c ~n ~capacity_per_stream =
   validate c;
   rcbr_loss_of_profiles ~n (rcbr_profiles ?pool c ~n) capacity_per_stream

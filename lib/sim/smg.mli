@@ -15,16 +15,17 @@
       demand exceeds the link (the source settles for the remaining
       bandwidth).
 
-    For each scenario, [min_capacity_*] binary-searches the smallest
-    per-stream [c] meeting a bit-loss-fraction target, averaging over
-    [replications] random phasings.
+    For each scenario and stream count, [min_capacity_cbr] and
+    [min_capacities_*] binary-search the smallest per-stream [c]
+    meeting a bit-loss-fraction target, averaging over [replications]
+    random phasings.
 
     Every function taking [?pool] distributes its independent
-    replications (and, for the batched [min_capacities_*], its
-    per-stream-count searches) over the given {!Rcbr_util.Pool}.  The
-    per-replication generators are pre-split sequentially from the
-    config seed, so results are bit-identical for any pool size,
-    including no pool at all. *)
+    replications (and, for [min_capacities_*], its per-stream-count
+    searches) over the given {!Rcbr_util.Pool}.  The per-replication
+    generators are pre-split sequentially from the config seed, so
+    results are bit-identical for any pool size, including no pool at
+    all. *)
 
 type config = {
   trace : Rcbr_traffic.Trace.t;
@@ -40,17 +41,14 @@ val validate : config -> unit
 val min_capacity_cbr : config -> float
 (** Per-stream rate of the static CBR scenario (independent of [n]). *)
 
-val min_capacity_shared : ?pool:Rcbr_util.Pool.t -> config -> n:int -> float
-val min_capacity_rcbr : ?pool:Rcbr_util.Pool.t -> config -> n:int -> float
-
 val min_capacities_shared :
   ?pool:Rcbr_util.Pool.t -> config -> ns:int list -> float list
-(** Per-stream-count batch of {!min_capacity_shared}, one result per
-    element of [ns] in order; the searches run concurrently on the
-    pool. *)
+(** Per-stream rate of the shared-buffer scenario for each stream count
+    of [ns], in order; the searches run concurrently on the pool. *)
 
 val min_capacities_rcbr :
   ?pool:Rcbr_util.Pool.t -> config -> ns:int list -> float list
+(** The same for the RCBR scenario. *)
 
 val rcbr_loss :
   ?pool:Rcbr_util.Pool.t -> config -> n:int -> capacity_per_stream:float -> float

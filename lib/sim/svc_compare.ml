@@ -147,7 +147,7 @@ let run_model c model =
     Store.release store h;
     Controller.on_depart ctrl ~now ~call:i;
     incr departures;
-    Store.upgrade_scan model ~links store ~now (fun h r ->
+    Store.drain_upgrades model ~links store ~now (fun h r ->
         accrue (Store.id store h) h ~now;
         Call_step.upgrade ctrl ~links store h ~now ~rate:r k)
   in

@@ -8,15 +8,18 @@
     verbatim under [Renegotiate], [Downgrade] (a 4-tier ladder between
     the lowest and highest workload level) and [Mts_profile] (a 3-scale
     token-bucket ladder between the workload's mean and peak rates, 4 s
-    quantum).  Calls demand 64 kb/s, 256 kb/s or 1 024 kb/s, and a
-    perfect-knowledge controller admits against 0.9x the workload's
-    mean load at overflow target 1e-6.  Each run reports the paper's
-    statistical-multiplexing gain alongside the service-quality prices
-    the models pay for it: blocking probability, downgrade probability,
-    and Jain's fairness index over per-flow granted/demanded bit
-    ratios.  Everything is deterministic per [config]; the [bench]
-    harness hashes {!model_metrics.decision_hash} and
-    {!model_metrics.outcome_hash} into its drift gate. *)
+    quantum).  The models run the call steps every engine shares: the
+    downgrade ladder restores calls in the order they were downgraded
+    ({!Rcbr_net.Store.drain_upgrades}) and the MTS ladder polices a
+    call from its arrival on.  Calls demand 64 kb/s, 256 kb/s or
+    1 024 kb/s, and a perfect-knowledge controller admits against 0.9x
+    the workload's mean load at overflow target 1e-6.  Each run
+    reports the paper's statistical-multiplexing gain alongside the
+    service-quality prices the models pay for it: blocking probability,
+    downgrade probability, and Jain's fairness index over per-flow
+    granted/demanded bit ratios.  Everything is deterministic per
+    [config]; the [bench] harness hashes {!model_metrics.decision_hash}
+    and {!model_metrics.outcome_hash} into its drift gate. *)
 
 type config = {
   capacity : float;  (** per-link capacity, b/s *)

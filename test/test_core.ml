@@ -105,6 +105,14 @@ let test_schedule_constant () =
   Alcotest.(check int) "no renegotiations" 0 (Schedule.n_renegotiations s);
   check_close 1e-9 "rate" 42. (Schedule.rate_at s 5)
 
+(* "@ " in a Format string is a break hint, so the header's literal "@"
+   must be written "@@" to keep the header on one line. *)
+let test_schedule_pp () =
+  Alcotest.(check string) "two lines, header whole"
+    "schedule: 8 slots @ 2 fps, 2 renegotiations\n\
+     mean rate 0.0 kb/s, peak 0.0 kb/s, mean interval 1.33 s"
+    (Format.asprintf "%a" Schedule.pp (sched_4 ()))
+
 let test_bandwidth_efficiency () =
   let trace = Trace.create ~fps:2. (Array.make 8 10.) in
   (* trace mean = 20 b/s; schedule mean 22.5 -> eff = 20/22.5 *)
@@ -908,6 +916,7 @@ let () =
           Alcotest.test_case "marginal" `Quick test_schedule_marginal;
           Alcotest.test_case "shift" `Quick test_schedule_shift;
           Alcotest.test_case "constant" `Quick test_schedule_constant;
+          Alcotest.test_case "pp one-line header" `Quick test_schedule_pp;
           Alcotest.test_case "efficiency" `Quick test_bandwidth_efficiency;
         ] );
       ( "rate_grid",

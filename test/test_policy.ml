@@ -212,6 +212,19 @@ let test_settle_at_floor_audits_clean () =
   Alcotest.(check int) "audit clean" 0 (Store.audit ~links store);
   checkf "demand tracked" 6_000. (Store.demanded store b)
 
+(* A drain that records each restoration, as (call id, granted rate),
+   and settles it, as every engine's callback does. *)
+let drain links store restored =
+  Store.drain_upgrades model ~links store ~now:1. (fun h r ->
+      restored := !restored @ [ (Store.id store h, r) ];
+      Store.settle ~links store h ~rate:r)
+
+let check_restored = Alcotest.(check (list (pair int (float 0.))))
+
+let depart links store h =
+  Store.settle ~links store h ~rate:0.;
+  Store.release store h
+
 let test_upgrade_races_departure () =
   let links = single_link ~capacity:10_000. in
   let store = Store.create () in
@@ -223,55 +236,98 @@ let test_upgrade_races_departure () =
       checkf "downgraded next to the 8k call" 1_000. granted;
       Store.settle ~links store b ~rate:granted
   | _ -> Alcotest.fail "expected Downgrade_to");
-  (* Same tick: the upgrade probe fires before the departure settles —
-     the link still carries the departing call, so nothing fits ... *)
-  Alcotest.(check bool) "upgrade loses the race" true
-    (Store.try_upgrade model ~links store b ~now:1. = None);
-  (* ... and after the departure settles, the probe restores the full
-     demanded rate.  Drivers run their upgrade scans after the
-     departure bookkeeping for exactly this reason. *)
-  Store.settle ~links store a ~rate:0.;
-  Store.release store a;
-  (match Store.try_upgrade model ~links store b ~now:1. with
-  | Some r ->
-      checkf "full restore after departure" 8_000. r;
-      Store.settle ~links store b ~rate:r
-  | None -> Alcotest.fail "expected upgrade after departure");
+  (* Same tick: the drain runs before the departure settles — the link
+     still carries the departing call, so nothing fits ... *)
+  let restored = ref [] in
+  drain links store restored;
+  check_restored "upgrade loses the race" [] !restored;
+  (* ... and after the departure settles, the queued call gets its full
+     demanded rate back.  Drivers drain after the departure bookkeeping
+     for exactly this reason. *)
+  depart links store a;
+  drain links store restored;
+  check_restored "full restore after departure" [ (1, 8_000.) ] !restored;
   Alcotest.(check int) "audit clean" 0 (Store.audit ~links store)
 
-(* Recycled handles put handle order and call-id order apart; the
-   spare capacity must go to the oldest call (lowest id) first. *)
-let test_upgrade_scan_call_id_order () =
-  let links = single_link ~capacity:10_000. in
+(* One queue, oldest downgrade first.  Recycling puts handle order
+   (d < b < c) and call-id order (b < c < d) apart from the downgrade
+   order (c, d, b), and leaves the departed call s a stale entry under
+   the handle d took over. *)
+let test_upgrade_queue_order () =
+  let links = single_link ~capacity:14_000. in
   let store = Store.create () in
-  let old = call store ~id:0 in
-  let mid = call store ~id:1 in
-  Store.settle ~links store mid ~rate:1_000.;
-  (* Call 0 leaves; call 2 recycles its handle, which now sorts first. *)
-  Store.release store old;
-  let young = call store ~id:2 in
-  Alcotest.(check bool) "handle order differs from id order" true (young < mid);
-  Store.settle ~links store young ~rate:1_000.;
-  let blocker = call store ~id:3 in
-  Store.settle ~links store blocker ~rate:8_000.;
+  let s = call store ~id:0 in
+  let b = call store ~id:1 in
+  let c = call store ~id:2 in
+  let x = call store ~id:3 in
+  let z = call store ~id:4 in
   List.iter
-    (fun h ->
-      match Store.decide model ~links store h ~now:0. ~demanded:8_000. with
-      | Service_model.Settle_floor _ | Service_model.Downgrade_to _ -> ()
-      | _ -> Alcotest.fail "expected a downgrade")
-    [ mid; young ];
-  (* The blocker leaves: 8k of room, enough to restore only one call. *)
-  Store.settle ~links store blocker ~rate:0.;
-  Store.release store blocker;
-  let order = ref [] in
-  Store.upgrade_scan model ~links store ~now:1. (fun h r ->
-      order := Store.id store h :: !order;
-      Store.settle ~links store h ~rate:r);
-  Alcotest.(check (list int)) "the lower call id wins the room" [ 1 ]
-    (List.rev !order);
-  checkf "older call fully restored" 8_000. (Store.applied store mid);
-  checkf "younger call stays at the floor" 1_000. (Store.applied store young);
+    (fun (h, rate) -> Store.settle ~links store h ~rate)
+    [ (b, 1_000.); (c, 1_000.); (x, 8_000.); (z, 3_000.) ];
+  (* The link is full after each downgrade, so each lands on the floor. *)
+  let downgrade h demanded =
+    match Store.decide model ~links store h ~now:0. ~demanded with
+    | Service_model.Downgrade_to { granted; _ } ->
+        checkf "floor" 1_000. granted;
+        Store.settle ~links store h ~rate:granted
+    | _ -> Alcotest.fail "expected Downgrade_to"
+  in
+  downgrade s 8_000.;
+  depart links store s;
+  let d = call store ~id:5 in
+  Alcotest.(check int) "d recycles s's handle" s d;
+  Store.settle ~links store d ~rate:1_000.;
+  downgrade c 8_000.;
+  downgrade d 8_000.;
+  downgrade b 2_000.;
+  Alcotest.(check bool) "handle order d < b < c" true (d < b && b < c);
+  let restored = ref [] in
+  (* x leaves, 8k of room.  s's stale entry goes (a drain that took it
+     for d would restore d first); c is restored in full; d fits no
+     higher tier and blocks b, which would fit. *)
+  depart links store x;
+  drain links store restored;
+  check_restored "c first, b waits" [ (2, 8_000.) ] !restored;
+  checkf "b still at the floor" 1_000. (Store.applied store b);
+  (* z leaves, room for d's next tier only: d climbs part way and keeps
+     the head, so b still waits. *)
+  depart links store z;
+  drain links store restored;
+  check_restored "d part way" [ (2, 8_000.); (5, 4_000.) ] !restored;
+  checkf "b waits behind a partly restored head" 1_000. (Store.applied store b);
+  (* c leaves: d climbs the rest of the way, then b. *)
+  depart links store c;
+  drain links store restored;
+  check_restored "downgrade order"
+    [ (2, 8_000.); (5, 4_000.); (5, 8_000.); (1, 2_000.) ]
+    !restored;
   Alcotest.(check int) "audit clean" 0 (Store.audit ~links store)
+
+(* MTS polices a call from the moment it is placed: the first change
+   settles the piece played since the arrival against the ladder.  One
+   scale at 1 kb/s with 4 kb of credit: 2 s at 3 kb/s overdraw it, so
+   the change is clipped to the token rate, where a ladder attached at
+   the change would have granted the 3 kb/s in full. *)
+let test_mts_polices_from_placement () =
+  let p = { Mts.rates = [| 1_000. |]; depths = [| 4_000. |]; quantum = 1. } in
+  let mts = Service_model.Mts_profile p in
+  let links = single_link ~capacity:1e9 in
+  let store = Store.create () in
+  let ctrl = Controller.always_admit () in
+  let k = Rcbr_sim.Call_step.counts () in
+  let h = call store ~id:0 in
+  Alcotest.(check bool) "placed" true
+    (Rcbr_sim.Call_step.arrive ctrl mts ~links store h ~now:0. ~demanded:3_000. k);
+  (match Rcbr_sim.Call_step.change mts ~links store h ~now:2. ~demanded:3_000. k with
+  | Service_model.Police_to { granted } -> checkf "clipped to the token rate" 1_000. granted
+  | _ -> Alcotest.fail "expected Police_to");
+  checkf "settled" 1_000. (Store.applied store h);
+  Alcotest.(check int) "one downgrade" 1 k.Rcbr_sim.Call_step.downgrades;
+  (* A call no engine placed has no ladder, and [decide] says so. *)
+  let stray = call store ~id:1 in
+  match Store.decide mts ~links store stray ~now:2. ~demanded:1_000. with
+  | exception Assert_failure _ -> ()
+  | _ -> Alcotest.fail "decide policed a call with no ladder"
 
 (* --- Controller.place ≡ admit under Renegotiate ---------------------- *)
 
@@ -325,7 +381,7 @@ let test_controller_place_renegotiate_identity () =
    Settle_floor settles can only lower the link demand.  Hence: as long
    as demands stay at or above the floor, the total granted rate never
    exceeds capacity — under any interleaving of arrivals, changes,
-   departures and upgrade scans. *)
+   departures and upgrade drains. *)
 let prop_downgrade_capacity =
   let gen =
     QCheck.Gen.(
@@ -371,7 +427,7 @@ let prop_downgrade_capacity =
               let h = pick v in
               Store.settle ~links store h ~rate:0.;
               Store.release store h;
-              Store.upgrade_scan model ~links store ~now:0. (fun h r ->
+              Store.drain_upgrades model ~links store ~now:0. (fun h r ->
                   Store.settle ~links store h ~rate:r)
           | _ -> ());
           check_cap ())
@@ -421,11 +477,9 @@ let test_svc_compare_deterministic () =
         true
         (r.Svc_compare.jain_fairness >= 0. && r.Svc_compare.jain_fairness <= 1.))
     seq.Svc_compare.models;
-  (* Downgrade pin: recycled handles put this workload's handle order
-     apart from its call-id order, so an upgrade scan in handle order
-     lands a different outcome hash (value from the record-session
-     engine, which scanned by ascending call id). *)
-  Alcotest.(check int) "downgrade outcome pinned" 1382759711495414427
+  (* Downgrade pin: the store's queue restores calls in the order they
+     were downgraded; an ascending-call-id scan lands another hash. *)
+  Alcotest.(check int) "downgrade outcome pinned" 738013726371940941
     seq.Svc_compare.models.(1).Svc_compare.outcome_hash;
   (* Renegotiate grants every admitted demand in full, so its fairness
      over admitted calls is exact: J = admitted / arrivals. *)
@@ -683,8 +737,10 @@ let () =
             test_settle_at_floor_audits_clean;
           Alcotest.test_case "upgrade races departure" `Quick
             test_upgrade_races_departure;
-          Alcotest.test_case "upgrade scan in call-id order" `Quick
-            test_upgrade_scan_call_id_order;
+          Alcotest.test_case "upgrades in downgrade order" `Quick
+            test_upgrade_queue_order;
+          Alcotest.test_case "mts polices from placement" `Quick
+            test_mts_polices_from_placement;
         ] );
       ( "controller",
         [

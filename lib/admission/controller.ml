@@ -33,32 +33,18 @@ module Service_model = Rcbr_policy.Service_model
    tick is decided by one probe and one warm [max_calls] search.
 
    The three aggregates are plain float arrays grown together with the
-   level table, and calls sit in an int-keyed table: no update boxes a
-   float or hashes a key through the polymorphic primitives.  A call's
-   own history array is allocated at its first finalized segment, so a
-   call that departs before renegotiating never gets one.
+   level table, and a call's own state sits in per-slot columns indexed
+   by the caller's dense slot (its [Store] handle): no update boxes a
+   float, hashes a key or allocates a record.  A slot's history array
+   is allocated at its first finalized segment, so a call that departs
+   before renegotiating never gets one, and it is zeroed, not dropped,
+   at departure, so the next call on a recycled slot reuses it.
 
    The decision sequence is property-tested against a from-scratch
    oracle that rebuilds the [(rate, weight)] list from per-call records
    on every decision and runs the cold [Chernoff.max_calls]
    (test/seed_oracle.ml).  The aggregate differs from a rebuild only by
    float-summation order, which the deviation probe below bounds. *)
-
-type call_state = {
-  mutable level : int;
-  mutable since : float;
-  mutable history : float array;
-      (* finalized seconds per level, this call; [||] until its first
-         finalized segment *)
-  mutable segments : int;  (* finalized history segments (weight > 0) *)
-}
-
-module Calls = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash id = id land max_int
-end)
 
 type kind =
   | Perfect of { max_calls : int }
@@ -77,7 +63,16 @@ type stats = {
 type t = {
   name : string;
   kind : kind;
-  calls : call_state Calls.t;
+  (* Per-slot call state, one entry per slot below the columns' length;
+     grown by doubling to the highest slot admitted. *)
+  mutable level : int array;
+  mutable since : float array;  (* start of the call's ongoing segment *)
+  mutable segments : int array;  (* finalized history segments (weight > 0) *)
+  mutable history : float array array;
+      (* finalized seconds per level, this call; [||] until the slot's
+         first finalized segment, zeroed at departure *)
+  mutable live : Bytes.t;  (* '\001' while a call holds the slot *)
+  mutable n_live : int;
   (* Level table: rate values interned in first-seen order. *)
   mutable values : float array;
   mutable n_levels : int;
@@ -106,7 +101,7 @@ type t = {
 }
 
 let name t = t.name
-let n_in_system t = Calls.length t.calls
+let n_in_system t = t.n_live
 
 let stats t =
   {
@@ -147,63 +142,90 @@ let level_of t rate =
 
 (* --- state maintenance ---------------------------------------------- *)
 
-let accumulate t state ~now =
-  let elapsed = now -. state.since in
+let is_live t s = s < Bytes.length t.live && Bytes.get t.live s <> '\000'
+
+let grow_slots t s =
+  let cap = Array.length t.level in
+  let ncap = max (s + 1) (max 16 (2 * cap)) in
+  let extend a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.level <- extend t.level 0;
+  t.segments <- extend t.segments 0;
+  t.since <- extend t.since 0.;
+  t.history <- extend t.history [||];
+  let live = Bytes.make ncap '\000' in
+  Bytes.blit t.live 0 live 0 cap;
+  t.live <- live
+
+(* Close slot [s]'s ongoing segment at [now] into its history. *)
+let accumulate t s ~now =
+  let elapsed = now -. t.since.(s) in
   if elapsed > 0. then begin
-    let l = state.level in
-    if l >= Array.length state.history then
-      state.history <- grown state.history (max (l + 1) t.n_levels);
-    state.history.(l) <- state.history.(l) +. elapsed;
+    let l = t.level.(s) in
+    if l >= Array.length t.history.(s) then
+      t.history.(s) <- grown t.history.(s) (max (l + 1) t.n_levels);
+    let h = t.history.(s) in
+    h.(l) <- h.(l) +. elapsed;
     t.hist.(l) <- t.hist.(l) +. elapsed;
-    state.segments <- state.segments + 1;
+    t.segments.(s) <- t.segments.(s) + 1;
     t.hist_segments <- t.hist_segments + 1
   end;
-  state.since <- now
+  t.since.(s) <- now
 
-(* Open a segment at [level] from [now] / close the one [st] holds. *)
+(* Open a segment at [level] from [now] / close the one slot [s] holds. *)
 let enter t level ~now =
   t.cur_count.(level) <- t.cur_count.(level) +. 1.;
   t.since_sum.(level) <- t.since_sum.(level) +. now
 
-let leave t st =
-  t.cur_count.(st.level) <- t.cur_count.(st.level) -. 1.;
-  t.since_sum.(st.level) <- t.since_sum.(st.level) -. st.since
+let leave t s =
+  let l = t.level.(s) in
+  t.cur_count.(l) <- t.cur_count.(l) -. 1.;
+  t.since_sum.(l) <- t.since_sum.(l) -. t.since.(s)
 
 let on_admit t ~now ~call ~rate =
-  assert (not (Calls.mem t.calls call));
+  if call >= Array.length t.level then grow_slots t call;
+  assert (not (is_live t call));
   let level = level_of t rate in
-  Calls.replace t.calls call
-    { level; since = now; history = [||]; segments = 0 };
+  t.level.(call) <- level;
+  t.since.(call) <- now;
+  t.segments.(call) <- 0;
+  Bytes.set t.live call '\001';
+  t.n_live <- t.n_live + 1;
   if now < t.since_floor then t.since_floor <- now;
   enter t level ~now
 
 let on_renegotiate t ~now ~call ~rate =
-  match Calls.find t.calls call with
-  | exception Not_found -> ()
-  | st ->
-      (* Close the ongoing segment at the old level... *)
-      leave t st;
-      accumulate t st ~now;
-      (* ...and open one at the new. *)
-      let level = level_of t rate in
-      st.level <- level;
-      enter t level ~now
+  if is_live t call then begin
+    (* Close the ongoing segment at the old level... *)
+    leave t call;
+    accumulate t call ~now;
+    (* ...and open one at the new. *)
+    let level = level_of t rate in
+    t.level.(call) <- level;
+    enter t level ~now
+  end
 
 let on_depart t ~now ~call =
   ignore now;
-  match Calls.find t.calls call with
-  | exception Not_found -> ()
-  | st ->
-      Calls.remove t.calls call;
-      (* The departing call takes its history with it, exactly as the
-         seed's per-call table did: the ongoing tail is dropped, not
-         finalized. *)
-      leave t st;
-      let h = st.history in
-      for l = 0 to Array.length h - 1 do
-        if h.(l) > 0. then t.hist.(l) <- t.hist.(l) -. h.(l)
-      done;
-      t.hist_segments <- t.hist_segments - st.segments
+  if is_live t call then begin
+    Bytes.set t.live call '\000';
+    t.n_live <- t.n_live - 1;
+    (* The departing call takes its history with it, exactly as the
+       seed's per-call table did: the ongoing tail is dropped, not
+       finalized. *)
+    leave t call;
+    let h = t.history.(call) in
+    for l = 0 to Array.length h - 1 do
+      if h.(l) > 0. then begin
+        t.hist.(l) <- t.hist.(l) -. h.(l);
+        h.(l) <- 0.
+      end
+    done;
+    t.hist_segments <- t.hist_segments - t.segments.(call)
+  end
 
 (* --- decision path ---------------------------------------------------- *)
 
@@ -219,13 +241,17 @@ let all_fresh t ~now =
   && ((* [since_floor] is a lower bound on every active [since]
          (departures never raise it), so [now <= since_floor] proves
          every call fresh in O(1) — the common case during a
-         same-tick ramp, where the fold below would be O(calls) per
-         decision.  When the bound is inconclusive the exact fold
+         same-tick ramp, where the scan below would be O(calls) per
+         decision.  When the bound is inconclusive the exact scan
          decides, as the seed did. *)
       now <= t.since_floor
-     (* lint: allow D002, T001 — conjunction over all calls, so the
-        result is invariant under bucket order and taints nothing *)
-     || Calls.fold (fun _ st acc -> acc && now -. st.since <= 0.) t.calls true)
+     ||
+     let fresh = ref true and s = ref 0 in
+     while !fresh && !s < Bytes.length t.live do
+       if is_live t !s && now -. t.since.(!s) > 0. then fresh := false;
+       incr s
+     done;
+     !fresh)
 
 (* Load the decision's weights: per level, the calls' instantaneous
    counts or the memory scheme's time-weighted aggregate.  Equal to
@@ -345,23 +371,18 @@ let place t (model : Service_model.t) ~demanded ~fits =
 (* lint: allow R001 — probe: tests check the aggregates against a rebuild *)
 let debug_aggregate_deviation t ~now =
   let rebuilt = Array.make (max 1 t.n_levels) 0. in
-  (* Rebuild in sorted-id order so the aggregate — a float sum — is a
-     pure function of the controller state, not of the table's bucket
-     history. *)
-  let ids =
-    (* lint: allow D002, T001 — key collection only; the sort below
-       restores a canonical order *)
-    List.sort Int.compare (Calls.fold (fun id _ acc -> id :: acc) t.calls [])
-  in
-  List.iter
-    (fun id ->
-      let st = Calls.find t.calls id in
+  (* Rebuild in slot order, so the aggregate, a float sum, is a pure
+     function of the controller state. *)
+  for s = 0 to Bytes.length t.live - 1 do
+    if is_live t s then begin
       Array.iteri
         (fun l w -> if w > 0. then rebuilt.(l) <- rebuilt.(l) +. w)
-        st.history;
-      let ongoing = now -. st.since in
-      if ongoing > 0. then rebuilt.(st.level) <- rebuilt.(st.level) +. ongoing)
-    ids;
+        t.history.(s);
+      let ongoing = now -. t.since.(s) in
+      if ongoing > 0. then
+        rebuilt.(t.level.(s)) <- rebuilt.(t.level.(s)) +. ongoing
+    end
+  done;
   let dev = ref 0. in
   for l = 0 to t.n_levels - 1 do
     let incremental =
@@ -378,7 +399,12 @@ let make ~name ~kind () =
   {
     name;
     kind;
-    calls = Calls.create 64;
+    level = [||];
+    since = [||];
+    segments = [||];
+    history = [||];
+    live = Bytes.empty;
+    n_live = 0;
     values = Array.make 16 0.;
     n_levels = 0;
     hist = Array.make 16 0.;

@@ -70,13 +70,28 @@ val place :
     caller blocks it, and the capacity rejection is recorded here as an
     extra deny. *)
 
+(** {1 Calls in the system}
+
+    [~call] is the caller's dense slot for the call: the engines and
+    the switch daemon pass the call's [Rcbr_net.Store] handle.  The
+    controller keeps each call's state in columns indexed by the slot,
+    grown to the highest slot admitted, so they stay bounded by the
+    peak population when slots are recycled.  A departed slot may be
+    admitted again; renegotiating or departing a slot that holds no
+    call is a no-op. *)
+
 val on_admit : t -> now:float -> call:int -> rate:float -> unit
+(** A call was placed on slot [call] (non-negative, holding no call)
+    at [rate] at time [now]. *)
+
 val on_renegotiate : t -> now:float -> call:int -> rate:float -> unit
 (** The call's reserved rate changed to [rate] at time [now]. *)
 
 val on_depart : t -> now:float -> call:int -> unit
+(** The call left; its history leaves the estimate with it. *)
 
 val n_in_system : t -> int
+(** Calls admitted and not departed. *)
 
 type stats = {
   decisions : int;  (** {!admit} calls *)
@@ -94,10 +109,10 @@ val stats : t -> stats
 
 val debug_aggregate_deviation : t -> now:float -> float
 (** Maximum relative deviation, over levels, between the incremental
-    time-weighted aggregate and a from-scratch rebuild from the per-call
-    records at time [now].  Exact bookkeeping would give 0; float
-    summation order bounds it near machine epsilon.  O(calls x levels) —
-    debugging and property tests only. *)
+    time-weighted aggregate and a from-scratch rebuild, in slot order,
+    from the per-call state at time [now].  Exact bookkeeping would give
+    0; float summation order bounds it near machine epsilon.
+    O(calls x levels) — debugging and property tests only. *)
 
 val perfect : descriptor:Descriptor.t -> capacity:float -> target:float -> t
 val memoryless : capacity:float -> target:float -> t

@@ -1,5 +1,4 @@
 module Trace = Rcbr_traffic.Trace
-module Numeric = Rcbr_util.Numeric
 
 type constraint_ = Buffer_bound of float | Delay_bound of int
 
@@ -84,14 +83,18 @@ let fr_ensure f n =
 (* Buffer occupancies within one part in 10^9 are the same physical
    state.  Raw float equality here (the seed's behaviour) let paths
    differing only by rounding noise survive deduplication and bloat the
-   frontier; the epsilon mirrors the NIU's grid-level comparison. *)
-let same_buffer a b = Numeric.approx_equal a b
+   frontier; the epsilon mirrors the NIU's grid-level comparison.
+   Inlined, here and in [fr_push], because under [-opaque] a call that
+   is not would box its float arguments on every expanded node. *)
+let[@inline] same_buffer a b =
+  let scale = Float.max 1. (Float.max (Float.abs a) (Float.abs b)) in
+  Float.abs (a -. b) <= 1e-9 *. scale
 
 (* Append (b, w, l, c) under the Pareto discipline: callers feed nodes
    in buffer-ascending order and only when [w] beats the running weight
    minimum; a node sharing the top's buffer replaces it (the later node
    is the cheaper one). *)
-let fr_push f b w l c p =
+let[@inline] fr_push f b w l c p =
   if f.len > 0 && same_buffer f.buf.(f.len - 1) b then begin
     let i = f.len - 1 in
     f.buf.(i) <- b;

@@ -278,26 +278,30 @@ let rec drain_upgrades model ~links t ~now f =
         with
         | None -> ()
         | Some r ->
-            f h r;
+            f h ~now ~rate:r;
             if t.demanded.(h) <= r then begin
               ignore (Queue.pop t.upq);
               drain_upgrades model ~links t ~now f
             end)
 
-let iter_live t f =
-  for h = 0 to t.hwm - 1 do
-    if is_live t h then f h
-  done
-
 (* Every link's demand must equal the sum of the [applied] rates of the
    calls crossing it — conservation of (desired) bandwidth under any
    interleaving of changes, retransmissions and give-ups.  One
    pseudo-VCI per link holds the recomputed expectation so the
-   [Invariant] checker flags aggregate/sum mismatches for us. *)
+   [Invariant] checker flags aggregate/sum mismatches for us.  The sums
+   run in handle order, then route order, as loops like [settle]'s:
+   no closure per live call. *)
 let audit ~(links : Link.t array) t =
   let expect = Array.make (Array.length links) 0. in
-  iter_live t (fun h ->
-      route_iter t h (fun lid -> expect.(lid) <- expect.(lid) +. t.applied.(h)));
+  for h = 0 to t.hwm - 1 do
+    if is_live t h then begin
+      let rate = t.applied.(h) and off = t.route_off.(h) in
+      for i = off to off + t.route_len.(h) - 1 do
+        let lid = t.routes.(i) in
+        expect.(lid) <- expect.(lid) +. rate
+      done
+    end
+  done;
   let views =
     Array.init (Array.length links) (fun i ->
         {

@@ -108,15 +108,16 @@ val queue_upgrade : t -> handle -> unit
 
 val drain_upgrades :
   Rcbr_policy.Service_model.t -> links:Link.t array -> t -> now:float ->
-  (handle -> float -> unit) -> unit
+  (handle -> now:float -> rate:float -> unit) -> unit
 (** Spare capacity appeared (a departure): restore queued calls in the
     order they were downgraded ([Downgrade] only; a no-op otherwise).
     Each granted rate — the full demanded rate if it fits, else the
-    highest ladder tier that does — goes to the callback, which must
-    settle it before the next probe.  Entries of departed, recycled or
-    already restored calls are dropped; a head that fits nothing
-    higher blocks the rest, and one restored only part way keeps the
-    head for the next departure.  O(1) amortised per entry. *)
+    highest ladder tier that does — goes to the callback with [now], so
+    an engine builds its callback once per run; the callback must
+    settle the rate before the next probe.  Entries of departed,
+    recycled or already restored calls are dropped; a head that fits
+    nothing higher blocks the rest, and one restored only part way
+    keeps the head for the next departure.  O(1) amortised per entry. *)
 
 (** {1 Population} *)
 
@@ -125,6 +126,3 @@ val audit : links:Link.t array -> t -> int
     [applied] rates of the live calls crossing it, via
     {!Rcbr_fault.Invariant.check} on per-link views.  Returns the
     number of violations (0 unless there is a bookkeeping bug). *)
-
-val iter_live : t -> (handle -> unit) -> unit
-(** Live handles in ascending order. *)

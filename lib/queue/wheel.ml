@@ -42,15 +42,18 @@ type 'a t = {
   mutable next_seq : int;
 }
 
-let create () =
+(* The value column needs a value to fill with, so it stays empty until
+   the first push, which sizes it to the hinted columns. *)
+let create ?(capacity_hint = 0) () =
+  let cap = max 0 capacity_hint in
   {
-    times = [||];
-    seqs = [||];
-    ids = [||];
-    slot = [||];
-    gen = [||];
+    times = Array.make cap 0.;
+    seqs = Array.make cap 0;
+    ids = Array.make cap 0;
+    slot = Array.make cap (-1);
+    gen = Array.make cap 0;
     values = [||];
-    free = [||];
+    free = Array.make cap 0;
     free_len = 0;
     n_ids = 0;
     size = 0;
@@ -140,7 +143,9 @@ let push t ~time value =
       t.free.(t.free_len)
     end
     else begin
-      if t.n_ids = Array.length t.times then grow t value;
+      if t.n_ids = Array.length t.times then grow t value
+      else if t.n_ids = Array.length t.values then
+        t.values <- Array.make (Array.length t.times) value;
       let id = t.n_ids in
       t.n_ids <- id + 1;
       id

@@ -26,7 +26,11 @@ type 'a t
 type 'a handle
 (** One scheduled entry; valid for the queue that returned it. *)
 
-val create : unit -> 'a t
+val create : ?capacity_hint:int -> unit -> 'a t
+(** An empty queue whose columns start sized for [capacity_hint]
+    pending entries (default 0), so a caller that knows its peak
+    population skips the doublings up to it. *)
+
 val length : 'a t -> int
 (** Live (not cancelled, not yet popped) entries. *)
 

@@ -43,7 +43,7 @@ let arrive ctrl model ~links store h ~now ~demanded k =
       Store.set_demanded store h demanded;
       Store.settle ~links store h ~rate:granted;
       Store.attach_mts model store h ~now;
-      Controller.on_admit ctrl ~now ~call:(Store.id store h) ~rate:granted;
+      Controller.on_admit ctrl ~now ~call:h ~rate:granted;
       true
 
 (* Settle semantics, as everywhere in this repo: the demand moves
@@ -73,7 +73,7 @@ let change model ~links store h ~now ~demanded k =
 let upgrade ctrl ~links store h ~now ~rate k =
   k.upgrades <- k.upgrades + 1;
   Store.settle ~links store h ~rate;
-  Controller.on_renegotiate ctrl ~now ~call:(Store.id store h) ~rate
+  Controller.on_renegotiate ctrl ~now ~call:h ~rate
 
 type utilization = {
   links : Link.t array;

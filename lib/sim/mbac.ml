@@ -141,23 +141,25 @@ let run_with_pieces (c : config) ~make_pieces ~controller =
      until the retransmission (or the give-up) lands. *)
   let deliver h ~now ~rate =
     let d = Call_step.change c.service ~links store h ~now ~demanded:rate k in
-    Controller.on_renegotiate controller ~now ~call:(Store.id store h)
+    Controller.on_renegotiate controller ~now ~call:h
       ~rate:(Service_model.granted_rate d ~demanded:rate);
     if audit_enabled then begin
       incr applies;
       if !applies mod 64 = 0 then record_audit ()
     end
   in
+  let upgrade h ~now ~rate =
+    Call_step.upgrade controller ~links store h ~now ~rate k
+  in
   let depart h ~now =
     (* Departure: release whatever rate the link believes.  A change
        still in retransmission simply never applies. *)
     Store.settle ~links store h ~rate:0.;
     link.Link.n_calls <- link.Link.n_calls - 1;
-    Controller.on_depart controller ~now ~call:(Store.id store h);
+    Controller.on_depart controller ~now ~call:h;
     Store.release store h;
     (* Spare capacity just appeared: restore downgraded calls. *)
-    Store.drain_upgrades c.service ~links store ~now (fun h r ->
-        Call_step.upgrade controller ~links store h ~now ~rate:r k)
+    Store.drain_upgrades c.service ~links store ~now upgrade
   in
   let driver =
     {

@@ -139,7 +139,9 @@ let run_shard cfg rng =
         (admit_margin *. float_of_int cfg.calls_per_shard *. mean_rate)
       ~target
   in
-  let wheel : Store.handle Wheel.t = Wheel.create () in
+  let wheel : Store.handle Wheel.t =
+    Wheel.create ~capacity_hint:(cfg.calls_per_shard + 1) ()
+  in
   let k = Call_step.counts () in
   let departures = ref 0
   and events_fired = ref 0
@@ -169,6 +171,9 @@ let run_shard cfg rng =
     end
     else k.blocked <- k.blocked + 1
   in
+  let upgrade h ~now ~rate =
+    Call_step.upgrade ctrl ~links store h ~now ~rate k
+  in
   let fire h now =
     incr events_fired;
     let cursor = Store.cursor store h + 1 in
@@ -176,20 +181,19 @@ let run_shard cfg rng =
     if cursor > cfg.pieces_per_call then begin
       (* Departure: free the capacity and queue a replacement arrival
          for the next tick batch. *)
-      Controller.on_depart ctrl ~now ~call:(Store.id store h);
+      Controller.on_depart ctrl ~now ~call:h;
       Store.settle ~links store h ~rate:0.;
       Store.release store h;
       incr departures;
       incr replacements;
       (* Spare capacity just appeared: restore downgraded calls. *)
-      Store.drain_upgrades cfg.service ~links store ~now (fun h r ->
-          Call_step.upgrade ctrl ~links store h ~now ~rate:r k)
+      Store.drain_upgrades cfg.service ~links store ~now upgrade
     end
     else begin
       let lvl = Rng.int rng n_levels in
       let demanded = cfg.levels.(lvl) in
       let d = Call_step.change cfg.service ~links store h ~now ~demanded k in
-      Controller.on_renegotiate ctrl ~now ~call:(Store.id store h)
+      Controller.on_renegotiate ctrl ~now ~call:h
         ~rate:(Service_model.granted_rate d ~demanded);
       ignore
         (Wheel.push wheel

@@ -139,24 +139,26 @@ let run_model c model =
       last.(i) <- now
     end
   in
+  let upgrade h ~now ~rate =
+    accrue (Store.id store h) h ~now;
+    Call_step.upgrade ctrl ~links store h ~now ~rate k
+  in
   let depart h i engine =
     let now = Events.now engine in
     Call_step.advance util ~now;
     accrue i h ~now;
     Store.settle ~links store h ~rate:0.;
     Store.release store h;
-    Controller.on_depart ctrl ~now ~call:i;
+    Controller.on_depart ctrl ~now ~call:h;
     incr departures;
-    Store.drain_upgrades model ~links store ~now (fun h r ->
-        accrue (Store.id store h) h ~now;
-        Call_step.upgrade ctrl ~links store h ~now ~rate:r k)
+    Store.drain_upgrades model ~links store ~now upgrade
   in
   let change h i rate engine =
     let now = Events.now engine in
     Call_step.advance util ~now;
     accrue i h ~now;
     let d = Call_step.change model ~links store h ~now ~demanded:rate k in
-    Controller.on_renegotiate ctrl ~now ~call:i
+    Controller.on_renegotiate ctrl ~now ~call:h
       ~rate:(Service_model.granted_rate d ~demanded:rate)
   in
   let arrival i engine =

@@ -51,7 +51,3 @@ let log_sum_exp xs =
   else
     let s = Array.fold_left (fun a x -> a +. exp (x -. m)) 0. xs in
     m +. log s
-
-let approx_equal a b =
-  let scale = Float.max 1. (Float.max (Float.abs a) (Float.abs b)) in
-  Float.abs (a -. b) <= 1e-9 *. scale

@@ -21,6 +21,3 @@ val golden_max : f:(float -> float) -> float -> float -> float
 val log_sum_exp : float array -> float
 (** Numerically stable [log (sum_i exp x_i)].  Requires a non-empty
     array; [-infinity] entries are permitted. *)
-
-val approx_equal : float -> float -> bool
-(** Relative-or-absolute comparison: [|a - b| <= 1e-9 max (1, |a|, |b|)]. *)

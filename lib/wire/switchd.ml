@@ -122,7 +122,7 @@ let do_setup t ~now ~req ~call ~route ~transit ~rate =
           route;
         Hashtbl.replace t.calls call h;
         (match t.config.controller with
-        | Some c -> Controller.on_admit c ~now ~call ~rate
+        | Some c -> Controller.on_admit c ~now ~call:h ~rate
         | None -> ());
         Some (Codec.Ack { req; applied = rate })
       end
@@ -142,7 +142,7 @@ let do_renegotiate t ~now ~req ~call ~rate =
         advance_links t ~now;
         Store.settle ~links:t.links t.store h ~rate;
         (match t.config.controller with
-        | Some c -> Controller.on_renegotiate c ~now ~call ~rate
+        | Some c -> Controller.on_renegotiate c ~now ~call:h ~rate
         | None -> ());
         Some (Codec.Ack { req; applied = rate })
       end
@@ -159,7 +159,7 @@ let do_teardown t ~now ~req ~call =
       Store.release t.store h;
       Hashtbl.remove t.calls call;
       (match t.config.controller with
-      | Some c -> Controller.on_depart c ~now ~call
+      | Some c -> Controller.on_depart c ~now ~call:h
       | None -> ());
       Some (Codec.Ack { req; applied = 0. })
 

@@ -157,9 +157,16 @@ let test_departure_bookkeeping () =
   Alcotest.(check int) "two in system" 2 (Controller.n_in_system ctl);
   Controller.on_depart ctl ~now:1. ~call:1;
   Alcotest.(check int) "one left" 1 (Controller.n_in_system ctl);
-  (* Unknown renegotiations are ignored rather than crashing. *)
+  (* Unknown renegotiations and departures are ignored rather than
+     crashing: slot 99 lies past the end of the slot columns, and slot 1
+     has departed already. *)
   Controller.on_renegotiate ctl ~now:2. ~call:99 ~rate:50.;
-  Alcotest.(check int) "still one" 1 (Controller.n_in_system ctl)
+  Controller.on_depart ctl ~now:2. ~call:99;
+  Controller.on_depart ctl ~now:2. ~call:1;
+  Alcotest.(check int) "still one" 1 (Controller.n_in_system ctl);
+  (* A departed slot may be admitted again. *)
+  Controller.on_admit ctl ~now:3. ~call:1 ~rate:20.;
+  Alcotest.(check int) "two again" 2 (Controller.n_in_system ctl)
 
 (* A known call's renegotiation writes the level-indexed float arrays
    and the call's history in place: once every call has its history
@@ -188,6 +195,34 @@ let test_renegotiate_allocation () =
   Alcotest.(check int) "all still in" 100 (Controller.n_in_system ctl);
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words over 10 000 renegotiations" words)
+    true (words < 16.)
+
+(* Admission, renegotiation and departure write the slot columns in
+   place, and a departure zeroes the slot's history array for the next
+   call on the slot: once every slot in use has one, whole call
+   lifetimes over recycled slots allocate nothing. *)
+let test_admission_cycle_allocation () =
+  let ctl = Controller.memory ~capacity:1e7 ~target:1e-3 in
+  let rates = [| 1e5; 2e5; 4e5 |] in
+  for call = 0 to 99 do
+    Controller.on_admit ctl ~now:0. ~call ~rate:rates.(call mod 3);
+    Controller.on_renegotiate ctl ~now:1. ~call ~rate:rates.((call + 1) mod 3)
+  done;
+  let steps =
+    List.init 10_000 (fun i ->
+        (2. +. (float_of_int i *. 1e-3), i mod 100, rates.(i mod 3)))
+  in
+  let cycle (now, call, rate) =
+    Controller.on_renegotiate ctl ~now ~call ~rate;
+    Controller.on_depart ctl ~now ~call;
+    Controller.on_admit ctl ~now ~call ~rate
+  in
+  let before = Gc.minor_words () in
+  List.iter cycle steps;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all still in" 100 (Controller.n_in_system ctl);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words over 10 000 admission cycles" words)
     true (words < 16.)
 
 (* --- Fast path: stats and controller-vs-oracle identity --------------- *)
@@ -523,6 +558,8 @@ let () =
           Alcotest.test_case "memory fresh fallback" `Quick
             test_memory_fresh_calls_fallback;
           Alcotest.test_case "always admit" `Quick test_always_admit;
+          Alcotest.test_case "admission cycle allocation" `Quick
+            test_admission_cycle_allocation;
           Alcotest.test_case "renegotiation allocation" `Quick
             test_renegotiate_allocation;
           Alcotest.test_case "departure bookkeeping" `Quick

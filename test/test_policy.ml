@@ -215,9 +215,9 @@ let test_settle_at_floor_audits_clean () =
 (* A drain that records each restoration, as (call id, granted rate),
    and settles it, as every engine's callback does. *)
 let drain links store restored =
-  Store.drain_upgrades model ~links store ~now:1. (fun h r ->
-      restored := !restored @ [ (Store.id store h, r) ];
-      Store.settle ~links store h ~rate:r)
+  Store.drain_upgrades model ~links store ~now:1. (fun h ~now:_ ~rate ->
+      restored := !restored @ [ (Store.id store h, rate) ];
+      Store.settle ~links store h ~rate)
 
 let check_restored = Alcotest.(check (list (pair int (float 0.))))
 
@@ -393,16 +393,20 @@ let prop_downgrade_capacity =
     (QCheck.make gen) (fun (cap_mult, ops, _salt) ->
       let capacity = float_of_int cap_mult *. 1_000. in
       let links = single_link ~capacity in
-      let store = Store.create () and next_id = ref 0 in
+      let store = Store.create () and next_id = ref 0 and top = ref 0 in
       let check_cap () =
         if links.(0).Link.acct.demand > capacity +. 1e-6 then
           QCheck.Test.fail_reportf "demand %.1f > capacity %.1f"
             links.(0).Link.acct.demand capacity
       in
       let pick v =
-        let live = ref [] in
-        Store.iter_live store (fun h -> live := h :: !live);
-        List.nth !live (v mod List.length !live)
+        (* Live handles, highest first; [!top] is past every handle
+           acquired so far. *)
+        let live =
+          List.filter (Store.is_live store)
+            (List.init !top (fun i -> !top - 1 - i))
+        in
+        List.nth live (v mod List.length live)
       in
       List.iter
         (fun (op, v) ->
@@ -412,6 +416,7 @@ let prop_downgrade_capacity =
           | 0 -> (
               let h = call store ~id:!next_id in
               incr next_id;
+              top := max !top (h + 1);
               match Store.decide model ~links store h ~now:0. ~demanded:demand with
               | Service_model.Settle_floor _ ->
                   Store.release store h (* blocked arrival *)
@@ -427,8 +432,8 @@ let prop_downgrade_capacity =
               let h = pick v in
               Store.settle ~links store h ~rate:0.;
               Store.release store h;
-              Store.drain_upgrades model ~links store ~now:0. (fun h r ->
-                  Store.settle ~links store h ~rate:r)
+              Store.drain_upgrades model ~links store ~now:0.
+                (fun h ~now:_ ~rate -> Store.settle ~links store h ~rate)
           | _ -> ());
           check_cap ())
         ops;

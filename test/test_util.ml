@@ -236,10 +236,6 @@ let test_log_sum_exp () =
   check_close 1e-12 "neg infinity ignored" 5.
     (Numeric.log_sum_exp [| 5.; neg_infinity |])
 
-let test_approx_equal () =
-  Alcotest.(check bool) "close" true (Numeric.approx_equal 1. (1. +. 1e-12));
-  Alcotest.(check bool) "far" false (Numeric.approx_equal 1. 2.)
-
 (* --- Matrix --- *)
 
 let test_matrix_mul_identity () =
@@ -512,7 +508,6 @@ let () =
           Alcotest.test_case "find_min_such_that" `Quick test_find_min_such_that;
           Alcotest.test_case "golden max" `Quick test_golden_max;
           Alcotest.test_case "log_sum_exp" `Quick test_log_sum_exp;
-          Alcotest.test_case "approx_equal" `Quick test_approx_equal;
         ] );
       ( "matrix",
         [

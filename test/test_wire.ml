@@ -11,6 +11,7 @@ module Loadgen = Rcbr_wire.Loadgen
 module Topology = Rcbr_net.Topology
 module Link = Rcbr_net.Link
 module Plan = Rcbr_fault.Plan
+module Controller = Rcbr_admission.Controller
 module Rng = Rcbr_util.Rng
 
 let check_exact = Alcotest.(check (float 0.))
@@ -438,6 +439,42 @@ let test_switchd_drain () =
   Alcotest.(check int) "empty after teardown" 0 final.Switchd.live_sessions;
   check_exact "no demand left" 0. final.Switchd.demand
 
+(* With an admission controller, the switch tells it about each call by
+   store handle, not by wire call id: sparse ids, one far past any
+   table a controller could index by id, are admitted, renegotiated
+   and torn down, and the controller's population follows. *)
+let test_switchd_controller_sparse_ids () =
+  let ctl = Controller.memory ~capacity:1e6 ~target:1e-3 in
+  let t =
+    Switchd.create
+      {
+        (Switchd.default_config (Topology.single_link ~capacity:1e6)) with
+        controller = Some ctl;
+      }
+  in
+  let conn = Switchd.connect t in
+  let far = 1 lsl 40 in
+  let step ~now msg ~applied ~in_system =
+    (match expect_reply t conn ~now msg with
+    | Codec.Ack { applied = a; _ } -> check_exact "acked rate" applied a
+    | r -> Alcotest.failf "expected Ack, got %a" pp_msg r);
+    Alcotest.(check int) "controller population" in_system
+      (Controller.n_in_system ctl)
+  in
+  let setup req call rate =
+    Codec.Setup { req; call; route = [| 0 |]; transit = false; rate }
+  in
+  step ~now:0. (setup 1 3 1e5) ~applied:1e5 ~in_system:1;
+  step ~now:1. (setup 2 far 2e5) ~applied:2e5 ~in_system:2;
+  step ~now:2. (Codec.Renegotiate { req = 3; call = far; rate = 3e5 })
+    ~applied:3e5 ~in_system:2;
+  step ~now:3. (Codec.Teardown { req = 4; call = 3 }) ~applied:0. ~in_system:1;
+  step ~now:4. (Codec.Teardown { req = 5; call = far }) ~applied:0.
+    ~in_system:0;
+  Alcotest.(check int) "both setups decided" 2
+    (Controller.stats ctl).Controller.decisions;
+  Alcotest.(check int) "audit clean" 0 (Switchd.audit t)
+
 (* byte-level entry: partial reads, pipelining, decode-error counting *)
 let test_switchd_input_framing () =
   let t = mk_switch () in
@@ -616,6 +653,8 @@ let () =
           Alcotest.test_case "rm cells + audit" `Quick
             test_switchd_rm_cells_and_audit;
           Alcotest.test_case "drain" `Quick test_switchd_drain;
+          Alcotest.test_case "controller by handle" `Quick
+            test_switchd_controller_sparse_ids;
           Alcotest.test_case "input framing" `Quick test_switchd_input_framing;
         ] );
       ( "loadgen",

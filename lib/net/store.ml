@@ -209,6 +209,13 @@ let settle ~(links : Link.t array) t h ~rate =
   done;
   t.applied.(h) <- rate
 
+(* A loop over the slice too, like [settle]: no closure per call. *)
+let advance ~(links : Link.t array) t h ~now =
+  let off = t.route_off.(h) in
+  for i = off to off + t.route_len.(h) - 1 do
+    Link.advance links.(t.routes.(i)) ~now
+  done
+
 (* --- service models (DESIGN.md §15) ---------------------------------- *)
 
 let attach_mts model t h ~now =

@@ -70,6 +70,11 @@ val fits : links:Link.t array -> t -> handle -> rate:float -> now:float -> bool
 val blocked : links:Link.t array -> t -> handle -> now:float -> bool
 (** Whether any route link is inside a crash blackout. *)
 
+val advance : links:Link.t array -> t -> handle -> now:float -> unit
+(** {!Link.advance} every route link to [now], in hop order: what a
+    driver that integrates each link only up to its own last change
+    runs before it moves the call's rate. *)
+
 val settle : links:Link.t array -> t -> handle -> rate:float -> unit
 (** Account the [rate] on every route link (settle semantics: the
     demand moves whether or not it {!fits}) and record it as

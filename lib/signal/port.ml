@@ -33,9 +33,19 @@ let is_up t = t.up
 let vci_rate t vci =
   match Hashtbl.find t.rates vci with b -> b.rate | exception Not_found -> 0.
 
+(* The change a cell asks for: a delta is the change itself, a resync
+   the distance from the believed rate.  Computed here, from the belief
+   in place, so no float crosses a function boundary boxed. *)
 let process t cell =
   let vci = cell.Rm_cell.vci in
-  let change = Rm_cell.payload_rate_change cell ~current:(vci_rate t vci) in
+  let change =
+    match cell.Rm_cell.payload with
+    | Rm_cell.Delta d -> d
+    | Rm_cell.Resync r -> (
+        match Hashtbl.find t.rates vci with
+        | b -> r -. b.rate
+        | exception Not_found -> r)
+  in
   let a = t.acct in
   if not t.up then `Denied
   else if change <= 0. || a.reserved +. change <= t.capacity then begin

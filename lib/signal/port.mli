@@ -31,9 +31,10 @@ val vci_rate : t -> int -> float
 (** Believed rate of a VCI; 0 if unknown. *)
 
 val process : t -> Rm_cell.t -> [ `Granted | `Denied ]
-(** Apply an RM cell: compute the implied rate change, grant it iff
-    [reserved + change <= capacity] (decreases always succeed), and
-    update the bookkeeping.  A crashed port denies everything. *)
+(** Apply an RM cell: compute the change it asks for ([Delta d] asks
+    for [d], [Resync r] for [r] minus the VCI's believed rate), grant
+    it iff [reserved + change <= capacity] (decreases always succeed),
+    and update the bookkeeping.  A crashed port denies everything. *)
 
 val process_request : t -> req_id:int -> Rm_cell.t -> [ `Granted | `Denied ]
 (** Idempotent {!process}: if this VCI's most recent request has the

@@ -6,6 +6,3 @@ let delta ~vci d = { vci; payload = Delta d }
 let resync ~vci r =
   assert (r >= 0.);
   { vci; payload = Resync r }
-
-let payload_rate_change t ~current =
-  match t.payload with Delta d -> d | Resync r -> r -. current

@@ -18,8 +18,3 @@ type t = { vci : int; payload : payload }
 val delta : vci:int -> float -> t
 val resync : vci:int -> float -> t
 (** Requires a nonnegative rate. *)
-
-val payload_rate_change : t -> current:float -> float
-(** Rate change this cell requests given the switch's belief [current]
-    about the source's rate: [Delta d] is [d]; [Resync r] is
-    [r -. current]. *)

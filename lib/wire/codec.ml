@@ -43,47 +43,61 @@ let id_ok v = v >= 0 && v <= u32_max
 let finite v = Float.is_finite v
 let abs_rate_ok v = finite v && v >= 0.
 
-let validate m =
-  let bad fmt = Printf.ksprintf Option.some fmt in
-  let id name v = if id_ok v then None else bad "%s %d outside [0, 2^32)" name v in
-  let rate name v =
-    if not (finite v) then bad "%s is not finite" name
-    else if v < 0. then bad "%s %g is negative" name v
-    else None
-  in
-  let fin name v = if finite v then None else bad "%s is not finite" name in
-  let first = List.find_map Fun.id in
-  match m with
-  | Delta { vci; delta } -> first [ id "vci" vci; fin "delta" delta ]
-  | Resync { vci; rate = r } -> first [ id "vci" vci; rate "rate" r ]
-  | Setup { req; call; route; rate = r; _ } ->
-      first
-        [
-          id "req" req;
-          id "call" call;
-          rate "rate" r;
-          (if Array.length route = 0 then bad "route is empty"
-           else if Array.length route > u16_max then
-             bad "route has %d hops (max %d)" (Array.length route) u16_max
-           else
-             Array.find_opt (fun l -> l < 0 || l > u16_max) route
-             |> Option.map (fun l ->
-                    Printf.sprintf "route link id %d outside [0, 2^16)" l));
-        ]
-  | Renegotiate { req; call; rate = r } ->
-      first [ id "req" req; id "call" call; rate "rate" r ]
-  | Teardown { req; call } -> first [ id "req" req; id "call" call ]
-  | Ack { req; applied } -> first [ id "req" req; rate "applied" applied ]
-  | Deny { req; _ } -> id "req" req
-  | Audit_request { req } -> id "req" req
+(* The checks raise on the first violated constraint, so a valid
+   message is checked without allocating: [frame] runs them on every
+   message it writes. *)
+exception Invalid of string
+
+let invalid fmt = Printf.ksprintf (fun why -> raise (Invalid why)) fmt
+let check_id name v = if not (id_ok v) then invalid "%s %d outside [0, 2^32)" name v
+
+let check_rate name v =
+  if not (finite v) then invalid "%s is not finite" name
+  else if v < 0. then invalid "%s %g is negative" name v
+
+let check_fin name v = if not (finite v) then invalid "%s is not finite" name
+
+let check_route route =
+  let n = Array.length route in
+  if n = 0 then invalid "route is empty"
+  else if n > u16_max then invalid "route has %d hops (max %d)" n u16_max
+  else
+    Array.iter
+      (fun l ->
+        if l < 0 || l > u16_max then
+          invalid "route link id %d outside [0, 2^16)" l)
+      route
+
+let check = function
+  | Delta { vci; delta } ->
+      check_id "vci" vci;
+      check_fin "delta" delta
+  | Resync { vci; rate } ->
+      check_id "vci" vci;
+      check_rate "rate" rate
+  | Setup { req; call; route; rate; _ } ->
+      check_id "req" req;
+      check_id "call" call;
+      check_rate "rate" rate;
+      check_route route
+  | Renegotiate { req; call; rate } ->
+      check_id "req" req;
+      check_id "call" call;
+      check_rate "rate" rate
+  | Teardown { req; call } ->
+      check_id "req" req;
+      check_id "call" call
+  | Ack { req; applied } ->
+      check_id "req" req;
+      check_rate "applied" applied
+  | Deny { req; _ } | Audit_request { req } -> check_id "req" req
   | Audit_reply { req; sessions; violations; demand } ->
-      first
-        [
-          id "req" req;
-          id "sessions" sessions;
-          id "violations" violations;
-          fin "demand" demand;
-        ]
+      check_id "req" req;
+      check_id "sessions" sessions;
+      check_id "violations" violations;
+      check_fin "demand" demand
+
+let validate m = match check m with () -> None | exception Invalid why -> Some why
 
 (* --- errors ----------------------------------------------------------- *)
 
@@ -118,7 +132,7 @@ let pp_error ppf = function
 
 let error_to_string e = Format.asprintf "%a" pp_error e
 
-(* --- encoding --------------------------------------------------------- *)
+(* --- tags and reason codes ---------------------------------------------- *)
 
 let tag_of = function
   | Delta _ -> 1
@@ -149,63 +163,6 @@ let reason_of_code = function
   | 5 -> Some Draining
   | 6 -> Some Downgraded
   | _ -> None
-
-let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
-
-let add_u16 b v =
-  add_u8 b (v lsr 8);
-  add_u8 b v
-
-let add_u32 b v =
-  add_u16 b (v lsr 16);
-  add_u16 b v
-
-let add_f64 b v =
-  let bits = Int64.bits_of_float v in
-  for i = 7 downto 0 do
-    add_u8 b (Int64.to_int (Int64.shift_right_logical bits (8 * i)))
-  done
-
-let encode m =
-  (match validate m with
-  | Some why -> invalid_arg ("Rcbr_wire.Codec.encode: " ^ why)
-  | None -> ());
-  let b = Buffer.create 24 in
-  add_u8 b (tag_of m);
-  (match m with
-  | Delta { vci; delta } ->
-      add_u32 b vci;
-      add_f64 b delta
-  | Resync { vci; rate } ->
-      add_u32 b vci;
-      add_f64 b rate
-  | Setup { req; call; route; transit; rate } ->
-      add_u32 b req;
-      add_u32 b call;
-      add_u8 b (if transit then 1 else 0);
-      add_f64 b rate;
-      add_u16 b (Array.length route);
-      Array.iter (add_u16 b) route
-  | Renegotiate { req; call; rate } ->
-      add_u32 b req;
-      add_u32 b call;
-      add_f64 b rate
-  | Teardown { req; call } ->
-      add_u32 b req;
-      add_u32 b call
-  | Ack { req; applied } ->
-      add_u32 b req;
-      add_f64 b applied
-  | Deny { req; reason } ->
-      add_u32 b req;
-      add_u8 b (reason_code reason)
-  | Audit_request { req } -> add_u32 b req
-  | Audit_reply { req; sessions; violations; demand } ->
-      add_u32 b req;
-      add_u32 b sessions;
-      add_u32 b violations;
-      add_f64 b demand);
-  Buffer.contents b
 
 (* --- decoding --------------------------------------------------------- *)
 
@@ -306,9 +263,57 @@ let decode s =
    (20 + 2*65535 bytes), rounded up to a power of two for slack. *)
 let max_frame = 1 lsl 18
 
+(* Payload bytes of [m]: the tag byte and the fixed-width fields. *)
+let payload_length = function
+  | Delta _ | Resync _ | Ack _ -> 13
+  | Setup { route; _ } -> 20 + (2 * Array.length route)
+  | Renegotiate _ -> 17
+  | Teardown _ -> 9
+  | Deny _ -> 6
+  | Audit_request _ -> 5
+  | Audit_reply _ -> 21
+
+(* [Int32.of_int] keeps the low 32 bits, so an id in [0, 2^32) goes out
+   as its unsigned big-endian bytes. *)
+let set_u32 b pos v = Bytes.set_int32_be b pos (Int32.of_int v)
+let set_f64 b pos v = Bytes.set_int64_be b pos (Int64.bits_of_float v)
+
 let frame m =
-  let payload = encode m in
-  let b = Buffer.create (String.length payload + 4) in
-  add_u32 b (String.length payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
+  (match validate m with
+  | Some why -> invalid_arg ("Rcbr_wire.Codec.frame: " ^ why)
+  | None -> ());
+  let n = payload_length m in
+  let b = Bytes.create (4 + n) in
+  set_u32 b 0 n;
+  Bytes.set_uint8 b 4 (tag_of m);
+  (match m with
+  | Delta { vci; delta = v } | Resync { vci; rate = v } ->
+      set_u32 b 5 vci;
+      set_f64 b 9 v
+  | Setup { req; call; route; transit; rate } ->
+      set_u32 b 5 req;
+      set_u32 b 9 call;
+      Bytes.set_uint8 b 13 (if transit then 1 else 0);
+      set_f64 b 14 rate;
+      Bytes.set_uint16_be b 22 (Array.length route);
+      Array.iteri (fun i l -> Bytes.set_uint16_be b (24 + (2 * i)) l) route
+  | Renegotiate { req; call; rate } ->
+      set_u32 b 5 req;
+      set_u32 b 9 call;
+      set_f64 b 13 rate
+  | Teardown { req; call } ->
+      set_u32 b 5 req;
+      set_u32 b 9 call
+  | Ack { req; applied } ->
+      set_u32 b 5 req;
+      set_f64 b 9 applied
+  | Deny { req; reason } ->
+      set_u32 b 5 req;
+      Bytes.set_uint8 b 9 (reason_code reason)
+  | Audit_request { req } -> set_u32 b 5 req
+  | Audit_reply { req; sessions; violations; demand } ->
+      set_u32 b 5 req;
+      set_u32 b 9 sessions;
+      set_u32 b 13 violations;
+      set_f64 b 17 demand);
+  Bytes.unsafe_to_string b

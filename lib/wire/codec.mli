@@ -11,9 +11,10 @@
     The codec is a total, error-typed inversion pair in the style of
     mitls-fstar's [renegotiationInfoBytes]/[parseRenegotiationInfo]:
     {!decode} never raises — every malformed, truncated, or
-    trailing-garbage buffer maps to a typed {!error} — and
-    [decode (encode m) = Ok m] for every valid message, a property the
-    test suite checks by qcheck round-trip and byte-fuzz. *)
+    trailing-garbage buffer maps to a typed {!error} — and {!decode} of
+    [frame m]'s payload is [Ok m] for every valid message, a property
+    the test suite checks by qcheck round-trip and byte-fuzz, next to
+    golden frames that pin the bytes themselves. *)
 
 (** {1 Messages} *)
 
@@ -65,8 +66,8 @@ val req : t -> int option
     entries, each in [0, 2^16); rates and [applied]/[demand] finite,
     with [rate] nonnegative where it is an absolute rate ([Resync],
     [Setup], [Renegotiate], [Ack]); [delta] and [demand] finite but of
-    any sign.  {!decode} enforces the same constraints, so the image of
-    {!encode} is exactly the set of buffers that decode [Ok]. *)
+    any sign.  {!decode} enforces the same constraints, so the payloads
+    {!frame} writes are exactly the buffers that decode [Ok]. *)
 
 val validate : t -> string option
 (** [None] when the message is encodable, or a description of the first
@@ -93,15 +94,9 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
-val encode : t -> string
-(** The message's payload bytes (no length prefix).  Raises
-    [Invalid_argument] with the {!validate} description on an
-    unencodable message — construction-time discipline, mirrored by the
-    parser so the pair stays inverse. *)
-
 val decode : string -> (t, error) result
 (** Total: returns a typed [Error] on every buffer that is not exactly
-    the encoding of one valid message, and never raises. *)
+    the payload of one valid message's {!frame}, and never raises. *)
 
 (** {1 Framing} *)
 
@@ -110,5 +105,10 @@ val max_frame : int
     slack).  {!Frame.Reader} rejects length prefixes beyond it. *)
 
 val frame : t -> string
-(** [encode m] behind a 4-byte big-endian length prefix — the unit of
-    transmission. *)
+(** The unit of transmission: a 4-byte big-endian payload length, then
+    the payload (the tag byte and the message's fields), written into
+    one string of exactly that size.  Raises [Invalid_argument] with
+    the {!validate} description on an unencodable message —
+    construction-time discipline, mirrored by the parser so the pair
+    stays inverse.  Checking a valid message allocates nothing, so
+    a frame costs its one string. *)

@@ -79,9 +79,6 @@ let connect (_ : t) = { reader = Frame.Reader.create (); seen = Hashtbl.create 3
 
 (* --- dispatch --------------------------------------------------------- *)
 
-let advance_links t ~now =
-  Array.iter (fun l -> Link.advance l ~now) t.links
-
 let route_valid t route =
   Array.for_all
     (fun id -> id >= 0 && id < Array.length t.links)
@@ -114,7 +111,7 @@ let do_setup t ~now ~req ~call ~route ~transit ~rate =
       if not (admitted && Store.fits ~links:t.links t.store h ~rate ~now) then
         refuse Codec.Capacity
       else begin
-        advance_links t ~now;
+        Store.advance ~links:t.links t.store h ~now;
         Store.settle ~links:t.links t.store h ~rate;
         Array.iter
           (fun id ->
@@ -128,6 +125,16 @@ let do_setup t ~now ~req ~call ~route ~transit ~rate =
       end
   end
 
+(* Every rate change of a live call: integrate its route links up to
+   [now] under the old demand, settle the new rate, and tell the
+   controller, whichever message carried the change. *)
+let move t ~now h ~rate =
+  Store.advance ~links:t.links t.store h ~now;
+  Store.settle ~links:t.links t.store h ~rate;
+  match t.config.controller with
+  | Some c -> Controller.on_renegotiate c ~now ~call:h ~rate
+  | None -> ()
+
 let do_renegotiate t ~now ~req ~call ~rate =
   t.stats.renegotiations <- t.stats.renegotiations + 1;
   match Hashtbl.find_opt t.calls call with
@@ -139,11 +146,7 @@ let do_renegotiate t ~now ~req ~call ~rate =
               && not (Store.fits ~links:t.links t.store h ~rate ~now)
       then deny t ~req Codec.Capacity
       else begin
-        advance_links t ~now;
-        Store.settle ~links:t.links t.store h ~rate;
-        (match t.config.controller with
-        | Some c -> Controller.on_renegotiate c ~now ~call:h ~rate
-        | None -> ());
+        move t ~now h ~rate;
         Some (Codec.Ack { req; applied = rate })
       end
 
@@ -152,7 +155,7 @@ let do_teardown t ~now ~req ~call =
   match Hashtbl.find_opt t.calls call with
   | None -> deny t ~req Codec.Unknown_call
   | Some h ->
-      advance_links t ~now;
+      Store.advance ~links:t.links t.store h ~now;
       Store.settle ~links:t.links t.store h ~rate:0.;
       Store.route_iter t.store h (fun id ->
           t.links.(id).Link.n_calls <- t.links.(id).Link.n_calls - 1);
@@ -179,17 +182,14 @@ let do_delta t ~now ~vci ~delta =
         end
         else next
       in
-      advance_links t ~now;
-      Store.settle ~links:t.links t.store h ~rate:next);
+      move t ~now h ~rate:next);
   None
 
 let do_resync t ~now ~vci ~rate =
   t.stats.resyncs <- t.stats.resyncs + 1;
   (match Hashtbl.find_opt t.calls vci with
   | None -> t.stats.stray_cells <- t.stats.stray_cells + 1
-  | Some h ->
-      advance_links t ~now;
-      Store.settle ~links:t.links t.store h ~rate);
+  | Some h -> move t ~now h ~rate);
   None
 
 let do_audit t ~req =
@@ -230,23 +230,29 @@ let handle t conn ~now msg =
       | _ -> ());
       reply
 
+(* Serve every complete frame the reader holds, handing each reply
+   frame to [reply] as soon as it is made. *)
+let rec pump t conn ~now reply =
+  match Frame.Reader.next conn.reader with
+  | `Await -> Ok ()
+  | `Fatal e -> Error e
+  | `Error _ ->
+      t.stats.decode_errors <- t.stats.decode_errors + 1;
+      pump t conn ~now reply
+  | `Msg msg ->
+      (match handle t conn ~now msg with
+      | None -> ()
+      | Some r -> reply (Codec.frame r));
+      pump t conn ~now reply
+
+let feed t conn ~now b ~off ~len reply =
+  Frame.Reader.feed conn.reader b ~off ~len;
+  pump t conn ~now reply
+
 let input t conn ~now bytes_str =
   Frame.Reader.feed_string conn.reader bytes_str;
   let out = ref [] in
-  let rec pump () =
-    match Frame.Reader.next conn.reader with
-    | `Await -> Ok (List.rev !out)
-    | `Fatal e -> Error e
-    | `Error _ ->
-        t.stats.decode_errors <- t.stats.decode_errors + 1;
-        pump ()
-    | `Msg msg ->
-        (match handle t conn ~now msg with
-        | None -> ()
-        | Some reply -> out := Codec.frame reply :: !out);
-        pump ()
-  in
-  pump ()
+  pump t conn ~now (fun f -> out := f :: !out) |> Result.map (fun () -> List.rev !out)
 
 (* --- drain ------------------------------------------------------------ *)
 

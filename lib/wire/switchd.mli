@@ -46,6 +46,14 @@ type t
 val create : config -> t
 val stats : t -> stats
 val links : t -> Rcbr_net.Link.t array
+(** The links' accounting.  A request advances only its own call's
+    route links ({!Rcbr_net.Store.advance}), so each link's integrals
+    (offered, granted and lost bits, call-seconds) run up to its own
+    last change, [acct.last], not to the latest request.  That is
+    exact — only a request of a call crossing a link moves the link's
+    demand or call count — but a reader of the integrals must first
+    {!Rcbr_net.Link.advance} every link to its own [now]. *)
+
 val sessions : t -> int
 (** Live call count. *)
 
@@ -59,11 +67,28 @@ val handle : t -> conn -> now:float -> Codec.t -> Codec.t option
     (RM cells are fire-and-forget).  Duplicate request ids short-circuit
     to the cached reply. *)
 
+val feed :
+  t ->
+  conn ->
+  now:float ->
+  bytes ->
+  off:int ->
+  len:int ->
+  (string -> unit) ->
+  (unit, Codec.error) result
+(** [feed t conn ~now b ~off ~len reply] serves [len] bytes of [b]
+    from [off], as read from the socket, and hands each reply frame to
+    [reply] the moment it is made, in order — the daemon writes it
+    straight to the socket.  [Error e] means framing is unrecoverable
+    and the connection must be closed; the frames before the fault have
+    been served and answered.  Frames that fail to decode are counted
+    and skipped — the stream stays in sync.  The bytes are copied into
+    the connection's {!Frame.Reader}, so [b] may be reused at once. *)
+
 val input : t -> conn -> now:float -> string -> (string list, Codec.error) result
-(** Feed raw bytes as read from the socket.  [Ok frames] are the
-    encoded reply frames to queue, in order; [Error e] means framing is
-    unrecoverable and the connection must be closed.  Frames that fail
-    to decode are counted and skipped — the stream stays in sync. *)
+(** {!feed} of a whole string, with the reply frames collected: [Ok
+    frames] in order, or [Error e] (and no frames) when framing is
+    lost. *)
 
 (** {1 Audit and drain} *)
 

@@ -67,8 +67,27 @@ let run socket_path topo_spec capacity controller_name target grace =
   let last_served = ref neg_infinity in
   let clients = ref [] in
   let buf = Bytes.create 65536 in
+  (* The select sets, kept across rounds.  They change only when a
+     client connects or closes, when a client's queued output starts or
+     drains, or when the listener closes; each of those marks them
+     stale, and the next round rebuilds them.  A round where no fd is
+     ready builds no list. *)
+  let accepting = ref true in
+  let read_fds = ref [] and write_fds = ref [] and stale = ref true in
+  let select_sets () =
+    if !stale then begin
+      let fds = List.map (fun c -> c.fd) !clients in
+      read_fds := if !accepting then listener :: fds else fds;
+      write_fds :=
+        List.filter_map
+          (fun c -> if Buffer.length c.out > 0 then Some c.fd else None)
+          !clients;
+      stale := false
+    end
+  in
   let close_client c =
     clients := List.filter (fun c' -> c'.fd != c.fd) !clients;
+    stale := true;
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   in
   let flush_out c =
@@ -79,12 +98,19 @@ let run socket_path topo_spec capacity controller_name target grace =
       | n ->
           Buffer.clear c.out;
           if n < len then Buffer.add_subbytes c.out s n (len - n)
+          else stale := true
       | exception
           Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
         ->
           ()
       | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
           close_client c
+  in
+  (* The socket refused [frame] from [off] on while nothing was
+     queued: queue the rest, which puts the client in the write set. *)
+  let queue c frame off =
+    stale := true;
+    Buffer.add_substring c.out frame off (String.length frame - off)
   in
   (* A reply goes straight to the socket.  Only what the socket refuses
      is queued, and once something is queued every later reply queues
@@ -95,11 +121,11 @@ let run socket_path topo_spec capacity controller_name target grace =
     else
       let len = String.length frame in
       match Unix.write_substring c.fd frame 0 len with
-      | n -> if n < len then Buffer.add_substring c.out frame n (len - n)
+      | n -> if n < len then queue c frame n
       | exception
           Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
         ->
-          Buffer.add_string c.out frame
+          queue c frame 0
       | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
           c.broken <- true
   in
@@ -135,6 +161,7 @@ let run socket_path topo_spec capacity controller_name target grace =
         ()
     | fd, _ ->
         Unix.set_nonblock fd;
+        stale := true;
         clients :=
           {
             fd;
@@ -150,44 +177,42 @@ let run socket_path topo_spec capacity controller_name target grace =
     let age = Unix.gettimeofday () -. !last_served in
     if poll && 0. <= age && age < poll_window then 0. else 0.25
   in
-  let serve_round ~accepting =
-    let rds =
-      (if accepting then [ listener ] else [])
-      @ List.map (fun c -> c.fd) !clients
-    in
-    let wrs =
-      List.filter_map
-        (fun c -> if Buffer.length c.out > 0 then Some c.fd else None)
-        !clients
-    in
-    match Unix.select rds wrs [] (timeout ()) with
+  (* The scans' closures capture the ready lists, so a round where
+     nothing is ready skips them rather than build them. *)
+  let serve_round () =
+    select_sets ();
+    match Unix.select !read_fds !write_fds [] (timeout ()) with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | readable, writable, _ ->
-        if accepting && List.memq listener readable then accept_all ();
-        List.iter
-          (fun c ->
-            if List.memq c !clients && List.memq c.fd readable then
-              handle_read c)
-          !clients;
-        List.iter
-          (fun c ->
-            if List.memq c !clients && List.memq c.fd writable then
-              flush_out c)
-          !clients
+        if !accepting && List.memq listener readable then accept_all ();
+        if readable <> [] then
+          List.iter
+            (fun c ->
+              if List.memq c !clients && List.memq c.fd readable then
+                handle_read c)
+            !clients;
+        if writable <> [] then
+          List.iter
+            (fun c ->
+              if List.memq c !clients && List.memq c.fd writable then
+                flush_out c)
+            !clients
   in
   Format.printf "rcbr_switchd: listening on %s (%a)@." socket_path Topology.pp
     topology;
   while not (Interrupt.requested ()) do
-    serve_round ~accepting:true
+    serve_round ()
   done;
   (* Drain: no new connections, no new setups; live connections get
      [grace] seconds to finish their business and hang up. *)
+  accepting := false;
+  stale := true;
   (try Unix.close listener with Unix.Unix_error _ -> ());
   (try Unix.unlink socket_path with Unix.Unix_error _ | Sys_error _ -> ());
   ignore (Switchd.drain t);
   let deadline = Unix.gettimeofday () +. grace in
   while !clients <> [] && Unix.gettimeofday () < deadline do
-    serve_round ~accepting:false
+    serve_round ()
   done;
   List.iter
     (fun c ->

@@ -2,9 +2,9 @@
    simulator and the switch daemon run on.
 
    Every per-call field lives in a packed parallel array indexed by an
-   integer handle, routes are slices of one shared int arena, and
-   freed handles recycle through a stack — so steady state allocates
-   nothing, even at 10^6 concurrent calls.
+   integer handle, a call's route is the caller's own array, kept by
+   reference, and freed handles recycle through a stack — so steady
+   state allocates nothing, even at 10^6 concurrent calls.
 
    The route queries ([fits]/[blocked]/[settle]/[audit]) fix the float
    expressions and their evaluation order, and [settle] is the only
@@ -21,12 +21,8 @@ type t = {
   mutable cursor : int array;  (* schedule cursor (piece index) *)
   mutable gen : int array;
   mutable id : int array;
-  mutable route_off : int array;  (* slice into [routes] *)
-  mutable route_len : int array;
+  mutable route : int array array;  (* the caller's array, not a copy *)
   mutable flags : Bytes.t;  (* bit 0: live, bit 1: transit *)
-  mutable routes : int array;  (* shared route arena, append-only *)
-  mutable routes_len : int;
-  mutable routes_dead : int;  (* arena words owned by freed handles *)
   mutable free : int array;  (* free-handle stack *)
   mutable free_len : int;
   mutable hwm : int;  (* handles ever touched: live + free *)
@@ -49,12 +45,8 @@ let create ?(capacity_hint = 16) () =
     cursor = Array.make cap 0;
     gen = Array.make cap 0;
     id = Array.make cap 0;
-    route_off = Array.make cap 0;
-    route_len = Array.make cap 0;
+    route = Array.make cap [||];
     flags = Bytes.make cap '\000';
-    routes = Array.make (4 * cap) 0;
-    routes_len = 0;
-    routes_dead = 0;
     free = Array.make cap 0;
     free_len = 0;
     hwm = 0;
@@ -80,36 +72,11 @@ let grow_handles t =
   t.cursor <- gf t.cursor 0;
   t.gen <- gf t.gen 0;
   t.id <- gf t.id 0;
-  t.route_off <- gf t.route_off 0;
-  t.route_len <- gf t.route_len 0;
+  t.route <- gf t.route [||];
   t.free <- gf t.free 0;
   let nflags = Bytes.make ncap '\000' in
   Bytes.blit t.flags 0 nflags 0 cap;
   t.flags <- nflags
-
-(* Reclaim arena words owned by freed handles: rewrite the arena with
-   the live routes in handle order.  Deterministic — depends only on
-   the live handle set. *)
-let compact_routes t =
-  let narena = Array.make (max 64 (Array.length t.routes / 2)) 0 in
-  let narena = ref narena in
-  let k = ref 0 in
-  for h = 0 to t.hwm - 1 do
-    if is_live t h then begin
-      let len = t.route_len.(h) in
-      if !k + len > Array.length !narena then begin
-        let bigger = Array.make (max (2 * Array.length !narena) (!k + len)) 0 in
-        Array.blit !narena 0 bigger 0 !k;
-        narena := bigger
-      end;
-      Array.blit t.routes t.route_off.(h) !narena !k len;
-      t.route_off.(h) <- !k;
-      k := !k + len
-    end
-  done;
-  t.routes <- !narena;
-  t.routes_len <- !k;
-  t.routes_dead <- 0
 
 let acquire t ~id ~route ~transit =
   assert (Array.length route > 0);
@@ -125,20 +92,7 @@ let acquire t ~id ~route ~transit =
       h
     end
   in
-  let rlen = Array.length route in
-  if t.routes_dead > 4096 && t.routes_dead > t.routes_len / 2 then
-    compact_routes t;
-  if t.routes_len + rlen > Array.length t.routes then begin
-    let bigger =
-      Array.make (max (2 * Array.length t.routes) (t.routes_len + rlen)) 0
-    in
-    Array.blit t.routes 0 bigger 0 t.routes_len;
-    t.routes <- bigger
-  end;
-  Array.blit route 0 t.routes t.routes_len rlen;
-  t.route_off.(h) <- t.routes_len;
-  t.route_len.(h) <- rlen;
-  t.routes_len <- t.routes_len + rlen;
+  t.route.(h) <- route;
   t.applied.(h) <- 0.;
   t.demanded.(h) <- 0.;
   t.cursor.(h) <- 0;
@@ -152,7 +106,6 @@ let acquire t ~id ~route ~transit =
 let release t h =
   assert (is_live t h);
   Bytes.set t.flags h '\000';
-  t.routes_dead <- t.routes_dead + t.route_len.(h);
   t.free.(t.free_len) <- h;
   t.free_len <- t.free_len + 1;
   t.live <- t.live - 1
@@ -167,19 +120,15 @@ let gen t h = t.gen.(h)
 let bump_gen t h = t.gen.(h) <- t.gen.(h) + 1
 let transit t h = Char.code (Bytes.get t.flags h) land 2 <> 0
 
-let route_iter t h f =
-  let off = t.route_off.(h) and len = t.route_len.(h) in
-  for i = off to off + len - 1 do
-    f t.routes.(i)
-  done
+let route_iter t h f = Array.iter f t.route.(h)
 
 let fits ~(links : Link.t array) t h ~rate ~now =
   let delta = rate -. t.applied.(h) in
-  let off = t.route_off.(h) and len = t.route_len.(h) in
+  let route = t.route.(h) in
   let ok = ref true in
-  let i = ref off in
-  while !ok && !i < off + len do
-    let l = links.(t.routes.(!i)) in
+  let i = ref 0 in
+  while !ok && !i < Array.length route do
+    let l = links.(route.(!i)) in
     ok :=
       (not (Link.down l ~now))
       && l.Link.acct.demand +. delta <= l.Link.capacity +. 1e-9;
@@ -188,11 +137,11 @@ let fits ~(links : Link.t array) t h ~rate ~now =
   !ok
 
 let blocked ~(links : Link.t array) t h ~now =
-  let off = t.route_off.(h) and len = t.route_len.(h) in
+  let route = t.route.(h) in
   let hit = ref false in
-  let i = ref off in
-  while (not !hit) && !i < off + len do
-    hit := Link.down links.(t.routes.(!i)) ~now;
+  let i = ref 0 in
+  while (not !hit) && !i < Array.length route do
+    hit := Link.down links.(route.(!i)) ~now;
     incr i
   done;
   !hit
@@ -202,18 +151,18 @@ let blocked ~(links : Link.t array) t h ~now =
    update writes in place: no box, no write barrier. *)
 let settle ~(links : Link.t array) t h ~rate =
   let delta = rate -. t.applied.(h) in
-  let off = t.route_off.(h) in
-  for i = off to off + t.route_len.(h) - 1 do
-    let a = links.(t.routes.(i)).Link.acct in
+  let route = t.route.(h) in
+  for i = 0 to Array.length route - 1 do
+    let a = links.(route.(i)).Link.acct in
     a.Link.demand <- a.Link.demand +. delta
   done;
   t.applied.(h) <- rate
 
-(* A loop over the slice too, like [settle]: no closure per call. *)
+(* A loop over the route too, like [settle]: no closure per call. *)
 let advance ~(links : Link.t array) t h ~now =
-  let off = t.route_off.(h) in
-  for i = off to off + t.route_len.(h) - 1 do
-    Link.advance links.(t.routes.(i)) ~now
+  let route = t.route.(h) in
+  for i = 0 to Array.length route - 1 do
+    Link.advance links.(route.(i)) ~now
   done
 
 (* --- service models (DESIGN.md §15) ---------------------------------- *)
@@ -302,9 +251,9 @@ let audit ~(links : Link.t array) t =
   let expect = Array.make (Array.length links) 0. in
   for h = 0 to t.hwm - 1 do
     if is_live t h then begin
-      let rate = t.applied.(h) and off = t.route_off.(h) in
-      for i = off to off + t.route_len.(h) - 1 do
-        let lid = t.routes.(i) in
+      let rate = t.applied.(h) and route = t.route.(h) in
+      for i = 0 to Array.length route - 1 do
+        let lid = route.(i) in
         expect.(lid) <- expect.(lid) +. rate
       done
     end

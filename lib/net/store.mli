@@ -4,18 +4,25 @@
 
     Per-call state lives in packed parallel arrays indexed by an
     integer {!handle} — applied and demanded rate, schedule cursor,
-    generation counter, caller id — with routes stored as slices of a
-    shared int arena and freed handles recycled through a stack, so
-    the steady-state hot loop allocates nothing.  The service models'
-    per-call state lives here too (DESIGN.md §15): the MTS policer
-    ladder of [Mts_profile], allocated on first use, and the one queue
-    of calls [Downgrade] granted below demand.  Signalling over an
-    unreliable plane is {!Session}'s job; it drives calls of this
-    store by handle.
+    generation counter, caller id — with each call's route kept by
+    reference (the caller's array, not a copy) and freed handles
+    recycled through a stack, so the steady-state hot loop allocates
+    nothing.  The service models' per-call state lives here too
+    (DESIGN.md §15): the MTS policer ladder of [Mts_profile],
+    allocated on first use, and the one queue of calls [Downgrade]
+    granted below demand.  Signalling over an unreliable plane is
+    {!Session}'s job; it drives calls of this store by handle.
 
     Handles are only valid between their {!acquire} and {!release};
     the store does not check for stale handles beyond the [is_live]
-    assertion in [release]. *)
+    assertion in [release].
+
+    The store keeps the route array it is given: the caller must not
+    mutate it while the call is live.  A route is fixed at setup, and
+    every caller passes one that outlives the call (a [Topology] route,
+    a one-link route built once per run, a route decoded for one
+    setup); a route mutated under a live call would move its later
+    settles onto other links, which {!audit} reports. *)
 
 type t
 
@@ -32,7 +39,8 @@ val is_live : t -> handle -> bool
 val acquire : t -> id:int -> route:int array -> transit:bool -> handle
 (** Fresh call with [applied = 0], cursor/gen zeroed and no MTS
     ladder attached; the route (non-empty, link ids in hop order) is
-    copied into the arena.  [gen] restarting at 0 on a recycled handle
+    kept, not copied, so acquiring allocates nothing once the handle
+    columns have grown.  [gen] restarting at 0 on a recycled handle
     is why {!Session.cancel_pending} must run before a signalled call
     is released. *)
 
@@ -59,7 +67,7 @@ val gen : t -> handle -> int
 val bump_gen : t -> handle -> unit
 val transit : t -> handle -> bool
 val route_iter : t -> handle -> (int -> unit) -> unit
-(** Route link ids in hop order, without materializing an array. *)
+(** Route link ids in hop order. *)
 
 (** {1 Route queries} *)
 

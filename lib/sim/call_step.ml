@@ -24,11 +24,19 @@ let counts () =
     upgrades = 0;
   }
 
+(* Only [Downgrade]'s placement probes [fits]; under the other models
+   [Controller.place] grants in full, so the [fits] closure is built
+   only where it can be called. *)
 let arrive ctrl model ~links store h ~now ~demanded k =
-  match
-    Controller.place ctrl model ~demanded ~fits:(fun r ->
-        Store.fits ~links store h ~rate:r ~now)
-  with
+  let decision =
+    match (model : Service_model.t) with
+    | Service_model.Downgrade _ ->
+        Controller.place ctrl model ~demanded ~fits:(fun r ->
+            Store.fits ~links store h ~rate:r ~now)
+    | Service_model.Renegotiate | Service_model.Mts_profile _ ->
+        Service_model.Grant
+  in
+  match decision with
   | Service_model.Settle_floor _ ->
       Store.release store h;
       k.blocked <- k.blocked + 1;

@@ -7,7 +7,7 @@
     service model once, counts the decision into a {!counts} record the
     caller owns and settles the granted rate through
     {!Rcbr_net.Store.settle}.  No step allocates beyond the [Store]
-    calls it makes and the one [fits] closure
+    calls it makes and, under [Downgrade], the one [fits] closure
     {!Rcbr_admission.Controller.place} takes at an arrival. *)
 
 type counts = {
@@ -32,14 +32,16 @@ val arrive :
   links:Rcbr_net.Link.t array -> Rcbr_net.Store.t -> Rcbr_net.Store.handle ->
   now:float -> demanded:float -> counts -> bool
 (** Place a call the admission gate let in, on its freshly acquired
-    handle: {!Rcbr_admission.Controller.place} under the model, probing
-    {!Rcbr_net.Store.fits}.  On [Settle_floor] the handle is released
-    and the call counted blocked; otherwise it is counted admitted (and
-    downgraded, and queued for spare capacity, when placed below
-    [demanded]), its demanded and granted rates are recorded and
-    settled, its MTS ladder attached ({!Rcbr_net.Store.attach_mts}),
-    and the controller is told ({!Rcbr_admission.Controller.on_admit}).
-    Returns whether the call was placed. *)
+    handle: {!Rcbr_admission.Controller.place} under [Downgrade],
+    probing {!Rcbr_net.Store.fits}, and a full grant under the other
+    models, as [place] answers there.  On [Settle_floor] the handle is
+    released and the call counted blocked; otherwise it is counted
+    admitted (and downgraded, and queued for spare capacity, when
+    placed below [demanded]), its demanded and granted rates are
+    recorded and settled, its MTS ladder attached
+    ({!Rcbr_net.Store.attach_mts}), and the controller is told
+    ({!Rcbr_admission.Controller.on_admit}).  Returns whether the call
+    was placed. *)
 
 val change :
   Rcbr_policy.Service_model.t -> links:Rcbr_net.Link.t array ->

@@ -494,6 +494,51 @@ let test_store_acquire_release_reuse () =
   Alcotest.(check (list int)) "route readable" (Array.to_list route)
     (List.rev !hops)
 
+(* A warm store recycles handles without allocating: it keeps each
+   call's route by reference, so an acquire copies nothing and no
+   shared array grows or is compacted as calls come and go.  The
+   routes, one per grid route plus a staircase prefix of every length,
+   are built before the count starts; [Gc.counters] boxes its own
+   result, hence the minor slack. *)
+let test_store_churn_allocation () =
+  let topo = Topology.grid ~rows:8 ~cols:8 ~capacity:1e6 in
+  let stair = topo.Topology.routes.(Topology.n_routes topo - 1) in
+  let routes =
+    Array.append topo.Topology.routes
+      (Array.init (Array.length stair) (fun i -> Array.sub stair 0 (i + 1)))
+  in
+  let n_routes = Array.length routes in
+  let warm = 4_096 and cycles = 100_000 in
+  let store = Store.create () in
+  let live =
+    Array.init warm (fun i ->
+        Store.acquire store ~id:i ~route:routes.(i mod n_routes) ~transit:true)
+  in
+  Gc.minor ();
+  let minor0, _, major0 = Gc.counters () in
+  for i = 0 to cycles - 1 do
+    (* Release in a scattered order, so routes of every length free up
+       between live ones. *)
+    let slot = i * 7_919 mod warm in
+    Store.release store live.(slot);
+    live.(slot) <-
+      Store.acquire store ~id:(warm + i) ~route:routes.(i mod n_routes)
+        ~transit:true
+  done;
+  let minor1, _, major1 = Gc.counters () in
+  Alcotest.(check int) "population kept" warm (Store.live_count store);
+  let last = live.((cycles - 1) * 7_919 mod warm) in
+  let hops = ref [] in
+  Store.route_iter store last (fun l -> hops := l :: !hops);
+  Alcotest.(check (list int)) "last route readable"
+    (Array.to_list routes.((cycles - 1) mod n_routes))
+    (List.rev !hops);
+  check_exact "no major words" 0. (major1 -. major0);
+  let per_cycle = (minor1 -. minor0) /. float_of_int cycles in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f minor words per release + acquire" per_cycle)
+    true (per_cycle < 1.)
+
 (* The float-expression contract: a store fed a seeded op sequence
    agrees, answer for answer and bit for bit, with a test-local record
    model of one call — its route and applied rate — written with the
@@ -675,6 +720,8 @@ let () =
             test_store_acquire_release_reuse;
           Alcotest.test_case "store = record sessions" `Quick
             test_store_matches_sessions;
+          Alcotest.test_case "churn allocates nothing" `Quick
+            test_store_churn_allocation;
         ] );
       ( "link",
         [
